@@ -1,24 +1,60 @@
 """Scalar special functions: Hurwitz-Lerch transcendent, polylogarithm,
 a Gauss hypergeometric special case, and the gamma function.
 
-Only the slices actually needed by the transform kernels are covered:
-integer s >= 1 for the Lerch/polylog family, one fixed hypergeometric
-parameter pattern, gamma on the positive axis.  Each function has a
-power-series branch near the origin and an integral or identity branch
-elsewhere; the switch radius is 1/2.
+Only the slices needed by the transform kernels are covered: integer
+s >= 1 for the Lerch/polylog family, one fixed hypergeometric parameter
+pattern, gamma on the positive axis.
+
+Li_s(z) for integer s takes one of three branches by |z|:
+
+  |z| <= 1/2       the power series sum_{n>=1} z^n / n^s;
+  1/2 < |z| < 2    Crandall's log-series in mu = log z,
+                   sum_{m != s-1} zeta(s-m) mu^m/m!
+                   + mu^(s-1)/(s-1)! (H_{s-1} - log(-mu));
+  |z| >= 2         the inversion formula, which trades z for 1/z inside
+                   the series disk.
+
+Li_1(z) = -log(1-z) is used as it stands beyond the series radius.  The
+Lerch transcendent with integer v reduces to these: Phi(z,s,1) =
+Li_s(z)/z, Phi(z,s,2) = (Li_s(z) - z)/z^2, and Phi(z,1,k) is a logarithm
+minus a finite sum in 1/z.  Non-integer v, and method="integral", use
+the integral representation by quadrature, which is the oracle the
+closed forms are checked against.
+
+References: R. Crandall, "Note on fast polylogarithm computation"
+(2006); D. Wood, "The computation of polylogarithms", University of
+Kent TR 15-92 (1992).
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 
 from .errors import ConvergenceError, DomainError
 from .quadrature import integrate_semi_infinite
 
 _SERIES_RADIUS = 0.5
+_INVERSION_RADIUS = 2.0
 _SERIES_MAX_TERMS = 1_000_000
 _SERIES_EPS = 1e-15
 _INTEGRAL_TOL = 1e-11
+# the closed-form sums stop at the first nonzero term below this fraction
+# of the running sum
+_SUM_EPS = 2.0 ** -53
+# Phi(z, 1, k) in closed form cancels about |z|^-k inside the unit disk;
+# below this |z|^k the direct series is summed instead
+_LOG_FORM_MIN = 1e-3
+# integer v up to this size take the closed forms; the 1/z sum of
+# Phi(z, 1, k) has k terms
+_CLOSED_FORM_MAX_V = 100_000
+# zeta(n) - 1 sums k^-n for 2 <= k < n + _EM_CUT and adds the
+# Euler-Maclaurin tail; a cut growing with n keeps the tail's terms
+# falling like (n/(2 pi cut))^2
+_EM_CUT = 10
+# B_0, B_2, ..., B_{2 _BERNOULLI_HALF} are tabulated
+_BERNOULLI_HALF = 64
 
 # Euler-Mascheroni constant, double precision.
 _EULER_GAMMA = 0.5772156649015329
@@ -55,7 +91,19 @@ def gamma_fn(x: float) -> float:
     for i in range(1, len(_LANCZOS_C)):
         acc += _LANCZOS_C[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    try:
+        val = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    except OverflowError:
+        # t^(z+1/2) alone overflows from x ~ 142 on; split it around
+        # exp(-t) so Gamma stays finite up to x ~ 171.6
+        try:
+            half = t ** (0.5 * (z + 0.5))
+        except OverflowError:
+            raise DomainError(f"gamma_fn({x!r}) overflows double precision")
+        val = math.sqrt(2.0 * math.pi) * half * math.exp(-t) * acc * half
+    if not math.isfinite(val):
+        raise DomainError(f"gamma_fn({x!r}) overflows double precision")
+    return val
 
 
 def _on_cut(z: complex) -> bool:
@@ -83,15 +131,16 @@ def _lerch_integral(z: complex, s: int, v: float, tol: float = _INTEGRAL_TOL) ->
     """Integral form (1/Gamma(s)) int_0^inf t^(s-1) e^(-v t)/(1 - z e^(-t)) dt.
 
     Valid for z off the real ray [1, inf); the integrand's denominator
-    never vanishes there.
+    never vanishes there.  The weight t^(s-1) e^(-v t)/Gamma(s) is formed
+    in log space, so it stays of order one however large s is.
     """
+    log_gamma = math.lgamma(s)
 
     def integrand(t: float) -> complex:
         w = math.exp(-t)
-        return t ** (s - 1) * math.exp(-v * t) / (1.0 - z * w)
+        return math.exp((s - 1) * math.log(t) - v * t - log_gamma) / (1.0 - z * w)
 
-    res = integrate_semi_infinite(integrand, tol)
-    return res.value / gamma_fn(float(s))
+    return integrate_semi_infinite(integrand, tol).value
 
 
 def lerch_phi(z: complex, s: int, v: float, *, method: str = "auto") -> complex:
@@ -102,11 +151,12 @@ def lerch_phi(z: complex, s: int, v: float, *, method: str = "auto") -> complex:
     z : complex, not on the real ray [1, inf)
     s : int >= 1
     v : float > 0
-    method : "auto" picks series for |z| <= 1/2 and the integral
-        representation otherwise; "series"/"integral" force a branch.
+    method : "auto" picks the series for |z| <= 1/2; beyond it, integer
+        v takes a closed form (v = 1, v = 2, or s = 1) and other v the
+        integral representation.  "series"/"integral" force a branch.
 
-    The two branches agree to ~1e-10 in the overlap band and that
-    agreement is part of the package's verification battery.
+    The series and the integral agree to ~1e-10 in the overlap band and
+    that agreement is part of the package's verification battery.
     """
     z = complex(z)
     if _on_cut(z):
@@ -124,31 +174,205 @@ def lerch_phi(z: complex, s: int, v: float, *, method: str = "auto") -> complex:
         raise DomainError(f"unknown method {method!r}")
     if abs(z) <= _SERIES_RADIUS:
         return _lerch_series(z, s, v)
+    if v == math.floor(v) and v <= _CLOSED_FORM_MAX_V:
+        k = int(v)
+        if k == 1:
+            return polylog(s, z) / z
+        if s == 1:
+            return _lerch_log(z, k)
+        if k == 2:
+            return _lerch_v2(z, s)
     return _lerch_integral(z, s, v)
 
 
-def _zeta_int(s: int) -> float:
-    """zeta(s) for integer s >= 2 by Euler-Maclaurin corrected partial sums."""
-    n_cut = 10_000
-    acc = 0.0
-    # summing smallest terms first keeps the rounding error down
-    for n in range(n_cut, 0, -1):
-        acc += 1.0 / float(n) ** s
-    tail = (
-        n_cut ** (1 - s) / (s - 1)
-        - 0.5 * n_cut ** (-s)
-        + (s / 12.0) * n_cut ** (-s - 1)
-    )
-    return acc + tail
+def _lerch_log(z: complex, k: int) -> complex:
+    """Phi(z, 1, k) = -z^-k log(1-z) - sum_{j=1}^{k-1} z^-j/(k-j).
+
+    Summed in powers of w = 1/z, so no power overflows for large k.
+    Inside the unit disk the two parts cancel down to the size of |z|^k,
+    so the direct series takes over once |z|^k drops below _LOG_FORM_MIN.
+    """
+    r = abs(z)
+    if r < 1.0 and r ** k < _LOG_FORM_MIN:
+        return _lerch_series(z, 1, float(k))
+    w = 1.0 / z
+    acc = complex(0.0)
+    power = complex(1.0)  # w^j
+    for j in range(1, k):
+        power *= w
+        acc += power / (k - j)
+    return -(power * w) * cmath.log(1.0 - z) - acc
+
+
+def _lerch_v2(z: complex, s: int) -> complex:
+    """Phi(z, s, 2) = (Li_s(z) - z)/z^2 for |z| > 1/2.
+
+    Inside |z| < 2 the log-series sums Li_s(z) - z term by term, with
+    zeta(n) - 1 in place of zeta(n); beyond, the inversion formula
+    subtracts z in closed form.  Neither route forms Li_s(z) and z
+    separately, which would lose about 2^s/|z| relative to Phi.
+    """
+    if abs(z) < _INVERSION_RADIUS:
+        return _log_series(s, z, shift=1) / (z * z)
+    return _inversion(s, z, shift=1) / (z * z)
+
+
+# zeta at the integers -------------------------------------------------------
+
+@functools.cache
+def _bernoulli_even() -> tuple:
+    """B_0, B_2, ..., B_{2 _BERNOULLI_HALF} from the integer tangent numbers
+    T_j (Brent-Harvey recurrence): B_2j = (-1)^(j-1) 2j T_j/(4^j (4^j - 1)).
+    Exact integer arithmetic, one rounding per value; built on first use."""
+    n = _BERNOULLI_HALF
+    tan = [0] * (n + 1)
+    tan[1] = 1
+    for k in range(2, n + 1):
+        tan[k] = (k - 1) * tan[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            tan[j] = (j - k) * tan[j - 1] + (j - k + 2) * tan[j]
+    values = [1.0]
+    for j in range(1, n + 1):
+        b = 2 * j * tan[j] / (4 ** j * (4 ** j - 1))
+        values.append(b if j % 2 else -b)
+    return tuple(values)
+
+
+def _zeta_minus_one(n: int) -> float:
+    """zeta(n) - 1 for integer n >= 2, to full relative precision: the
+    terms 2 <= k < n + _EM_CUT summed directly plus the Euler-Maclaurin
+    tail."""
+    bern = _bernoulli_even()
+    top = n + _EM_CUT
+    cut = float(top)
+    acc = cut ** (1 - n) / (n - 1) + 0.5 * cut ** -n
+    # B_2j/(2j)! n (n+1) ... (n+2j-2) cut^(-n-2j+1), starting at j = 1
+    coef = 0.5 * n * cut ** (-n - 1)
+    for j in range(1, _BERNOULLI_HALF):
+        term = bern[j] * coef
+        acc += term
+        if abs(term) <= _SUM_EPS * acc:
+            break
+        coef *= (n + 2 * j - 1) * (n + 2 * j) / (cut * cut * (2 * j + 1) * (2 * j + 2))
+    for k in range(top - 1, 1, -1):
+        acc += float(k) ** -n
+    return acc
+
+
+@functools.cache
+def _zeta_pair(n: int) -> tuple:
+    """(zeta(n), zeta(n) - 1) for an integer n != 1, cached.
+
+    n >= 2 sums zeta(n) - 1 directly, n = 0 is -1/2, and zeta(-q) =
+    -B_{q+1}/(q+1), which vanishes at the negative even integers.
+    """
+    if n >= 2:
+        m1 = _zeta_minus_one(n)
+        return (1.0 + m1, m1)
+    if n == 0:
+        return (-0.5, -1.5)
+    q = -n
+    if q % 2 == 0:
+        return (0.0, -1.0)
+    bern = _bernoulli_even()
+    if (q + 1) // 2 >= len(bern):
+        raise ConvergenceError(f"zeta({n}) lies beyond the Bernoulli table")
+    val = -bern[(q + 1) // 2] / (q + 1)
+    return (val, val - 1.0)
+
+
+# polylogarithm ---------------------------------------------------------------
+
+def _power_sum(s: int, w: complex, first: int) -> complex:
+    """sum_{n>=first} w^n / n^s for |w| <= 1/2, stopped relative to the sum."""
+    acc = complex(0.0)
+    power = w ** first
+    for n in range(first, _SERIES_MAX_TERMS):
+        contrib = power * float(n) ** -s
+        acc += contrib
+        if abs(contrib) <= _SUM_EPS * abs(acc):
+            return acc
+        power *= w
+    raise ConvergenceError(f"polylog series stalled at z={w!r}")
+
+
+def _log_series(s: int, z: complex, shift: int = 0) -> complex:
+    """Li_s(z) - shift * z by Crandall's expansion in mu = log z:
+
+        sum_{m != s-1} (zeta(s-m) - shift) mu^m/m!
+        + mu^(s-1)/(s-1)! (H_{s-1} - shift - log(-mu)),
+
+    convergent for |mu| < 2 pi (|mu| < 3.3 on 1/2 < |z| < 2).  shift = 1
+    subtracts z = exp(mu) term by term.  zeta vanishes at the negative
+    even integers, so only a term with nonzero zeta may end the sum, and
+    only once both its zeta part and its shift part are negligible.
+    """
+    mu = cmath.log(z)
+    acc = complex(0.0)
+    power = complex(1.0)  # mu^m / m!
+    for m in range(s + 2 * _BERNOULLI_HALF):
+        if m == s - 1:
+            harmonic = math.fsum(1.0 / j for j in range(1, s))
+            acc += (harmonic - shift - cmath.log(-mu)) * power
+        else:
+            zeta, zeta_m1 = _zeta_pair(s - m)
+            if zeta:
+                acc += (zeta_m1 if shift else zeta) * power
+                if (abs(zeta) + shift) * abs(power) <= _SUM_EPS * abs(acc):
+                    return acc
+            elif shift:
+                acc -= power
+        power *= mu / (m + 1)
+    raise ConvergenceError(f"polylog log-series stalled at z={z!r}, s={s}")
+
+
+def _inversion(s: int, z: complex, shift: int = 0) -> complex:
+    """Li_s(z) - shift * z for |z| >= 2 through the inversion formula
+
+        Li_s(z) + (-1)^s Li_s(1/z) = -(2 pi i)^s/s! B_s(1/2 + L/(2 pi i))
+                                   = -sum_{n=0}^{s//2} 2 eta(2n) L^(s-2n)/(s-2n)!,
+
+    L = log(-z), with the Bernoulli polynomial expanded through Dirichlet
+    eta(2n) = (1 - 2^(1-2n)) zeta(2n), 2 eta(0) = 1.  For shift = 1,
+    z = -exp(L) and 1/z are subtracted in closed form, which leaves
+
+        -(-1)^s (Li_s(1/z) - 1/z) + 2 sum_{j>s, j=s mod 2} L^j/j!
+        + sum_{n=0}^{s//2} (2 - 2 eta(2n)) L^(s-2n)/(s-2n)!,
+
+    free of the cancellation between Li_s(z) and z when |z| < 2^s.
+    """
+    big_l = cmath.log(-z)
+    powers = [complex(1.0)]  # L^j / j!
+    for j in range(1, s + 1):
+        powers.append(powers[-1] * big_l / j)
+    acc = powers[s] if shift else -powers[s]
+    for n in range(1, s // 2 + 1):
+        zeta, zeta_m1 = _zeta_pair(2 * n)
+        half = 2.0 ** (1 - 2 * n)
+        if shift:
+            coef = 2.0 * (half * zeta - zeta_m1)
+        else:
+            coef = -2.0 * (1.0 - half) * zeta
+        acc += coef * powers[s - 2 * n]
+    if shift:
+        power, j = powers[s], s
+        while True:
+            power *= big_l * big_l / ((j + 1) * (j + 2))
+            j += 2
+            acc += 2.0 * power
+            if j > abs(big_l) and abs(power) <= _SUM_EPS * abs(acc):
+                break
+    inner = _power_sum(s, 1.0 / z, 1 + shift)
+    return acc - inner if s % 2 == 0 else acc + inner
 
 
 def polylog(s: int, z: complex) -> complex:
     """Polylogarithm Li_s(z) = sum_{n>=1} z^n / n^s for integer s >= 1.
 
-    Uses the direct series for |z| <= 1/2 and Li_s(z) = z*Phi(z, s, 1)
-    otherwise.  z = 1 diverges for s = 1 and is summed separately for
-    s >= 2 (the Lerch integral form has its cut starting at z = 1, but
-    the series there is just zeta(s)).
+    Branches: the power series for |z| <= 1/2, -log(1-z) for s = 1,
+    Crandall's log-series for 1/2 < |z| < 2, the inversion formula for
+    |z| >= 2.  z = 1 diverges for s = 1 and is zeta(s) for s >= 2.
     """
     z = complex(z)
     if not (isinstance(s, int) and s >= 1):
@@ -156,10 +380,11 @@ def polylog(s: int, z: complex) -> complex:
     if z == 1.0:
         if s == 1:
             raise DomainError("Li_1(1) diverges")
-        return complex(_zeta_int(s))
+        return complex(_zeta_pair(s)[0])
     if _on_cut(z):
         raise DomainError(f"z = {z!r} lies on the singular ray [1, inf)")
-    if abs(z) <= _SERIES_RADIUS:
+    r = abs(z)
+    if r <= _SERIES_RADIUS:
         acc = complex(0.0)
         acc_mod = 0.0
         term = complex(1.0)
@@ -171,7 +396,11 @@ def polylog(s: int, z: complex) -> complex:
             if abs(contrib) < _SERIES_EPS * (1.0 + acc_mod):
                 return acc
         raise ConvergenceError(f"polylog series stalled at z={z!r}")
-    return z * lerch_phi(z, s, 1.0)
+    if s == 1:
+        return -cmath.log(1.0 - z)
+    if r < _INVERSION_RADIUS:
+        return _log_series(s, z)
+    return _inversion(s, z)
 
 
 def hyp2f1_special(k: int, z: complex) -> complex:

@@ -197,13 +197,12 @@ def transform_lclass(k: int, tr: LevyTriple, t: float) -> TransformValue:
     V(it) = a + sigma^2/(2^(k+1) it)
             + sum w [it Li_{k+1}(x/(it)) - x/(1+x^2)].
 
-    Finiteness of the (k+1)-st logarithmic moment is automatic for
-    atomic jump measures; it is computed so callers can report it.
+    The class needs a finite (k+1)-st logarithmic moment of the jump
+    measure, which atomic jump measures always have (see log_moment).
     """
     if not (isinstance(k, int) and k >= 0):
         raise InvalidInput(f"k must be an integer >= 0, got {k!r}")
     t = _check_t(t)
-    log_moment(tr, k + 1)  # recorded requirement; always finite here
     it = 1j * t
     acc = tr.drift + tr.gauss_var / (2.0 ** (k + 1) * it)
     for x, w in tr.levy_atoms:

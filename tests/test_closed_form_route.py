@@ -1,0 +1,121 @@
+"""The closed-form Lerch/polylog route: no quadrature on the hot path,
+agreement with the integral oracle, the gamma overflow, the CLI on the
+wide t-grid, and the per-process parser."""
+
+import cmath
+import json
+import math
+import subprocess
+import sys
+
+import pytest
+
+from freetransform import (DomainError, LevyTriple, gamma_fn, lerch_phi,
+                           polylog, transform_lclass, transform_sself,
+                           transform_ubeta)
+from freetransform import cli, specfun
+
+WIDE_T = [1e-3 * 1e6 ** (i / 24) for i in range(25)]
+TRIPLE = LevyTriple(0.3, 1.2, ((-1.7, 0.4), (0.05, 1.1), (0.6, 0.8)))
+
+
+def test_integer_orders_never_integrate(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("quadrature on the closed-form route")
+
+    monkeypatch.setattr(specfun, "integrate_semi_infinite", forbidden)
+    for z in (0.7j, -0.9, 1.5 + 0.5j, -3.0, 40j, 1e8j):
+        for s in (1, 2, 5, 12):
+            polylog(s, z)
+            for v in (1.0, 2.0, 3.0, 16.0):
+                if s == 1 or v <= 2.0:
+                    lerch_phi(z, s, v)
+    for t in WIDE_T:
+        transform_sself(11, TRIPLE, t)
+        transform_ubeta(16, TRIPLE, t)
+        transform_lclass(7, TRIPLE, t)
+
+
+def test_non_integer_v_keeps_the_integral():
+    z, s, v = 0.9j, 2, 2.5
+    assert lerch_phi(z, s, v) == lerch_phi(z, s, v, method="integral")
+
+
+def test_integral_oracle_agrees_up_to_order_12():
+    # the log-space weight keeps t^(s-1) e^(-vt)/Gamma(s) of order one
+    for s in range(1, 13):
+        for z in (0.8j, -0.7 + 0.3j, 1.5j, -1.2, 3.0 + 1.0j, -5.0, 20j):
+            for v in (1.0, 2.0):
+                closed = lerch_phi(z, s, v)
+                oracle = lerch_phi(z, s, v, method="integral")
+                assert abs(closed - oracle) <= 1e-10 * abs(closed), (s, z, v)
+
+
+def test_lerch_s1_large_k_stays_finite():
+    # powers of 1/z: z^k would overflow long before k = 1000
+    for z in (0.7, 0.995j, 1.0j, -1.5, 4.0 + 3.0j):
+        val = lerch_phi(z, 1, 1000.0)
+        assert cmath.isfinite(val)
+        # Phi(z, 1, k) ~ 1/(k (1 - z)) for large k
+        assert abs(val * 1000.0 * (1.0 - z) - 1.0) < 0.05, z
+
+
+def test_orders_past_the_double_range_terminate():
+    # Phi(z, s, 2) ~ 2^-s underflows to 0 here; the sums must still stop
+    for z in (0.8j, 3j, 1e5j):
+        assert lerch_phi(z, 1100, 2.0) == 0.0
+        assert abs(polylog(1100, z) - z) <= 1e-15 * abs(z)
+
+
+def test_gamma_near_the_top_of_the_double_range():
+    # t^(x-1/2) of the Lanczos form overflows from x ~ 142 on
+    for x in (142.5, 150.0, 171.0, 171.6):
+        assert math.isclose(gamma_fn(x), math.gamma(x), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("x", [171.7, 200.0, 1e6, 1e300])
+def test_gamma_overflow_is_a_domain_error(x):
+    with pytest.raises(DomainError):
+        gamma_fn(x)
+
+
+@pytest.mark.parametrize("class_tag,k", [("lk", 7), ("uks", 11)])
+def test_cli_wide_grid_high_order(tmp_path, class_tag, k):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"a": 0.2, "sigma2": 0.7, "atoms": [
+        {"x": 0.05, "w": 0.3}, {"x": -0.4, "w": 1.2}, {"x": 2.0, "w": 0.5}]}))
+    res = subprocess.run(
+        [sys.executable, "-m", "freetransform.cli", "eval", "--class", class_tag,
+         "--k", str(k), "--input", str(path), "--t-min", "1e-3",
+         "--t-max", "1e3", "--steps", "50"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    rows = res.stdout.splitlines()[1:]
+    assert len(rows) == 50
+    for row in rows:
+        assert all(math.isfinite(float(x)) for x in row.split(","))
+
+
+def _main(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--class", "nope", "--input", "x.json"],
+    ["eval", "--class", "lk", "--k", "seven", "--input", "x.json"],
+    ["frobnicate"],
+    [],
+])
+def test_parser_built_once_gives_identical_errors(argv, capsys):
+    first = _main(argv, capsys)
+    assert first[0] == 2 and first[2].startswith("usage: freetransform")
+    assert _main(argv, capsys) == first
+    # and the same bytes as a freshly built parser
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert (exc.value.code, *capsys.readouterr()) == first

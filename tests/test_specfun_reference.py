@@ -1,0 +1,126 @@
+"""Polylogarithm, Lerch transcendent and zeta table against mpmath.
+
+mpmath serves only as a high-precision reference here; the tests are
+skipped where it is not installed.  Lerch references are built from
+mpmath's polylog and log at raised precision, which is independent of
+the package's own series.
+"""
+
+import cmath
+import math
+
+import pytest
+
+from freetransform import kernel_g, lerch_phi, polylog, sself
+from freetransform.specfun import _zeta_pair
+
+mpmath = pytest.importorskip("mpmath")
+
+# |z| from 1e-3 to 1e10, with both sides of each switch radius
+RADII = (1e-3, 0.1, 0.5, 0.5000001, 0.7, 0.99, 1.0, 1.3, 1.9999999, 2.0,
+         3.0, 30.0, 1e3, 1e6, 1e10)
+# the full argument circle, plus both rims of the cut and the negative axis
+ANGLES = tuple(2.0 * math.pi * j / 12 for j in range(12)) + (1e-7, -1e-7, math.pi)
+
+
+def _grid(radii):
+    for r in radii:
+        for theta in ANGLES:
+            z = cmath.rect(r, theta)
+            if z.imag == 0.0 and z.real >= 1.0:
+                continue  # the cut itself is a DomainError
+            yield z
+
+
+def _mpc(z):
+    return mpmath.mpc(z.real, z.imag)
+
+
+def _rel(value, ref):
+    ref = complex(ref)
+    return abs(value - ref) / abs(ref)
+
+
+def test_zeta_table_against_mpmath():
+    with mpmath.workdps(60):
+        for n in list(range(-127, 1)) + list(range(2, 130)):
+            zeta, zeta_m1 = _zeta_pair(n)
+            ref = mpmath.zeta(n)
+            if ref == 0:
+                assert zeta == 0.0 and zeta_m1 == -1.0, n
+                continue
+            assert _rel(zeta, ref) < 1e-15, n
+            if n >= 2:
+                assert _rel(zeta_m1, ref - 1) < 1e-15, n
+
+
+def test_zeta_table_even_closed_form():
+    # zeta(2n) = (-1)^(n+1) B_2n (2 pi)^(2n) / (2 (2n)!)
+    for n, ref in ((2, math.pi ** 2 / 6), (4, math.pi ** 4 / 90),
+                   (6, math.pi ** 6 / 945), (8, math.pi ** 8 / 9450)):
+        assert math.isclose(_zeta_pair(n)[0], ref, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 7, 9, 12, 16, 20, 25, 30])
+def test_polylog_against_mpmath(s):
+    worst = 0.0
+    for z in _grid(RADII):
+        worst = max(worst, _rel(polylog(s, z), mpmath.polylog(s, _mpc(z))))
+    assert worst < 1e-13, worst
+
+
+def _phi_v2(z, s):
+    # Li_s(z) - z cancels about 2^s/|z|, under 7 digits for s <= 12 and
+    # |z| >= 1e-3; 30 digits leave more than 20
+    with mpmath.workdps(30):
+        w = _mpc(z)
+        return (mpmath.polylog(s, w) - w) / w ** 2
+
+
+def _phi_s1(z, k):
+    # -z^-k log(1-z) - sum_{j<k} z^-j/(k-j), with the digits the
+    # cancellation inside the unit disk eats added back
+    with mpmath.workdps(25 + int(k * max(0.0, -math.log10(abs(z))))):
+        w = _mpc(z)
+        acc = -mpmath.log(1 - w) / w ** k
+        for j in range(1, k):
+            acc -= w ** (-j) / (k - j)
+        return acc
+
+
+LERCH_RADII = tuple(r for r in RADII if r <= 1e4)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 5, 8, 11, 12])
+def test_lerch_v2_against_mpmath(s):
+    worst = 0.0
+    for z in _grid(LERCH_RADII):
+        worst = max(worst, _rel(lerch_phi(z, s, 2.0), _phi_v2(z, s)))
+    assert worst < 1e-10, worst
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 11, 12])
+def test_lerch_s1_against_mpmath(k):
+    worst = 0.0
+    for z in _grid(LERCH_RADII):
+        worst = max(worst, _rel(lerch_phi(z, 1, float(k)), _phi_s1(z, k)))
+    assert worst < 1e-10, worst
+
+
+# defects of the quadrature route, kept as regressions ------------------------
+
+def test_polylog_order_8_off_disk():
+    # the integral branch exhausted its panel budget here
+    assert _rel(polylog(8, 2j), mpmath.polylog(8, 2j)) < 1e-13
+
+
+def test_sself_kernel_next_to_its_cut():
+    # g(z) = Phi(-z, 2, 2) just above the singular ray (-inf, -1]
+    z = complex(-2.0, 1e-8)
+    assert _rel(kernel_g(sself(2), z), _phi_v2(-z, 2)) < 1e-12
+
+
+@pytest.mark.parametrize("s", [2, 3, 5, 8, 12])
+def test_lerch_v2_far_out(s):
+    # the integral branch lost six digits at |z| = 1e8
+    assert _rel(lerch_phi(1e8j, s, 2.0), _phi_v2(1e8j, s)) < 1e-12
