@@ -26,10 +26,8 @@ from .kernels import kernel_g, kernel_g_quad, lclass, sself, ubeta
 from .measures import LevyTriple
 from .transforms import (
     LInfSpec,
-    transform_lclass,
+    random_integral_transform,
     transform_linf,
-    transform_sself,
-    transform_ubeta,
     voiculescu_id,
 )
 from .verify import SUITES, run_suite
@@ -42,6 +40,8 @@ EXIT_DOMAIN = 3
 _DEFAULT_TOL = 1e-10
 _CLASS_TAGS = ("uks", "ubk", "lk", "linf", "id")
 _FAMILY_MAKERS = {"sself": sself, "ubeta": ubeta, "lclass": lclass}
+# kernel family of each random-integral class; uks k = 0 is the identity
+_CLASS_FAMILIES = {"uks": sself, "ubk": ubeta, "lk": lclass}
 
 # (needs k, smallest admissible k) per class tag; linf and id take no k
 _K_RANGE = {"uks": 0, "ubk": 1, "lk": 0}
@@ -181,13 +181,10 @@ def _evaluator(class_tag: str, k, data):
         spec = parse_linf_spec(data)
         return lambda t: transform_linf(spec, t).value
     tr = parse_triple(data)
-    if class_tag == "id":
+    if class_tag == "id" or (class_tag == "uks" and k == 0):
         return lambda t: voiculescu_id(tr, t).value
-    if class_tag == "uks":
-        return lambda t: transform_sself(k, tr, t).value
-    if class_tag == "ubk":
-        return lambda t: transform_ubeta(k, tr, t).value
-    return lambda t: transform_lclass(k, tr, t).value
+    fam = _CLASS_FAMILIES[class_tag](k)
+    return lambda t: random_integral_transform(fam, tr, t).value
 
 
 def _check_k(class_tag: str, k):

@@ -9,17 +9,18 @@ and the Pick function  g(z) = int h(s) / (z h(s) + 1) dr(s)  (sign +1
 for non-decreasing r, -1 for non-increasing r, in which case the
 denominator is z h - 1).
 
-Built-in families:
+Built-in families, each with closed-form moments and a Pick function
+that is one scaled Hurwitz-Lerch value, g(z) = scale * Phi(-z, s, v):
 
   SSELF(k)   h(s) = s on (0,1], dr = (-log s)^(k-1)/(k-1)! ds
              (iterated shrink-scaling; c = 2^-k, d = 3^-k,
               g(z) = Phi(-z, k, 2))
   UBETA(k)   h(s) = s on (0,1], dr = k s^(k-1) ds
              (power time change; c = k/(k+1), d = k/(k+2),
-              g(z) = k(-z)^-1 [Phi(-z,1,k) - 1/k])
+              g(z) = k Phi(-z, 1, k+1))
   LCLASS(k)  h(s) = e^-s on (0,inf), dr = s^k/k! ds
              (exponential kernel; c = 1, d = 2^-(k+1),
-              g(z) = -z^-1 Li_{k+1}(-z))
+              g(z) = Phi(-z, k+1, 1) = -z^-1 Li_{k+1}(-z))
 
 plus CUSTOM kernels given either by a density dr/ds or by the jumps of
 a monotone step function r.
@@ -34,16 +35,12 @@ from typing import Callable, Optional
 from .errors import DomainError, InvalidInput
 from .measures import FiniteMeasure
 from .quadrature import IntegrationResult, integrate_finite, integrate_semi_infinite
-from .specfun import lerch_phi, polylog
+from .specfun import lerch_phi
 
 SSELF = "sself"
 UBETA = "ubeta"
 LCLASS = "lclass"
 CUSTOM = "custom"
-
-# below this radius the closed forms switch to short power series to
-# dodge the removable z = 0 singularity
-_SMALL_Z = 1e-3
 
 
 @dataclass(frozen=True)
@@ -127,52 +124,43 @@ def custom_step(h, jumps, increasing: bool = True) -> KernelFamily:
 # ---------------------------------------------------------------------------
 # closed forms
 
+# (c, d, scale, s, v) of each built-in family as a function of k:
+# c = int h dr, d = int h^2 dr and g(z) = scale * Phi(-z, s, v)
+_CLOSED_FORMS = {
+    SSELF: lambda k: (2.0 ** -k, 3.0 ** -k, 1.0, k, 2.0),
+    UBETA: lambda k: (k / (k + 1.0), k / (k + 2.0), float(k), 1, k + 1.0),
+    LCLASS: lambda k: (1.0, 2.0 ** -(k + 1), 1.0, k + 1, 1.0),
+}
+
+
 def const_c(fam: KernelFamily) -> float:
     """First kernel moment c = int h dr (closed form for built-ins)."""
-    if fam.tag == SSELF:
-        return 2.0 ** -fam.k
-    if fam.tag == UBETA:
-        return fam.k / (fam.k + 1.0)
-    if fam.tag == LCLASS:
-        return 1.0
-    return const_c_quad(fam).value.real
+    if fam.tag == CUSTOM:
+        return const_c_quad(fam).value.real
+    return _CLOSED_FORMS[fam.tag](fam.k)[0]
 
 
 def const_d(fam: KernelFamily) -> float:
     """Second kernel moment d = int h^2 dr (closed form for built-ins)."""
-    if fam.tag == SSELF:
-        return 3.0 ** -fam.k
-    if fam.tag == UBETA:
-        return fam.k / (fam.k + 2.0)
-    if fam.tag == LCLASS:
-        return 2.0 ** -(fam.k + 1)
-    return const_d_quad(fam).value.real
+    if fam.tag == CUSTOM:
+        return const_d_quad(fam).value.real
+    return _CLOSED_FORMS[fam.tag](fam.k)[1]
 
 
-def _ubeta_g_series(k: int, z: complex) -> complex:
-    # g(z) = k * sum_{n>=0} (-z)^n / (k+n+1); only called for tiny |z|
-    acc = complex(0.0)
-    term = complex(1.0)
-    for n in range(64):
-        contrib = term / (k + n + 1)
-        acc += contrib
-        if abs(contrib) < 1e-18:
-            break
-        term *= -z
-    return k * acc
+def map_data(fam: KernelFamily, tol: float = 1e-10
+             ) -> tuple[float, float, Callable[[complex], complex]]:
+    """(c, d, g) that fix the family's random-integral map.
 
-
-def _lclass_g_series(k: int, z: complex) -> complex:
-    # g(z) = sum_{n>=0} (-z)^n / (n+1)^(k+1); only called for tiny |z|
-    acc = complex(0.0)
-    term = complex(1.0)
-    for n in range(64):
-        contrib = term / float(n + 1) ** (k + 1)
-        acc += contrib
-        if abs(contrib) < 1e-18:
-            break
-        term *= -z
-    return acc
+    Built-ins take the closed forms, g(z) = scale * Phi(-z, s, v), with
+    no check of the singular ray; CUSTOM kernels integrate c, d and each
+    value of g to tol.
+    """
+    if fam.tag == CUSTOM:
+        return (const_c_quad(fam, tol).value.real,
+                const_d_quad(fam, tol).value.real,
+                lambda z: kernel_g_quad(fam, z, tol).value)
+    c, d, scale, s, v = _CLOSED_FORMS[fam.tag](fam.k)
+    return c, d, lambda z: scale * lerch_phi(-z, s, v)
 
 
 def kernel_g(fam: KernelFamily, z: complex) -> complex:
@@ -183,19 +171,11 @@ def kernel_g(fam: KernelFamily, z: complex) -> complex:
     kernels fall back to quadrature with the declared sign.
     """
     z = complex(z)
-    if z.imag == 0.0 and z.real <= -1.0 and fam.tag != CUSTOM:
+    if fam.tag == CUSTOM:
+        return kernel_g_quad(fam, z).value
+    if z.imag == 0.0 and z.real <= -1.0:
         raise DomainError(f"z = {z!r} lies on the singular ray (-inf, -1]")
-    if fam.tag == SSELF:
-        return lerch_phi(-z, fam.k, 2.0)
-    if fam.tag == UBETA:
-        if abs(z) < _SMALL_Z:
-            return _ubeta_g_series(fam.k, z)
-        return fam.k * (lerch_phi(-z, 1, float(fam.k)) - 1.0 / fam.k) / (-z)
-    if fam.tag == LCLASS:
-        if abs(z) < _SMALL_Z:
-            return _lclass_g_series(fam.k, z)
-        return -polylog(fam.k + 1, -z) / z
-    return kernel_g_quad(fam, z).value
+    return map_data(fam)[2](z)
 
 
 # ---------------------------------------------------------------------------

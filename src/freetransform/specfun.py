@@ -1,9 +1,8 @@
-"""Scalar special functions: Hurwitz-Lerch transcendent, polylogarithm,
-a Gauss hypergeometric special case, and the gamma function.
+"""Scalar special functions: Hurwitz-Lerch transcendent, polylogarithm
+and the gamma function.
 
 Only the slices needed by the transform kernels are covered: integer
-s >= 1 for the Lerch/polylog family, one fixed hypergeometric parameter
-pattern, gamma on the positive axis.
+s >= 1 for the Lerch/polylog family, gamma on the positive axis.
 
 Li_s(z) for integer s takes one of three branches by |z|:
 
@@ -111,15 +110,21 @@ def _on_cut(z: complex) -> bool:
 
 
 def _lerch_series(z: complex, s: int, v: float) -> complex:
-    """Direct summation of sum_{n>=0} z^n / (v+n)^s."""
+    """Direct summation of sum_{n>=0} z^n / (v+n)^s.
+
+    The sum stops at the first term below _SERIES_EPS times the first
+    term v^-s, which for |z| <= 1/2 and v >= 1 is within a factor 2 of
+    |Phi|: the stop is relative, however small Phi is (Phi(z, s, 2) is
+    about 2^-s).  The negative power underflows to 0 where (v+n)^s would
+    overflow.
+    """
     acc = complex(0.0)
-    acc_mod = 0.0
     term = complex(1.0)  # z^n, starting at n = 0
+    stop = _SERIES_EPS * v ** -s
     for n in range(_SERIES_MAX_TERMS):
-        contrib = term / (v + n) ** s
+        contrib = term * (v + n) ** -s
         acc += contrib
-        acc_mod += abs(contrib)
-        if abs(contrib) < _SERIES_EPS * (1.0 + acc_mod):
+        if abs(contrib) <= stop:
             return acc
         term *= z
     raise ConvergenceError(
@@ -385,48 +390,10 @@ def polylog(s: int, z: complex) -> complex:
         raise DomainError(f"z = {z!r} lies on the singular ray [1, inf)")
     r = abs(z)
     if r <= _SERIES_RADIUS:
-        acc = complex(0.0)
-        acc_mod = 0.0
-        term = complex(1.0)
-        for n in range(1, _SERIES_MAX_TERMS + 1):
-            term *= z
-            contrib = term / float(n) ** s
-            acc += contrib
-            acc_mod += abs(contrib)
-            if abs(contrib) < _SERIES_EPS * (1.0 + acc_mod):
-                return acc
-        raise ConvergenceError(f"polylog series stalled at z={z!r}")
+        return _power_sum(s, z, 1)
     if s == 1:
         return -cmath.log(1.0 - z)
     if r < _INVERSION_RADIUS:
         return _log_series(s, z)
     return _inversion(s, z)
 
-
-def hyp2f1_special(k: int, z: complex) -> complex:
-    """2F1(1, k+1; k+2; -z) for integer k >= 1, z off (-inf, -1].
-
-    Every Pochhammer ratio collapses, leaving
-    (k+1) * sum_{n>=0} (-z)^n / (k+n+1), used for |z| <= 1/2.  Beyond
-    that the value is recovered from the Lerch transcendent:
-    (k+1) * (-z)^(-1) * (Phi(-z, 1, k) - 1/k).
-    """
-    z = complex(z)
-    if not (isinstance(k, int) and k >= 1):
-        raise DomainError(f"k must be an integer >= 1, got {k!r}")
-    if z.imag == 0.0 and z.real <= -1.0:
-        raise DomainError(f"z = {z!r} lies on the singular ray (-inf, -1]")
-
-    if abs(z) <= _SERIES_RADIUS:
-        acc = complex(0.0)
-        acc_mod = 0.0
-        term = complex(1.0)  # (-z)^n
-        for n in range(_SERIES_MAX_TERMS):
-            contrib = term / (k + n + 1)
-            acc += contrib
-            acc_mod += abs(contrib)
-            if abs(contrib) < _SERIES_EPS * (1.0 + acc_mod):
-                return (k + 1) * acc
-            term *= -z
-        raise ConvergenceError(f"hypergeometric series stalled at z={z!r}")
-    return (k + 1) * (lerch_phi(-z, 1, float(k)) - 1.0 / k) / (-z)

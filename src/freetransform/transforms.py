@@ -19,9 +19,10 @@ family's Pick function g:
             + int (+-) x [g(ix/t) - (+-) c/(1+x^2)] M(dx),
 
 upper signs for a non-decreasing time change.  The named classes
-(iterated shrink-scaling, power time change, exponential kernel, and
-the fully scale-invariant limit class) specialize g to Hurwitz-Lerch
-and polylogarithm values.
+(iterated shrink-scaling, power time change, exponential kernel) are
+this one formula with a built-in family, whose g is a scaled
+Hurwitz-Lerch value; the fully scale-invariant limit class has its own
+closed form.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import DomainError, InvalidInput, NonFiniteError
-from .kernels import (CUSTOM, KernelFamily, const_c, const_d, kernel_g,
-                      kernel_g_quad)
+from .kernels import KernelFamily, lclass, map_data, sself, ubeta
 from .measures import (FiniteMeasure, LevyTriple, finite_measure_to_triple,
                        log_moment, triple_to_finite_measure)
 from .quadrature import integrate_semi_infinite, laplace_transform
-from .specfun import euler_gamma, gamma_fn, lerch_phi, polylog
+from .specfun import euler_gamma, gamma_fn
 
 Evaluator = Callable[[float], complex]
 
@@ -104,39 +104,22 @@ def random_integral_transform(fam: KernelFamily, tr: LevyTriple, t: float,
                               tol: float = 1e-10) -> TransformValue:
     """Transform of the image of tr under the family's random-integral map.
 
-    Uses the family's kernel moments and Pick function; the sign pattern
-    follows the declared monotonicity of the time change.
+    Uses the family's kernel moments and Pick function (see map_data;
+    CUSTOM kernels integrate them to tol); the sign pattern follows the
+    declared monotonicity of the time change.
     """
     t = _check_t(t)
     it = 1j * t
     sign = 1.0 if fam.increasing else -1.0
-    if fam.tag == CUSTOM:
-        c = _custom_const(fam, tol, power=1)
-        d = _custom_const(fam, tol, power=2)
-
-        def g(z: complex) -> complex:
-            return kernel_g_quad(fam, z, tol).value
-
-    else:
-        c = const_c(fam)
-        d = const_d(fam)
-        g = lambda z: kernel_g(fam, z)
-
+    c, d, g = map_data(fam, tol)
     acc = tr.drift * c + sign * tr.gauss_var * d / it
     for x, w in tr.levy_atoms:
         acc += w * sign * x * (g(1j * x / t) - sign * c / (1.0 + x * x))
     return TransformValue(t, _finite(acc, "random_integral_transform"))
 
 
-def _custom_const(fam: KernelFamily, tol: float, power: int) -> float:
-    from .kernels import const_c_quad, const_d_quad
-
-    res = const_c_quad(fam, tol) if power == 1 else const_d_quad(fam, tol)
-    return res.value.real
-
-
 # ---------------------------------------------------------------------------
-# named classes
+# named classes: random_integral_transform with a built-in family
 
 def transform_sself(k: int, tr: LevyTriple, t: float) -> TransformValue:
     """Transform of the k-times shrink-selfdecomposable image of tr.
@@ -144,19 +127,13 @@ def transform_sself(k: int, tr: LevyTriple, t: float) -> TransformValue:
     V(it) = a/2^k + sigma^2/(3^k it)
             + sum w x [Phi(x/(it), k, 2) - 2^-k/(1+x^2)].
 
-    k = 0 is the identity map: Phi(z, 0, 2) degenerates to the
-    geometric sum 1/(1-z) and V collapses to the plain ID transform.
+    k = 0 is the identity map: V is the plain ID transform.
     """
     if not (isinstance(k, int) and k >= 0):
         raise InvalidInput(f"k must be an integer >= 0, got {k!r}")
-    t = _check_t(t)
-    it = 1j * t
-    acc = tr.drift / 2.0 ** k + tr.gauss_var / (3.0 ** k * it)
-    for x, w in tr.levy_atoms:
-        z = x / it
-        phi = 1.0 / (1.0 - z) if k == 0 else lerch_phi(z, k, 2.0)
-        acc += w * x * (phi - 2.0 ** -k / (1.0 + x * x))
-    return TransformValue(t, _finite(acc, "transform_sself"))
+    if k == 0:
+        return voiculescu_id(tr, t)
+    return random_integral_transform(sself(k), tr, t)
 
 
 def transform_sself_measure(k: int, a: float, m: FiniteMeasure,
@@ -170,17 +147,11 @@ def transform_ubeta(k: int, tr: LevyTriple, t: float) -> TransformValue:
     """Transform of the image of tr under the power-time-change map.
 
     V(it) = k a/(k+1) + k sigma^2/((k+2) it)
-            + sum w [k it Phi(x/(it), 1, k) - it - (k/(k+1)) x/(1+x^2)].
+            + sum w x [k Phi(x/(it), 1, k+1) - (k/(k+1))/(1+x^2)].
     """
     if not (isinstance(k, int) and k >= 1):
         raise InvalidInput(f"k must be an integer >= 1, got {k!r}")
-    t = _check_t(t)
-    it = 1j * t
-    acc = k * tr.drift / (k + 1.0) + k * tr.gauss_var / ((k + 2.0) * it)
-    for x, w in tr.levy_atoms:
-        phi = lerch_phi(x / it, 1, float(k))
-        acc += w * (k * it * phi - it - (k / (k + 1.0)) * x / (1.0 + x * x))
-    return TransformValue(t, _finite(acc, "transform_ubeta"))
+    return random_integral_transform(ubeta(k), tr, t)
 
 
 def transform_ubeta_measure(k: int, a: float, m: FiniteMeasure,
@@ -195,19 +166,15 @@ def transform_lclass(k: int, tr: LevyTriple, t: float) -> TransformValue:
     map (the k-th selfdecomposable layer):
 
     V(it) = a + sigma^2/(2^(k+1) it)
-            + sum w [it Li_{k+1}(x/(it)) - x/(1+x^2)].
+            + sum w x [Phi(x/(it), k+1, 1) - 1/(1+x^2)],
 
-    The class needs a finite (k+1)-st logarithmic moment of the jump
-    measure, which atomic jump measures always have (see log_moment).
+    where x Phi(x/(it), k+1, 1) = it Li_{k+1}(x/(it)).  The class needs a
+    finite (k+1)-st logarithmic moment of the jump measure, which atomic
+    jump measures always have (see log_moment).
     """
     if not (isinstance(k, int) and k >= 0):
         raise InvalidInput(f"k must be an integer >= 0, got {k!r}")
-    t = _check_t(t)
-    it = 1j * t
-    acc = tr.drift + tr.gauss_var / (2.0 ** (k + 1) * it)
-    for x, w in tr.levy_atoms:
-        acc += w * (it * polylog(k + 1, x / it) - x / (1.0 + x * x))
-    return TransformValue(t, _finite(acc, "transform_lclass"))
+    return random_integral_transform(lclass(k), tr, t)
 
 
 def _lclass_weight_at(k: int, x: float) -> float:

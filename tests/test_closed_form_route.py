@@ -62,7 +62,7 @@ def test_lerch_s1_large_k_stays_finite():
 
 def test_orders_past_the_double_range_terminate():
     # Phi(z, s, 2) ~ 2^-s underflows to 0 here; the sums must still stop
-    for z in (0.8j, 3j, 1e5j):
+    for z in (0.1j, 0.8j, 3j, 1e5j):
         assert lerch_phi(z, 1100, 2.0) == 0.0
         assert abs(polylog(1100, z) - z) <= 1e-15 * abs(z)
 
@@ -79,15 +79,22 @@ def test_gamma_overflow_is_a_domain_error(x):
         gamma_fn(x)
 
 
-@pytest.mark.parametrize("class_tag,k", [("lk", 7), ("uks", 11)])
-def test_cli_wide_grid_high_order(tmp_path, class_tag, k):
+def _wide(class_tag, k, t_min="1e-8", t_max="1e12"):
+    return pytest.param(class_tag, k, t_min, t_max, id=f"{class_tag}-{k}")
+
+
+@pytest.mark.parametrize("class_tag,k,t_min,t_max", [
+    _wide("lk", 7, "1e-3", "1e3"), _wide("uks", 11, "1e-3", "1e3"),
+    _wide("ubk", 1), _wide("ubk", 1000), _wide("uks", 0), _wide("uks", 200),
+    _wide("lk", 30)])
+def test_cli_wide_grid_high_order(tmp_path, class_tag, k, t_min, t_max):
     path = tmp_path / "law.json"
     path.write_text(json.dumps({"a": 0.2, "sigma2": 0.7, "atoms": [
         {"x": 0.05, "w": 0.3}, {"x": -0.4, "w": 1.2}, {"x": 2.0, "w": 0.5}]}))
     res = subprocess.run(
         [sys.executable, "-m", "freetransform.cli", "eval", "--class", class_tag,
-         "--k", str(k), "--input", str(path), "--t-min", "1e-3",
-         "--t-max", "1e3", "--steps", "50"],
+         "--k", str(k), "--input", str(path), "--t-min", t_min,
+         "--t-max", t_max, "--steps", "50"],
         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     rows = res.stdout.splitlines()[1:]

@@ -1,4 +1,5 @@
-"""Polylogarithm, Lerch transcendent and zeta table against mpmath.
+"""Polylogarithm, Lerch transcendent, zeta table and the class
+transforms built on them, against mpmath.
 
 mpmath serves only as a high-precision reference here; the tests are
 skipped where it is not installed.  Lerch references are built from
@@ -11,7 +12,8 @@ import math
 
 import pytest
 
-from freetransform import kernel_g, lerch_phi, polylog, sself
+from freetransform import (LevyTriple, kernel_g, lerch_phi, polylog, sself,
+                           transform_lclass, transform_sself, transform_ubeta)
 from freetransform.specfun import _zeta_pair
 
 mpmath = pytest.importorskip("mpmath")
@@ -124,3 +126,80 @@ def test_sself_kernel_next_to_its_cut():
 def test_lerch_v2_far_out(s):
     # the integral branch lost six digits at |z| = 1e8
     assert _rel(lerch_phi(1e8j, s, 2.0), _phi_v2(1e8j, s)) < 1e-12
+
+
+# the |z| <= 1/2 series at high order ----------------------------------------
+
+@pytest.mark.parametrize("s", [25, 50])
+@pytest.mark.parametrize("z", [0.5, -0.5, 0.5j, 0.09j])
+def test_lerch_series_high_order_is_relative(s, z):
+    # Phi(z, s, 2) ~ 2^-s: an absolute stop ended the sum after two terms
+    with mpmath.workdps(40):
+        ref = mpmath.lerchphi(_mpc(complex(z)), s, 2)
+    assert _rel(lerch_phi(z, s, 2.0), ref) < 1e-14
+
+
+# class transforms against the class formula ---------------------------------
+
+# drift, Gaussian variance and jumps on both sides of |x| = 1
+LAW = LevyTriple(0.2, 0.7, ((0.05, 0.3), (-0.4, 1.2), (2.0, 0.5)))
+T_GRID = tuple(10.0 ** (e / 2.0) for e in range(-16, 25))
+
+
+def _phi_ref(w, s, v):
+    """Phi(w, s, v) to about 40 digits: the defining series for |w| <= 1/2,
+    beyond it the log and polylog identities with the digits their
+    cancellation eats added back."""
+    if abs(w) <= 0.5:
+        with mpmath.workdps(45):
+            acc, term, n = mpmath.mpf(0), mpmath.mpf(1), 0
+            while True:
+                contrib = term / mpmath.mpf(v + n) ** s
+                acc += contrib
+                if abs(contrib) < mpmath.mpf(10) ** -45 * abs(acc):
+                    return acc
+                term *= w
+                n += 1
+    lost = int(v * max(0.0, -math.log10(abs(w)))) if s == 1 else int(0.31 * s)
+    with mpmath.workdps(45 + lost):
+        if s == 1:
+            acc = -mpmath.log(1 - w) / w ** v
+            return acc - mpmath.fsum(w ** -j / (v - j) for j in range(1, v))
+        if v == 2:
+            return (mpmath.polylog(s, w) - w) / w ** 2
+        return mpmath.polylog(s, w) / w
+
+
+# named transform: k -> (c, d, scale, s, v) with g(z) = scale * Phi(-z, s, v)
+CLASS_DATA = {
+    "sself": (transform_sself,
+              lambda k: (mpmath.mpf(2) ** -k, mpmath.mpf(3) ** -k, 1, k, 2)),
+    "ubeta": (transform_ubeta,
+              lambda k: (mpmath.mpf(k) / (k + 1), mpmath.mpf(k) / (k + 2), k, 1, k + 1)),
+    "lclass": (transform_lclass,
+               lambda k: (mpmath.mpf(1), mpmath.mpf(2) ** -(k + 1), 1, k + 1, 1)),
+}
+
+
+def _class_ref(name, k, t):
+    with mpmath.workdps(45):
+        c, d, scale, s, v = CLASS_DATA[name][1](k)
+        t = mpmath.mpf(t)
+        acc = LAW.drift * c + LAW.gauss_var * d / mpmath.mpc(0, t)
+        for x, w in LAW.levy_atoms:
+            x = mpmath.mpf(x)
+            g = scale * _phi_ref(mpmath.mpc(0, -x / t), s, v)
+            acc += w * x * (g - c / (1 + x * x))
+        return acc
+
+
+@pytest.mark.parametrize("name,k", [
+    ("ubeta", 1), ("ubeta", 30), ("ubeta", 1000),
+    ("sself", 1), ("sself", 2), ("sself", 5),
+    ("lclass", 0), ("lclass", 1), ("lclass", 4)])
+def test_class_transform_against_mpmath(name, k):
+    # t from 1e-8 to 1e12; k Phi(w, 1, k) - 1 for ubeta cancelled at large t
+    transform = CLASS_DATA[name][0]
+    worst = max(_rel(transform(k, LAW, t).value, _class_ref(name, k, t))
+                for t in T_GRID)
+    assert worst < 1e-12, worst
