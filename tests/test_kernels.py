@@ -17,7 +17,6 @@ from freetransform import (
     const_d_quad,
     custom_density,
     custom_step,
-    integrate_finite,
     kernel_g,
     kernel_g_derivative_quad,
     kernel_g_quad,
@@ -81,21 +80,6 @@ def test_g_series_branch_continuity():
         for z in (0.999e-3 * cmath.exp(0.4j), 1.001e-3 * cmath.exp(0.4j)):
             dev = abs(kernel_g(fam, z) - kernel_g_quad(fam, z, 1e-12).value)
             assert dev < 1e-10, (fam.tag, z)
-
-
-def test_ubeta_g_frozen_value():
-    # (k+1)/k g(z) = 2F1(1, k+1; k+2; -z), here 2F1(1, 3; 4; -0.4)
-    assert abs(kernel_g(ubeta(2), 0.4) - 0.7721360916193565 * 2.0 / 3.0) < 6e-14
-
-
-def test_ubeta_g_across_series_radius():
-    # g(z) = k int_0^1 s^k/(1 + z s) ds; lerch_phi(-z, 1, k+1) leaves its
-    # series at |z| = 1/2
-    for k in (1, 2, 3, 4):
-        for z in (0.4, -0.6, 2.0, 1.0j, 0.49, 0.51, 0.49j, 0.51j, -0.49, -0.51):
-            res = integrate_finite(lambda s: k * s ** k / (1.0 + z * s),
-                                   0.0, 1.0, 1e-12)
-            assert abs(kernel_g(ubeta(k), z) - res.value) < 5e-11, (k, z)
 
 
 def test_sself_two_charts_agree():

@@ -1,4 +1,4 @@
-"""Gamma, Lerch transcendent and polylogarithm."""
+"""Gamma, Lerch transcendent, polylogarithm, and the collapsed 2F1."""
 
 import cmath
 import math
@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 from freetransform import (
     ConvergenceError,
     DomainError,
+    InvalidInput,
     euler_gamma,
     gamma_fn,
     integrate_finite,
     integrate_semi_infinite,
+    kernel_g,
     lerch_phi,
     polylog,
+    ubeta,
 )
 
 
@@ -162,3 +165,43 @@ def test_polylog_domain():
         polylog(2, 2.0)
     with pytest.raises(DomainError):
         polylog(0, 0.5)
+
+
+# collapsed hypergeometric --------------------------------------------------
+
+def _hyp2f1_special(k, z):
+    # 2F1(1, k+1; k+2; -z) = (k+1) Phi(-z, 1, k+1) = (k+1)/k g_ubeta(k)(z)
+    return kernel_g(ubeta(k), z) * (k + 1) / k
+
+
+def test_hyp2f1_quadrature_oracle():
+    # 2F1(1, k+1; k+2; -z) = (k+1) int_0^1 s^k/(1+z s) ds
+    for k in (1, 2, 4):
+        for z in (0.4, -0.6, 2.0, 1.0j):
+            res = integrate_finite(lambda s: (k + 1) * s ** k / (1.0 + z * s),
+                                   0.0, 1.0, 1e-12)
+            assert abs(_hyp2f1_special(k, z) - res.value) < 1e-10, (k, z)
+
+
+def test_hyp2f1_branch_consistency():
+    # lerch_phi leaves its series at |z| = 1/2
+    for k in (1, 3):
+        for z in (0.49, 0.51, 0.49j, 0.51j, -0.49, -0.51):
+            a = _hyp2f1_special(k, complex(z))
+            res = integrate_finite(lambda s: (k + 1) * s ** k / (1.0 + z * s),
+                                   0.0, 1.0, 1e-12)
+            assert abs(a - res.value) < 1e-10
+
+
+def test_hyp2f1_frozen_value():
+    assert abs(_hyp2f1_special(2, 0.4) - 0.7721360916193565) < 1e-13
+
+
+def test_hyp2f1_domain():
+    with pytest.raises(DomainError):
+        _hyp2f1_special(1, -1.0)
+    with pytest.raises(DomainError):
+        _hyp2f1_special(1, -3.5)
+    # k = 0 is not an order of the ubeta family
+    with pytest.raises(InvalidInput):
+        _hyp2f1_special(0, 0.5)
