@@ -23,12 +23,12 @@ import sys
 from . import __version__
 from .errors import DomainError, FreeTransformError, InvalidInput
 from .kernels import kernel_g, kernel_g_quad, lclass, sself, ubeta
-from .measures import LevyTriple
+from .measures import LevyTriple, triple_to_finite_measure
 from .transforms import (
     LInfSpec,
     random_integral_transform,
     transform_linf,
-    voiculescu_id,
+    voiculescu_direct,
 )
 from .verify import SUITES, run_suite
 
@@ -43,7 +43,7 @@ _FAMILY_MAKERS = {"sself": sself, "ubeta": ubeta, "lclass": lclass}
 # kernel family of each random-integral class; uks k = 0 is the identity
 _CLASS_FAMILIES = {"uks": sself, "ubk": ubeta, "lk": lclass}
 
-# (needs k, smallest admissible k) per class tag; linf and id take no k
+# smallest admissible k per class tag that takes one; linf and id take no k
 _K_RANGE = {"uks": 0, "ubk": 1, "lk": 0}
 
 
@@ -182,7 +182,9 @@ def _evaluator(class_tag: str, k, data):
         return lambda t: transform_linf(spec, t).value
     tr = parse_triple(data)
     if class_tag == "id" or (class_tag == "uks" and k == 0):
-        return lambda t: voiculescu_id(tr, t).value
+        # voiculescu_id, with the companion measure built once per call
+        m = triple_to_finite_measure(tr)
+        return lambda t: voiculescu_direct(tr.drift, m, t).value
     fam = _CLASS_FAMILIES[class_tag](k)
     return lambda t: random_integral_transform(fam, tr, t).value
 
@@ -198,15 +200,8 @@ def _check_k(class_tag: str, k):
         raise InvalidInput(f"--class {class_tag} does not take --k")
 
 
-def _resolve_tol(args) -> float:
-    return args.tol if args.tol is not None else default_tol()
-
-
 def cmd_eval(args) -> int:
     _check_k(args.class_tag, args.k)
-    # closed-form evaluation consumes no tolerance, but a broken env
-    # override should fail loudly here too
-    _resolve_tol(args)
     grid = geometric_grid(args.t_min, args.t_max, args.steps)
     V = _evaluator(args.class_tag, args.k, _load_json(args.input))
     rows = []
@@ -230,7 +225,7 @@ def cmd_kernels(args) -> int:
     if args.k < lowest:
         raise InvalidInput(f"--k must be >= {lowest} for family {args.family}, got {args.k}")
     fam = maker(args.k)
-    tol = _resolve_tol(args)
+    tol = args.tol if args.tol is not None else default_tol()
     rows = []
     for z in parse_grid(args.grid):
         g = kernel_g(fam, z)
@@ -274,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--t-min", type=float, default=0.5)
     p_eval.add_argument("--t-max", type=float, default=2.0)
     p_eval.add_argument("--steps", type=int, default=9)
-    p_eval.add_argument("--tol", type=float, default=None)
     p_eval.add_argument("--out", default="-", help="output CSV path, '-' = stdout")
     p_eval.set_defaults(fn=cmd_eval)
 

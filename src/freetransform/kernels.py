@@ -185,10 +185,6 @@ def _sself_weight(k: int, s: float) -> float:
     return (-math.log(s)) ** (k - 1) / math.factorial(k - 1)
 
 
-def _lclass_weight(k: int, s: float) -> float:
-    return s ** k / math.factorial(k) * math.exp(-s)
-
-
 def _integrate_kernel(fam: KernelFamily, f, tol: float,
                       via: str = "auto") -> IntegrationResult:
     """Integrate f(h(s)) dr(s) over the family's interval.

@@ -158,7 +158,8 @@ def lerch_phi(z: complex, s: int, v: float, *, method: str = "auto") -> complex:
     v : float > 0
     method : "auto" picks the series for |z| <= 1/2; beyond it, integer
         v takes a closed form (v = 1, v = 2, or s = 1) and other v the
-        integral representation.  "series"/"integral" force a branch.
+        integral representation.  "series"/"integral" force a branch;
+        the forced series raises ConvergenceError for |z| > 1.
 
     The series and the integral agree to ~1e-10 in the overlap band and
     that agreement is part of the package's verification battery.
@@ -172,6 +173,8 @@ def lerch_phi(z: complex, s: int, v: float, *, method: str = "auto") -> complex:
         raise DomainError(f"v must be positive and finite, got {v!r}")
 
     if method == "series":
+        if abs(z) > 1.0:
+            raise ConvergenceError(f"Lerch series diverges at |z| > 1, z={z!r}")
         return _lerch_series(z, s, v)
     if method == "integral":
         return _lerch_integral(z, s, v)

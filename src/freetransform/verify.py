@@ -1,9 +1,13 @@
 """Named verification batteries behind the command-line ``verify`` command.
 
+These suites are the one definition of the package's acceptance
+guarantees; tests/test_acceptance.py asserts on their results.
+
 Each suite returns a list of CheckResult records; a check passes when its
 deviation does not exceed its tolerance.  Sign and band checks are folded
 into the same shape by reporting the amount by which the constraint is
-violated (0.0 when satisfied) against a tolerance of 0.0.
+violated (0.0 when satisfied) against a tolerance of 0.0.  A strict
+inequality reports its worst value against _BELOW_ZERO, so that 0 fails.
 
 All sampling is seeded, so repeated runs produce identical tables.
 """
@@ -28,7 +32,12 @@ from .kernels import (
     sself,
     ubeta,
 )
-from .measures import LevyTriple
+from .measures import (
+    LevyTriple,
+    finite_measure_to_triple,
+    scale_triple,
+    triple_to_finite_measure,
+)
 from .operators import (
     filtration_limit_check,
     lower_selfdec_class,
@@ -37,8 +46,11 @@ from .operators import (
 )
 from .specfun import euler_gamma
 from .transforms import (
+    add_transforms,
     cauchy_pick_integral,
+    exp_map_convolution_check,
     linf_integrand,
+    scale_transform,
     transform_lclass,
     transform_sself,
     voiculescu_id,
@@ -61,10 +73,14 @@ class CheckResult:
         return f"{status} {self.name} {self.deviation!r} {self.tol!r}"
 
 
+# the largest negative double: a value passes against it only when < 0
+_BELOW_ZERO = -math.ulp(0.0)
+
 # shared sample grids -----------------------------------------------------
 
 _KS = (1, 2, 3, 4, 5)
 _T_GRID = (0.5, 1.0, 2.0)
+_MAKERS = {"sself": sself, "ubeta": ubeta, "lclass": lclass}
 
 
 def _upper_grid(n: int = 5):
@@ -76,9 +92,8 @@ def _upper_grid(n: int = 5):
 
 def _families(ks=_KS):
     for k in ks:
-        yield f"sself-{k}", sself(k)
-        yield f"ubeta-{k}", ubeta(k)
-        yield f"lclass-{k}", lclass(k)
+        for make in _MAKERS.values():
+            yield make(k)
 
 
 # suites ------------------------------------------------------------------
@@ -86,9 +101,9 @@ def _families(ks=_KS):
 def suite_kernels() -> list[CheckResult]:
     """Closed-form kernel data against direct quadrature."""
     grid = _upper_grid()
-    worst_g = {"sself": 0.0, "ubeta": 0.0, "lclass": 0.0}
-    worst_cd = {"sself": 0.0, "ubeta": 0.0, "lclass": 0.0}
-    for _, fam in _families():
+    worst_g = dict.fromkeys(_MAKERS, 0.0)
+    worst_cd = dict.fromkeys(_MAKERS, 0.0)
+    for fam in _families():
         for z in grid:
             dev = abs(kernel_g(fam, z) - kernel_g_quad(fam, z).value)
             worst_g[fam.tag] = max(worst_g[fam.tag], dev)
@@ -97,7 +112,7 @@ def suite_kernels() -> list[CheckResult]:
         worst_cd[fam.tag] = max(worst_cd[fam.tag], dev_c, dev_d)
 
     results = []
-    for tag in ("sself", "ubeta", "lclass"):
+    for tag in _MAKERS:
         results.append(CheckResult(f"{tag}-g-oracle", worst_g[tag], 1e-8))
         results.append(CheckResult(f"{tag}-const-oracle", worst_cd[tag], 1e-10))
 
@@ -114,20 +129,19 @@ def suite_kernels() -> list[CheckResult]:
 
 
 def suite_nevanlinna() -> list[CheckResult]:
-    """Im g(z) < 0 on the open upper half-plane, every family."""
-    rng = random.Random(20260817)
+    """Im g(z) < 0 on the open upper half-plane, every family, strictly."""
+    rng = random.Random(2024)
     samples = [complex(rng.uniform(-3.0, 3.0), rng.uniform(1e-3, 3.0))
                for _ in range(200)]
-    results = []
-    for label, fam in (("sself", sself(2)), ("ubeta", ubeta(2)),
-                       ("lclass", lclass(1))):
-        worst = max(kernel_g(fam, z).imag for z in samples)
-        # violation amount: 0 when the sign is strictly negative
-        results.append(CheckResult(f"{label}-upper-to-lower", max(0.0, worst), 0.0))
+    worst = dict.fromkeys(_MAKERS, -math.inf)
+    for fam in _families((1, 2, 3)):
+        worst[fam.tag] = max(worst[fam.tag], *(kernel_g(fam, z).imag for z in samples))
+    results = [CheckResult(f"{tag}-upper-to-lower", w, _BELOW_ZERO)
+               for tag, w in worst.items()]
 
     step = custom_step(lambda s: 1.0 / (1.0 + s), ((0.5, 0.7), (1.5, 0.3)))
-    worst = max(kernel_g_quad(step, z).value.imag for z in samples[::4])
-    results.append(CheckResult("custom-step-upper-to-lower", max(0.0, worst), 0.0))
+    w = max(kernel_g_quad(step, z).value.imag for z in samples[::4])
+    results.append(CheckResult("custom-step-upper-to-lower", w, _BELOW_ZERO))
     return results
 
 
@@ -139,7 +153,8 @@ _OP_TRIPLES = (
 
 
 def suite_operators() -> list[CheckResult]:
-    """Differential lowering along both class hierarchies."""
+    """Differential lowering along both class hierarchies, and the exact
+    transform algebra."""
     results = []
 
     dev_shrink = 0.0
@@ -169,6 +184,34 @@ def suite_operators() -> list[CheckResult]:
         dev = max(abs(powered(t) - voiculescu_id(tr, t).value) for t in _T_GRID)
         results.append(CheckResult(f"selfdec-power-{k + 1}", dev, (k + 1) / 1e5))
 
+    # exact transform algebra: dilation, convolution, measure round trip
+    V = lambda t: voiculescu_id(tr, t).value
+    dev = 0.0
+    for c in (0.3, 2.0, 7.5):
+        scaled = scale_triple(c, tr)
+        for t in _T_GRID:
+            rhs = voiculescu_id(scaled, t).value
+            dev = max(dev, abs(scale_transform(c, V, t).value - rhs) / (1.0 + abs(rhs)))
+    results.append(CheckResult("dilation-identity", dev, 1e-12))
+
+    tr1 = LevyTriple(0.5, 1.0, ((1.0, 0.7),))
+    tr2 = LevyTriple(-0.2, 0.5, ((-2.0, 0.4),))
+    merged = LevyTriple(0.3, 1.5, ((-2.0, 0.4), (1.0, 0.7)))
+    dev = max(abs(add_transforms(lambda u: voiculescu_id(tr1, u).value,
+                                 lambda u: voiculescu_id(tr2, u).value, t).value
+                  - voiculescu_id(merged, t).value) for t in _T_GRID)
+    results.append(CheckResult("convolution-identity", dev, 1e-12))
+
+    back = finite_measure_to_triple(tr.drift, triple_to_finite_measure(tr))
+    dev = abs(back.gauss_var - tr.gauss_var)
+    for (x1, w1), (x2, w2) in zip(back.levy_atoms, tr.levy_atoms):
+        # locations must come back exactly
+        dev = max(dev, abs(w1 - w2) / w2 if x1 == x2 else math.inf)
+    results.append(CheckResult("measure-roundtrip", dev, 1e-12))
+
+    dev = exp_map_convolution_check(tr, _T_GRID).max_deviation
+    results.append(CheckResult("exp-map-split", dev, 1e-12))
+
     # (2 - t d/dt) - (1 - t d/dt) is the identity, whatever the step noise
     dev = 0.0
     for tr in _OP_TRIPLES:
@@ -183,38 +226,48 @@ def suite_limits() -> list[CheckResult]:
     """Large-k filtration limit, small-x slopes, removable singularities."""
     results = []
 
-    mono_bad = 0.0
+    mono_bad = -math.inf
     rate_bad = 0.0
-    for tr in (_OP_TRIPLES[0], _OP_TRIPLES[2]):
+    for tr in (_OP_TRIPLES[0], _OP_TRIPLES[2], LevyTriple(1.0, 2.0, ())):
         for t in _T_GRID:
             rep = filtration_limit_check(tr, t)
-            for i in range(len(rep.deviations) - 1):
-                mono_bad = max(mono_bad, rep.deviations[i + 1] - rep.deviations[i])
+            devs = rep.deviations
+            mono_bad = max(mono_bad, *(b - a for a, b in zip(devs, devs[1:])))
             for r in rep.ratios:
                 rate_bad = max(rate_bad, 5.0 - r, r - 20.0)
-    results.append(CheckResult("ubeta-filtration-monotone", max(0.0, mono_bad), 0.0))
+    # the gap must fall strictly with every tenfold k
+    results.append(CheckResult("ubeta-filtration-monotone", mono_bad, _BELOW_ZERO))
     results.append(CheckResult("ubeta-filtration-rate", max(0.0, rate_bad), 0.0))
 
     # (g(ix/t) - c)/x -> d/(it), Richardson-extrapolated from x = 1e-5, 1e-6
-    for tag, make in (("sself", sself), ("ubeta", ubeta), ("lclass", lclass)):
+    for tag, make in _MAKERS.items():
         dev = 0.0
         for k in (1, 2, 3):
             fam = make(k)
             c, d = const_c(fam), const_d(fam)
-            for t in (0.5, 2.0):
+            for t in _T_GRID:
                 slope = lambda x: (kernel_g(fam, 1j * x / t) - c) / x
                 extrap = (10.0 * slope(1e-6) - slope(1e-5)) / 9.0
                 dev = max(dev, abs(extrap - d / (1j * t)))
         results.append(CheckResult(f"{tag}-small-x-slope", dev, 1e-5))
 
-    lim_pos = complex(-euler_gamma(), math.pi / 2.0)
-    lim_neg = complex(euler_gamma(), math.pi / 2.0)
-    for name, x0, lim in (("linf-approach-pos", 1.0, lim_pos),
-                          ("linf-approach-neg", -1.0, lim_neg)):
-        t = 1.0  # t^{1-|x|} = 1 there, so the limit is bare
-        dev = abs(linf_integrand(x0 * (1.0 - 1e-6), t) - lim)
-        dev = max(dev, abs(linf_integrand(x0 * (1.0 + 1e-6), t) - lim))
+    mono_bad = 0.0
+    for name, sign, lim in (
+            ("linf-approach-pos", 1.0, complex(-euler_gamma(), math.pi / 2.0)),
+            ("linf-approach-neg", -1.0, complex(euler_gamma(), math.pi / 2.0))):
+        dev = 0.0
+        for t in _T_GRID:
+            for side in (-1.0, 1.0):  # from inside and outside |x| = 1
+                xs = [sign * (1.0 + side * h) for h in (1e-3, 1e-4, 1e-5, 1e-6)]
+                # t^(1-|x|) -> 1 in the limit; dividing it out isolates
+                # the removable-singularity gap along the approach
+                gaps = [abs(linf_integrand(x, t) / t ** (1.0 - abs(x)) - lim)
+                        for x in xs]
+                mono_bad = max(mono_bad, *(b - a for a, b in zip(gaps, gaps[1:])))
+                # raw value at the closest approach against the bare limit
+                dev = max(dev, abs(linf_integrand(xs[-1], t) - lim))
         results.append(CheckResult(name, dev, 1e-5))
+    results.append(CheckResult("linf-approach-monotone", mono_bad, 0.0))
     return results
 
 
@@ -246,16 +299,17 @@ def suite_laplace() -> list[CheckResult]:
 
 
 def suite_pick() -> list[CheckResult]:
-    """Finite step kernels: integral form vs half-plane representation."""
-    rng = random.Random(1094)
-    zs = [complex(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 2.0)) for _ in range(5)]
+    """Finite step kernels: integral form vs half-plane representation,
+    at fresh z for each representation."""
+    rng = random.Random(515)
     dev = 0.0
     for _ in range(20):
         n = rng.randint(5, 20)
         hs = [rng.uniform(0.05, 3.0) for _ in range(n)]
         ws = [rng.uniform(0.01, 1.0) for _ in range(n)]
         rep = pick_representation(hs, ws)
-        for z in zs:
+        for _ in range(5):
+            z = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 2.0))
             direct = sum(w * h / (z * h + 1.0) for h, w in zip(hs, ws))
             dev = max(dev, abs(pick_eval(rep, z) - direct))
     return [CheckResult("pick-identity", dev, 1e-12)]

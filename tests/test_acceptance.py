@@ -1,254 +1,83 @@
-"""Acceptance battery: one test per shipped guarantee, at the documented
-tolerance.  Each test prints a single summary line so a log scrape shows
-every guarantee with the slack it passed with."""
+"""Acceptance battery: one test per shipped guarantee.  The checks, their
+samples and tolerances live in freetransform.verify; each test asserts
+that its named checks ran and passed, and prints their verify lines so a
+log scrape shows every guarantee with the slack it passed with."""
 
-import math
-import random
+import pytest
 
-from freetransform import (
-    LevyTriple,
-    cauchy_pick_integral,
-    const_c,
-    const_c_quad,
-    const_d,
-    const_d_quad,
-    finite_measure_to_triple,
-    kernel_g,
-    kernel_g_quad,
-    lclass,
-    lower_selfdec_class,
-    lower_shrink_class,
-    operator_power,
-    pick_eval,
-    pick_representation,
-    scale_transform,
-    scale_triple,
-    sself,
-    transform_lclass,
-    transform_sself,
-    triple_to_finite_measure,
-    ubeta,
-    voiculescu_id,
-    voiculescu_via_laplace,
-)
-from freetransform.specfun import euler_gamma
-from freetransform.transforms import (
-    add_transforms,
-    exp_map_convolution_check,
-    linf_integrand,
-)
-
-T_GRID = (0.5, 1.0, 2.0)
-FAMILIES = (("sself", sself), ("ubeta", ubeta), ("lclass", lclass))
-
-ATOMIC = LevyTriple(0.4, 1.1, ((-1.5, 0.4), (0.7, 1.2), (2.0, 0.3)))
-SPARSE = LevyTriple(-0.8, 0.0, ((1.0, 2.0),))
+from freetransform.verify import run_suite
 
 
-def _report(name: str, dev: float, tol: float) -> None:
-    print(f"PASS {name} max_dev={dev:.3e} tol={tol:.0e}")
+@pytest.fixture(scope="session")
+def checks():
+    return run_suite("all")
 
 
-def test_criterion_01_cauchy_integral_anchor():
+def _assert_pass(checks, *names):
+    for name in names:
+        found = [r for r in checks if r.name == name]
+        assert found, f"verify has no check named {name!r}"
+        for r in found:
+            print(r.line())
+            assert r.passed, r.line()
+
+
+def test_criterion_01_cauchy_integral_anchor(checks):
     """The full-line Pick integral collapses to -i pi at every t."""
-    tol = 1e-6
-    dev = max(abs(cauchy_pick_integral(t) - complex(0.0, -math.pi))
-              for t in T_GRID)
-    assert dev <= tol
-    _report("cauchy-integral", dev, tol)
+    _assert_pass(checks, "cauchy-integral-anchor")
 
 
-def test_criterion_02_gaussian_laplace_route():
+def test_criterion_02_gaussian_laplace_route(checks):
     """Analytic Laplace route equals a + sigma^2/(it) for Gaussian laws."""
-    tol = 1e-6
-    dev = 0.0
-    for a, var in ((0.0, 1.0), (1.0, 2.0), (-0.7, 0.3), (2.5, 4.0), (-2.0, 1.7)):
-        tr = LevyTriple(a, var, ())
-        for t in (0.5, 0.8, 1.0, 1.6, 2.0):
-            closed = a + var / (1j * t)
-            dev = max(dev, abs(voiculescu_via_laplace(tr, t).value - closed))
-    assert dev <= tol
-    _report("gaussian-laplace", dev, tol)
+    _assert_pass(checks, "gaussian-laplace-roundtrip")
 
 
-def test_criterion_03_kernel_oracle_equivalence():
+def test_criterion_03_kernel_oracle_equivalence(checks):
     """Closed-form g, c, d match direct quadrature for every family."""
-    g_tol, cd_tol = 1e-8, 1e-10
-    grid = [complex(re, im)
-            for re in (-0.5, 0.125, 0.75, 1.375, 2.0)
-            for im in (0.1, 0.575, 1.05, 1.525, 2.0)]
-    g_dev = cd_dev = 0.0
-    for _, make in FAMILIES:
-        for k in range(1, 6):
-            fam = make(k)
-            for z in grid:
-                g_dev = max(g_dev, abs(kernel_g(fam, z)
-                                       - kernel_g_quad(fam, z).value))
-            cd_dev = max(cd_dev,
-                         abs(const_c(fam) - const_c_quad(fam).value),
-                         abs(const_d(fam) - const_d_quad(fam).value))
-    assert g_dev <= g_tol
-    assert cd_dev <= cd_tol
-    print(f"PASS kernel-oracle max_dev={g_dev:.3e} tol={g_tol:.0e} "
-          f"(constants {cd_dev:.3e} vs {cd_tol:.0e})")
+    _assert_pass(checks, "sself-g-oracle", "ubeta-g-oracle", "lclass-g-oracle",
+                 "sself-const-oracle", "ubeta-const-oracle",
+                 "lclass-const-oracle")
 
 
-def test_criterion_04_nevanlinna_sign():
+def test_criterion_04_nevanlinna_sign(checks):
     """g maps the upper half-plane into the lower one, strictly."""
-    rng = random.Random(2024)
-    samples = [complex(rng.uniform(-3.0, 3.0), rng.uniform(1e-3, 3.0))
-               for _ in range(200)]
-    worst = -math.inf
-    for _, make in FAMILIES:
-        for k in (1, 2, 3):
-            fam = make(k)
-            for z in samples:
-                worst = max(worst, kernel_g(fam, z).imag)
-    assert worst < 0.0
-    _report("nevanlinna-sign", worst, 0.0)
+    _assert_pass(checks, "sself-upper-to-lower", "ubeta-upper-to-lower",
+                 "lclass-upper-to-lower")
 
 
-def test_criterion_05_pick_identity():
+def test_criterion_05_pick_identity(checks):
     """Step-kernel g agrees with its half-plane representation."""
-    tol = 1e-12
-    rng = random.Random(515)
-    dev = 0.0
-    for _ in range(20):
-        n = rng.randint(5, 20)
-        hs = [rng.uniform(0.05, 3.0) for _ in range(n)]
-        ws = [rng.uniform(0.01, 1.0) for _ in range(n)]
-        rep = pick_representation(hs, ws)
-        for _ in range(5):
-            z = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 2.0))
-            direct = sum(w * h / (z * h + 1.0) for h, w in zip(hs, ws))
-            dev = max(dev, abs(pick_eval(rep, z) - direct))
-    assert dev <= tol
-    _report("pick-identity", dev, tol)
+    _assert_pass(checks, "pick-identity")
 
 
-def test_criterion_06_operator_lowering():
+def test_criterion_06_operator_lowering(checks):
     """One lowering step drops each hierarchy by one level; iterated
     steps land on the plain transform."""
-    step_tol = 1e-6
-    step_dev = 0.0
-    for tr in (ATOMIC, SPARSE):
-        for k in (1, 2, 3):
-            lowered_u = lower_shrink_class(
-                lambda t, k=k, tr=tr: transform_sself(k, tr, t).value)
-            lowered_l = lower_selfdec_class(
-                lambda t, k=k, tr=tr: transform_lclass(k, tr, t).value)
-            for t in T_GRID:
-                step_dev = max(
-                    step_dev,
-                    abs(lowered_u(t) - transform_sself(k - 1, tr, t).value),
-                    abs(lowered_l(t) - transform_lclass(k - 1, tr, t).value))
-    assert step_dev <= step_tol
-
-    power_ok = True
-    power_summary = 0.0
-    for k in (1, 2, 3):
-        powered = operator_power(
-            lower_shrink_class,
-            lambda t, k=k: transform_sself(k, ATOMIC, t).value, k)
-        dev = max(abs(powered(t) - voiculescu_id(ATOMIC, t).value)
-                  for t in T_GRID)
-        power_ok &= dev <= k * 1e-5
-        power_summary = max(power_summary, dev / k)
-        powered = operator_power(
-            lower_selfdec_class,
-            lambda t, k=k: transform_lclass(k - 1, ATOMIC, t).value, k)
-        dev = max(abs(powered(t) - voiculescu_id(ATOMIC, t).value)
-                  for t in T_GRID)
-        power_ok &= dev <= k * 1e-5
-        power_summary = max(power_summary, dev / k)
-    assert power_ok
-    _report("operator-lowering", max(step_dev, power_summary), step_tol)
+    _assert_pass(checks, "shrink-step", "selfdec-step",
+                 "shrink-power-1", "shrink-power-2", "shrink-power-3",
+                 "selfdec-power-1", "selfdec-power-2", "selfdec-power-3")
 
 
-def test_criterion_07_filtration_limit_rate():
+def test_criterion_07_filtration_limit_rate(checks):
     """The power-time-change gap to the plain transform decays like 1/k."""
-    from freetransform import filtration_limit_check
-
-    worst_ratio = 0.0
-    for tr in (ATOMIC, LevyTriple(1.0, 2.0, ())):
-        for t in T_GRID:
-            rep = filtration_limit_check(tr, t, ks=(10, 100, 1000))
-            assert rep.decreasing, (tr, t)
-            assert rep.rate_ok, (tr, t, rep.ratios)
-            worst_ratio = max(worst_ratio, *rep.ratios)
-    _report("filtration-rate", worst_ratio, 20.0)
+    _assert_pass(checks, "ubeta-filtration-monotone", "ubeta-filtration-rate")
 
 
-def test_criterion_08_small_argument_slope():
+def test_criterion_08_small_argument_slope(checks):
     """(g(ix/t) - c)/x converges to d/(it) as x -> 0."""
-    tol = 1e-5
-    dev = 0.0
-    for _, make in FAMILIES:
-        for k in (1, 2, 3):
-            fam = make(k)
-            c, d = const_c(fam), const_d(fam)
-            for t in (0.5, 1.0, 2.0):
-                slope = lambda x: (kernel_g(fam, 1j * x / t) - c) / x
-                extrap = (10.0 * slope(1e-6) - slope(1e-5)) / 9.0
-                dev = max(dev, abs(extrap - d / (1j * t)))
-    assert dev <= tol
-    _report("small-x-slope", dev, tol)
+    _assert_pass(checks, "sself-small-x-slope", "ubeta-small-x-slope",
+                 "lclass-small-x-slope")
 
 
-def test_criterion_09_linf_removable_singularities():
+def test_criterion_09_linf_removable_singularities(checks):
     """Approach to x = +-1 settles on the stored limits i pi/2 -+ gamma."""
-    tol = 1e-5
-    lim_pos = complex(-euler_gamma(), math.pi / 2.0)
-    lim_neg = complex(euler_gamma(), math.pi / 2.0)
-    dev = 0.0
-    for t in (0.5, 1.0, 2.0):
-        for sign, lim in ((1.0, lim_pos), (-1.0, lim_neg)):
-            # the t^{1-|x|} factor is 1 in the limit; dividing it out
-            # isolates the removable-singularity gap along the approach
-            gaps = [abs(linf_integrand(sign * (1.0 - h), t) / t ** h - lim)
-                    for h in (1e-3, 1e-4, 1e-5, 1e-6)]
-            assert gaps == sorted(gaps, reverse=True), (t, sign, gaps)
-            # raw value at the closest approach against the bare limit
-            dev = max(dev, abs(linf_integrand(sign * (1.0 - 1e-6), t) - lim))
-    assert dev <= tol
-    _report("linf-continuity", dev, tol)
+    _assert_pass(checks, "linf-approach-pos", "linf-approach-neg",
+                 "linf-approach-monotone")
 
 
-def test_criterion_10_algebraic_identities():
+def test_criterion_10_algebraic_identities(checks):
     """Dilation, convolution, operator difference, and measure round
     trips hold to near machine precision."""
-    tol = 1e-12
-    dev = 0.0
-
-    for c in (0.3, 2.0, 7.5):
-        scaled = scale_triple(c, ATOMIC)
-        for t in T_GRID:
-            lhs = scale_transform(
-                c, lambda u: voiculescu_id(ATOMIC, u).value, t).value
-            rhs = voiculescu_id(scaled, t).value
-            dev = max(dev, abs(lhs - rhs) / (1.0 + abs(rhs)))
-
-    tr1 = LevyTriple(0.5, 1.0, ((1.0, 0.7),))
-    tr2 = LevyTriple(-0.2, 0.5, ((-2.0, 0.4),))
-    merged = LevyTriple(0.3, 1.5, ((-2.0, 0.4), (1.0, 0.7)))
-    for t in T_GRID:
-        total = add_transforms(lambda u: voiculescu_id(tr1, u).value,
-                               lambda u: voiculescu_id(tr2, u).value, t).value
-        dev = max(dev, abs(total - voiculescu_id(merged, t).value))
-
-    V = lambda t: voiculescu_id(ATOMIC, t).value
-    big, small = lower_shrink_class(V), lower_selfdec_class(V)
-    for t in T_GRID:
-        dev = max(dev, abs(big(t) - small(t) - V(t)))
-
-    back = finite_measure_to_triple(ATOMIC.drift, triple_to_finite_measure(ATOMIC))
-    dev = max(dev, abs(back.gauss_var - ATOMIC.gauss_var))
-    for (x1, w1), (x2, w2) in zip(back.levy_atoms, ATOMIC.levy_atoms):
-        assert x1 == x2
-        dev = max(dev, abs(w1 - w2) / w2)
-
-    rep = exp_map_convolution_check(ATOMIC, T_GRID)
-    dev = max(dev, rep.max_deviation)
-
-    assert dev <= tol
-    _report("algebraic-identities", dev, tol)
+    _assert_pass(checks, "dilation-identity", "convolution-identity",
+                 "operator-difference-identity", "measure-roundtrip",
+                 "exp-map-split")

@@ -183,6 +183,15 @@ def test_verify_pick_passes():
     assert float(dev) <= float(tol) == 1e-12
 
 
+def test_verify_failure_exits_1(monkeypatch, capsys):
+    from freetransform import cli, verify
+
+    failing = verify.CheckResult("pick-identity", 1.0, 1e-12)
+    monkeypatch.setitem(verify.SUITES, "pick", lambda: [failing])
+    assert cli.main(["verify", "pick"]) == 1
+    assert capsys.readouterr().out == "FAIL pick-identity 1.0 1e-12\n"
+
+
 def test_verify_unknown_suite():
     res = run("verify", "everything")
     assert res.returncode == 2
@@ -203,6 +212,9 @@ def test_tolerance_env_used(gauss_json):
     assert "1e-06" in res.stdout
     res = run("info", env_extra={"FREETRANSFORM_TOL": "soon"})
     assert res.returncode == 2
-    res = run("eval", "--class", "id", "--input", gauss_json,
+    res = run("kernels", "--family", "sself", "--k", "1",
               env_extra={"FREETRANSFORM_TOL": "-3"})
+    assert res.returncode == 2
+    # eval evaluates closed forms only and takes no tolerance
+    res = run("eval", "--class", "id", "--input", gauss_json, "--tol", "1e-6")
     assert res.returncode == 2

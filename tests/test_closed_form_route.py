@@ -1,6 +1,6 @@
 """The closed-form Lerch/polylog route: no quadrature on the hot path,
-agreement with the integral oracle, the gamma overflow, the CLI on the
-wide t-grid, and the per-process parser."""
+agreement with the integral oracle, the gamma overflow, only package
+errors escaping, the CLI on the wide t-grid, and the per-process parser."""
 
 import cmath
 import json
@@ -9,10 +9,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freetransform import (DomainError, LevyTriple, gamma_fn, lerch_phi,
-                           polylog, transform_lclass, transform_sself,
-                           transform_ubeta)
+from freetransform import (DomainError, FreeTransformError, LevyTriple,
+                           gamma_fn, lerch_phi, polylog, transform_lclass,
+                           transform_sself, transform_ubeta)
 from freetransform import cli, specfun
 
 WIDE_T = [1e-3 * 1e6 ** (i / 24) for i in range(25)]
@@ -77,6 +79,45 @@ def test_gamma_near_the_top_of_the_double_range():
 def test_gamma_overflow_is_a_domain_error(x):
     with pytest.raises(DomainError):
         gamma_fn(x)
+
+
+def _answers(call):
+    """call() gives a finite value or raises a package error; any other
+    exception fails the test."""
+    try:
+        value = call()
+    except FreeTransformError:
+        return
+    assert cmath.isfinite(value), value
+
+
+_Z = st.builds(lambda lg, angle: cmath.rect(10.0 ** lg, angle),
+               st.floats(-3.0, 10.0), st.floats(-math.pi, math.pi))
+_X = st.builds(lambda lg, neg: -(10.0 ** lg) if neg else 10.0 ** lg,
+               st.floats(-3.0, 3.0), st.booleans())
+_TRIPLES = st.builds(
+    lambda a, var, atoms: LevyTriple(a, var, tuple(atoms)),
+    st.floats(-5.0, 5.0), st.floats(0.0, 5.0),
+    st.lists(st.tuples(_X, st.floats(1e-3, 10.0)), max_size=4,
+             unique_by=lambda atom: atom[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.integers(1, 200), z=_Z, k=st.integers(1, 1001))
+def test_specfun_raises_only_package_errors(s, z, k):
+    _answers(lambda: polylog(s, z))
+    _answers(lambda: lerch_phi(z, s, 1.0))
+    _answers(lambda: lerch_phi(z, s, 2.0))
+    _answers(lambda: lerch_phi(z, 1, float(k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tr=_TRIPLES, k=st.integers(0, 1000), lg_t=st.floats(-8.0, 12.0))
+def test_class_transforms_raise_only_package_errors(tr, k, lg_t):
+    t = 10.0 ** lg_t
+    _answers(lambda: transform_sself(k, tr, t).value)
+    _answers(lambda: transform_ubeta(max(k, 1), tr, t).value)
+    _answers(lambda: transform_lclass(k, tr, t).value)
 
 
 def _wide(class_tag, k, t_min="1e-8", t_max="1e12"):
