@@ -181,33 +181,33 @@ def kernel_g(fam: KernelFamily, z: complex) -> complex:
 # ---------------------------------------------------------------------------
 # quadrature paths (oracles for the closed forms; the only route for CUSTOM)
 
-def _sself_weight(k: int, s: float) -> float:
-    return (-math.log(s)) ** (k - 1) / math.factorial(k - 1)
-
-
 def _integrate_kernel(fam: KernelFamily, f, tol: float,
                       via: str = "auto") -> IntegrationResult:
     """Integrate f(h(s)) dr(s) over the family's interval.
 
     via selects the integration chart for SSELF: "interval" integrates
-    the raw (0,1] form with its logarithmic weight, "halfline"
-    substitutes s = e^-w which turns the weight into w^(k-1) e^-w.
+    the raw (0,1] form with its logarithmic weight at the nodes of
+    (0, 1); "halfline" substitutes s = e^-w, which turns the weight into
+    w^(k-1) e^-w, and integrates over w in (0, inf) on the algebraic
+    chart w = (1-v)/v, so f sees s = e^-(1-v)/v at an unrelated set of
+    nodes.  Both must agree.
     """
     if fam.tag == SSELF:
         k = fam.k
+        fac = math.factorial(k - 1)
         if via == "interval":
             return integrate_finite(
-                lambda s: f(s) * _sself_weight(k, s), 0.0, 1.0, tol)
+                lambda s: f(s) * ((-math.log(s)) ** (k - 1) / fac), 0.0, 1.0, tol)
         return integrate_semi_infinite(
-            lambda w: f(math.exp(-w)) * w ** (k - 1) * math.exp(-w)
-            / math.factorial(k - 1), tol)
+            lambda w: f(math.exp(-w)) * w ** (k - 1) * math.exp(-w) / fac, tol)
     if fam.tag == UBETA:
         k = fam.k
         return integrate_finite(lambda s: f(s) * k * s ** (k - 1), 0.0, 1.0, tol)
     if fam.tag == LCLASS:
         k = fam.k
+        fac = math.factorial(k)
         return integrate_semi_infinite(
-            lambda s: f(math.exp(-s)) * s ** k / math.factorial(k), tol)
+            lambda s: f(math.exp(-s)) * s ** k / fac, tol)
     # CUSTOM with a density
     if fam.r_density is None:
         raise InvalidInput("step kernels are finite sums; no quadrature path")

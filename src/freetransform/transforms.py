@@ -343,7 +343,7 @@ def cauchy_pick_integral(t: float, tol: float = 1e-8) -> complex:
     def f(x: float) -> complex:
         return (1.0 + it * x) / ((it - x) * (1.0 + x * x))
 
-    res = integrate_semi_infinite(lambda u: f(u) + f(-u), tol, tail="alg")
+    res = integrate_semi_infinite(lambda u: f(u) + f(-u), tol)
     return res.value
 
 

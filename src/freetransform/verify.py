@@ -76,6 +76,23 @@ class CheckResult:
 # the largest negative double: a value passes against it only when < 0
 _BELOW_ZERO = -math.ulp(0.0)
 
+
+def _worst(*values: float) -> float:
+    """The largest of values, or NaN if any of them is NaN.
+
+    Every deviation is folded with this, never with max(), which keeps
+    its running value when compared against a NaN; a check whose
+    computation goes NaN anywhere then reports NaN and fails.
+    """
+    worst = -math.inf
+    for v in values:
+        if v != v:
+            return v
+        if v > worst:
+            worst = v
+    return worst
+
+
 # shared sample grids -----------------------------------------------------
 
 _KS = (1, 2, 3, 4, 5)
@@ -106,10 +123,10 @@ def suite_kernels() -> list[CheckResult]:
     for fam in _families():
         for z in grid:
             dev = abs(kernel_g(fam, z) - kernel_g_quad(fam, z).value)
-            worst_g[fam.tag] = max(worst_g[fam.tag], dev)
+            worst_g[fam.tag] = _worst(worst_g[fam.tag], dev)
         dev_c = abs(const_c(fam) - const_c_quad(fam).value)
         dev_d = abs(const_d(fam) - const_d_quad(fam).value)
-        worst_cd[fam.tag] = max(worst_cd[fam.tag], dev_c, dev_d)
+        worst_cd[fam.tag] = _worst(worst_cd[fam.tag], dev_c, dev_d)
 
     results = []
     for tag in _MAKERS:
@@ -123,7 +140,7 @@ def suite_kernels() -> list[CheckResult]:
         for z in grid[::5]:
             a = kernel_g_quad(fam, z, via="interval").value
             b = kernel_g_quad(fam, z, via="halfline").value
-            dev = max(dev, abs(a - b))
+            dev = _worst(dev, abs(a - b))
     results.append(CheckResult("sself-chart-agreement", dev, 1e-10))
     return results
 
@@ -135,12 +152,12 @@ def suite_nevanlinna() -> list[CheckResult]:
                for _ in range(200)]
     worst = dict.fromkeys(_MAKERS, -math.inf)
     for fam in _families((1, 2, 3)):
-        worst[fam.tag] = max(worst[fam.tag], *(kernel_g(fam, z).imag for z in samples))
+        worst[fam.tag] = _worst(worst[fam.tag], *(kernel_g(fam, z).imag for z in samples))
     results = [CheckResult(f"{tag}-upper-to-lower", w, _BELOW_ZERO)
                for tag, w in worst.items()]
 
     step = custom_step(lambda s: 1.0 / (1.0 + s), ((0.5, 0.7), (1.5, 0.3)))
-    w = max(kernel_g_quad(step, z).value.imag for z in samples[::4])
+    w = _worst(*(kernel_g_quad(step, z).value.imag for z in samples[::4]))
     results.append(CheckResult("custom-step-upper-to-lower", w, _BELOW_ZERO))
     return results
 
@@ -164,10 +181,10 @@ def suite_operators() -> list[CheckResult]:
             upper = lower_shrink_class(lambda t, k=k, tr=tr: transform_sself(k, tr, t).value)
             lower = lower_selfdec_class(lambda t, k=k, tr=tr: transform_lclass(k, tr, t).value)
             for t in _T_GRID:
-                dev_shrink = max(dev_shrink,
-                                 abs(upper(t) - transform_sself(k - 1, tr, t).value))
-                dev_selfdec = max(dev_selfdec,
-                                  abs(lower(t) - transform_lclass(k - 1, tr, t).value))
+                dev_shrink = _worst(dev_shrink,
+                                    abs(upper(t) - transform_sself(k - 1, tr, t).value))
+                dev_selfdec = _worst(dev_selfdec,
+                                     abs(lower(t) - transform_lclass(k - 1, tr, t).value))
     results.append(CheckResult("shrink-step", dev_shrink, 1e-6))
     results.append(CheckResult("selfdec-step", dev_selfdec, 1e-6))
 
@@ -175,13 +192,13 @@ def suite_operators() -> list[CheckResult]:
     for k in (1, 2, 3):
         powered = operator_power(lower_shrink_class,
                                  lambda t, k=k: transform_sself(k, tr, t).value, k)
-        dev = max(abs(powered(t) - voiculescu_id(tr, t).value) for t in _T_GRID)
+        dev = _worst(*(abs(powered(t) - voiculescu_id(tr, t).value) for t in _T_GRID))
         results.append(CheckResult(f"shrink-power-{k}", dev, k / 1e5))
     for k in (0, 1, 2):
         powered = operator_power(lower_selfdec_class,
                                  lambda t, k=k: transform_lclass(k, tr, t).value,
                                  k + 1)
-        dev = max(abs(powered(t) - voiculescu_id(tr, t).value) for t in _T_GRID)
+        dev = _worst(*(abs(powered(t) - voiculescu_id(tr, t).value) for t in _T_GRID))
         results.append(CheckResult(f"selfdec-power-{k + 1}", dev, (k + 1) / 1e5))
 
     # exact transform algebra: dilation, convolution, measure round trip
@@ -191,25 +208,25 @@ def suite_operators() -> list[CheckResult]:
         scaled = scale_triple(c, tr)
         for t in _T_GRID:
             rhs = voiculescu_id(scaled, t).value
-            dev = max(dev, abs(scale_transform(c, V, t).value - rhs) / (1.0 + abs(rhs)))
+            dev = _worst(dev, abs(scale_transform(c, V, t).value - rhs) / (1.0 + abs(rhs)))
     results.append(CheckResult("dilation-identity", dev, 1e-12))
 
     tr1 = LevyTriple(0.5, 1.0, ((1.0, 0.7),))
     tr2 = LevyTriple(-0.2, 0.5, ((-2.0, 0.4),))
     merged = LevyTriple(0.3, 1.5, ((-2.0, 0.4), (1.0, 0.7)))
-    dev = max(abs(add_transforms(lambda u: voiculescu_id(tr1, u).value,
-                                 lambda u: voiculescu_id(tr2, u).value, t).value
-                  - voiculescu_id(merged, t).value) for t in _T_GRID)
+    dev = _worst(*(abs(add_transforms(lambda u: voiculescu_id(tr1, u).value,
+                                      lambda u: voiculescu_id(tr2, u).value, t).value
+                       - voiculescu_id(merged, t).value) for t in _T_GRID))
     results.append(CheckResult("convolution-identity", dev, 1e-12))
 
     back = finite_measure_to_triple(tr.drift, triple_to_finite_measure(tr))
     dev = abs(back.gauss_var - tr.gauss_var)
     for (x1, w1), (x2, w2) in zip(back.levy_atoms, tr.levy_atoms):
         # locations must come back exactly
-        dev = max(dev, abs(w1 - w2) / w2 if x1 == x2 else math.inf)
+        dev = _worst(dev, abs(w1 - w2) / w2 if x1 == x2 else math.inf)
     results.append(CheckResult("measure-roundtrip", dev, 1e-12))
 
-    dev = exp_map_convolution_check(tr, _T_GRID).max_deviation
+    dev = _worst(*exp_map_convolution_check(tr, _T_GRID).deviations)
     results.append(CheckResult("exp-map-split", dev, 1e-12))
 
     # (2 - t d/dt) - (1 - t d/dt) is the identity, whatever the step noise
@@ -217,7 +234,7 @@ def suite_operators() -> list[CheckResult]:
     for tr in _OP_TRIPLES:
         V = lambda t, tr=tr: voiculescu_id(tr, t).value
         big, small = lower_shrink_class(V), lower_selfdec_class(V)
-        dev = max(dev, max(abs(big(t) - small(t) - V(t)) for t in _T_GRID))
+        dev = _worst(dev, *(abs(big(t) - small(t) - V(t)) for t in _T_GRID))
     results.append(CheckResult("operator-difference-identity", dev, 1e-12))
     return results
 
@@ -232,12 +249,12 @@ def suite_limits() -> list[CheckResult]:
         for t in _T_GRID:
             rep = filtration_limit_check(tr, t)
             devs = rep.deviations
-            mono_bad = max(mono_bad, *(b - a for a, b in zip(devs, devs[1:])))
+            mono_bad = _worst(mono_bad, *(b - a for a, b in zip(devs, devs[1:])))
             for r in rep.ratios:
-                rate_bad = max(rate_bad, 5.0 - r, r - 20.0)
+                rate_bad = _worst(rate_bad, 5.0 - r, r - 20.0)
     # the gap must fall strictly with every tenfold k
     results.append(CheckResult("ubeta-filtration-monotone", mono_bad, _BELOW_ZERO))
-    results.append(CheckResult("ubeta-filtration-rate", max(0.0, rate_bad), 0.0))
+    results.append(CheckResult("ubeta-filtration-rate", _worst(0.0, rate_bad), 0.0))
 
     # (g(ix/t) - c)/x -> d/(it), Richardson-extrapolated from x = 1e-5, 1e-6
     for tag, make in _MAKERS.items():
@@ -248,7 +265,7 @@ def suite_limits() -> list[CheckResult]:
             for t in _T_GRID:
                 slope = lambda x: (kernel_g(fam, 1j * x / t) - c) / x
                 extrap = (10.0 * slope(1e-6) - slope(1e-5)) / 9.0
-                dev = max(dev, abs(extrap - d / (1j * t)))
+                dev = _worst(dev, abs(extrap - d / (1j * t)))
         results.append(CheckResult(f"{tag}-small-x-slope", dev, 1e-5))
 
     mono_bad = 0.0
@@ -263,9 +280,9 @@ def suite_limits() -> list[CheckResult]:
                 # the removable-singularity gap along the approach
                 gaps = [abs(linf_integrand(x, t) / t ** (1.0 - abs(x)) - lim)
                         for x in xs]
-                mono_bad = max(mono_bad, *(b - a for a, b in zip(gaps, gaps[1:])))
+                mono_bad = _worst(mono_bad, *(b - a for a, b in zip(gaps, gaps[1:])))
                 # raw value at the closest approach against the bare limit
-                dev = max(dev, abs(linf_integrand(xs[-1], t) - lim))
+                dev = _worst(dev, abs(linf_integrand(xs[-1], t) - lim))
         results.append(CheckResult(name, dev, 1e-5))
     results.append(CheckResult("linf-approach-monotone", mono_bad, 0.0))
     return results
@@ -284,16 +301,16 @@ def suite_laplace() -> list[CheckResult]:
         tr = LevyTriple(a, var, ())
         for t in _LAPLACE_T:
             closed = a + var / (1j * t)
-            dev = max(dev, abs(voiculescu_via_laplace(tr, t).value - closed))
+            dev = _worst(dev, abs(voiculescu_via_laplace(tr, t).value - closed))
     results.append(CheckResult("gaussian-laplace-roundtrip", dev, 1e-6))
 
     tr = LevyTriple(0.3, 0.0, ((1.0, 1.0), (-2.0, 0.5)))
-    dev = max(abs(voiculescu_via_laplace(tr, t).value - voiculescu_id(tr, t).value)
-              for t in _T_GRID)
+    dev = _worst(*(abs(voiculescu_via_laplace(tr, t).value - voiculescu_id(tr, t).value)
+                   for t in _T_GRID))
     results.append(CheckResult("atomic-laplace-roundtrip", dev, 1e-6))
 
-    dev = max(abs(cauchy_pick_integral(t) - complex(0.0, -math.pi))
-              for t in _T_GRID)
+    dev = _worst(*(abs(cauchy_pick_integral(t) - complex(0.0, -math.pi))
+                   for t in _T_GRID))
     results.append(CheckResult("cauchy-integral-anchor", dev, 1e-6))
     return results
 
@@ -311,7 +328,7 @@ def suite_pick() -> list[CheckResult]:
         for _ in range(5):
             z = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 2.0))
             direct = sum(w * h / (z * h + 1.0) for h, w in zip(hs, ws))
-            dev = max(dev, abs(pick_eval(rep, z) - direct))
+            dev = _worst(dev, abs(pick_eval(rep, z) - direct))
     return [CheckResult("pick-identity", dev, 1e-12)]
 
 

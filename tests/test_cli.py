@@ -192,6 +192,26 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     assert capsys.readouterr().out == "FAIL pick-identity 1.0 1e-12\n"
 
 
+def test_verify_fails_on_nan(monkeypatch, capsys):
+    # one NaN among otherwise finite oracle values must not fold away
+    from freetransform import cli, verify
+    from freetransform.quadrature import IntegrationResult
+
+    real = verify.kernel_g_quad
+    poisoned = verify._upper_grid()[3]
+
+    def kernel_g_quad(fam, z, *args, **kwargs):
+        if fam.tag == "lclass" and z == poisoned:
+            return IntegrationResult(complex(math.nan, 0.0), 0.0, 0)
+        return real(fam, z, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "kernel_g_quad", kernel_g_quad)
+    assert cli.main(["verify", "kernels"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert failed == ["FAIL lclass-g-oracle nan 1e-08"]
+
+
 def test_verify_unknown_suite():
     res = run("verify", "everything")
     assert res.returncode == 2

@@ -1,5 +1,6 @@
 """Kernel families: closed-form g, c, d against direct integration."""
 
+import bisect
 import cmath
 import math
 import random
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from freetransform import (
     DomainError,
+    FreeTransformError,
     InvalidInput,
     const_c,
     const_c_quad,
@@ -26,6 +28,8 @@ from freetransform import (
     sself,
     ubeta,
 )
+from freetransform import kernels
+from freetransform.verify import _upper_grid
 
 UPPER = [complex(re, im) for re in (-0.5, 0.4, 1.5) for im in (0.2, 1.0)]
 
@@ -88,6 +92,58 @@ def test_sself_two_charts_agree():
         a = kernel_g_quad(fam, z, via="interval").value
         b = kernel_g_quad(fam, z, via="halfline").value
         assert abs(a - b) < 1e-10
+
+
+def _sself_chart_nodes(via):
+    """The s values at which the sself(3) kernel integral samples g's
+    integrand on the given chart (h(s) = s, so f sees s itself)."""
+    seen = []
+
+    def f(s):
+        seen.append(s)
+        return s / (complex(0.4, 1.0) * s + 1.0)
+
+    kernels._integrate_kernel(sself(3), f, 1e-10, via=via)
+    return seen
+
+
+def test_sself_charts_sample_different_nodes():
+    # the chart-agreement check in verify compares two charts only while
+    # they feed the integrand different s; with s = e^-w = v on both the
+    # two sides were one integrand rounded twice
+    interval = sorted(_sself_chart_nodes("interval"))
+    halfline = _sself_chart_nodes("halfline")
+
+    def shared(s):
+        i = bisect.bisect_left(interval, s)
+        return any(abs(interval[j] - s) <= 1e-12 * s
+                   for j in (i - 1, i) if 0 <= j < len(interval))
+
+    assert sum(map(shared, halfline)) < 0.1 * len(halfline)
+
+
+# evaluation counts of the half-line oracles on verify's grid: 6 765 for
+# lclass(5) and 3 765 for sself(3); on the tail="exp" chart they are 37 125
+# and 11 625
+
+def test_lclass_oracle_evaluation_count():
+    fam = lclass(5)
+    assert sum(kernel_g_quad(fam, z).evaluations for z in _upper_grid()) <= 10_000
+
+
+def test_sself_oracle_evaluation_count():
+    fam = sself(3)
+    assert sum(kernel_g_quad(fam, z).evaluations for z in _upper_grid()) <= 6_000
+
+
+def test_high_order_oracles_raise_package_errors():
+    # the half-line oracles meet k! and s^k beyond the float range at high
+    # order; that must surface as a package error, never OverflowError
+    for fam in (lclass(70), lclass(171), sself(172)):
+        try:
+            kernel_g_quad(fam, 0.5 + 0.5j)
+        except FreeTransformError:
+            pass
 
 
 @settings(max_examples=40, deadline=None)

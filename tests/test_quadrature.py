@@ -6,12 +6,16 @@ import pytest
 
 from freetransform import (
     InvalidInput,
+    LevyTriple,
     MaxSubdivisionError,
     NonFiniteError,
     integrate_finite,
     integrate_semi_infinite,
     laplace_transform,
 )
+from freetransform.quadrature import _kronrod_panel
+from freetransform.transforms import logphi
+from freetransform.verify import _GAUSS_PAIRS, _LAPLACE_T
 
 TOL = 1e-10
 
@@ -88,15 +92,59 @@ def test_semi_infinite_algebraic_tail():
     check(res, math.pi / 2.0, tol=1e-9)
 
 
+@pytest.mark.parametrize("tail", ["alg", "exp"])
+def test_semi_infinite_gamma_moments(tail):
+    # int_0^inf s^k e^-s ds = k!, to a tolerance relative to the value
+    for k in range(9):
+        exact = math.factorial(k)
+        res = integrate_semi_infinite(lambda s: s ** k * math.exp(-s),
+                                      TOL * exact, tail=tail)
+        check(res, exact, tol=TOL * exact)
+
+
+@pytest.mark.parametrize("tail", ["alg", "exp"])
+def test_semi_infinite_laplace_of_square(tail):
+    # L{u^2}(t) = 2/t^3 as one half-line integral on either chart
+    for t in (0.5, 2.0):
+        res = integrate_semi_infinite(lambda u: u * u * math.exp(-t * u), tail=tail)
+        check(res, 2.0 / t ** 3)
+
+
+@pytest.mark.parametrize("tail", ["alg", "exp"])
+def test_semi_infinite_divergent_raises(tail):
+    # bisection walks into v = 0 until the samples or their panel sums
+    # stop being finite; that must surface as a package error, not a value
+    for f in (lambda u: 1.0 / (1.0 + u), lambda u: u ** -0.5):
+        with pytest.raises(NonFiniteError):
+            integrate_semi_infinite(f, tail=tail)
+
+
+def test_semi_infinite_default_chart_is_algebraic():
+    f = lambda s: s ** 3 * math.exp(-s)
+    assert integrate_semi_infinite(f) == integrate_semi_infinite(f, tail="alg")
+
+
+def test_laplace_evaluation_count():
+    # the Gaussian round trip of verify's laplace suite takes 4 170
+    # evaluations; with its tail on the tail="exp" chart it takes 27 510
+    evals = 0
+    for a, var in _GAUSS_PAIRS:
+        tr = LevyTriple(a, var, ())
+        for t in _LAPLACE_T:
+            evals += laplace_transform(lambda u: logphi(tr, -u), t, 1e-8).evaluations
+    assert evals <= 8_000
+
+
 def test_laplace_of_constant_and_ramp():
     for t in (0.5, 1.0, 2.0):
         check(laplace_transform(lambda u: 1.0, t), 1.0 / t)
         check(laplace_transform(lambda u: u, t), 1.0 / t ** 2)
+        check(laplace_transform(lambda u: u * u, t), 2.0 / t ** 3)
 
 
 def test_laplace_singular_integrand():
-    # L{u^(-1/2)}(t) = sqrt(pi/t); exercises the endpoint singularity
-    # after the exponential substitution
+    # L{u^(-1/2)}(t) = sqrt(pi/t); exercises the endpoint singularity at
+    # u = 0, which sits in the directly integrated head on (0, 1)
     for t in (0.5, 2.0):
         res = laplace_transform(lambda u: 1.0 / math.sqrt(u), t, 1e-9)
         check(res, math.sqrt(math.pi / t), tol=1e-9)
@@ -120,9 +168,46 @@ def test_non_finite_integrand():
         integrate_finite(lambda s: float("inf"), 0.0, 1.0)
     with pytest.raises(NonFiniteError):
         integrate_finite(lambda s: complex(0.0, float("nan")), 0.0, 1.0)
+    # float arithmetic that raises instead of giving inf: a pole on the
+    # centre node, and a power that overflows
+    with pytest.raises(NonFiniteError):
+        integrate_finite(lambda s: 1.0 / (s - 0.5), 0.0, 1.0)
+    with pytest.raises(NonFiniteError):
+        integrate_finite(lambda s: (1.0 / s) ** 400, 0.0, 1.0)
 
 
 def test_panel_budget_exhaustion():
     # ~1e8 oscillations can't be resolved by 1e4 panels
     with pytest.raises(MaxSubdivisionError):
         integrate_finite(lambda s: math.sin(1e8 * s), 0.0, 1.0, tol=1e-12)
+
+
+# (value, error estimate, evaluation count) of single G7/K15 panels, frozen:
+# any rewrite of the panel routine must reproduce them bit for bit.  The
+# integrands use only correctly rounded arithmetic, so the values do not
+# depend on the platform's libm.  The last three panels are a few ulps wide,
+# so their outer nodes round onto an edge and must be pulled inward: the
+# integrand has its pole on that edge.
+_THIN = 1.0 + 8 * 2.0 ** -52
+_FROZEN_PANELS = [
+    (lambda s: 1.0 / (1.0 + s), 0.0, 1.0,
+     (0.6931471805599453 + 0j, 7.273495740812831e-13, 15)),
+    (lambda s: 1.0 / math.sqrt(s), 0.0, 1e-3,
+     (0.06180107503477193 + 0j, 0.029542295800871907, 15)),
+    (lambda s: complex(1.0 / (0.1 + s * s), s * s * s - 2.0 * s), -2.0, 3.5,
+     (8.9403521704794 + 25.265624999999996j, 39.59001225952949, 15)),
+    (lambda s: 1.0 / (1.0 + s * s), -1e6, 1e6,
+     (209482.14109847174 + 0j, 375081.5147331346, 15)),
+    (lambda s: 1.0 / (s - 1.0), 1.0, _THIN,
+     (3.119181117652138 + 0j, 1.9343753145777411, 15)),
+    (lambda s: 1.0 / (_THIN - s), 1.0, _THIN,
+     (3.119181117652138 + 0j, 1.9343753145777411, 15)),
+    (lambda s: 5e-324 / (s - 5e-324) + 1j, 5e-324, 2.5e-322,
+     (2.5e-323 + 2.47e-322j, 2.5e-323, 15)),
+]
+
+
+@pytest.mark.parametrize("f, lo, hi, frozen", _FROZEN_PANELS)
+def test_panel_bit_identical(f, lo, hi, frozen):
+    value, err, n = _kronrod_panel(f, lo, hi)
+    assert (complex(value), err, n) == frozen
