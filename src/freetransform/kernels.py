@@ -206,8 +206,9 @@ def _integrate_kernel(fam: KernelFamily, f, tol: float,
     if fam.tag == LCLASS:
         k = fam.k
         fac = math.factorial(k)
+        # the weight s^k e^-s / k! peaks at s = k
         return integrate_semi_infinite(
-            lambda s: f(math.exp(-s)) * s ** k / fac, tol)
+            lambda s: f(math.exp(-s)) * s ** k / fac, tol, split=float(k))
     # CUSTOM with a density
     if fam.r_density is None:
         raise InvalidInput("step kernels are finite sums; no quadrature path")

@@ -5,17 +5,14 @@ panel.  All nodes are interior, so integrands may be singular (but
 integrable) at the endpoints; they are simply never evaluated there.
 Panels are split adaptively, worst error first, under a global budget.
 
-Integrals over (0, inf) are reduced to (0, 1) by default with the
-algebraic chart u = (1 - v)/v.  It maps smooth integrands with
-exponential decay, such as u^k e^-u weights or Laplace tails, to
-integrands that vanish smoothly at v = 0, and it also resolves
-algebraic decay.  The logarithmic chart u = -log(v) is kept as
-tail="exp", but it is the wrong default for the Laplace-type
-integrands this package meets: it turns u^k e^-u into (-log v)^k and a
-polynomially growing Laplace tail into v^(t-1), endpoint singularities
-that adaptive bisection resolves only by walking some 40 levels into
-v = 0 (about 4 to 6 times the evaluations on the package's kernel and
-Laplace oracles).
+Integrals over (0, inf) are reduced to (0, 1) with u = (1 - v)/v.  A
+smooth integrand that decays exponentially, such as a u^k e^-u weight or
+a Laplace tail, then vanishes smoothly at v = 0, and one with algebraic
+decay like 1/u^2 stays bounded there.  The logarithmic map u = -log(v)
+would turn u^k e^-u into (-log v)^k and a polynomially growing Laplace
+tail into v^(t-1): endpoint singularities that adaptive bisection
+resolves only by walking some 40 levels into v = 0, at 4 to 6 times the
+evaluations on the package's kernel and Laplace oracles.
 """
 
 from __future__ import annotations
@@ -56,11 +53,6 @@ _WG = (
     0.3818300505051189,
     0.4179591836734694,
 )
-
-# (abscissa, Kronrod weight, Gauss weight or 0.0) of each pair of
-# nodes +-x, outermost first
-_NODE_PAIRS = tuple(
-    (_XGK[j], _WGK[j], _WG[j // 2] if j % 2 else 0.0) for j in range(7))
 
 _MAX_PANELS = 10_000
 _EPMACH = 2.220446049250313e-16
@@ -110,32 +102,29 @@ def _kronrod_panel(f: Callable[[float], complex], lo: float, hi: float):
         resg = _WG[3] * fc
         resabs = _WGK[7] * abs(fc)
 
-        # Keep the rule strictly open: a node that rounds onto a panel edge
-        # is pulled one step inward.  Rounding is monotone, so when the
-        # outermost pair lies inside (lo, hi) every inner pair does too.
-        dx = half * _XGK[0]
-        guarded = not (lo < center - dx and center + dx < hi)
-        samples = []
-        for node, wk, wg in _NODE_PAIRS:
-            dx = half * node
-            x1 = center - dx
-            x2 = center + dx
-            if guarded:
-                if x1 <= lo:
-                    x1 = math.nextafter(lo, hi)
-                if x2 >= hi:
-                    x2 = math.nextafter(hi, lo)
+        samples = [fc]
+        for j in range(7):
+            x = half * _XGK[j]
+            # keep the rule strictly open: a node that rounds onto a panel
+            # edge is pulled one step inward
+            x1 = center - x
+            if x1 <= lo:
+                x1 = math.nextafter(lo, hi)
+            x2 = center + x
+            if x2 >= hi:
+                x2 = math.nextafter(hi, lo)
             f1 = complex(f(x1))
             f2 = complex(f(x2))
             if not (isfinite(f1.real) and isfinite(f1.imag)
                     and isfinite(f2.real) and isfinite(f2.imag)):
                 bad = x1 if not (isfinite(f1.real) and isfinite(f1.imag)) else x2
                 raise NonFiniteError(f"integrand non-finite at {bad!r}")
-            resk += wk * (f1 + f2)
-            resabs += wk * (abs(f1) + abs(f2))
-            if wg:
-                resg += wg * (f1 + f2)
-            samples.append((wk, f1, f2))
+            resk += _WGK[j] * (f1 + f2)
+            resabs += _WGK[j] * (abs(f1) + abs(f2))
+            if j % 2 == 1:
+                resg += _WG[j // 2] * (f1 + f2)
+            samples.append(f1)
+            samples.append(f2)
     except (OverflowError, ZeroDivisionError) as exc:
         raise NonFiniteError(
             f"integrand raised {type(exc).__name__} on [{lo!r}, {hi!r}]") from exc
@@ -144,8 +133,10 @@ def _kronrod_panel(f: Callable[[float], complex], lo: float, hi: float):
     # the error estimate honest on nearly-singular panels.
     reskh = 0.5 * resk
     resasc = _WGK[7] * abs(fc - reskh)
-    for wk, f1, f2 in samples:
-        resasc += wk * (abs(f1 - reskh) + abs(f2 - reskh))
+    idx = 1
+    for j in range(7):
+        resasc += _WGK[j] * (abs(samples[idx] - reskh) + abs(samples[idx + 1] - reskh))
+        idx += 2
 
     value = resk * half
     resabs *= abs(half)
@@ -224,33 +215,36 @@ def integrate_semi_infinite(
     f: Callable[[float], complex],
     tol: float = 1e-10,
     *,
-    tail: str = "alg",
+    split: float = 0.0,
 ) -> IntegrationResult:
     """Integrate f over (0, inf) to absolute tolerance tol.
 
-    tail="alg", the default, uses u = (1 - v)/v.  A smooth f that decays
-    exponentially, like u^k e^-u, or algebraically, like 1/u^2, becomes
-    an integrand that vanishes smoothly or stays bounded at v = 0.
-    tail="exp" uses u = -log(v).  It turns u^k e^-u into (-log v)^k, and
-    the Laplace tail p(u) e^-tu of a polynomially growing p into
-    v^(t-1) p(-log v): endpoint singularities at v = 0 that adaptive
-    bisection pays for with several times the evaluations.  It cannot
-    resolve algebraic decay.
+    Substitutes u = (1 - v)/v and integrates over v in (0, 1).  A smooth
+    f that decays exponentially, like u^k e^-u, or algebraically, like
+    1/u^2, becomes an integrand that vanishes smoothly or stays bounded
+    at v = 0.
+
+    With split > 0, (0, split) is integrated directly and (split, inf)
+    through the substitution, each to tol/2.  Split at a sharp peak of
+    f: a peak far out on the half line can otherwise fall between the
+    nodes of the first panel, which then return about 0 with a tiny
+    error estimate.
     """
-    if tail == "exp":
+    if not (split >= 0.0 and math.isfinite(split)):
+        raise InvalidInput(f"split must be finite and >= 0, got {split!r}")
+    if split > 0.0:
+        head = integrate_finite(f, 0.0, split, 0.5 * tol)
+        tail = integrate_semi_infinite(lambda w: f(split + w), 0.5 * tol)
+        return IntegrationResult(
+            value=head.value + tail.value,
+            error_estimate=head.error_estimate + tail.error_estimate,
+            evaluations=head.evaluations + tail.evaluations,
+        )
 
-        def g(v: float) -> complex:
-            return f(-math.log(v)) / v
-
-    elif tail == "alg":
-
-        def g(v: float) -> complex:
-            # two divisions: v * v underflows to 0 for v below 1e-162,
-            # where a divergent f can drive bisection
-            return f((1.0 - v) / v) / v / v
-
-    else:
-        raise InvalidInput(f"tail must be 'exp' or 'alg', got {tail!r}")
+    def g(v: float) -> complex:
+        # two divisions: v * v underflows to 0 for v below 1e-162,
+        # where a divergent f can drive bisection
+        return f((1.0 - v) / v) / v / v
 
     return integrate_finite(g, 0.0, 1.0, tol)
 
@@ -264,7 +258,7 @@ def laplace_transform(
 
     Split at u = 1: the head integrates directly, which puts any
     integrable singularity of g at u = 0 next to the origin where the
-    float grid is dense; the tail goes through the algebraic chart of
+    float grid is dense; the tail goes through the substitution of
     integrate_semi_infinite, where it vanishes smoothly at v = 0.
     """
     if not (t > 0.0 and math.isfinite(t)):
@@ -276,10 +270,4 @@ def laplace_transform(
             return 0.0
         return g(u) * damp
 
-    head = integrate_finite(integrand, 0.0, 1.0, 0.5 * tol)
-    tail = integrate_semi_infinite(lambda w: integrand(1.0 + w), 0.5 * tol)
-    return IntegrationResult(
-        value=head.value + tail.value,
-        error_estimate=head.error_estimate + tail.error_estimate,
-        evaluations=head.evaluations + tail.evaluations,
-    )
+    return integrate_semi_infinite(integrand, tol, split=1.0)

@@ -137,7 +137,8 @@ def _lerch_integral(z: complex, s: int, v: float, tol: float = _INTEGRAL_TOL) ->
 
     Valid for z off the real ray [1, inf); the integrand's denominator
     never vanishes there.  The weight t^(s-1) e^(-v t)/Gamma(s) is formed
-    in log space, so it stays of order one however large s is.
+    in log space, so it never overflows however large s is.  It peaks at
+    t = (s-1)/v, where the integral is split.
     """
     log_gamma = math.lgamma(s)
 
@@ -145,7 +146,7 @@ def _lerch_integral(z: complex, s: int, v: float, tol: float = _INTEGRAL_TOL) ->
         w = math.exp(-t)
         return math.exp((s - 1) * math.log(t) - v * t - log_gamma) / (1.0 - z * w)
 
-    return integrate_semi_infinite(integrand, tol).value
+    return integrate_semi_infinite(integrand, tol, split=(s - 1) / v).value
 
 
 def lerch_phi(z: complex, s: int, v: float, *, method: str = "auto") -> complex:

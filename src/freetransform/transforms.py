@@ -328,7 +328,9 @@ def exp_map_convolution_check(omega: LevyTriple,
         t_grid=grid,
         totals=tuple(totals),
         deviations=tuple(deviations),
-        max_deviation=max(deviations),
+        # max() keeps its running value against a NaN; a NaN must show
+        max_deviation=(math.nan if any(map(math.isnan, deviations))
+                       else max(deviations)),
         jump_log_moment=log_moment(omega, 1),
     )
 

@@ -226,7 +226,7 @@ def suite_operators() -> list[CheckResult]:
         dev = _worst(dev, abs(w1 - w2) / w2 if x1 == x2 else math.inf)
     results.append(CheckResult("measure-roundtrip", dev, 1e-12))
 
-    dev = _worst(*exp_map_convolution_check(tr, _T_GRID).deviations)
+    dev = exp_map_convolution_check(tr, _T_GRID).max_deviation
     results.append(CheckResult("exp-map-split", dev, 1e-12))
 
     # (2 - t d/dt) - (1 - t d/dt) is the identity, whatever the step noise

@@ -53,6 +53,16 @@ def test_integral_oracle_agrees_up_to_order_12():
                 assert abs(closed - oracle) <= 1e-10 * abs(closed), (s, z, v)
 
 
+def test_integral_oracle_resolves_high_order_peaks():
+    # the weight peaks at t = (s-1)/v; a first panel whose nodes straddle
+    # that peak would return about 0 with a tiny error estimate
+    for s in (60, 120, 200):
+        for z in (0.8j, -0.7 + 0.3j, 1.5j, -1.2, 3.0 + 1.0j):
+            closed = lerch_phi(z, s, 1.0)
+            oracle = lerch_phi(z, s, 1.0, method="integral")
+            assert abs(closed - oracle) <= 1e-10 * abs(closed), (s, z)
+
+
 def test_lerch_s1_large_k_stays_finite():
     # powers of 1/z: z^k would overflow long before k = 1000
     for z in (0.7, 0.995j, 1.0j, -1.5, 4.0 + 3.0j):

@@ -123,7 +123,7 @@ def test_sself_charts_sample_different_nodes():
 
 
 # evaluation counts of the half-line oracles on verify's grid: 6 765 for
-# lclass(5) and 3 765 for sself(3); on the tail="exp" chart they are 37 125
+# lclass(5) and 3 765 for sself(3); on a u = -log v chart they were 37 125
 # and 11 625
 
 def test_lclass_oracle_evaluation_count():
@@ -134,6 +134,20 @@ def test_lclass_oracle_evaluation_count():
 def test_sself_oracle_evaluation_count():
     fam = sself(3)
     assert sum(kernel_g_quad(fam, z).evaluations for z in _upper_grid()) <= 6_000
+
+
+def test_lclass_oracle_high_order():
+    # the weight s^k e^-s/k! peaks at s = k, far beyond the first panel's
+    # nodes; the oracle must find it, or fail with a package error once
+    # s^k overflows, but never return a wrong value
+    for k in (30, 60, 90, 120):
+        fam = lclass(k)
+        for z in (0.5 + 0.5j, -0.5 + 0.1j, 2j):
+            try:
+                value = kernel_g_quad(fam, z).value
+            except FreeTransformError:
+                continue
+            assert abs(value - kernel_g(fam, z)) <= 1e-12, (k, z)
 
 
 def test_high_order_oracles_raise_package_errors():

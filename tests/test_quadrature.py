@@ -86,47 +86,44 @@ def test_semi_infinite_exponential():
 
 
 def test_semi_infinite_algebraic_tail():
-    # 1/(1+s^2) has only algebraic decay; the log chart cannot reach it
-    res = integrate_semi_infinite(lambda s: 1.0 / (1.0 + s * s),
-                                  1e-9, tail="alg")
+    # 1/(1+s^2) has only algebraic decay; a -log v chart could not reach it
+    res = integrate_semi_infinite(lambda s: 1.0 / (1.0 + s * s), 1e-9)
     check(res, math.pi / 2.0, tol=1e-9)
 
 
-@pytest.mark.parametrize("tail", ["alg", "exp"])
-def test_semi_infinite_gamma_moments(tail):
+def test_semi_infinite_gamma_moments():
     # int_0^inf s^k e^-s ds = k!, to a tolerance relative to the value
     for k in range(9):
         exact = math.factorial(k)
         res = integrate_semi_infinite(lambda s: s ** k * math.exp(-s),
-                                      TOL * exact, tail=tail)
+                                      TOL * exact)
         check(res, exact, tol=TOL * exact)
 
 
-@pytest.mark.parametrize("tail", ["alg", "exp"])
-def test_semi_infinite_laplace_of_square(tail):
-    # L{u^2}(t) = 2/t^3 as one half-line integral on either chart
+def test_semi_infinite_laplace_of_square():
+    # L{u^2}(t) = 2/t^3 as one half-line integral
     for t in (0.5, 2.0):
-        res = integrate_semi_infinite(lambda u: u * u * math.exp(-t * u), tail=tail)
+        res = integrate_semi_infinite(lambda u: u * u * math.exp(-t * u))
         check(res, 2.0 / t ** 3)
 
 
-@pytest.mark.parametrize("tail", ["alg", "exp"])
-def test_semi_infinite_divergent_raises(tail):
+def test_semi_infinite_divergent_raises():
     # bisection walks into v = 0 until the samples or their panel sums
     # stop being finite; that must surface as a package error, not a value
     for f in (lambda u: 1.0 / (1.0 + u), lambda u: u ** -0.5):
         with pytest.raises(NonFiniteError):
-            integrate_semi_infinite(f, tail=tail)
+            integrate_semi_infinite(f)
 
 
-def test_semi_infinite_default_chart_is_algebraic():
-    f = lambda s: s ** 3 * math.exp(-s)
-    assert integrate_semi_infinite(f) == integrate_semi_infinite(f, tail="alg")
+def test_semi_infinite_split_resolves_far_peak():
+    # unsplit, all first-panel nodes miss a unit-width peak at u = 300
+    f = lambda u: math.exp(-0.5 * (u - 300.0) ** 2)
+    check(integrate_semi_infinite(f, split=300.0), math.sqrt(2.0 * math.pi))
 
 
 def test_laplace_evaluation_count():
     # the Gaussian round trip of verify's laplace suite takes 4 170
-    # evaluations; with its tail on the tail="exp" chart it takes 27 510
+    # evaluations; with its tail on a u = -log v chart it took 27 510
     evals = 0
     for a, var in _GAUSS_PAIRS:
         tr = LevyTriple(a, var, ())
@@ -157,8 +154,9 @@ def test_invalid_bounds_and_tol():
         integrate_finite(lambda s: s, 0.0, math.inf)
     with pytest.raises(InvalidInput):
         integrate_finite(lambda s: s, 0.0, 1.0, tol=0.0)
-    with pytest.raises(InvalidInput):
-        integrate_semi_infinite(lambda s: s, tail="cubic")
+    for split in (-1.0, math.inf, math.nan):
+        with pytest.raises(InvalidInput):
+            integrate_semi_infinite(lambda s: math.exp(-s), split=split)
     with pytest.raises(InvalidInput):
         laplace_transform(lambda u: 1.0, 0.0)
 

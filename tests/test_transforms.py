@@ -199,6 +199,23 @@ def test_exp_map_convolution_split():
     assert rep.jump_log_moment > 0.0
 
 
+def test_exp_map_convolution_split_reports_nan(monkeypatch):
+    # a NaN at a later grid point must not be folded away by max()
+    from freetransform import transforms
+
+    real_id = transforms.voiculescu_id
+
+    def nan_at_last(tr, t):
+        if t == T_GRID[-1]:
+            return transforms.TransformValue(t, complex(math.nan, 0.0))
+        return real_id(tr, t)
+
+    monkeypatch.setattr(transforms, "voiculescu_id", nan_at_last)
+    rep = exp_map_convolution_check(MIXED, T_GRID)
+    assert not math.isnan(rep.deviations[0])
+    assert math.isnan(rep.max_deviation)
+
+
 def test_exp_map_convolution_empty_grid():
     with pytest.raises(InvalidInput):
         exp_map_convolution_check(MIXED, ())
