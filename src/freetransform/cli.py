@@ -22,7 +22,7 @@ import sys
 
 from . import __version__
 from .errors import DomainError, FreeTransformError, InvalidInput
-from .kernels import kernel_g, kernel_g_quad, lclass, sself, ubeta
+from .kernels import FAMILIES, LCLASS, SSELF, UBETA, KernelFamily, kernel_g, kernel_g_quad
 from .measures import LevyTriple, triple_to_finite_measure
 from .transforms import (
     LInfSpec,
@@ -39,12 +39,8 @@ EXIT_DOMAIN = 3
 
 _DEFAULT_TOL = 1e-10
 _CLASS_TAGS = ("uks", "ubk", "lk", "linf", "id")
-_FAMILY_MAKERS = {"sself": sself, "ubeta": ubeta, "lclass": lclass}
-# kernel family of each random-integral class; uks k = 0 is the identity
-_CLASS_FAMILIES = {"uks": sself, "ubk": ubeta, "lk": lclass}
-
-# smallest admissible k per class tag that takes one; linf and id take no k
-_K_RANGE = {"uks": 0, "ubk": 1, "lk": 0}
+# kernel family of each class that takes a k; linf and id take none
+_CLASS_FAMILIES = {"uks": SSELF, "ubk": UBETA, "lk": LCLASS}
 
 
 def default_tol() -> float:
@@ -185,17 +181,22 @@ def _evaluator(class_tag: str, k, data):
         # voiculescu_id, with the companion measure built once per call
         m = triple_to_finite_measure(tr)
         return lambda t: voiculescu_direct(tr.drift, m, t).value
-    fam = _CLASS_FAMILIES[class_tag](k)
+    fam = KernelFamily(_CLASS_FAMILIES[class_tag], k)
     return lambda t: random_integral_transform(fam, tr, t).value
 
 
+def _lowest_k(class_tag: str) -> int:
+    # uks k = 0 is the identity map, below the orders of its family
+    return 0 if class_tag == "uks" else FAMILIES[_CLASS_FAMILIES[class_tag]].lowest
+
+
 def _check_k(class_tag: str, k):
-    if class_tag in _K_RANGE:
+    if class_tag in _CLASS_FAMILIES:
         if k is None:
             raise InvalidInput(f"--class {class_tag} requires --k")
-        if k < _K_RANGE[class_tag]:
-            raise InvalidInput(
-                f"--k must be >= {_K_RANGE[class_tag]} for class {class_tag}, got {k}")
+        lowest = _lowest_k(class_tag)
+        if k < lowest:
+            raise InvalidInput(f"--k must be >= {lowest} for class {class_tag}, got {k}")
     elif k is not None:
         raise InvalidInput(f"--class {class_tag} does not take --k")
 
@@ -220,11 +221,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernels(args) -> int:
-    maker = _FAMILY_MAKERS[args.family]
-    lowest = 0 if args.family == "lclass" else 1
+    lowest = FAMILIES[args.family].lowest
     if args.k < lowest:
         raise InvalidInput(f"--k must be >= {lowest} for family {args.family}, got {args.k}")
-    fam = maker(args.k)
+    fam = KernelFamily(args.family, args.k)
     tol = args.tol if args.tol is not None else default_tol()
     rows = []
     for z in parse_grid(args.grid):
@@ -241,12 +241,12 @@ def cmd_info(args) -> int:
     print()
     print("classes (eval --class):")
     print("  id    plain infinitely divisible transform (no k)")
-    print("  uks   k-times shrink-refined class, k >= 0 (k = 0 is id)")
-    print("  ubk   power-time-change Bernstein class, k >= 1")
-    print("  lk    k-th selfdecomposable class, k >= 0")
+    print(f"  uks   k-times shrink-refined class, k >= {_lowest_k('uks')} (k = 0 is id)")
+    print(f"  ubk   power-time-change Bernstein class, k >= {_lowest_k('ubk')}")
+    print(f"  lk    k-th selfdecomposable class, k >= {_lowest_k('lk')}")
     print("  linf  fully scale-invariant class (no k; own JSON input)")
     print()
-    print("kernel families (kernels --family): sself, ubeta, lclass")
+    print(f"kernel families (kernels --family): {', '.join(FAMILIES)}")
     print(f"verify suites: {', '.join(list(SUITES) + ['all'])}")
     print(f"default tolerance: {default_tol()!r} (env FREETRANSFORM_TOL)")
     return EXIT_OK
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(fn=cmd_verify)
 
     p_kern = sub.add_parser("kernels", help="tabulate g closed form vs quadrature")
-    p_kern.add_argument("--family", required=True, choices=sorted(_FAMILY_MAKERS))
+    p_kern.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p_kern.add_argument("--k", type=int, required=True)
     p_kern.add_argument("--grid", default="-0.5:2:5,0.1:2:5")
     p_kern.add_argument("--tol", type=float, default=None)

@@ -10,7 +10,8 @@ Derivatives are numerical (Richardson-extrapolated central differences)
 so the operators apply to arbitrary evaluators, including
 quadrature-backed ones.  Repeated application amplifies evaluation
 noise by roughly eps/h per level, so iterated powers must widen the
-step as they go; operator_power does that automatically.
+step as they go: operator_power multiplies the relative step by a
+fixed factor per level.
 """
 
 from __future__ import annotations
@@ -90,20 +91,19 @@ def lower_selfdec_class(V, rel_step: float = _DEFAULT_REL_STEP) -> TransformEval
     return TransformEvaluator(fn=lowered, label=f"(1 - t d/dt) {label}".strip())
 
 
-def operator_power(lower, V, n: int,
-                   base_step: float = _DEFAULT_REL_STEP,
-                   growth: float = _POWER_STEP_GROWTH) -> TransformEvaluator:
+def operator_power(lower, V, n: int) -> TransformEvaluator:
     """Apply a lowering operator n times with per-level step widening.
 
-    The innermost application differentiates the clean evaluator and
-    uses base_step; each further level multiplies the relative step by
-    growth, balancing noise amplification against truncation error.
+    The innermost application differentiates the clean evaluator with
+    the relative step _DEFAULT_REL_STEP; each further level multiplies
+    it by _POWER_STEP_GROWTH, balancing noise amplification against
+    truncation error.
     """
     if not (isinstance(n, int) and n >= 1):
         raise InvalidInput(f"n must be an integer >= 1, got {n!r}")
     out = V
     for level in range(n):
-        out = lower(out, rel_step=base_step * growth ** level)
+        out = lower(out, rel_step=_DEFAULT_REL_STEP * _POWER_STEP_GROWTH ** level)
     return out
 
 

@@ -2,7 +2,8 @@
 and the gamma function.
 
 Only the slices needed by the transform kernels are covered: integer
-s >= 1 for the Lerch/polylog family, gamma on the positive axis.
+s >= 1 for the Lerch/polylog family, gamma on the positive axis (the
+standard library's, with this package's error contract).
 
 Li_s(z) for integer s takes one of three branches by |z|:
 
@@ -16,9 +17,9 @@ Li_s(z) for integer s takes one of three branches by |z|:
 Li_1(z) = -log(1-z) is used as it stands beyond the series radius.  The
 Lerch transcendent with integer v reduces to these: Phi(z,s,1) =
 Li_s(z)/z, Phi(z,s,2) = (Li_s(z) - z)/z^2, and Phi(z,1,k) is a logarithm
-minus a finite sum in 1/z.  Non-integer v, and method="integral", use
-the integral representation by quadrature, which is the oracle the
-closed forms are checked against.
+minus a finite sum in 1/z.  Other v use the integral representation by
+quadrature, which is also the oracle the closed forms are checked
+against.
 
 References: R. Crandall, "Note on fast polylogarithm computation"
 (2006); D. Wood, "The computation of polylogarithms", University of
@@ -38,6 +39,7 @@ _SERIES_RADIUS = 0.5
 _INVERSION_RADIUS = 2.0
 _SERIES_MAX_TERMS = 1_000_000
 _SERIES_EPS = 1e-15
+# relative to the mass v^-s of the integral representation's weight
 _INTEGRAL_TOL = 1e-11
 # the closed-form sums stop at the first nonzero term below this fraction
 # of the running sum
@@ -58,20 +60,6 @@ _BERNOULLI_HALF = 64
 # Euler-Mascheroni constant, double precision.
 _EULER_GAMMA = 0.5772156649015329
 
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def euler_gamma() -> float:
     """The Euler-Mascheroni constant."""
@@ -79,30 +67,17 @@ def euler_gamma() -> float:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function on the positive real axis via the Lanczos sum."""
+    """Gamma function on the positive real axis (math.gamma).
+
+    Raises DomainError for x <= 0, a non-finite x, and from x ~ 171.62
+    on, where Gamma overflows double precision.
+    """
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"gamma_fn requires x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection keeps the Lanczos argument above 1/2
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
     try:
-        val = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+        return math.gamma(x)
     except OverflowError:
-        # t^(z+1/2) alone overflows from x ~ 142 on; split it around
-        # exp(-t) so Gamma stays finite up to x ~ 171.6
-        try:
-            half = t ** (0.5 * (z + 0.5))
-        except OverflowError:
-            raise DomainError(f"gamma_fn({x!r}) overflows double precision")
-        val = math.sqrt(2.0 * math.pi) * half * math.exp(-t) * acc * half
-    if not math.isfinite(val):
         raise DomainError(f"gamma_fn({x!r}) overflows double precision")
-    return val
 
 
 def _on_cut(z: complex) -> bool:
@@ -132,24 +107,30 @@ def _lerch_series(z: complex, s: int, v: float) -> complex:
     )
 
 
-def _lerch_integral(z: complex, s: int, v: float, tol: float = _INTEGRAL_TOL) -> complex:
+def _lerch_integral(z: complex, s: int, v: float) -> complex:
     """Integral form (1/Gamma(s)) int_0^inf t^(s-1) e^(-v t)/(1 - z e^(-t)) dt.
 
     Valid for z off the real ray [1, inf); the integrand's denominator
-    never vanishes there.  The weight t^(s-1) e^(-v t)/Gamma(s) is formed
-    in log space, so it never overflows however large s is.  It peaks at
-    t = (s-1)/v, where the integral is split.
+    never vanishes there.  The weight t^(s-1) e^(-v t)/Gamma(s) has mass
+    v^-s, which Phi is about the size of: it is integrated as v^s times
+    the weight, a gamma density of mass 1 formed in log space, to the
+    absolute tolerance _INTEGRAL_TOL, and the result scaled by v^-s.  The
+    density peaks at t = (s-1)/v, where the integral is split.
     """
-    log_gamma = math.lgamma(s)
+    log_norm = s * math.log(v) - math.lgamma(s)
 
     def integrand(t: float) -> complex:
         w = math.exp(-t)
-        return math.exp((s - 1) * math.log(t) - v * t - log_gamma) / (1.0 - z * w)
+        return math.exp(log_norm + (s - 1) * math.log(t) - v * t) / (1.0 - z * w)
 
-    return integrate_semi_infinite(integrand, tol, split=(s - 1) / v).value
+    value = integrate_semi_infinite(integrand, _INTEGRAL_TOL, split=(s - 1) / v).value
+    try:
+        return value * v ** -s
+    except OverflowError:
+        raise DomainError(f"Phi(z, {s}, {v!r}) overflows double precision at z={z!r}")
 
 
-def lerch_phi(z: complex, s: int, v: float, *, method: str = "auto") -> complex:
+def lerch_phi(z: complex, s: int, v: float) -> complex:
     """Hurwitz-Lerch transcendent Phi(z, s, v) = sum_{n>=0} z^n/(v+n)^s.
 
     Parameters
@@ -157,13 +138,10 @@ def lerch_phi(z: complex, s: int, v: float, *, method: str = "auto") -> complex:
     z : complex, not on the real ray [1, inf)
     s : int >= 1
     v : float > 0
-    method : "auto" picks the series for |z| <= 1/2; beyond it, integer
-        v takes a closed form (v = 1, v = 2, or s = 1) and other v the
-        integral representation.  "series"/"integral" force a branch;
-        the forced series raises ConvergenceError for |z| > 1.
 
-    The series and the integral agree to ~1e-10 in the overlap band and
-    that agreement is part of the package's verification battery.
+    The series serves |z| <= 1/2; beyond it, integer v takes a closed
+    form (v = 1, v = 2, or s = 1) and other v the integral
+    representation.
     """
     z = complex(z)
     if _on_cut(z):
@@ -173,14 +151,6 @@ def lerch_phi(z: complex, s: int, v: float, *, method: str = "auto") -> complex:
     if not (v > 0.0 and math.isfinite(v)):
         raise DomainError(f"v must be positive and finite, got {v!r}")
 
-    if method == "series":
-        if abs(z) > 1.0:
-            raise ConvergenceError(f"Lerch series diverges at |z| > 1, z={z!r}")
-        return _lerch_series(z, s, v)
-    if method == "integral":
-        return _lerch_integral(z, s, v)
-    if method != "auto":
-        raise DomainError(f"unknown method {method!r}")
     if abs(z) <= _SERIES_RADIUS:
         return _lerch_series(z, s, v)
     if v == math.floor(v) and v <= _CLOSED_FORM_MAX_V:

@@ -19,18 +19,19 @@ import random
 from dataclasses import dataclass
 
 from .kernels import (
+    FAMILIES,
+    KernelFamily,
     const_c,
     const_c_quad,
     const_d,
     const_d_quad,
+    custom_density,
     custom_step,
     kernel_g,
     kernel_g_quad,
-    lclass,
     pick_eval,
     pick_representation,
     sself,
-    ubeta,
 )
 from .measures import (
     LevyTriple,
@@ -97,7 +98,6 @@ def _worst(*values: float) -> float:
 
 _KS = (1, 2, 3, 4, 5)
 _T_GRID = (0.5, 1.0, 2.0)
-_MAKERS = {"sself": sself, "ubeta": ubeta, "lclass": lclass}
 
 
 def _upper_grid(n: int = 5):
@@ -109,8 +109,8 @@ def _upper_grid(n: int = 5):
 
 def _families(ks=_KS):
     for k in ks:
-        for make in _MAKERS.values():
-            yield make(k)
+        for tag in FAMILIES:
+            yield KernelFamily(tag, k)
 
 
 # suites ------------------------------------------------------------------
@@ -118,8 +118,8 @@ def _families(ks=_KS):
 def suite_kernels() -> list[CheckResult]:
     """Closed-form kernel data against direct quadrature."""
     grid = _upper_grid()
-    worst_g = dict.fromkeys(_MAKERS, 0.0)
-    worst_cd = dict.fromkeys(_MAKERS, 0.0)
+    worst_g = dict.fromkeys(FAMILIES, 0.0)
+    worst_cd = dict.fromkeys(FAMILIES, 0.0)
     for fam in _families():
         for z in grid:
             dev = abs(kernel_g(fam, z) - kernel_g_quad(fam, z).value)
@@ -129,18 +129,24 @@ def suite_kernels() -> list[CheckResult]:
         worst_cd[fam.tag] = _worst(worst_cd[fam.tag], dev_c, dev_d)
 
     results = []
-    for tag in _MAKERS:
+    for tag in FAMILIES:
         results.append(CheckResult(f"{tag}-g-oracle", worst_g[tag], 1e-8))
         results.append(CheckResult(f"{tag}-const-oracle", worst_cd[tag], 1e-10))
 
-    # the log-weight kernel integrates on two different charts
+    # sself integrates on the half line s = e^-w; its raw (0, 1] form,
+    # with the logarithmic weight, samples other nodes and must agree
     dev = 0.0
     for k in (1, 2, 3):
         fam = sself(k)
-        for z in grid[::5]:
-            a = kernel_g_quad(fam, z, via="interval").value
-            b = kernel_g_quad(fam, z, via="halfline").value
-            dev = _worst(dev, abs(a - b))
+        raw = custom_density(lambda s: s,
+                             lambda s, k=k, fac=math.factorial(k - 1):
+                             (-math.log(s)) ** (k - 1) / fac,
+                             0.0, 1.0)
+        dev = _worst(dev,
+                     abs(const_c_quad(raw).value - const_c_quad(fam).value),
+                     abs(const_d_quad(raw).value - const_d_quad(fam).value),
+                     *(abs(kernel_g_quad(raw, z).value - kernel_g_quad(fam, z).value)
+                       for z in grid[::5]))
     results.append(CheckResult("sself-chart-agreement", dev, 1e-10))
     return results
 
@@ -150,7 +156,7 @@ def suite_nevanlinna() -> list[CheckResult]:
     rng = random.Random(2024)
     samples = [complex(rng.uniform(-3.0, 3.0), rng.uniform(1e-3, 3.0))
                for _ in range(200)]
-    worst = dict.fromkeys(_MAKERS, -math.inf)
+    worst = dict.fromkeys(FAMILIES, -math.inf)
     for fam in _families((1, 2, 3)):
         worst[fam.tag] = _worst(worst[fam.tag], *(kernel_g(fam, z).imag for z in samples))
     results = [CheckResult(f"{tag}-upper-to-lower", w, _BELOW_ZERO)
@@ -257,10 +263,10 @@ def suite_limits() -> list[CheckResult]:
     results.append(CheckResult("ubeta-filtration-rate", _worst(0.0, rate_bad), 0.0))
 
     # (g(ix/t) - c)/x -> d/(it), Richardson-extrapolated from x = 1e-5, 1e-6
-    for tag, make in _MAKERS.items():
+    for tag in FAMILIES:
         dev = 0.0
         for k in (1, 2, 3):
-            fam = make(k)
+            fam = KernelFamily(tag, k)
             c, d = const_c(fam), const_d(fam)
             for t in _T_GRID:
                 slope = lambda x: (kernel_g(fam, 1j * x / t) - c) / x

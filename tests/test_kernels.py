@@ -86,24 +86,29 @@ def test_g_series_branch_continuity():
             assert dev < 1e-10, (fam.tag, z)
 
 
+# sself(3) on its raw (0, 1] chart: h(s) = s, dr = (-log s)^2/2 ds
+SSELF3_INTERVAL = custom_density(lambda s: s, lambda s: math.log(s) ** 2 / 2.0,
+                                 0.0, 1.0)
+
+
 def test_sself_two_charts_agree():
     fam = sself(3)
     for z in UPPER[:3]:
-        a = kernel_g_quad(fam, z, via="interval").value
-        b = kernel_g_quad(fam, z, via="halfline").value
+        a = kernel_g_quad(SSELF3_INTERVAL, z).value
+        b = kernel_g_quad(fam, z).value
         assert abs(a - b) < 1e-10
 
 
-def _sself_chart_nodes(via):
-    """The s values at which the sself(3) kernel integral samples g's
-    integrand on the given chart (h(s) = s, so f sees s itself)."""
+def _sself_chart_nodes(fam):
+    """The s = h values at which the kernel integral of fam samples g's
+    integrand."""
     seen = []
 
     def f(s):
         seen.append(s)
         return s / (complex(0.4, 1.0) * s + 1.0)
 
-    kernels._integrate_kernel(sself(3), f, 1e-10, via=via)
+    kernels._integrate_kernel(fam, f, 1e-10)
     return seen
 
 
@@ -111,8 +116,8 @@ def test_sself_charts_sample_different_nodes():
     # the chart-agreement check in verify compares two charts only while
     # they feed the integrand different s; with s = e^-w = v on both the
     # two sides were one integrand rounded twice
-    interval = sorted(_sself_chart_nodes("interval"))
-    halfline = _sself_chart_nodes("halfline")
+    interval = sorted(_sself_chart_nodes(SSELF3_INTERVAL))
+    halfline = _sself_chart_nodes(sself(3))
 
     def shared(s):
         i = bisect.bisect_left(interval, s)
@@ -138,26 +143,28 @@ def test_sself_oracle_evaluation_count():
 
 def test_lclass_oracle_high_order():
     # the weight s^k e^-s/k! peaks at s = k, far beyond the first panel's
-    # nodes; the oracle must find it, or fail with a package error once
-    # s^k overflows, but never return a wrong value
-    for k in (30, 60, 90, 120):
+    # nodes, and s^k alone overflows from k = 75 on the chart's far
+    # nodes; the oracle must find the peak and stay finite
+    for k in (30, 60, 75, 90, 120, 170):
         fam = lclass(k)
         for z in (0.5 + 0.5j, -0.5 + 0.1j, 2j):
-            try:
-                value = kernel_g_quad(fam, z).value
-            except FreeTransformError:
-                continue
+            value = kernel_g_quad(fam, z).value
             assert abs(value - kernel_g(fam, z)) <= 1e-12, (k, z)
 
 
 def test_high_order_oracles_raise_package_errors():
-    # the half-line oracles meet k! and s^k beyond the float range at high
-    # order; that must surface as a package error, never OverflowError
-    for fam in (lclass(70), lclass(171), sself(172)):
-        try:
-            kernel_g_quad(fam, 0.5 + 0.5j)
-        except FreeTransformError:
-            pass
+    # k! and s^k leave the float range here, but their quotient does not:
+    # the oracles give values up to order 500
+    for fam in (lclass(70), lclass(171), sself(172), lclass(500), sself(501)):
+        for z in (0.5 + 0.5j, 2j):
+            value = kernel_g_quad(fam, z).value
+            assert abs(value - kernel_g(fam, z)) <= 1e-12, (fam.tag, fam.k, z)
+    # beyond it the weight peaks where e^-s underflows to 0
+    for fam in (lclass(501), sself(502), lclass(10 ** 6)):
+        for oracle in (const_c_quad, const_d_quad,
+                       lambda fam: kernel_g_quad(fam, 0.5 + 0.5j)):
+            with pytest.raises(DomainError):
+                oracle(fam)
 
 
 @settings(max_examples=40, deadline=None)
@@ -187,6 +194,33 @@ def test_family_validation():
         ubeta(0)
     with pytest.raises(InvalidInput):
         lclass(-1)
+    # a float order would reach k! in the oracle as a bare TypeError
+    for make in (sself, ubeta, lclass):
+        for k in (2.0, True, "2", None):
+            with pytest.raises(InvalidInput):
+                make(k)
+    with pytest.raises(InvalidInput):
+        kernels.KernelFamily("beta", 2)
+
+
+_ORDERS = st.one_of(st.integers(-10, 600), st.integers(10 ** 6, 10 ** 12),
+                    st.floats(allow_nan=True, allow_infinity=True), st.booleans())
+_UPPER_Z = st.builds(complex, st.floats(-1e3, 1e3), st.floats(1e-6, 1e3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(make=st.sampled_from((sself, ubeta, lclass)), k=_ORDERS, z=_UPPER_Z)
+def test_family_oracles_raise_only_package_errors(make, k, z):
+    for call in (lambda: make(k),
+                 lambda: const_c_quad(make(k)).value,
+                 lambda: const_d_quad(make(k)).value,
+                 lambda: kernel_g_quad(make(k), z).value):
+        try:
+            value = call()
+        except FreeTransformError:
+            continue
+        if not isinstance(value, kernels.KernelFamily):
+            assert cmath.isfinite(value), (make, k, z)
 
 
 # upper half-plane sign --------------------------------------------------------
@@ -208,6 +242,12 @@ def test_custom_density_replicates_beta_kernel():
         assert abs(kernel_g_quad(fam, z).value - kernel_g(ubeta(1), z)) < 1e-9
     assert abs(const_c_quad(fam).value - 0.5) < 1e-10
     assert abs(const_d_quad(fam).value - 1.0 / 3.0) < 1e-10
+
+
+def test_custom_density_half_line_starts_at_lo():
+    # dr = e^-s ds on (1, inf): c = e^-1, not the 1 of (0, inf)
+    fam = custom_density(lambda s: 1.0, lambda s: math.exp(-s), 1.0, math.inf)
+    assert abs(const_c_quad(fam).value - math.exp(-1.0)) < 1e-12
 
 
 def test_custom_step_finite_sum():

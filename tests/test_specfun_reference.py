@@ -1,4 +1,4 @@
-"""Polylogarithm, Lerch transcendent, zeta table and the class
+"""Polylogarithm, Lerch transcendent, zeta table, gamma and the class
 transforms built on them, against mpmath.
 
 mpmath serves only as a high-precision reference here; the tests are
@@ -12,8 +12,9 @@ import math
 
 import pytest
 
-from freetransform import (LevyTriple, kernel_g, lerch_phi, polylog, sself,
-                           transform_lclass, transform_sself, transform_ubeta)
+from freetransform import (LevyTriple, gamma_fn, kernel_g, lerch_phi, polylog,
+                           sself, transform_lclass, transform_sself,
+                           transform_ubeta)
 from freetransform.specfun import _zeta_pair
 
 mpmath = pytest.importorskip("mpmath")
@@ -109,6 +110,41 @@ def test_lerch_s1_against_mpmath(k):
     assert worst < 1e-10, worst
 
 
+def _phi_series(w, s, v):
+    """Phi(w, s, v) for |w| < 1 by its defining series, at the working
+    precision."""
+    acc, term, n = mpmath.mpf(0), mpmath.mpf(1), 0
+    while True:
+        contrib = term / mpmath.mpf(v + n) ** s
+        acc += contrib
+        if abs(contrib) < mpmath.eps * abs(acc):
+            return acc
+        term *= w
+        n += 1
+
+
+@pytest.mark.parametrize("v", [0.3, 0.9, 1.5, 2.5])
+def test_lerch_integral_is_relative(v):
+    # Phi is about v^-s: far below or above an absolute 1e-11 at high s
+    worst = 0.0
+    for s in (1, 8, 30, 80):
+        for z in (0.7, -0.9, 0.6 + 0.6j):
+            with mpmath.workdps(40):
+                ref = _phi_series(_mpc(complex(z)), s, mpmath.mpf(v))
+            worst = max(worst, _rel(lerch_phi(z, s, v), ref))
+    assert worst < 1e-12, worst
+
+
+def test_gamma_against_mpmath():
+    # from 1e-3 up to the top of the double range, log-spaced
+    worst = 0.0
+    with mpmath.workdps(40):
+        for j in range(401):
+            x = 1e-3 * (171.6 / 1e-3) ** (j / 400)
+            worst = max(worst, _rel(gamma_fn(x), mpmath.gamma(mpmath.mpf(x))))
+    assert worst < 2e-15, worst
+
+
 # defects of the quadrature route, kept as regressions ------------------------
 
 def test_polylog_order_8_off_disk():
@@ -152,14 +188,7 @@ def _phi_ref(w, s, v):
     cancellation eats added back."""
     if abs(w) <= 0.5:
         with mpmath.workdps(45):
-            acc, term, n = mpmath.mpf(0), mpmath.mpf(1), 0
-            while True:
-                contrib = term / mpmath.mpf(v + n) ** s
-                acc += contrib
-                if abs(contrib) < mpmath.mpf(10) ** -45 * abs(acc):
-                    return acc
-                term *= w
-                n += 1
+            return _phi_series(w, s, v)
     lost = int(v * max(0.0, -math.log10(abs(w)))) if s == 1 else int(0.31 * s)
     with mpmath.workdps(45 + lost):
         if s == 1:
