@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -37,24 +36,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 
-_DEFAULT_TOL = 1e-10
 _CLASS_TAGS = ("uks", "ubk", "lk", "linf", "id")
 # kernel family of each class that takes a k; linf and id take none
 _CLASS_FAMILIES = {"uks": SSELF, "ubk": UBETA, "lk": LCLASS}
-
-
-def default_tol() -> float:
-    """Built-in tolerance, overridable through FREETRANSFORM_TOL."""
-    raw = os.environ.get("FREETRANSFORM_TOL")
-    if raw is None:
-        return _DEFAULT_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise InvalidInput(f"FREETRANSFORM_TOL must be a number, got {raw!r}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise InvalidInput(f"FREETRANSFORM_TOL must be positive, got {raw!r}")
-    return tol
 
 
 # JSON parsing ------------------------------------------------------------
@@ -221,15 +205,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernels(args) -> int:
-    lowest = FAMILIES[args.family].lowest
-    if args.k < lowest:
-        raise InvalidInput(f"--k must be >= {lowest} for family {args.family}, got {args.k}")
     fam = KernelFamily(args.family, args.k)
-    tol = args.tol if args.tol is not None else default_tol()
     rows = []
     for z in parse_grid(args.grid):
         g = kernel_g(fam, z)
-        gq = kernel_g_quad(fam, z, tol).value
+        gq = kernel_g_quad(fam, z).value
         rows.append(f"{z.real!r},{z.imag!r},{g.real!r},{g.imag!r},"
                     f"{gq.real!r},{gq.imag!r},{abs(g - gq)!r}")
     _write_rows(args.out, "re_z,im_z,re_g,im_g,re_g_quad,im_g_quad,abs_diff", rows)
@@ -248,7 +228,6 @@ def cmd_info(args) -> int:
     print()
     print(f"kernel families (kernels --family): {', '.join(FAMILIES)}")
     print(f"verify suites: {', '.join(list(SUITES) + ['all'])}")
-    print(f"default tolerance: {default_tol()!r} (env FREETRANSFORM_TOL)")
     return EXIT_OK
 
 
@@ -280,11 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p_kern.add_argument("--k", type=int, required=True)
     p_kern.add_argument("--grid", default="-0.5:2:5,0.1:2:5")
-    p_kern.add_argument("--tol", type=float, default=None)
     p_kern.add_argument("--out", default="-")
     p_kern.set_defaults(fn=cmd_kernels)
 
-    p_info = sub.add_parser("info", help="list classes, families and defaults")
+    p_info = sub.add_parser("info", help="list classes, kernel families and verify suites")
     p_info.set_defaults(fn=cmd_info)
     return parser
 

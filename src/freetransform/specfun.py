@@ -111,19 +111,20 @@ def _lerch_integral(z: complex, s: int, v: float) -> complex:
     """Integral form (1/Gamma(s)) int_0^inf t^(s-1) e^(-v t)/(1 - z e^(-t)) dt.
 
     Valid for z off the real ray [1, inf); the integrand's denominator
-    never vanishes there.  The weight t^(s-1) e^(-v t)/Gamma(s) has mass
-    v^-s, which Phi is about the size of: it is integrated as v^s times
-    the weight, a gamma density of mass 1 formed in log space, to the
-    absolute tolerance _INTEGRAL_TOL, and the result scaled by v^-s.  The
-    density peaks at t = (s-1)/v, where the integral is split.
+    never vanishes there.  In tau = v t the weight is the gamma density
+    tau^(s-1) e^-tau/Gamma(s), of mass 1 whatever v is, formed in log
+    space; the integral is split at its peak tau = s-1, taken to the
+    absolute tolerance _INTEGRAL_TOL and scaled by v^-s, the size of Phi.
+    In t itself the weight would sit within 1/v of t = 0, between the
+    nodes of the first panel once v is large.
     """
-    log_norm = s * math.log(v) - math.lgamma(s)
+    log_norm = -math.lgamma(s)
 
-    def integrand(t: float) -> complex:
-        w = math.exp(-t)
-        return math.exp(log_norm + (s - 1) * math.log(t) - v * t) / (1.0 - z * w)
+    def integrand(tau: float) -> complex:
+        w = math.exp(-tau / v)
+        return math.exp(log_norm + (s - 1) * math.log(tau) - tau) / (1.0 - z * w)
 
-    value = integrate_semi_infinite(integrand, _INTEGRAL_TOL, split=(s - 1) / v).value
+    value = integrate_semi_infinite(integrand, _INTEGRAL_TOL, split=s - 1.0).value
     try:
         return value * v ** -s
     except OverflowError:

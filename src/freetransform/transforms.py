@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import DomainError, InvalidInput, NonFiniteError
-from .kernels import KernelFamily, lclass, map_data, sself, ubeta
+from .kernels import KernelFamily, custom_density, lclass, map_data, sself, ubeta
 from .measures import (FiniteMeasure, LevyTriple, finite_measure_to_triple,
                        log_moment, triple_to_finite_measure)
 from .quadrature import integrate_semi_infinite, laplace_transform
@@ -301,8 +301,11 @@ def exp_map_convolution_check(omega: LevyTriple,
 
     A law rho with background driving law omega decomposes as the
     convolution of omega's exponential-map image with omega itself, so
-    at transform level V_rho = V[I omega] + V[omega] must be reproduced
-    exactly by the convolution rule (pointwise addition).
+    at transform level V_rho = V[I omega] + V[omega].  The convolution
+    rule (pointwise addition) applied to the closed forms must reproduce
+    V_rho built independently: the image from its defining integral,
+    with c, d and g of the kernel e^-s on (0, inf) all by quadrature,
+    and V[omega] through the Laplace route.
     """
     grid = tuple(_check_t(t) for t in t_grid)
     if not grid:
@@ -310,11 +313,13 @@ def exp_map_convolution_check(omega: LevyTriple,
 
     v_image = lambda t: transform_lclass(0, omega, t).value
     v_omega = lambda t: voiculescu_id(omega, t).value
+    exp_kernel = custom_density(lambda s: math.exp(-s), lambda s: 1.0, 0.0, math.inf)
 
     totals = []
     deviations = []
     for t in grid:
-        direct = v_image(t) + v_omega(t)
+        direct = (random_integral_transform(exp_kernel, omega, t).value
+                  + voiculescu_via_laplace(omega, t).value)
         via_rule = add_transforms(v_image, v_omega, t).value
         totals.append(direct)
         deviations.append(abs(direct - via_rule))

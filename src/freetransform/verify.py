@@ -43,7 +43,6 @@ from .operators import (
     filtration_limit_check,
     lower_selfdec_class,
     lower_shrink_class,
-    operator_power,
 )
 from .specfun import euler_gamma
 from .transforms import (
@@ -196,16 +195,14 @@ def suite_operators() -> list[CheckResult]:
 
     tr = _OP_TRIPLES[0]
     for k in (1, 2, 3):
-        powered = operator_power(lower_shrink_class,
-                                 lambda t, k=k: transform_sself(k, tr, t).value, k)
+        powered = lower_shrink_class(lambda t, k=k: transform_sself(k, tr, t).value, k)
         dev = _worst(*(abs(powered(t) - voiculescu_id(tr, t).value) for t in _T_GRID))
-        results.append(CheckResult(f"shrink-power-{k}", dev, k / 1e5))
+        results.append(CheckResult(f"shrink-power-{k}", dev, k / 1e7))
     for k in (0, 1, 2):
-        powered = operator_power(lower_selfdec_class,
-                                 lambda t, k=k: transform_lclass(k, tr, t).value,
-                                 k + 1)
+        powered = lower_selfdec_class(lambda t, k=k: transform_lclass(k, tr, t).value,
+                                      k + 1)
         dev = _worst(*(abs(powered(t) - voiculescu_id(tr, t).value) for t in _T_GRID))
-        results.append(CheckResult(f"selfdec-power-{k + 1}", dev, (k + 1) / 1e5))
+        results.append(CheckResult(f"selfdec-power-{k + 1}", dev, (k + 1) / 1e7))
 
     # exact transform algebra: dilation, convolution, measure round trip
     V = lambda t: voiculescu_id(tr, t).value

@@ -10,14 +10,8 @@ import pytest
 CMD = [sys.executable, "-m", "freetransform.cli"]
 
 
-def run(*args, env_extra=None, cwd=None):
-    import os
-
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(CMD + list(args), capture_output=True, text=True,
-                          env=env, cwd=cwd)
+def run(*args):
+    return subprocess.run(CMD + list(args), capture_output=True, text=True)
 
 
 @pytest.fixture()
@@ -217,7 +211,7 @@ def test_verify_unknown_suite():
     assert res.returncode == 2
 
 
-# info and env --------------------------------------------------------------------
+# info and flags -------------------------------------------------------------------
 
 def test_info(gauss_json):
     res = run("info")
@@ -226,15 +220,10 @@ def test_info(gauss_json):
     assert "uks" in res.stdout
 
 
-def test_tolerance_env_used(gauss_json):
-    res = run("info", env_extra={"FREETRANSFORM_TOL": "1e-6"})
-    assert res.returncode == 0
-    assert "1e-06" in res.stdout
-    res = run("info", env_extra={"FREETRANSFORM_TOL": "soon"})
+def test_tolerance_flags_rejected(gauss_json):
+    # kernels integrates at kernel_g_quad's default tolerance, and eval
+    # evaluates closed forms only; neither takes a tolerance
+    res = run("kernels", "--family", "sself", "--k", "1", "--tol", "1e-6")
     assert res.returncode == 2
-    res = run("kernels", "--family", "sself", "--k", "1",
-              env_extra={"FREETRANSFORM_TOL": "-3"})
-    assert res.returncode == 2
-    # eval evaluates closed forms only and takes no tolerance
     res = run("eval", "--class", "id", "--input", gauss_json, "--tol", "1e-6")
     assert res.returncode == 2

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from freetransform import (
+    DomainError,
     InvalidInput,
     LevyTriple,
     StepError,
@@ -13,12 +14,12 @@ from freetransform import (
     filtration_limit_check,
     lower_selfdec_class,
     lower_shrink_class,
-    operator_power,
     transform_lclass,
     transform_sself,
     transform_ubeta,
     voiculescu_id,
 )
+from freetransform.verify import _OP_TRIPLES
 
 MIXED = LevyTriple(0.4, 1.1, ((-1.5, 0.4), (0.7, 1.2), (2.0, 0.3)))
 T_GRID = (0.5, 1.0, 2.0)
@@ -76,23 +77,59 @@ def test_lowering_difference_is_identity():
 
 
 def test_operator_power_single_matches_direct():
+    # n = 1 against the definition 2 V - t dV/dt, differentiated in t
     V = lambda t: transform_sself(1, MIXED, t).value
-    a = operator_power(lower_shrink_class, V, 1)
-    b = lower_shrink_class(V)
+    lowered = lower_shrink_class(V, 1)
     for t in (0.8, 1.6):
-        assert abs(a(t) - b(t)) < 1e-12
+        direct = 2.0 * V(t) - t * derivative_t(V, t, 1e-3 * t)
+        assert abs(lowered(t) - direct) < 1e-10
 
 
 def test_operator_power_reaches_base_class():
     V = lambda t: transform_sself(3, MIXED, t).value
-    powered = operator_power(lower_shrink_class, V, 3)
+    powered = lower_shrink_class(V, 3)
     for t in T_GRID:
-        assert abs(powered(t) - voiculescu_id(MIXED, t).value) < 3e-5
+        assert abs(powered(t) - voiculescu_id(MIXED, t).value) < 1e-8
+
+
+@pytest.mark.parametrize("n,bound", [(1, 1e-12), (2, 1e-9), (3, 1e-8),
+                                     (4, 1e-7), (5, 1e-6), (6, 5e-6)])
+def test_operator_power_over_four_decades_of_t(n, bound):
+    # (2 - t d/dt)^n takes sself(n), and (1 - t d/dt)^n takes lclass(n-1),
+    # to the plain transform
+    worst = 0.0
+    for tr in _OP_TRIPLES:
+        shrink = lower_shrink_class(lambda t: transform_sself(n, tr, t).value, n)
+        selfdec = lower_selfdec_class(lambda t: transform_lclass(n - 1, tr, t).value, n)
+        for t in (0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0):
+            target = voiculescu_id(tr, t).value
+            for lowered in (shrink, selfdec):
+                worst = max(worst, abs(lowered(t) - target) / (1.0 + abs(target)))
+    assert worst < bound, worst
+
+
+@pytest.mark.parametrize("n,calls", [(1, 5), (2, 9), (3, 17)])
+def test_operator_power_evaluation_count(n, calls):
+    # one pass over the stencil points; nothing lowered is differentiated again
+    points = []
+    lower_selfdec_class(lambda t: points.append(t) or 1.0 / t, n)(1.5)
+    assert len(points) == calls
 
 
 def test_operator_power_validation():
-    with pytest.raises(InvalidInput):
-        operator_power(lower_shrink_class, lambda t: t, 0)
+    for lower in (lower_shrink_class, lower_selfdec_class):
+        for n in (0, -1, True, 2.0, 7, 400):
+            with pytest.raises(InvalidInput):
+                lower(lambda t: t, n)
+        for t in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                lower(lambda t: t)(t)
+
+
+def test_lowering_labels():
+    ev = TransformEvaluator(lambda t: t, label="V")
+    assert lower_shrink_class(ev).label == "(2 - t d/dt) V"
+    assert lower_selfdec_class(ev, 3).label == "(1 - t d/dt)^3 V"
 
 
 def test_filtration_limit_report():

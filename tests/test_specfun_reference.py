@@ -135,6 +135,18 @@ def test_lerch_integral_is_relative(v):
     assert worst < 1e-12, worst
 
 
+@pytest.mark.parametrize("v", [1e5 + 1, 2e5 + 1, 1e6 + 1])
+def test_lerch_integral_large_v(v):
+    # past the closed forms' largest v; in t the weight v e^(-v t) sat
+    # within 1/v of 0, between the first panel's nodes, and Phi came out 0
+    worst = 0.0
+    for z in (0.7, -0.9, 0.6 + 0.6j, -1.7j, 3j, -20.0):
+        with mpmath.workdps(25):
+            ref = mpmath.lerchphi(_mpc(complex(z)), 1, mpmath.mpf(v))
+        worst = max(worst, _rel(lerch_phi(z, 1, v), ref))
+    assert worst < 1e-13, worst
+
+
 def test_gamma_against_mpmath():
     # from 1e-3 up to the top of the double range, log-spaced
     worst = 0.0
@@ -210,14 +222,14 @@ CLASS_DATA = {
 }
 
 
-def _class_ref(name, k, t):
+def _class_ref(name, k, t, phi=_phi_ref):
     with mpmath.workdps(45):
         c, d, scale, s, v = CLASS_DATA[name][1](k)
         t = mpmath.mpf(t)
         acc = LAW.drift * c + LAW.gauss_var * d / mpmath.mpc(0, t)
         for x, w in LAW.levy_atoms:
             x = mpmath.mpf(x)
-            g = scale * _phi_ref(mpmath.mpc(0, -x / t), s, v)
+            g = scale * phi(mpmath.mpc(0, -x / t), s, v)
             acc += w * x * (g - c / (1 + x * x))
         return acc
 
@@ -232,3 +244,12 @@ def test_class_transform_against_mpmath(name, k):
     worst = max(_rel(transform(k, LAW, t).value, _class_ref(name, k, t))
                 for t in T_GRID)
     assert worst < 1e-12, worst
+
+
+def test_ubeta_order_past_the_closed_forms():
+    # k + 1 > 100 000 takes the Lerch integral for |x|/t > 1/2; the log
+    # form behind _phi_ref would need a million terms, mpmath's lerchphi not
+    k = 10 ** 6
+    for t in (0.01, 0.8685):
+        ref = _class_ref("ubeta", k, t, phi=mpmath.lerchphi)
+        assert _rel(transform_ubeta(k, LAW, t).value, ref) < 1e-12, t

@@ -216,6 +216,20 @@ def test_exp_map_convolution_split_reports_nan(monkeypatch):
     assert math.isnan(rep.max_deviation)
 
 
+def test_exp_map_convolution_split_sees_a_wrong_image(monkeypatch):
+    # the direct side is built without the closed forms, so an error in
+    # them shows instead of cancelling
+    from freetransform import transforms
+
+    real_lclass = transforms.transform_lclass
+
+    def shifted(k, tr, t):
+        return transforms.TransformValue(t, real_lclass(k, tr, t).value + 1e-9)
+
+    monkeypatch.setattr(transforms, "transform_lclass", shifted)
+    assert exp_map_convolution_check(MIXED, T_GRID).max_deviation >= 1e-10
+
+
 def test_exp_map_convolution_empty_grid():
     with pytest.raises(InvalidInput):
         exp_map_convolution_check(MIXED, ())
