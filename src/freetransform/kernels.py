@@ -9,21 +9,23 @@ and the Pick function  g(z) = int h(s) / (z h(s) + 1) dr(s)  (sign +1
 for non-decreasing r, -1 for non-increasing r, in which case the
 denominator is z h - 1).
 
-Each built-in family is declared once, in FAMILIES: its lowest order k,
-its closed form, in which g is one scaled Hurwitz-Lerch value,
-g(z) = scale * Phi(-z, s, v), and its quadrature oracle, the defining
-integral on the family's chart:
+Each built-in family is declared once, in FAMILIES: its lowest order k
+and its closed form, in which g is one scaled Hurwitz-Lerch value,
+g(z) = scale * Phi(-z, s, v):
 
   sself(k)   h(s) = s on (0,1], dr = (-log s)^(k-1)/(k-1)! ds
              (iterated shrink-scaling; c = 2^-k, d = 3^-k,
-              g(z) = Phi(-z, k, 2)); charted by s = e^-w as
-             h = e^-w, dr = w^(k-1) e^-w/(k-1)! dw on (0, inf)
+              g(z) = Phi(-z, k, 2))
   ubeta(k)   h(s) = s on (0,1], dr = k s^(k-1) ds
              (power time change; c = k/(k+1), d = k/(k+2),
               g(z) = k Phi(-z, 1, k+1))
   lclass(k)  h(s) = e^-s on (0,inf), dr = s^k/k! ds
              (exponential kernel; c = 1, d = 2^-(k+1),
               g(z) = Phi(-z, k+1, 1) = -z^-1 Li_{k+1}(-z))
+
+With h = e^-t each defining integral int h q(h) dr is the Lerch
+integral representation, so the same (scale, s, v) give the quadrature
+oracle: scale * quadrature.gamma_average(q, s, v).
 
 plus CUSTOM kernels given either by a density dr/ds or by the jumps of
 a monotone step function r.
@@ -37,7 +39,8 @@ from typing import Callable, Optional
 
 from .errors import DomainError, InvalidInput
 from .measures import FiniteMeasure
-from .quadrature import IntegrationResult, integrate_finite, integrate_semi_infinite
+from .quadrature import (IntegrationResult, gamma_average, integrate_finite,
+                         integrate_semi_infinite)
 from .specfun import lerch_phi
 
 SSELF = "sself"
@@ -129,62 +132,28 @@ def custom_step(h, jumps, increasing: bool = True) -> KernelFamily:
 # ---------------------------------------------------------------------------
 # the built-in families
 
-# e^-u is 0.0 in double precision from u = 745.14 on
-_EXP_UNDERFLOW = 745.2
-# up to this order n, the gamma weight u^n e^-u/n! has all but 1e-21 of
-# its mass below _EXP_UNDERFLOW, and (u/b)^n below stays finite
-_HALF_LINE_MAX_ORDER = 500
-
-
-def _factorial_root(n: int) -> float:
-    """b = (n!)^(1/n), so that the weight u^n/n! = (u/b)^n stays finite
-    with no log or exp per point.  Half-line weights are 0 where the
-    kernel e^-u, and with it the integrand, has underflowed."""
-    if n > _HALF_LINE_MAX_ORDER:
-        raise DomainError(f"half-line oracle of order {n} > {_HALF_LINE_MAX_ORDER}: "
-                          f"its weight peaks where e^-u underflows")
-    return math.exp(math.lgamma(n + 1) / n) if n else 1.0
-
-
-def _exp_kernel(u: float) -> float:
-    return math.exp(-u)
-
-
-def _sself_oracle(k: int):
-    # s = e^-w: the log weight on (0, 1] becomes a gamma density.  Unsplit,
-    # the oracle agrees with the closed forms to 6e-12 for k up to 200.
-    n, b = k - 1, _factorial_root(k - 1)
-    return (_exp_kernel,
-            lambda w: (w / b) ** n * math.exp(-w) if w < _EXP_UNDERFLOW else 0.0,
-            math.inf, 0.0)
-
-
-def _lclass_oracle(k: int):
-    # the integrand s^k e^-s/k! peaks at s = k
-    b = _factorial_root(k)
-    return (_exp_kernel, lambda s: (s / b) ** k if s < _EXP_UNDERFLOW else 0.0,
-            math.inf, float(k))
+# ubeta below this order integrates on (0, 1]: 38 evaluations per g at
+# k <= 5 against 136; from here on the weight crowds against s = 1, and
+# from k of about 7 000 the first panel misses it
+_UBETA_CHART_MAX_ORDER = 50
 
 
 @dataclass(frozen=True)
 class _Family:
     """A built-in family of order k >= lowest.
 
-    closed_form(k) = (c, d, scale, s, v), g(z) = scale * Phi(-z, s, v).
-    oracle(k) = (h, weight, hi, split): int f(h) dr is the integral of
-    f(h(u)) weight(u) over u in (0, hi), a half line split at split.
+    closed_form(k) = (c, d, scale, s, v), g(z) = scale * Phi(-z, s, v);
+    the oracle is scale * gamma_average(q, s, v).
     """
 
     lowest: int
     closed_form: Callable[[int], tuple]
-    oracle: Callable[[int], tuple]
 
 
 FAMILIES = {
-    SSELF: _Family(1, lambda k: (2.0 ** -k, 3.0 ** -k, 1.0, k, 2.0), _sself_oracle),
-    UBETA: _Family(1, lambda k: (k / (k + 1.0), k / (k + 2.0), float(k), 1, k + 1.0),
-                   lambda k: (lambda s: s, lambda s: k * s ** (k - 1), 1.0, 0.0)),
-    LCLASS: _Family(0, lambda k: (1.0, 2.0 ** -(k + 1), 1.0, k + 1, 1.0), _lclass_oracle),
+    SSELF: _Family(1, lambda k: (2.0 ** -k, 3.0 ** -k, 1.0, k, 2.0)),
+    UBETA: _Family(1, lambda k: (k / (k + 1.0), k / (k + 2.0), float(k), 1, k + 1.0)),
+    LCLASS: _Family(0, lambda k: (1.0, 2.0 ** -(k + 1), 1.0, k + 1, 1.0)),
 }
 
 
@@ -205,18 +174,17 @@ def const_d(fam: KernelFamily) -> float:
     return FAMILIES[fam.tag].closed_form(fam.k)[1]
 
 
-def map_data(fam: KernelFamily, tol: float = 1e-10
-             ) -> tuple[float, float, Callable[[complex], complex]]:
+def map_data(fam: KernelFamily) -> tuple[float, float, Callable[[complex], complex]]:
     """(c, d, g) that fix the family's random-integral map.
 
     Built-ins take the closed forms, g(z) = scale * Phi(-z, s, v), with
     no check of the singular ray; CUSTOM kernels integrate c, d and each
-    value of g to tol.
+    value of g to the oracles' default tolerance.
     """
     if fam.tag == CUSTOM:
-        return (const_c_quad(fam, tol).value.real,
-                const_d_quad(fam, tol).value.real,
-                lambda z: kernel_g_quad(fam, z, tol).value)
+        return (const_c_quad(fam).value.real,
+                const_d_quad(fam).value.real,
+                lambda z: kernel_g_quad(fam, z).value)
     c, d, scale, s, v = FAMILIES[fam.tag].closed_form(fam.k)
     return c, d, lambda z: scale * lerch_phi(-z, s, v)
 
@@ -239,33 +207,38 @@ def kernel_g(fam: KernelFamily, z: complex) -> complex:
 # ---------------------------------------------------------------------------
 # quadrature paths (oracles for the closed forms; the only route for CUSTOM)
 
-def _integrate_kernel(fam: KernelFamily, f, tol: float) -> IntegrationResult:
-    """int f(h) dr over the family: a finite sum over the jumps of a step
-    kernel, else the integral of f(h(u)) dr/du on the family's chart (a
-    built-in's oracle, or a CUSTOM density as given)."""
+def _integrate_kernel(fam: KernelFamily, q, tol: float) -> IntegrationResult:
+    """int f(h) dr over the family, f(h) = h q(h): a step kernel's sum,
+    a CUSTOM density as given, low ubeta orders on (0, 1], and else the
+    gamma average of q, whose weight holds h = e^-t, so an h that has
+    underflowed to 0 meets no division."""
+    f = lambda hv: hv * q(hv)
     if fam.jumps is not None:
         return IntegrationResult(sum(j * f(fam.h(s)) for s, j in fam.jumps),
                                  0.0, len(fam.jumps))
     if fam.tag == CUSTOM:
-        h, weight, lo, hi, split = fam.h, fam.r_density, fam.lo, fam.hi, 0.0
-    else:
-        h, weight, hi, split = FAMILIES[fam.tag].oracle(fam.k)
-        lo = 0.0
-    if math.isinf(hi):
-        # integrate_semi_infinite starts at 0
-        return integrate_semi_infinite(lambda w: f(h(lo + w)) * weight(lo + w),
-                                       tol, split=split)
-    return integrate_finite(lambda u: f(h(u)) * weight(u), lo, hi, tol)
+        h, weight, lo = fam.h, fam.r_density, fam.lo
+        if math.isinf(fam.hi):
+            # integrate_semi_infinite starts at 0
+            return integrate_semi_infinite(lambda w: f(h(lo + w)) * weight(lo + w), tol)
+        return integrate_finite(lambda u: f(h(u)) * weight(u), lo, fam.hi, tol)
+    k = fam.k
+    if fam.tag == UBETA and k < _UBETA_CHART_MAX_ORDER:
+        # h = s, dr = k s^(k-1) ds
+        return integrate_finite(lambda s: f(s) * k * s ** (k - 1), 0.0, 1.0, tol)
+    _, _, scale, s, v = FAMILIES[fam.tag].closed_form(k)
+    res = gamma_average(q, s, v, tol)
+    return IntegrationResult(scale * res.value, scale * res.error_estimate, res.evaluations)
 
 
 def const_c_quad(fam: KernelFamily, tol: float = 1e-10) -> IntegrationResult:
     """c = int h dr by direct integration (finite sum for step kernels)."""
-    return _integrate_kernel(fam, lambda hv: hv, tol)
+    return _integrate_kernel(fam, lambda hv: 1.0, tol)
 
 
 def const_d_quad(fam: KernelFamily, tol: float = 1e-10) -> IntegrationResult:
     """d = int h^2 dr by direct integration."""
-    return _integrate_kernel(fam, lambda hv: hv * hv, tol)
+    return _integrate_kernel(fam, lambda hv: hv, tol)
 
 
 def kernel_g_quad(fam: KernelFamily, z: complex, tol: float = 1e-10) -> IntegrationResult:
@@ -276,7 +249,7 @@ def kernel_g_quad(fam: KernelFamily, z: complex, tol: float = 1e-10) -> Integrat
     """
     z = complex(z)
     sign = 1.0 if fam.increasing else -1.0
-    return _integrate_kernel(fam, lambda hv: hv / (z * hv + sign), tol)
+    return _integrate_kernel(fam, lambda hv: 1.0 / (z * hv + sign), tol)
 
 
 def kernel_g_derivative_quad(fam: KernelFamily, z: complex, n: int,
@@ -290,10 +263,10 @@ def kernel_g_derivative_quad(fam: KernelFamily, z: complex, n: int,
     z = complex(z)
     fac = (-1) ** n * math.factorial(n)
 
-    def f(hv: float) -> complex:
-        return fac * (hv / (1.0 + z * hv)) ** (n + 1)
+    def q(hv: float) -> complex:
+        return fac * hv ** n / (1.0 + z * hv) ** (n + 1)
 
-    return _integrate_kernel(fam, f, tol)
+    return _integrate_kernel(fam, q, tol)
 
 
 # ---------------------------------------------------------------------------

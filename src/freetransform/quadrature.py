@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InvalidInput, MaxSubdivisionError, NonFiniteError
+from .errors import DomainError, InvalidInput, MaxSubdivisionError, NonFiniteError
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1].  Positive abscissae;
 # even-index entries are Kronrod-only, odd-index entries (and 0) carry
@@ -57,6 +57,10 @@ _WG = (
 _MAX_PANELS = 10_000
 _EPMACH = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
+# gamma_average's highest order: beyond it the head's first panel can
+# miss the mode and return half the mass (in a scan, from s = 5.5e5 at
+# tol = 0.1, 1.05e6 at 1e-3 and 2.9e6 at 1e-10)
+_GAMMA_MAX_ORDER = 500_000
 
 
 @dataclass(frozen=True)
@@ -66,18 +70,6 @@ class IntegrationResult:
     value: complex
     error_estimate: float
     evaluations: int
-
-
-def _pairwise_sum(values):
-    """Sum a list in a fixed balanced order, independent of how the
-    values were produced."""
-    n = len(values)
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return values[0]
-    mid = n // 2
-    return _pairwise_sum(values[:mid]) + _pairwise_sum(values[mid:])
 
 
 def _kronrod_panel(f: Callable[[float], complex], lo: float, hi: float):
@@ -202,13 +194,10 @@ def integrate_finite(
             f"panel budget {_MAX_PANELS} exhausted: error {total_err:.3e} > tol {tol:.3e}"
         )
 
-    # Deterministic final summation: order panels by position, then do a
-    # balanced pairwise sum.  Identical results regardless of the order
-    # in which panels were processed.
-    ordered = sorted(panels, key=lambda p: p[2])
-    value = _pairwise_sum([p[4] for p in ordered])
-    err = _pairwise_sum([p[5] for p in ordered])
-    return IntegrationResult(value=complex(value), error_estimate=float(err), evaluations=evals)
+    # correctly rounded sums do not depend on the order of the panels
+    value = complex(math.fsum(p[4].real for p in panels),
+                    math.fsum(p[4].imag for p in panels))
+    return IntegrationResult(value, math.fsum(p[5] for p in panels), evals)
 
 
 def integrate_semi_infinite(
@@ -271,3 +260,51 @@ def laplace_transform(
         return g(u) * damp
 
     return integrate_semi_infinite(integrand, tol, split=1.0)
+
+
+def gamma_average(q: Callable[[float], complex], s: float, v: float,
+                  tol: float) -> IntegrationResult:
+    """Evaluate int_0^inf q(e^-t) t^(s-1) e^(-v t)/Gamma(s) dt for s >= 1:
+    the Lerch integral representation, and each built-in kernel's
+    defining integral with h = e^-t.
+
+    In tau = v t the weight is v^-s times the gamma density, of mass 1,
+    formed in log space relative to its mode tau = s - 1.  The chart's
+    unit is the density's width sqrt(s) and it splits at the mode; the
+    integral is taken to tol relative to v^-s, then scaled by it.
+    Raises DomainError above order _GAMMA_MAX_ORDER and where v^-s
+    overflows.
+    """
+    if s > _GAMMA_MAX_ORDER:
+        raise DomainError(f"gamma average of order {s!r} > {_GAMMA_MAX_ORDER}: "
+                          f"the first panel of its head can miss the peak")
+    try:
+        mass = v ** -s
+    except OverflowError:
+        raise DomainError(f"gamma average of order {s!r} at v = {v!r}: "
+                          f"v^-s overflows double precision")
+    mode = s - 1.0
+    width = math.sqrt(s)
+    # log mode^mode e^-mode/mode!, the density at its mode: the direct form
+    # keeps the rounding of its terms, 1e-12 by mode 2 000, so from mode
+    # 100 on it takes Stirling's series, whose next term is below 1e-17
+    if mode < 100.0:
+        log_top = (mode * math.log(mode) if mode else 0.0) - mode - math.lgamma(s)
+    else:
+        w = 1.0 / (mode * mode)
+        log_top = (-0.5 * math.log(2.0 * math.pi * mode)
+                   - (1.0 / 12.0 - w * (1.0 / 360.0 - w / 1260.0)) / mode)
+
+    def integrand(y: float) -> complex:
+        tau = width * y
+        x = tau - mode
+        # mode log(tau/mode) - x; near the mode log1p rounds to about
+        # eps sqrt(s) where log(tau) gives eps s log s
+        log_rel = -x
+        if mode:
+            log_rel += mode * (math.log1p(x / mode) if 2.0 * x > -mode
+                               else math.log(tau) - math.log(mode))
+        return q(math.exp(-tau / v)) * math.exp(log_top + log_rel) * width
+
+    res = integrate_semi_infinite(integrand, tol, split=mode / width)
+    return IntegrationResult(res.value * mass, res.error_estimate * mass, res.evaluations)

@@ -17,9 +17,9 @@ Li_s(z) for integer s takes one of three branches by |z|:
 Li_1(z) = -log(1-z) is used as it stands beyond the series radius.  The
 Lerch transcendent with integer v reduces to these: Phi(z,s,1) =
 Li_s(z)/z, Phi(z,s,2) = (Li_s(z) - z)/z^2, and Phi(z,1,k) is a logarithm
-minus a finite sum in 1/z.  Other v use the integral representation by
-quadrature, which is also the oracle the closed forms are checked
-against.
+minus a finite sum in 1/z.  Other v use the integral representation,
+quadrature.gamma_average, which is also the oracle the closed forms are
+checked against and refuses orders above 500 000.
 
 References: R. Crandall, "Note on fast polylogarithm computation"
 (2006); D. Wood, "The computation of polylogarithms", University of
@@ -33,7 +33,7 @@ import functools
 import math
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import integrate_semi_infinite
+from .quadrature import gamma_average
 
 _SERIES_RADIUS = 0.5
 _INVERSION_RADIUS = 2.0
@@ -111,24 +111,9 @@ def _lerch_integral(z: complex, s: int, v: float) -> complex:
     """Integral form (1/Gamma(s)) int_0^inf t^(s-1) e^(-v t)/(1 - z e^(-t)) dt.
 
     Valid for z off the real ray [1, inf); the integrand's denominator
-    never vanishes there.  In tau = v t the weight is the gamma density
-    tau^(s-1) e^-tau/Gamma(s), of mass 1 whatever v is, formed in log
-    space; the integral is split at its peak tau = s-1, taken to the
-    absolute tolerance _INTEGRAL_TOL and scaled by v^-s, the size of Phi.
-    In t itself the weight would sit within 1/v of t = 0, between the
-    nodes of the first panel once v is large.
+    never vanishes there.  Taken to _INTEGRAL_TOL relative to v^-s.
     """
-    log_norm = -math.lgamma(s)
-
-    def integrand(tau: float) -> complex:
-        w = math.exp(-tau / v)
-        return math.exp(log_norm + (s - 1) * math.log(tau) - tau) / (1.0 - z * w)
-
-    value = integrate_semi_infinite(integrand, _INTEGRAL_TOL, split=s - 1.0).value
-    try:
-        return value * v ** -s
-    except OverflowError:
-        raise DomainError(f"Phi(z, {s}, {v!r}) overflows double precision at z={z!r}")
+    return gamma_average(lambda w: 1.0 / (1.0 - z * w), s, v, _INTEGRAL_TOL).value
 
 
 def lerch_phi(z: complex, s: int, v: float) -> complex:

@@ -41,6 +41,9 @@ from .specfun import euler_gamma, gamma_fn
 
 Evaluator = Callable[[float], complex]
 
+# absolute tolerance of the Laplace and Cauchy half-line oracles
+_ORACLE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class TransformValue:
@@ -88,30 +91,28 @@ def voiculescu_id(tr: LevyTriple, t: float) -> TransformValue:
     return voiculescu_direct(tr.drift, triple_to_finite_measure(tr), t)
 
 
-def voiculescu_via_laplace(tr: LevyTriple, t: float, tol: float = 1e-8) -> TransformValue:
+def voiculescu_via_laplace(tr: LevyTriple, t: float) -> TransformValue:
     """Same value as voiculescu_id, but through the analytic route
     i t^2 * Laplace{log phi(-u)}(t).  Serves as the independent oracle
     for the finite-sum path."""
     t = _check_t(t)
-    res = laplace_transform(lambda u: logphi(tr, -u), t, tol)
+    res = laplace_transform(lambda u: logphi(tr, -u), t, _ORACLE_TOL)
     return TransformValue(t, _finite(1j * t * t * res.value, "voiculescu_via_laplace"))
 
 
 # ---------------------------------------------------------------------------
 # generic random-integral transform
 
-def random_integral_transform(fam: KernelFamily, tr: LevyTriple, t: float,
-                              tol: float = 1e-10) -> TransformValue:
+def random_integral_transform(fam: KernelFamily, tr: LevyTriple, t: float) -> TransformValue:
     """Transform of the image of tr under the family's random-integral map.
 
-    Uses the family's kernel moments and Pick function (see map_data;
-    CUSTOM kernels integrate them to tol); the sign pattern follows the
-    declared monotonicity of the time change.
+    Uses the family's kernel moments and Pick function (see map_data);
+    the sign pattern follows the declared monotonicity of the time change.
     """
     t = _check_t(t)
     it = 1j * t
     sign = 1.0 if fam.increasing else -1.0
-    c, d, g = map_data(fam, tol)
+    c, d, g = map_data(fam)
     acc = tr.drift * c + sign * tr.gauss_var * d / it
     for x, w in tr.levy_atoms:
         acc += w * sign * x * (g(1j * x / t) - sign * c / (1.0 + x * x))
@@ -334,7 +335,7 @@ def exp_map_convolution_check(omega: LevyTriple,
     )
 
 
-def cauchy_pick_integral(t: float, tol: float = 1e-8) -> complex:
+def cauchy_pick_integral(t: float) -> complex:
     """int over R of (1+itx)/((it-x)(1+x^2)) dx, evaluated numerically
     as two half-line integrals with an algebraic-decay substitution.
     Equals -i pi for every t > 0."""
@@ -344,12 +345,12 @@ def cauchy_pick_integral(t: float, tol: float = 1e-8) -> complex:
     def f(x: float) -> complex:
         return (1.0 + it * x) / ((it - x) * (1.0 + x * x))
 
-    res = integrate_semi_infinite(lambda u: f(u) + f(-u), tol)
+    res = integrate_semi_infinite(lambda u: f(u) + f(-u), _ORACLE_TOL)
     return res.value
 
 
-def voiculescu_cauchy(a: float, t: float, tol: float = 1e-8) -> TransformValue:
+def voiculescu_cauchy(a: float, t: float) -> TransformValue:
     """Transform with the standard Cauchy companion measure
     m(dx) = dx/(2(1+x^2)): a + (1/2) * cauchy_pick_integral = a - i pi/2."""
     t = _check_t(t)
-    return TransformValue(t, a + 0.5 * cauchy_pick_integral(t, tol))
+    return TransformValue(t, a + 0.5 * cauchy_pick_integral(t))

@@ -28,8 +28,8 @@ from freetransform import (
     sself,
     ubeta,
 )
-from freetransform import kernels
-from freetransform.verify import _upper_grid
+from freetransform import kernels, quadrature
+from freetransform.verify import _upper_grid, run_suite
 
 UPPER = [complex(re, im) for re in (-0.5, 0.4, 1.5) for im in (0.2, 1.0)]
 
@@ -127,9 +127,9 @@ def test_sself_charts_sample_different_nodes():
     assert sum(map(shared, halfline)) < 0.1 * len(halfline)
 
 
-# evaluation counts of the half-line oracles on verify's grid: 6 765 for
-# lclass(5) and 3 765 for sself(3); on a u = -log v chart they were 37 125
-# and 11 625
+# evaluation counts of the oracles on verify's grid: 5 160 for lclass(5),
+# 3 840 for sself(3) and 975 for ubeta(3); on a u = -log v chart the
+# half-line ones were 37 125 and 11 625
 
 def test_lclass_oracle_evaluation_count():
     fam = lclass(5)
@@ -139,6 +139,25 @@ def test_lclass_oracle_evaluation_count():
 def test_sself_oracle_evaluation_count():
     fam = sself(3)
     assert sum(kernel_g_quad(fam, z).evaluations for z in _upper_grid()) <= 6_000
+
+
+def test_ubeta_oracle_evaluation_count():
+    fam = ubeta(3)
+    assert sum(kernel_g_quad(fam, z).evaluations for z in _upper_grid()) <= 1_500
+
+
+def test_kernels_suite_panel_count(monkeypatch):
+    # 4 032 G7/K15 panels when each half-line family had its own chart
+    panels = []
+    kronrod_panel = quadrature._kronrod_panel
+
+    def counted(f, lo, hi):
+        panels.append(hi - lo)
+        return kronrod_panel(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_kronrod_panel", counted)
+    assert all(r.passed for r in run_suite("kernels"))
+    assert 0 < len(panels) <= 4_032
 
 
 def test_lclass_oracle_high_order():
@@ -153,18 +172,41 @@ def test_lclass_oracle_high_order():
 
 
 def test_high_order_oracles_raise_package_errors():
-    # k! and s^k leave the float range here, but their quotient does not:
-    # the oracles give values up to order 500
-    for fam in (lclass(70), lclass(171), sself(172), lclass(500), sself(501)):
+    # k! and s^k leave the float range from k = 171 on, but the gamma
+    # average forms their quotient in log space: the old limit of order
+    # 500 is gone
+    for fam in (lclass(70), lclass(171), sself(172), lclass(501), sself(502),
+                lclass(2000)):
         for z in (0.5 + 0.5j, 2j):
             value = kernel_g_quad(fam, z).value
             assert abs(value - kernel_g(fam, z)) <= 1e-12, (fam.tag, fam.k, z)
-    # beyond it the weight peaks where e^-s underflows to 0
-    for fam in (lclass(501), sself(502), lclass(10 ** 6)):
+    # at the cap; z inside |z| <= 1/2, where the closed form is a short
+    # series
+    cap = quadrature._GAMMA_MAX_ORDER
+    for fam in (lclass(cap - 1), sself(cap)):
+        assert abs(const_c_quad(fam).value - const_c(fam)) <= 1e-10
+        assert abs(const_d_quad(fam).value - const_d(fam)) <= 1e-10
+        z = 0.3 + 0.3j
+        assert abs(kernel_g_quad(fam, z).value - kernel_g(fam, z)) <= 1e-10
+    # beyond it the first panel of the head can miss the weight's peak
+    for fam in (lclass(cap), sself(cap + 1), lclass(10 ** 12), sself(10 ** 12)):
         for oracle in (const_c_quad, const_d_quad,
                        lambda fam: kernel_g_quad(fam, 0.5 + 0.5j)):
             with pytest.raises(DomainError):
                 oracle(fam)
+
+
+def test_ubeta_oracle_high_order():
+    # from k = 50 on the weight k s^k crowds against s = 1 and ubeta takes
+    # the gamma average; on its (0, 1] chart the first panel missed the
+    # weight from k of about 7 000 and gave c of about 0
+    for k in (50, 1000, 10 ** 4, 10 ** 6):
+        fam = ubeta(k)
+        assert abs(const_c_quad(fam).value - const_c(fam)) <= 1e-12, k
+        assert abs(const_d_quad(fam).value - const_d(fam)) <= 1e-12, k
+        for z in (0.3 + 0.3j, 0.5 + 0.5j, -0.5 + 0.1j, 2j):
+            value = kernel_g_quad(fam, z).value
+            assert abs(value - kernel_g(fam, z)) <= 1e-12, (k, z)
 
 
 @settings(max_examples=40, deadline=None)
