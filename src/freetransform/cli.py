@@ -22,7 +22,7 @@ import sys
 from . import __version__
 from .errors import DomainError, FreeTransformError, InvalidInput
 from .kernels import FAMILIES, LCLASS, SSELF, UBETA, KernelFamily, kernel_g, kernel_g_quad
-from .measures import LevyTriple, triple_to_finite_measure
+from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
 from .transforms import (
     LInfSpec,
     random_integral_transform,
@@ -89,8 +89,6 @@ def parse_linf_spec(obj) -> LInfSpec:
     for key in obj:
         if key not in known:
             raise InvalidInput(f"unknown field '{key}' in linf input")
-    from .measures import FiniteMeasure
-
     return LInfSpec(_num(obj, "c", "", default=0.0),
                     FiniteMeasure(_atom_list(obj)))
 

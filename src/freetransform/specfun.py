@@ -3,7 +3,8 @@ and the gamma function.
 
 Only the slices needed by the transform kernels are covered: integer
 s >= 1 for the Lerch/polylog family, gamma on the positive axis (the
-standard library's, with this package's error contract).
+standard library's, with this package's error contract), and
+log Gamma(2 + eps) on |eps| <= 1 as a power series from the zeta table.
 
 Li_s(z) for integer s takes one of three branches by |z|:
 
@@ -50,10 +51,16 @@ _LOG_FORM_MIN = 1e-3
 # integer v up to this size take the closed forms; the 1/z sum of
 # Phi(z, 1, k) has k terms
 _CLOSED_FORM_MAX_V = 100_000
-# zeta(n) - 1 sums k^-n for 2 <= k < n + _EM_CUT and adds the
-# Euler-Maclaurin tail; a cut growing with n keeps the tail's terms
-# falling like (n/(2 pi cut))^2
+# zeta(n) - 1 sums k^-n for 2 <= k < n + _EM_CUT at most; a sum cut
+# there adds the Euler-Maclaurin tail, whose terms fall like
+# (n/(2 pi cut))^2 since the cut grows with n
 _EM_CUT = 10
+# the direct sum of zeta(n) - 1 may stop where its tail is below this
+# fraction of 2^-n, eight bits below the sum's last bit
+_TAIL_EPS = 2.0 ** -60
+# log_gamma2_slope's terms are below 2^-64 of its sum after this many
+# at |eps| = 1, so its relative stop always comes first
+_LOG_GAMMA2_TERMS = 64
 # B_0, B_2, ..., B_{2 _BERNOULLI_HALF} are tabulated
 _BERNOULLI_HALF = 64
 
@@ -206,20 +213,26 @@ def _bernoulli_even() -> tuple:
 
 def _zeta_minus_one(n: int) -> float:
     """zeta(n) - 1 for integer n >= 2, to full relative precision: the
-    terms 2 <= k < n + _EM_CUT summed directly plus the Euler-Maclaurin
-    tail."""
-    bern = _bernoulli_even()
-    top = n + _EM_CUT
-    cut = float(top)
-    acc = cut ** (1 - n) / (n - 1) + 0.5 * cut ** -n
-    # B_2j/(2j)! n (n+1) ... (n+2j-2) cut^(-n-2j+1), starting at j = 1
-    coef = 0.5 * n * cut ** (-n - 1)
-    for j in range(1, _BERNOULLI_HALF):
-        term = bern[j] * coef
-        acc += term
-        if abs(term) <= _SUM_EPS * acc:
-            break
-        coef *= (n + 2 * j - 1) * (n + 2 * j) / (cut * cut * (2 * j + 1) * (2 * j + 2))
+    terms 2 <= k < top summed directly, smallest first.  top is the first
+    k whose whole tail, at most k^-n (1 + k/(n-1)), is below _TAIL_EPS of
+    2^-n; where that k would pass n + _EM_CUT, the sum is cut there and
+    the Euler-Maclaurin tail added."""
+    top = 3
+    while top < n + _EM_CUT and (2.0 / top) ** n * (1.0 + top / (n - 1)) >= _TAIL_EPS:
+        top += 1
+    acc = 0.0
+    if top == n + _EM_CUT:
+        bern = _bernoulli_even()
+        cut = float(top)
+        acc = cut ** (1 - n) / (n - 1) + 0.5 * cut ** -n
+        # B_2j/(2j)! n (n+1) ... (n+2j-2) cut^(-n-2j+1), starting at j = 1
+        coef = 0.5 * n * cut ** (-n - 1)
+        for j in range(1, _BERNOULLI_HALF):
+            term = bern[j] * coef
+            acc += term
+            if abs(term) <= _SUM_EPS * acc:
+                break
+            coef *= (n + 2 * j - 1) * (n + 2 * j) / (cut * cut * (2 * j + 1) * (2 * j + 2))
     for k in range(top - 1, 1, -1):
         acc += float(k) ** -n
     return acc
@@ -245,6 +258,33 @@ def _zeta_pair(n: int) -> tuple:
         raise ConvergenceError(f"zeta({n}) lies beyond the Bernoulli table")
     val = -bern[(q + 1) // 2] / (q + 1)
     return (val, val - 1.0)
+
+
+@functools.cache
+def _log_gamma2_coefficients() -> tuple:
+    """(zeta(k) - 1)/k for 2 <= k < 2 + _LOG_GAMMA2_TERMS, from the zeta
+    table; built on first use."""
+    return tuple(_zeta_pair(k)[1] / k for k in range(2, 2 + _LOG_GAMMA2_TERMS))
+
+
+def log_gamma2_slope(eps: float) -> float:
+    """(log Gamma(2 + eps) - eps)/eps for -1 <= eps <= 1; -gamma at eps = 0.
+
+    The power series -gamma + sum_{k>=2} (-1)^k (zeta(k) - 1) eps^(k-1)/k,
+    stopped at the first term below _SUM_EPS of the sum.  Its terms fall
+    like (|eps|/2)^k, so |eps| = 1 takes about 50 and |eps| = 1e-6 three.
+    """
+    if not -1.0 <= eps <= 1.0:
+        raise DomainError(f"log_gamma2_slope requires |eps| <= 1, got {eps!r}")
+    acc = -_EULER_GAMMA
+    power = 1.0  # (-eps)^(k-1)
+    for coef in _log_gamma2_coefficients():
+        power *= -eps
+        term = coef * power
+        acc -= term
+        if abs(term) <= _SUM_EPS * abs(acc):
+            break
+    return acc
 
 
 # polylogarithm ---------------------------------------------------------------

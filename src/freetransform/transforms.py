@@ -37,7 +37,7 @@ from .kernels import KernelFamily, custom_density, lclass, map_data, sself, ubet
 from .measures import (FiniteMeasure, LevyTriple, finite_measure_to_triple,
                        log_moment, triple_to_finite_measure)
 from .quadrature import integrate_semi_infinite, laplace_transform
-from .specfun import euler_gamma, gamma_fn
+from .specfun import log_gamma2_slope
 
 Evaluator = Callable[[float], complex]
 
@@ -218,37 +218,31 @@ class LInfSpec:
                 raise InvalidInput(f"masses must be positive, got {w!r} at {x!r}")
 
 
-_EG = euler_gamma()
-# limits of (Gamma(|x|+1) i e^{i pi x/2} + x)/(1 - |x|) at x = +1 / -1
-_LIM_POS = complex(-_EG, math.pi / 2.0)
-_LIM_NEG = complex(_EG, math.pi / 2.0)
-# first-order Taylor coefficients at those points (in the variable |x|-1)
-_D2_POS = complex(1.0 - (1.0 - _EG) ** 2 + math.pi ** 2 / 12.0,
-                  -math.pi * (1.0 - _EG))
-_D2_NEG = complex((1.0 - _EG) ** 2 - 1.0 - math.pi ** 2 / 12.0,
-                  -math.pi * (1.0 - _EG))
-_LINF_TAYLOR_RADIUS = 1e-4
-
-
 def linf_integrand(x: float, t: float) -> complex:
-    """(Gamma(|x|+1) i e^{i pi x/2} + x) t^(1-|x|) / (1-|x|), with its
-    removable singularities at x = +-1 filled by stored limits and a
-    first-order expansion inside |x -+ 1| < 1e-4."""
+    """(Gamma(|x|+1) i e^{i pi x/2} + x) t^(1-|x|) / (1-|x|).
+
+    With eps = |x| - 1 and sigma = sign(x) this is
+    sigma (expm1(L + i sigma pi eps/2) - eps)/eps t^(-eps), where
+    L = log Gamma(2+eps) = eps (1 + log_gamma2_slope(eps)), one series on
+    the whole support.  x = +-1 exactly, a removable singularity, takes
+    the series' constant term: -+gamma + i pi/2.
+    """
     t = _check_t(t)
     if x == 0.0 or not (-2.0 < x <= 2.0):
         raise DomainError(f"x must lie in (-2,0) u (0,2], got {x!r}")
-    ax = abs(x)
-    scale = t ** (1.0 - ax)
-    dist = ax - 1.0
-    if abs(dist) < _LINF_TAYLOR_RADIUS:
-        # first-order expansion in 1-|x| = -dist, same pattern both sides
-        if x > 0.0:
-            f = _LIM_POS - 0.5 * _D2_POS * dist
-        else:
-            f = _LIM_NEG - 0.5 * _D2_NEG * dist
-        return f * scale
-    num = gamma_fn(ax + 1.0) * 1j * cmath.exp(1j * math.pi * x / 2.0) + x
-    return num * scale / (1.0 - ax)
+    sigma = 1.0 if x > 0.0 else -1.0
+    eps = abs(x) - 1.0
+    slope = log_gamma2_slope(eps)
+    if eps == 0.0:
+        return complex(sigma * slope, math.pi / 2.0)
+    # expm1(a + ib) - eps; Re expm1 = expm1(a) cos b - 2 sin(b/2)^2 does
+    # not cancel where cos b - 1 would
+    a = eps + eps * slope
+    b = sigma * math.pi * eps / 2.0
+    half = math.sin(b / 2.0)
+    num = complex(math.expm1(a) * math.cos(b) - 2.0 * half * half - eps,
+                  math.exp(a) * math.sin(b))
+    return sigma * num / eps * t ** -eps
 
 
 def transform_linf(spec: LInfSpec, t: float) -> TransformValue:

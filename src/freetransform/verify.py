@@ -14,6 +14,7 @@ All sampling is seeded, so repeated runs produce identical tables.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -44,7 +45,7 @@ from .operators import (
     lower_selfdec_class,
     lower_shrink_class,
 )
-from .specfun import euler_gamma
+from .specfun import euler_gamma, gamma_fn
 from .transforms import (
     add_transforms,
     cauchy_pick_integral,
@@ -288,6 +289,18 @@ def suite_limits() -> list[CheckResult]:
                 dev = _worst(dev, abs(linf_integrand(xs[-1], t) - lim))
         results.append(CheckResult(name, dev, 1e-5))
     results.append(CheckResult("linf-approach-monotone", mono_bad, 0.0))
+
+    # away from |x| = 1 the direct gamma form loses nothing to the
+    # singularity and serves as the series' oracle
+    mags = [j / 20.0 for j in range(1, 41) if j != 20]
+    dev = 0.0
+    for x in mags + [-m for m in mags if m < 2.0]:
+        for t in _T_GRID:
+            ax = abs(x)
+            direct = ((gamma_fn(ax + 1.0) * 1j * cmath.exp(1j * math.pi * x / 2.0) + x)
+                      * t ** (1.0 - ax) / (1.0 - ax))
+            dev = _worst(dev, abs(linf_integrand(x, t) - direct) / abs(direct))
+    results.append(CheckResult("linf-gamma-oracle", dev, 1e-13))
     return results
 
 

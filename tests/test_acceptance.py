@@ -70,9 +70,10 @@ def test_criterion_08_small_argument_slope(checks):
 
 
 def test_criterion_09_linf_removable_singularities(checks):
-    """Approach to x = +-1 settles on the stored limits i pi/2 -+ gamma."""
+    """Approach to x = +-1 settles on the limits i pi/2 -+ gamma, and the
+    series agrees with the direct gamma form away from them."""
     _assert_pass(checks, "linf-approach-pos", "linf-approach-neg",
-                 "linf-approach-monotone")
+                 "linf-approach-monotone", "linf-gamma-oracle")
 
 
 def test_criterion_10_algebraic_identities(checks):

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freetransform import (DomainError, FreeTransformError, LevyTriple,
-                           gamma_fn, lerch_phi, polylog, transform_lclass,
-                           transform_sself, transform_ubeta)
+from freetransform import (DomainError, FiniteMeasure, FreeTransformError,
+                           LevyTriple, LInfSpec, gamma_fn, lerch_phi, polylog,
+                           transform_lclass, transform_linf, transform_sself,
+                           transform_ubeta)
 from freetransform import cli, specfun
 
 WIDE_T = [1e-3 * 1e6 ** (i / 24) for i in range(25)]
@@ -121,13 +122,29 @@ def test_specfun_raises_only_package_errors(s, z, k):
     _answers(lambda: lerch_phi(z, 1, float(k)))
 
 
+# the linf support (-2, 0) u (0, 2], with x = +-1 and points next to them
+_LINF_X = st.one_of(
+    st.sampled_from((1.0, -1.0, 2.0)),
+    st.builds(lambda sign, side, lg: sign * (1.0 + side * 10.0 ** lg),
+              st.sampled_from((1.0, -1.0)), st.sampled_from((1.0, -1.0)),
+              st.floats(-16.0, -1.0)),
+    st.floats(-2.0, 2.0, exclude_min=True).filter(bool))
+_LINF_SPECS = st.builds(
+    lambda c, atoms: LInfSpec(c, FiniteMeasure(tuple(atoms))),
+    st.floats(-5.0, 5.0),
+    st.lists(st.tuples(_LINF_X, st.floats(1e-3, 10.0)), max_size=4,
+             unique_by=lambda atom: atom[0]))
+
+
 @settings(max_examples=200, deadline=None)
-@given(tr=_TRIPLES, k=st.integers(0, 1000), lg_t=st.floats(-8.0, 12.0))
-def test_class_transforms_raise_only_package_errors(tr, k, lg_t):
+@given(tr=_TRIPLES, spec=_LINF_SPECS, k=st.integers(0, 1000),
+       lg_t=st.floats(-8.0, 12.0))
+def test_class_transforms_raise_only_package_errors(tr, spec, k, lg_t):
     t = 10.0 ** lg_t
     _answers(lambda: transform_sself(k, tr, t).value)
     _answers(lambda: transform_ubeta(max(k, 1), tr, t).value)
     _answers(lambda: transform_lclass(k, tr, t).value)
+    _answers(lambda: transform_linf(spec, t).value)
 
 
 def _wide(class_tag, k, t_min="1e-8", t_max="1e12"):

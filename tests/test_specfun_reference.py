@@ -12,9 +12,9 @@ import math
 
 import pytest
 
-from freetransform import (LevyTriple, gamma_fn, kernel_g, lerch_phi, polylog,
-                           sself, transform_lclass, transform_sself,
-                           transform_ubeta)
+from freetransform import (LevyTriple, gamma_fn, kernel_g, lerch_phi,
+                           linf_integrand, polylog, sself, transform_lclass,
+                           transform_sself, transform_ubeta)
 from freetransform.specfun import _zeta_pair
 
 mpmath = pytest.importorskip("mpmath")
@@ -46,7 +46,7 @@ def _rel(value, ref):
 
 def test_zeta_table_against_mpmath():
     with mpmath.workdps(60):
-        for n in list(range(-127, 1)) + list(range(2, 130)):
+        for n in list(range(-127, 1)) + list(range(2, 130)) + [200, 1000]:
             zeta, zeta_m1 = _zeta_pair(n)
             ref = mpmath.zeta(n)
             if ref == 0:
@@ -54,7 +54,9 @@ def test_zeta_table_against_mpmath():
                 continue
             assert _rel(zeta, ref) < 1e-15, n
             if n >= 2:
-                assert _rel(zeta_m1, ref - 1) < 1e-15, n
+                # Hurwitz zeta(n, 2) = zeta(n) - 1 without the cancellation
+                # that 60 digits cannot absorb from n ~ 200 on
+                assert _rel(zeta_m1, mpmath.zeta(n, 2)) < 1e-15, n
 
 
 def test_zeta_table_even_closed_form():
@@ -253,3 +255,24 @@ def test_ubeta_order_past_the_closed_forms():
     for t in (0.01, 0.8685):
         ref = _class_ref("ubeta", k, t, phi=mpmath.lerchphi)
         assert _rel(transform_ubeta(k, LAW, t).value, ref) < 1e-12, t
+
+
+# the scale-invariant integrand -----------------------------------------------
+
+LINF_NEAR_ONE = tuple(sign * (1.0 + side * 10.0 ** -j)
+                      for j in range(1, 13) for sign in (1.0, -1.0)
+                      for side in (1.0, -1.0))
+LINF_GRID = tuple(-2.0 + 4.0 * (i + 0.5) / 100 for i in range(100)) + (2.0,)
+
+
+def test_linf_integrand_against_mpmath():
+    # a first-order patch within 1e-4 of |x| = 1 was off by 2.6e-9 there
+    worst = 0.0
+    with mpmath.workdps(50):
+        for x in LINF_NEAR_ONE + LINF_GRID:
+            ax = mpmath.mpf(abs(x))
+            num = mpmath.gamma(ax + 1) * 1j * mpmath.expjpi(mpmath.mpf(x) / 2) + x
+            for t in (0.2, 1.0, 3.7):
+                ref = num * mpmath.mpf(t) ** (1 - ax) / (1 - ax)
+                worst = max(worst, _rel(linf_integrand(x, t), ref))
+    assert worst < 1e-14, worst
