@@ -25,7 +25,7 @@ from .kernels import FAMILIES, LCLASS, SSELF, UBETA, KernelFamily, kernel_g, ker
 from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
 from .transforms import (
     LInfSpec,
-    random_integral_transform,
+    random_integral_evaluator,
     transform_linf,
     voiculescu_direct,
 )
@@ -163,8 +163,7 @@ def _evaluator(class_tag: str, k, data):
         # voiculescu_id, with the companion measure built once per call
         m = triple_to_finite_measure(tr)
         return lambda t: voiculescu_direct(tr.drift, m, t).value
-    fam = KernelFamily(_CLASS_FAMILIES[class_tag], k)
-    return lambda t: random_integral_transform(fam, tr, t).value
+    return random_integral_evaluator(KernelFamily(_CLASS_FAMILIES[class_tag], k), tr)
 
 
 def _lowest_k(class_tag: str) -> int:

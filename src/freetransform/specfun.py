@@ -40,6 +40,8 @@ _SERIES_RADIUS = 0.5
 _INVERSION_RADIUS = 2.0
 _SERIES_MAX_TERMS = 1_000_000
 _SERIES_EPS = 1e-15
+# (s, v) pairs whose series powers are kept; a table is at most 51 floats
+_SERIES_TABLES = 64
 # relative to the mass v^-s of the integral representation's weight
 _INTEGRAL_TOL = 1e-11
 # the closed-form sums stop at the first nonzero term below this fraction
@@ -91,6 +93,24 @@ def _on_cut(z: complex) -> bool:
     return z.imag == 0.0 and z.real >= 1.0
 
 
+@functools.lru_cache(maxsize=_SERIES_TABLES)
+def _series_powers(s: int, v: float) -> tuple:
+    """(v+n)^-s for n = 0, 1, ... up to the first n with
+    2^-n (v+n)^-s <= _SERIES_EPS v^-s: every power the series takes at
+    |z| <= 1/2, at most 51 of them for s >= 1.  DomainError where v^-s
+    overflows double precision; (v+n)^-s for n >= 1 cannot, as v+n > 1.
+    """
+    try:
+        first = v ** -s
+    except OverflowError:
+        raise DomainError(f"v^-s = {v!r}^-{s} overflows double precision")
+    stop = _SERIES_EPS * first
+    powers = [first]
+    while 0.5 ** (len(powers) - 1) * powers[-1] > stop:
+        powers.append((v + len(powers)) ** -s)
+    return tuple(powers)
+
+
 def _lerch_series(z: complex, s: int, v: float) -> complex:
     """Direct summation of sum_{n>=0} z^n / (v+n)^s.
 
@@ -98,12 +118,21 @@ def _lerch_series(z: complex, s: int, v: float) -> complex:
     term v^-s, which for |z| <= 1/2 and v >= 1 is within a factor 2 of
     |Phi|: the stop is relative, however small Phi is (Phi(z, s, 2) is
     about 2^-s).  The negative power underflows to 0 where (v+n)^s would
-    overflow.
+    overflow.  The powers come from _series_powers(s, v); a sum that
+    runs past that table (|z| > 1/2, from _lerch_log) forms the rest
+    itself, so the terms and the stop are the same either way.
     """
+    powers = _series_powers(s, v)
     acc = complex(0.0)
     term = complex(1.0)  # z^n, starting at n = 0
-    stop = _SERIES_EPS * v ** -s
-    for n in range(_SERIES_MAX_TERMS):
+    stop = _SERIES_EPS * powers[0]
+    for power in powers:
+        contrib = term * power
+        acc += contrib
+        if abs(contrib) <= stop:
+            return acc
+        term *= z
+    for n in range(len(powers), _SERIES_MAX_TERMS):
         contrib = term * (v + n) ** -s
         acc += contrib
         if abs(contrib) <= stop:

@@ -103,20 +103,35 @@ def voiculescu_via_laplace(tr: LevyTriple, t: float) -> TransformValue:
 # ---------------------------------------------------------------------------
 # generic random-integral transform
 
-def random_integral_transform(fam: KernelFamily, tr: LevyTriple, t: float) -> TransformValue:
-    """Transform of the image of tr under the family's random-integral map.
+def random_integral_evaluator(fam: KernelFamily, tr: LevyTriple) -> Evaluator:
+    """t -> V(it) of the image of tr under the family's random-integral map.
 
-    Uses the family's kernel moments and Pick function (see map_data);
-    the sign pattern follows the declared monotonicity of the time change.
+    Takes the family's kernel moments and Pick function from map_data
+    once, and with them each atom's weight w (+-) x and shift
+    (+-) c/(1+x^2); each call then evaluates g once per atom.  The sign
+    pattern follows the declared monotonicity of the time change.
     """
-    t = _check_t(t)
-    it = 1j * t
     sign = 1.0 if fam.increasing else -1.0
     c, d, g = map_data(fam)
-    acc = tr.drift * c + sign * tr.gauss_var * d / it
-    for x, w in tr.levy_atoms:
-        acc += w * sign * x * (g(1j * x / t) - sign * c / (1.0 + x * x))
-    return TransformValue(t, _finite(acc, "random_integral_transform"))
+    drift = tr.drift * c
+    gauss = sign * tr.gauss_var * d
+    atoms = [(w * sign * x, x, sign * c / (1.0 + x * x)) for x, w in tr.levy_atoms]
+
+    def V(t: float) -> complex:
+        t = _check_t(t)
+        acc = drift + gauss / (1j * t)
+        for weight, x, shift in atoms:
+            acc += weight * (g(1j * x / t) - shift)
+        return _finite(acc, "random_integral_transform")
+
+    return V
+
+
+def random_integral_transform(fam: KernelFamily, tr: LevyTriple, t: float) -> TransformValue:
+    """Transform of the image of tr under the family's random-integral map;
+    one point of random_integral_evaluator(fam, tr)."""
+    t = _check_t(t)
+    return TransformValue(t, random_integral_evaluator(fam, tr)(t))
 
 
 # ---------------------------------------------------------------------------

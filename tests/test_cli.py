@@ -1,5 +1,6 @@
 """Command-line interface: formats, grids, exit codes, determinism."""
 
+import gc
 import json
 import math
 import subprocess
@@ -76,6 +77,27 @@ def test_eval_deterministic_output(gauss_json, tmp_path):
         assert res.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_bytes().endswith(b"\n")
+
+
+def test_eval_holds_no_memory_between_calls(tmp_path):
+    # the Lerch tables are bounded and keyed by (s, v) alone, and each
+    # call's evaluator is dropped with it: repeated calls leave no blocks
+    from freetransform import cli
+
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({"a": 0.3, "sigma2": 0.5, "atoms": [
+        {"x": -1.2, "w": 0.4}, {"x": 0.6, "w": 1.0}, {"x": 2.5, "w": 0.2}]}))
+    argv = ["eval", "--class", "uks", "--k", "4", "--input", str(path),
+            "--t-min", "0.01", "--t-max", "100", "--steps", "50",
+            "--out", str(tmp_path / "v.csv")]
+    for _ in range(50):
+        assert cli.main(argv) == 0
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for _ in range(600):
+        cli.main(argv)
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 200
 
 
 def test_eval_k_validation(gauss_json):

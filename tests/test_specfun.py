@@ -117,9 +117,55 @@ def test_lerch_domain():
         lerch_phi(0.5, 0, 1.0)
     with pytest.raises(DomainError):
         lerch_phi(0.5, 1, -1.0)
-    # Phi is about v^-s = 0.3^-1000, beyond the double range
-    with pytest.raises(DomainError):
-        lerch_phi(0.7, 1000, 0.3)
+    # Phi is about v^-s, beyond the double range, on the integral branch
+    # and on the series branch
+    for z, s, v in ((0.7, 1000, 0.3), (0.1, 1000, 0.3), (0.1j, 2000, 0.5),
+                    (-0.4j, 700, 0.35)):
+        with pytest.raises(DomainError):
+            lerch_phi(z, s, v)
+
+
+def _lerch_series_direct(z, s, v):
+    """The series summed with (v+n)^-s formed term by term: the
+    reference the tabled powers must reproduce bit for bit."""
+    acc = complex(0.0)
+    term = complex(1.0)
+    stop = specfun._SERIES_EPS * v ** -s
+    for n in range(specfun._SERIES_MAX_TERMS):
+        contrib = term * (v + n) ** -s
+        acc += contrib
+        if abs(contrib) <= stop:
+            return acc
+        term *= z
+    raise AssertionError("reference series did not stop")
+
+
+def test_lerch_series_table_is_bit_identical():
+    cells = [(cmath.rect(r, 2.0 * math.pi * j / 8), s, v)
+             for s in (1, 2, 5, 16, 60, 1100)
+             for v in (0.3, 1, 2, 17, 100_001)
+             for r in (0.0, 1e-3, 0.1, 0.5)
+             for j in range(8)]
+    # |z| = 0.9 runs past the table (the _lerch_log route); 2^-1100 underflows
+    cells += [(0.9j, 1, 100.0), (cmath.rect(0.9, 2.0), 1, 100.0), (0.3, 1100, 2.0)]
+    compared = 0
+    for z, s, v in cells:
+        try:
+            got = specfun._lerch_series(z, s, v)
+        except DomainError:
+            continue
+        assert got == _lerch_series_direct(z, s, v), (z, s, v)
+        compared += 1
+    assert compared > 800
+    assert specfun._lerch_series(0.3, 1100, 2.0) == 0.0
+    info = specfun._series_powers.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    for s in (1, 2, 5, 16, 60, 1100):
+        for v in (0.3, 1, 2, 17, 100_001):
+            try:
+                assert len(specfun._series_powers(s, v)) <= 51, (s, v)
+            except DomainError:
+                pass
 
 
 # polylog -----------------------------------------------------------------

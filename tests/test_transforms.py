@@ -15,9 +15,11 @@ from freetransform import (
     LInfSpec,
     add_transforms,
     cauchy_pick_integral,
+    custom_density,
     custom_step,
     euler_gamma,
     exp_map_convolution_check,
+    lclass,
     linf_integrand,
     logphi,
     random_integral_transform,
@@ -38,6 +40,8 @@ from freetransform import (
     voiculescu_id,
     voiculescu_via_laplace,
 )
+from freetransform.kernels import map_data
+from freetransform.transforms import random_integral_evaluator
 
 GAUSS = LevyTriple(1.0, 2.0, ())
 MIXED = LevyTriple(0.4, 1.1, ((-1.5, 0.4), (0.7, 1.2), (2.0, 0.3)))
@@ -101,6 +105,33 @@ def test_named_transforms_equal_generic():
             assert abs(a - transform_sself(k, MIXED, t).value) < 1e-12
             b = random_integral_transform(ubeta(k), MIXED, t).value
             assert abs(b - transform_ubeta(k, MIXED, t).value) < 1e-12
+
+
+def _transform_per_t(fam, tr, t):
+    """The random-integral formula with map_data taken at every t: the
+    reference the evaluator must reproduce bit for bit."""
+    sign = 1.0 if fam.increasing else -1.0
+    c, d, g = map_data(fam)
+    acc = tr.drift * c + sign * tr.gauss_var * d / (1j * t)
+    for x, w in tr.levy_atoms:
+        acc += w * sign * x * (g(1j * x / t) - sign * c / (1.0 + x * x))
+    return acc
+
+
+def test_random_integral_evaluator_equals_the_formula():
+    tr = LevyTriple(-0.7, 0.6, ((-3.0, 0.2), (-0.4, 1.1), (0.05, 2.0),
+                                (1.3, 0.5), (25.0, 0.01)))
+    families = [fn(k) for fn in (sself, ubeta, lclass) for k in (1, 4, 16)]
+    families.append(custom_density(lambda s: s, lambda s: -2.0 * s, 0.0, 1.0,
+                                   increasing=False))
+    for fam in families:
+        V = random_integral_evaluator(fam, tr)
+        steps = 5 if fam.tag == "custom" else 25
+        for i in range(steps):
+            t = 10.0 ** (-3.0 + 6.0 * i / (steps - 1))
+            value = V(t)
+            assert value == random_integral_transform(fam, tr, t).value, (fam, t)
+            assert value == _transform_per_t(fam, tr, t), (fam, t)
 
 
 def test_shrink_order_zero_is_id():
