@@ -25,9 +25,9 @@ from .kernels import FAMILIES, LCLASS, SSELF, UBETA, KernelFamily, kernel_g, ker
 from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
 from .transforms import (
     LInfSpec,
+    direct_evaluator,
+    linf_evaluator,
     random_integral_evaluator,
-    transform_linf,
-    voiculescu_direct,
 )
 from .verify import SUITES, run_suite
 
@@ -156,13 +156,11 @@ def _write_rows(path, header: str, rows):
 
 def _evaluator(class_tag: str, k, data):
     if class_tag == "linf":
-        spec = parse_linf_spec(data)
-        return lambda t: transform_linf(spec, t).value
+        return linf_evaluator(parse_linf_spec(data))
     tr = parse_triple(data)
     if class_tag == "id" or (class_tag == "uks" and k == 0):
         # voiculescu_id, with the companion measure built once per call
-        m = triple_to_finite_measure(tr)
-        return lambda t: voiculescu_direct(tr.drift, m, t).value
+        return direct_evaluator(tr.drift, triple_to_finite_measure(tr))
     return random_integral_evaluator(KernelFamily(_CLASS_FAMILIES[class_tag], k), tr)
 
 

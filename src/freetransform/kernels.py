@@ -34,9 +34,9 @@ a monotone step function r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from collections.abc import Callable
 
+from ._records import record
 from .errors import DomainError, InvalidInput
 from .measures import FiniteMeasure
 from .quadrature import (IntegrationResult, gamma_average, integrate_finite,
@@ -49,7 +49,7 @@ LCLASS = "lclass"
 CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
+@record
 class KernelFamily:
     """Descriptor of one (h, r) kernel pair.
 
@@ -63,26 +63,27 @@ class KernelFamily:
 
     tag: str
     k: int = 0
-    h: Optional[Callable[[float], float]] = None
-    r_density: Optional[Callable[[float], float]] = None
-    jumps: Optional[tuple[tuple[float, float], ...]] = None
+    h: Callable[[float], float] | None = None
+    r_density: Callable[[float], float] | None = None
+    jumps: tuple[tuple[float, float], ...] | None = None
     lo: float = 0.0
     hi: float = 1.0
     increasing: bool = True
 
-    def __post_init__(self):
+    def _checked(self):
         if self.tag == CUSTOM:
             if self.h is None:
                 raise InvalidInput("custom kernel needs h")
             if (self.r_density is None) == (self.jumps is None):
                 raise InvalidInput(
                     "custom kernel needs exactly one of r_density or jumps")
-            return
+            return self
         if self.tag not in FAMILIES:
             raise InvalidInput(f"unknown kernel tag {self.tag!r}")
         lowest, k = FAMILIES[self.tag].lowest, self.k
         if isinstance(k, bool) or not isinstance(k, int) or k < lowest:
             raise InvalidInput(f"{self.tag} needs an integer k >= {lowest}, got {k!r}")
+        return self
 
 
 def sself(k: int) -> KernelFamily:
@@ -138,7 +139,7 @@ def custom_step(h, jumps, increasing: bool = True) -> KernelFamily:
 _UBETA_CHART_MAX_ORDER = 50
 
 
-@dataclass(frozen=True)
+@record
 class _Family:
     """A built-in family of order k >= lowest.
 
@@ -272,12 +273,12 @@ def kernel_g_derivative_quad(fam: KernelFamily, z: complex, n: int,
 # ---------------------------------------------------------------------------
 # Pick-Nevanlinna representation of step-kernel g
 
-@dataclass(frozen=True)
+@record
 class PickRepresentation:
     """Data of the representation g(z) = shift + int (1+zx)/(z-x) m(dx)."""
 
     shift: float
-    measure: FiniteMeasure = field(default_factory=FiniteMeasure)
+    measure: FiniteMeasure = FiniteMeasure()
 
 
 def pick_representation(h_values, r_jumps) -> PickRepresentation:

@@ -15,8 +15,8 @@ integrate against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._records import record
 from .errors import InvalidInput
 
 Atom = tuple[float, float]  # (location, weight)
@@ -43,7 +43,7 @@ def _sorted_atoms(atoms) -> tuple[Atom, ...]:
     return tuple(sorted(((float(x), float(w)) for x, w in atoms), key=lambda a: a[0]))
 
 
-@dataclass(frozen=True)
+@record
 class LevyTriple:
     """Generating triple [drift, gauss_var, levy_atoms] of an ID law.
 
@@ -53,19 +53,20 @@ class LevyTriple:
 
     drift: float
     gauss_var: float
-    levy_atoms: tuple[Atom, ...] = field(default=())
+    levy_atoms: tuple[Atom, ...] = ()
 
-    def __post_init__(self):
+    def _checked(self):
         if not math.isfinite(self.drift):
             raise InvalidInput(f"drift must be finite, got {self.drift!r}")
         if not (math.isfinite(self.gauss_var) and self.gauss_var >= 0.0):
             raise InvalidInput(f"gauss_var must be >= 0, got {self.gauss_var!r}")
         _check_atoms(self.levy_atoms, allow_zero_loc=False, nonneg_ok=False,
                      what="levy_atoms")
-        object.__setattr__(self, "levy_atoms", _sorted_atoms(self.levy_atoms))
+        return tuple.__new__(type(self), (self.drift, self.gauss_var,
+                                          _sorted_atoms(self.levy_atoms)))
 
 
-@dataclass(frozen=True)
+@record
 class FiniteMeasure:
     """Purely atomic finite measure on the real line.
 
@@ -73,12 +74,12 @@ class FiniteMeasure:
     rather than merging) and masses are >= 0; an atom at 0 is allowed.
     """
 
-    atoms: tuple[Atom, ...] = field(default=())
+    atoms: tuple[Atom, ...] = ()
 
-    def __post_init__(self):
+    def _checked(self):
         _check_atoms(self.atoms, allow_zero_loc=True, nonneg_ok=True,
                      what="atoms")
-        object.__setattr__(self, "atoms", _sorted_atoms(self.atoms))
+        return tuple.__new__(type(self), (_sorted_atoms(self.atoms),))
 
     def mass_at(self, x: float) -> float:
         for loc, w in self.atoms:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
+from ._records import record
 from .errors import DomainError, InvalidInput, StepError
 from .measures import LevyTriple
 from .transforms import transform_ubeta, voiculescu_id
@@ -26,7 +26,7 @@ Evaluator = Callable[[float], complex]
 _MAX_POWER = 6  # largest n of a lowering power; see _lowering
 
 
-@dataclass(frozen=True)
+@record
 class TransformEvaluator:
     """A transform as a function of t > 0, with a label for reports."""
 
@@ -106,7 +106,7 @@ def lower_selfdec_class(V, n: int = 1) -> TransformEvaluator:
     return _lowering(1.0, V, n)
 
 
-@dataclass(frozen=True)
+@record
 class FiltrationLimitReport:
     """Deviation table for the power-time-change classes against their
     k -> infinity limit (the plain ID transform)."""

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
+from ._records import record
 from .errors import DomainError, InvalidInput, MaxSubdivisionError, NonFiniteError
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1].  Positive abscissae;
@@ -63,7 +63,7 @@ _UFLOW = 2.2250738585072014e-308
 _GAMMA_MAX_ORDER = 500_000
 
 
-@dataclass(frozen=True)
+@record
 class IntegrationResult:
     """Value of an integral together with its error estimate."""
 

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
+from ._records import record
 from .errors import DomainError, InvalidInput, NonFiniteError
 from .kernels import KernelFamily, custom_density, lclass, map_data, sself, ubeta
 from .measures import (FiniteMeasure, LevyTriple, finite_measure_to_triple,
@@ -45,7 +45,7 @@ Evaluator = Callable[[float], complex]
 _ORACLE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@record
 class TransformValue:
     """One point evaluation V(it) of a transform."""
 
@@ -75,15 +75,27 @@ def logphi(tr: LevyTriple, t: float) -> complex:
     return acc
 
 
+def direct_evaluator(a: float, m: FiniteMeasure) -> Evaluator:
+    """t -> V(it) = a + sum (1+itx)/(it-x) m({x}); an atom at 0
+    contributes m({0})/(it)."""
+    atoms = m.atoms
+
+    def V(t: float) -> complex:
+        t = _check_t(t)
+        it = 1j * t
+        acc = complex(a)
+        for x, w in atoms:
+            acc += w * (1.0 + it * x) / (it - x)
+        return _finite(acc, "voiculescu_direct")
+
+    return V
+
+
 def voiculescu_direct(a: float, m: FiniteMeasure, t: float) -> TransformValue:
-    """V(it) = a + sum (1+itx)/(it-x) m({x}); an atom at 0 contributes
-    m({0})/(it)."""
+    """V(it) = a + sum (1+itx)/(it-x) m({x}); one point of
+    direct_evaluator(a, m)."""
     t = _check_t(t)
-    it = 1j * t
-    acc = complex(a)
-    for x, w in m.atoms:
-        acc += w * (1.0 + it * x) / (it - x)
-    return TransformValue(t, _finite(acc, "voiculescu_direct"))
+    return TransformValue(t, direct_evaluator(a, m)(t))
 
 
 def voiculescu_id(tr: LevyTriple, t: float) -> TransformValue:
@@ -214,16 +226,16 @@ def transform_lclass_measure(k: int, a: float, m: FiniteMeasure,
 # ---------------------------------------------------------------------------
 # the scale-invariant limit class
 
-@dataclass(frozen=True)
+@record
 class LInfSpec:
     """Spectral data of a transform in the fully scale-invariant class:
     a real shift plus a finite measure on (-2, 0) u (0, 2] with strictly
     positive masses."""
 
     shift: float
-    measure: FiniteMeasure = field(default_factory=FiniteMeasure)
+    measure: FiniteMeasure = FiniteMeasure()
 
-    def __post_init__(self):
+    def _checked(self):
         if not math.isfinite(self.shift):
             raise InvalidInput(f"shift must be finite, got {self.shift!r}")
         for x, w in self.measure.atoms:
@@ -231,25 +243,25 @@ class LInfSpec:
                 raise InvalidInput(f"support must lie in (-2,0) u (0,2], got {x!r}")
             if w <= 0.0:
                 raise InvalidInput(f"masses must be positive, got {w!r} at {x!r}")
+        return self
 
 
-def linf_integrand(x: float, t: float) -> complex:
-    """(Gamma(|x|+1) i e^{i pi x/2} + x) t^(1-|x|) / (1-|x|).
+def _linf_factor(x: float) -> tuple[complex, float]:
+    """(factor, eps) with linf_integrand(x, t) = factor * t ** -eps.
 
-    With eps = |x| - 1 and sigma = sign(x) this is
-    sigma (expm1(L + i sigma pi eps/2) - eps)/eps t^(-eps), where
+    With eps = |x| - 1 and sigma = sign(x) the factor is
+    sigma (expm1(L + i sigma pi eps/2) - eps)/eps, where
     L = log Gamma(2+eps) = eps (1 + log_gamma2_slope(eps)), one series on
     the whole support.  x = +-1 exactly, a removable singularity, takes
     the series' constant term: -+gamma + i pi/2.
     """
-    t = _check_t(t)
     if x == 0.0 or not (-2.0 < x <= 2.0):
         raise DomainError(f"x must lie in (-2,0) u (0,2], got {x!r}")
     sigma = 1.0 if x > 0.0 else -1.0
     eps = abs(x) - 1.0
     slope = log_gamma2_slope(eps)
     if eps == 0.0:
-        return complex(sigma * slope, math.pi / 2.0)
+        return complex(sigma * slope, math.pi / 2.0), eps
     # expm1(a + ib) - eps; Re expm1 = expm1(a) cos b - 2 sin(b/2)^2 does
     # not cancel where cos b - 1 would
     a = eps + eps * slope
@@ -257,20 +269,45 @@ def linf_integrand(x: float, t: float) -> complex:
     half = math.sin(b / 2.0)
     num = complex(math.expm1(a) * math.cos(b) - 2.0 * half * half - eps,
                   math.exp(a) * math.sin(b))
-    return sigma * num / eps * t ** -eps
+    return sigma * num / eps, eps
+
+
+def linf_integrand(x: float, t: float) -> complex:
+    """(Gamma(|x|+1) i e^{i pi x/2} + x) t^(1-|x|) / (1-|x|), formed as
+    in _linf_factor."""
+    t = _check_t(t)
+    factor, eps = _linf_factor(x)
+    return factor * t ** -eps
+
+
+def linf_evaluator(spec: LInfSpec) -> Evaluator:
+    """t -> V(it) = shift - sum m({x}) * linf_integrand(x, t).
+
+    Takes each atom's t-free factor once; each call then costs one power
+    of t per atom.
+    """
+    shift = complex(spec.shift)
+    atoms = [(w, *_linf_factor(x)) for x, w in spec.measure.atoms]
+
+    def V(t: float) -> complex:
+        t = _check_t(t)
+        acc = shift
+        for w, factor, eps in atoms:
+            acc -= w * (factor * t ** -eps)
+        return _finite(acc, "transform_linf")
+
+    return V
 
 
 def transform_linf(spec: LInfSpec, t: float) -> TransformValue:
-    """V(it) = shift - sum m({x}) * linf_integrand(x, t).
+    """V(it) = shift - sum m({x}) * linf_integrand(x, t); one point of
+    linf_evaluator(spec).
 
     Invariant under c V(t/c): the integrand scales with t^(1-|x|) and
     each atom's contribution picks up exactly the compensating factor.
     """
     t = _check_t(t)
-    acc = complex(spec.shift)
-    for x, w in spec.measure.atoms:
-        acc -= w * linf_integrand(x, t)
-    return TransformValue(t, _finite(acc, "transform_linf"))
+    return TransformValue(t, linf_evaluator(spec)(t))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +330,7 @@ def add_transforms(V1: Evaluator, V2: Evaluator, t: float) -> TransformValue:
 # ---------------------------------------------------------------------------
 # structural checks
 
-@dataclass(frozen=True)
+@record
 class ConvolutionSplitReport:
     """Result of checking V[omega * Iomega] = V[Iomega] + V[omega] on a
     grid, where I is the exponential-kernel integral map."""

@@ -17,8 +17,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 
+from ._records import record
 from .kernels import (
     FAMILIES,
     KernelFamily,
@@ -59,7 +59,7 @@ from .transforms import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     deviation: float

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -231,6 +232,25 @@ def test_verify_fails_on_nan(monkeypatch, capsys):
 def test_verify_unknown_suite():
     res = run("verify", "everything")
     assert res.returncode == 2
+
+
+# start-up ----------------------------------------------------------------------------
+
+def test_cli_start_up_imports_no_dataclasses_or_typing():
+    # dataclasses brings inspect, ast, dis and tokenize with it; a fresh
+    # interpreter without site or environment shows what the CLI loads
+    import freetransform
+
+    src = str(pathlib.Path(freetransform.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); import freetransform.cli; "
+            "print(' '.join(sorted(sys.modules)))" % src)
+    res = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.split())
+    assert "freetransform.cli" in loaded
+    heavy = {"dataclasses", "typing", "inspect", "ast", "dis", "tokenize"}
+    assert not heavy & loaded, sorted(heavy & loaded)
 
 
 # info and flags -------------------------------------------------------------------

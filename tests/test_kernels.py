@@ -13,6 +13,8 @@ from freetransform import (
     DomainError,
     FreeTransformError,
     InvalidInput,
+    KernelFamily,
+    PickRepresentation,
     const_c,
     const_c_quad,
     const_d,
@@ -395,3 +397,29 @@ def test_pick_validation():
         pick_representation([1.0, -2.0], [1.0, 1.0])
     with pytest.raises(InvalidInput):
         pick_representation([1.0], [0.0])
+
+
+# the record contract ---------------------------------------------------------------
+
+def test_kernel_family_validates_on_every_construction_path():
+    with pytest.raises(InvalidInput):
+        sself(2)._replace(k=0)
+    with pytest.raises(InvalidInput):
+        KernelFamily._make(("nope", 1, None, None, None, 0.0, 1.0, True))
+    with pytest.raises(InvalidInput):
+        custom_density(lambda s: s, lambda s: 1.0, 0.0, 1.0)._replace(h=None)
+    assert sself(2)._replace(k=3) == sself(3)
+    assert KernelFamily._make(tuple(lclass(0))) == lclass(0)
+
+
+def test_kernel_family_record():
+    fam = ubeta(3)
+    with pytest.raises(AttributeError):
+        fam.k = 0
+    assert fam == KernelFamily("ubeta", 3) and hash(fam) == hash(ubeta(3))
+    assert fam != sself(3)
+    assert repr(fam) == ("KernelFamily(tag='ubeta', k=3, h=None, r_density=None, "
+                         "jumps=None, lo=0.0, hi=1.0, increasing=True)")
+    rep = pick_representation([2.0], [3.0])
+    assert rep != (rep.shift, rep.measure)
+    assert rep == PickRepresentation(rep.shift, rep.measure)

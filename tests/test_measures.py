@@ -70,6 +70,56 @@ def test_finite_measure_basics():
         FiniteMeasure(((1.0, 1.0), (1.0, 1.0)))
 
 
+# the record contract ----------------------------------------------------------
+
+def test_records_validate_on_every_construction_path():
+    tr = LevyTriple(0.0, 1.0, ((1.0, 0.5),))
+    with pytest.raises(InvalidInput):
+        tr._replace(gauss_var=-1.0)
+    with pytest.raises(InvalidInput):
+        LevyTriple._make((0.0, -1.0, ()))
+    with pytest.raises(InvalidInput):
+        LevyTriple(drift=0.0, gauss_var=-1.0)
+    m = FiniteMeasure(((1.0, 0.5),))
+    with pytest.raises(InvalidInput):
+        m._replace(atoms=((1.0, -0.5),))
+    with pytest.raises(InvalidInput):
+        FiniteMeasure._make((((1.0, -0.5),),))
+    # every path sorts the atoms as the constructor does
+    shuffled = ((2.0, 1.0), (-1.0, 2.0))
+    assert LevyTriple._make((0.0, 0.0, shuffled)) == LevyTriple(0.0, 0.0, shuffled)
+    assert tr._replace(levy_atoms=shuffled).levy_atoms == ((-1.0, 2.0), (2.0, 1.0))
+    assert FiniteMeasure._make((shuffled,)).atoms == ((-1.0, 2.0), (2.0, 1.0))
+
+
+def test_records_are_immutable():
+    tr = LevyTriple(0.0, 1.0, ((1.0, 0.5),))
+    with pytest.raises(AttributeError):
+        tr.gauss_var = -1.0
+    with pytest.raises(AttributeError):
+        FiniteMeasure().atoms = ()
+    with pytest.raises(AttributeError):
+        tr.extra = 1.0
+    assert tr.gauss_var == 1.0
+
+
+def test_records_compare_within_their_class():
+    tr = LevyTriple(0.0, 1.0, ((1.0, 0.5),))
+    same = LevyTriple(0.0, 1.0, [(1.0, 0.5)])
+    assert tr == same and not tr != same
+    assert hash(tr) == hash(same)
+    assert tr != (0.0, 1.0, ((1.0, 0.5),))
+    assert (0.0, 1.0, ((1.0, 0.5),)) != tr
+    assert FiniteMeasure() != ((),)
+    assert tr != LevyTriple(0.0, 2.0, ((1.0, 0.5),))
+
+
+def test_record_repr():
+    assert (repr(LevyTriple(0.0, 1.0, ((1.0, 0.5),)))
+            == "LevyTriple(drift=0.0, gauss_var=1.0, levy_atoms=((1.0, 0.5),))")
+    assert repr(FiniteMeasure()) == "FiniteMeasure(atoms=())"
+
+
 # companion measure ----------------------------------------------------------
 
 def test_companion_measure_weights():

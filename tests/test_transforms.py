@@ -13,6 +13,9 @@ from freetransform import (
     InvalidInput,
     LevyTriple,
     LInfSpec,
+    PickRepresentation,
+    TransformEvaluator,
+    TransformValue,
     add_transforms,
     cauchy_pick_integral,
     custom_density,
@@ -41,7 +44,9 @@ from freetransform import (
     voiculescu_via_laplace,
 )
 from freetransform.kernels import map_data
-from freetransform.transforms import random_integral_evaluator
+from freetransform.specfun import log_gamma2_slope
+from freetransform.transforms import (direct_evaluator, linf_evaluator,
+                                      random_integral_evaluator)
 
 GAUSS = LevyTriple(1.0, 2.0, ())
 MIXED = LevyTriple(0.4, 1.1, ((-1.5, 0.4), (0.7, 1.2), (2.0, 0.3)))
@@ -73,6 +78,18 @@ def test_direct_single_atom():
 def test_direct_origin_atom_is_gaussian_term():
     val = voiculescu_direct(0.0, FiniteMeasure(((0.0, 2.0),)), 1.0)
     assert abs(val.value - 2.0 / 1.0j) < 1e-15
+
+
+def test_direct_evaluator_equals_the_formula():
+    m = FiniteMeasure(((-2.5, 0.3), (-0.2, 1.1), (0.0, 0.7), (0.9, 0.4), (40.0, 0.01)))
+    V = direct_evaluator(-0.3, m)
+    for i in range(200):
+        t = 10.0 ** (-8.0 + 20.0 * i / 199)
+        it = 1j * t
+        acc = complex(-0.3)
+        for x, w in m.atoms:
+            acc += w * (1.0 + it * x) / (it - x)
+        assert V(t) == acc == voiculescu_direct(-0.3, m, t).value, t
 
 
 def test_id_gaussian_closed_form():
@@ -301,6 +318,35 @@ def test_linf_integrand_limits_filled():
     assert linf_integrand(-1.0, 0.2) == complex(euler_gamma(), math.pi / 2.0)
 
 
+def _linf_integrand_per_t(x, t):
+    """The integrand with its t-free factor formed at every t: the
+    reference linf_evaluator must reproduce bit for bit."""
+    sigma = 1.0 if x > 0.0 else -1.0
+    eps = abs(x) - 1.0
+    slope = log_gamma2_slope(eps)
+    if eps == 0.0:
+        return complex(sigma * slope, math.pi / 2.0)
+    a = eps + eps * slope
+    b = sigma * math.pi * eps / 2.0
+    half = math.sin(b / 2.0)
+    num = complex(math.expm1(a) * math.cos(b) - 2.0 * half * half - eps,
+                  math.exp(a) * math.sin(b))
+    return sigma * num / eps * t ** -eps
+
+
+def test_linf_evaluator_equals_the_formula():
+    spec = LInfSpec(0.25, FiniteMeasure(((-1.7, 0.2), (-0.5, 1.3), (0.05, 0.4),
+                                         (1.0, 0.6), (1.0 + 1e-9, 0.1), (2.0, 0.3))))
+    V = linf_evaluator(spec)
+    for i in range(500):
+        t = 10.0 ** (-8.0 + 20.0 * i / 499)
+        acc = complex(spec.shift)
+        for x, w in spec.measure.atoms:
+            acc -= w * _linf_integrand_per_t(x, t)
+        assert V(t) == acc == transform_linf(spec, t).value, t
+        assert linf_integrand(-0.5, t) == _linf_integrand_per_t(-0.5, t)
+
+
 def test_linf_rademacher():
     spec = LInfSpec(0.4, FiniteMeasure(((1.0, 0.5), (-1.0, 0.5))))
     for t in T_GRID:
@@ -329,6 +375,31 @@ def test_linf_spec_validation():
     with pytest.raises(InvalidInput):
         LInfSpec(0.0, FiniteMeasure(((1.0, 0.0),)))
     LInfSpec(0.0, FiniteMeasure(((2.0, 1.0),)))  # right endpoint included
+
+
+def test_linf_spec_record():
+    spec = LInfSpec(0.0, FiniteMeasure(((1.0, 0.5),)))
+    with pytest.raises(InvalidInput):
+        spec._replace(measure=FiniteMeasure(((3.0, 1.0),)))
+    with pytest.raises(InvalidInput):
+        LInfSpec._make((0.0, FiniteMeasure(((3.0, 1.0),))))
+    with pytest.raises(InvalidInput):
+        spec._replace(shift=math.nan)
+    with pytest.raises(AttributeError):
+        spec.shift = 1.0
+    assert LInfSpec(0.0, FiniteMeasure()) != PickRepresentation(0.0, FiniteMeasure())
+    assert LInfSpec(0.0) == LInfSpec(0.0, FiniteMeasure())
+    assert hash(LInfSpec(0.0)) == hash(LInfSpec(0.0, FiniteMeasure()))
+    assert TransformValue(1.0, 1j) != (1.0, 1j)
+    assert repr(TransformValue(1.0, 1j)) == "TransformValue(t=1.0, value=1j)"
+
+
+def test_transform_evaluator_builds_by_keyword():
+    f = lambda t: 2.0 * t
+    ev = TransformEvaluator(fn=f, label="x")
+    assert ev.fn is f and ev.label == "x" and ev(1.5) == 3.0
+    assert TransformEvaluator(f) == TransformEvaluator(fn=f, label="")
+    assert repr(TransformEvaluator(fn=f, label="x")) == f"TransformEvaluator(fn={f!r}, label='x')"
 
 
 def test_linf_integrand_domain():
