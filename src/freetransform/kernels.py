@@ -25,7 +25,10 @@ g(z) = scale * Phi(-z, s, v):
 
 With h = e^-t each defining integral int h q(h) dr is the Lerch
 integral representation, so the same (scale, s, v) give the quadrature
-oracle: scale * quadrature.gamma_average(q, s, v).
+oracle: scale * quadrature.gamma_average(qs, s, v).  kernel_quad_grid
+integrates c, d and g over a grid of z on one adaptive mesh, so h and
+the weight are formed once per node; const_c_quad, const_d_quad and
+kernel_g_quad are its one-integral cases, each on a mesh of its own.
 
 plus CUSTOM kernels given either by a density dr/ds or by the jumps of
 a monotone step function r.
@@ -39,8 +42,8 @@ from collections.abc import Callable
 from ._records import record
 from .errors import DomainError, InvalidInput
 from .measures import FiniteMeasure
-from .quadrature import (IntegrationResult, gamma_average, integrate_finite,
-                         integrate_semi_infinite)
+from .quadrature import (IntegrationResult, _integrate, _integrate_half_line,
+                         gamma_average)
 from .specfun import lerch_phi
 
 SSELF = "sself"
@@ -144,7 +147,7 @@ class _Family:
     """A built-in family of order k >= lowest.
 
     closed_form(k) = (c, d, scale, s, v), g(z) = scale * Phi(-z, s, v);
-    the oracle is scale * gamma_average(q, s, v).
+    the oracle is scale * gamma_average(qs, s, v).
     """
 
     lowest: int
@@ -208,38 +211,76 @@ def kernel_g(fam: KernelFamily, z: complex) -> complex:
 # ---------------------------------------------------------------------------
 # quadrature paths (oracles for the closed forms; the only route for CUSTOM)
 
-def _integrate_kernel(fam: KernelFamily, q, tol: float) -> IntegrationResult:
-    """int f(h) dr over the family, f(h) = h q(h): a step kernel's sum,
-    a CUSTOM density as given, low ubeta orders on (0, 1], and else the
-    gamma average of q, whose weight holds h = e^-t, so an h that has
-    underflowed to 0 meets no division."""
-    f = lambda hv: hv * q(hv)
+def _integrate_kernel(fam: KernelFamily, qs, tol: float) -> list[IntegrationResult]:
+    """int f(h) dr over the family for each q of qs, f(h) = h q(h), all
+    on one mesh: a step kernel's sum, a CUSTOM density as given, low
+    ubeta orders on (0, 1], and else the gamma average of qs, whose
+    weight holds h = e^-t, so an h that has underflowed to 0 meets no
+    division.  h and the weight are formed once per node."""
     if fam.jumps is not None:
-        return IntegrationResult(sum(j * f(fam.h(s)) for s, j in fam.jumps),
-                                 0.0, len(fam.jumps))
+        steps = [(j, fam.h(s)) for s, j in fam.jumps]
+        return [IntegrationResult(sum(j * (hv * q(hv)) for j, hv in steps),
+                                  0.0, len(steps)) for q in qs]
+    m = len(qs)
     if fam.tag == CUSTOM:
         h, weight, lo = fam.h, fam.r_density, fam.lo
+
+        def f(u):
+            hv, w = h(u), weight(u)
+            return [hv * q(hv) * w for q in qs]
+
         if math.isinf(fam.hi):
-            # integrate_semi_infinite starts at 0
-            return integrate_semi_infinite(lambda w: f(h(lo + w)) * weight(lo + w), tol)
-        return integrate_finite(lambda u: f(h(u)) * weight(u), lo, fam.hi, tol)
+            # the half line starts at 0
+            return _integrate_half_line(lambda w: f(lo + w), m, tol)
+        return _integrate(f, m, lo, fam.hi, tol)
     k = fam.k
     if fam.tag == UBETA and k < _UBETA_CHART_MAX_ORDER:
         # h = s, dr = k s^(k-1) ds
-        return integrate_finite(lambda s: f(s) * k * s ** (k - 1), 0.0, 1.0, tol)
+        def f(s):
+            power = s ** (k - 1)
+            return [s * q(s) * k * power for q in qs]
+
+        return _integrate(f, m, 0.0, 1.0, tol)
     _, _, scale, s, v = FAMILIES[fam.tag].closed_form(k)
-    res = gamma_average(q, s, v, tol)
-    return IntegrationResult(scale * res.value, scale * res.error_estimate, res.evaluations)
+    return [IntegrationResult(scale * r.value, scale * r.error_estimate, r.evaluations)
+            for r in gamma_average(qs, s, v, tol)]
+
+
+# the q of c = int h dr, d = int h^2 dr and g(z) = int h/(z h +- 1) dr
+
+def _c_integrand(hv: float) -> float:
+    return 1.0
+
+
+def _d_integrand(hv: float) -> float:
+    return hv
+
+
+def _g_integrand(fam: KernelFamily, z: complex):
+    sign = 1.0 if fam.increasing else -1.0
+    return lambda hv: 1.0 / (z * hv + sign)
+
+
+def kernel_quad_grid(fam: KernelFamily, zs, tol: float = 1e-10
+                     ) -> tuple[IntegrationResult, IntegrationResult, list[IntegrationResult]]:
+    """(c, d, [g(z) for z in zs]) by direct integration, every integral
+    on one adaptive mesh and each to tol: the oracle of const_c, const_d
+    and kernel_g over a grid of z.  Each result's evaluations count the
+    nodes of the shared mesh."""
+    zs = [complex(z) for z in zs]
+    res = _integrate_kernel(
+        fam, [_c_integrand, _d_integrand, *(_g_integrand(fam, z) for z in zs)], tol)
+    return res[0], res[1], res[2:]
 
 
 def const_c_quad(fam: KernelFamily, tol: float = 1e-10) -> IntegrationResult:
     """c = int h dr by direct integration (finite sum for step kernels)."""
-    return _integrate_kernel(fam, lambda hv: 1.0, tol)
+    return _integrate_kernel(fam, (_c_integrand,), tol)[0]
 
 
 def const_d_quad(fam: KernelFamily, tol: float = 1e-10) -> IntegrationResult:
     """d = int h^2 dr by direct integration."""
-    return _integrate_kernel(fam, lambda hv: hv, tol)
+    return _integrate_kernel(fam, (_d_integrand,), tol)[0]
 
 
 def kernel_g_quad(fam: KernelFamily, z: complex, tol: float = 1e-10) -> IntegrationResult:
@@ -248,9 +289,7 @@ def kernel_g_quad(fam: KernelFamily, z: complex, tol: float = 1e-10) -> Integrat
     The sign in the denominator follows the declared monotonicity:
     +1 when r is non-decreasing, -1 when non-increasing.
     """
-    z = complex(z)
-    sign = 1.0 if fam.increasing else -1.0
-    return _integrate_kernel(fam, lambda hv: 1.0 / (z * hv + sign), tol)
+    return _integrate_kernel(fam, (_g_integrand(fam, complex(z)),), tol)[0]
 
 
 def kernel_g_derivative_quad(fam: KernelFamily, z: complex, n: int,
@@ -267,7 +306,7 @@ def kernel_g_derivative_quad(fam: KernelFamily, z: complex, n: int,
     def q(hv: float) -> complex:
         return fac * hv ** n / (1.0 + z * hv) ** (n + 1)
 
-    return _integrate_kernel(fam, q, tol)
+    return _integrate_kernel(fam, (q,), tol)[0]
 
 
 # ---------------------------------------------------------------------------

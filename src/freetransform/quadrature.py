@@ -5,6 +5,14 @@ panel.  All nodes are interior, so integrands may be singular (but
 integrable) at the endpoints; they are simply never evaluated there.
 Panels are split adaptively, worst error first, under a global budget.
 
+The panel routine and the adaptive loop take a vector integrand: m
+values per node, all integrated on one mesh, so a weight that several
+integrands share is evaluated once per node.  The loop splits the panel
+with the largest component error while any component's total error
+exceeds the tolerance.  integrate_finite, integrate_semi_infinite and
+laplace_transform are its one-component calls; gamma_average takes a
+sequence of integrands.
+
 Integrals over (0, inf) are reduced to (0, 1) with u = (1 - v)/v.  A
 smooth integrand that decays exponentially, such as a u^k e^-u weight or
 a Laplace tail, then vanishes smoothly at v = 0, and one with algebraic
@@ -19,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from ._records import record
 from .errors import DomainError, InvalidInput, MaxSubdivisionError, NonFiniteError
@@ -72,73 +80,158 @@ class IntegrationResult:
     evaluations: int
 
 
-def _kronrod_panel(f: Callable[[float], complex], lo: float, hi: float):
-    """Apply the G7/K15 pair on [lo, hi].
+def _kronrod_panel(f, lo: float, hi: float, m: int | None = None):
+    """Apply the G7/K15 pair on [lo, hi] to every component of f.
 
-    Returns (kronrod value, error estimate, evaluation count).
+    f returns m values per node, and the panel returns (kronrod values,
+    error estimates, evaluation count) with one entry per component;
+    with m = None, f returns one value and so does the panel.
     """
     isfinite = math.isfinite
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     if not lo < center < hi:
         # thinner than one ulp; nothing representable left to sample
-        return 0.0, 0.0, 0
+        return (0.0, 0.0, 0) if m is None else ([0.0] * m, [0.0] * m, 0)
 
+    nodes = [center]
+    for x in _XGK[:7]:
+        x *= half
+        # keep the rule strictly open: a node that rounds onto a panel
+        # edge is pulled one step inward
+        x1 = center - x
+        if x1 <= lo:
+            x1 = math.nextafter(lo, hi)
+        x2 = center + x
+        if x2 >= hi:
+            x2 = math.nextafter(hi, lo)
+        nodes += (x1, x2)
+
+    w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
+    g0, g1, g2, g3 = _WG
+    values, errs = [], []
     # Python float arithmetic raises where IEEE would give inf or NaN;
     # from the integrand either means the same as a non-finite sample
     try:
-        fc = complex(f(center))
-        if not (isfinite(fc.real) and isfinite(fc.imag)):
-            raise NonFiniteError(f"integrand non-finite at {center!r}")
-        resk = _WGK[7] * fc
-        resg = _WG[3] * fc
-        resabs = _WGK[7] * abs(fc)
+        rows = list(map(f, nodes))
+        for col in ((rows,) if m is None else zip(*rows)):
+            # the sums run left to right, in the order of QUADPACK's qk15
+            fc, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = map(complex, col)
+            s1, s3, s5 = a1 + b1, a3 + b3, a5 + b5
+            resk = (w7 * fc + w0 * (a0 + b0) + w1 * s1 + w2 * (a2 + b2) + w3 * s3
+                    + w4 * (a4 + b4) + w5 * s5 + w6 * (a6 + b6))
+            resg = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
+            resabs = (w7 * abs(fc) + w0 * (abs(a0) + abs(b0)) + w1 * (abs(a1) + abs(b1))
+                      + w2 * (abs(a2) + abs(b2)) + w3 * (abs(a3) + abs(b3))
+                      + w4 * (abs(a4) + abs(b4)) + w5 * (abs(a5) + abs(b5))
+                      + w6 * (abs(a6) + abs(b6)))
+            if not isfinite(resabs):
+                # a non-finite sample, or finite ones whose sum overflows
+                for x, y in zip(nodes, map(complex, col)):
+                    if not (isfinite(y.real) and isfinite(y.imag)):
+                        raise NonFiniteError(f"integrand non-finite at {x!r}")
 
-        samples = [fc]
-        for j in range(7):
-            x = half * _XGK[j]
-            # keep the rule strictly open: a node that rounds onto a panel
-            # edge is pulled one step inward
-            x1 = center - x
-            if x1 <= lo:
-                x1 = math.nextafter(lo, hi)
-            x2 = center + x
-            if x2 >= hi:
-                x2 = math.nextafter(hi, lo)
-            f1 = complex(f(x1))
-            f2 = complex(f(x2))
-            if not (isfinite(f1.real) and isfinite(f1.imag)
-                    and isfinite(f2.real) and isfinite(f2.imag)):
-                bad = x1 if not (isfinite(f1.real) and isfinite(f1.imag)) else x2
-                raise NonFiniteError(f"integrand non-finite at {bad!r}")
-            resk += _WGK[j] * (f1 + f2)
-            resabs += _WGK[j] * (abs(f1) + abs(f2))
-            if j % 2 == 1:
-                resg += _WG[j // 2] * (f1 + f2)
-            samples.append(f1)
-            samples.append(f2)
+            # Scaled deviation of samples from the panel mean; this is what
+            # makes the error estimate honest on nearly-singular panels.
+            h = 0.5 * resk
+            resasc = (w7 * abs(fc - h) + w0 * (abs(a0 - h) + abs(b0 - h))
+                      + w1 * (abs(a1 - h) + abs(b1 - h)) + w2 * (abs(a2 - h) + abs(b2 - h))
+                      + w3 * (abs(a3 - h) + abs(b3 - h)) + w4 * (abs(a4 - h) + abs(b4 - h))
+                      + w5 * (abs(a5 - h) + abs(b5 - h)) + w6 * (abs(a6 - h) + abs(b6 - h)))
+
+            resabs *= abs(half)
+            resasc *= abs(half)
+            err = abs((resk - resg) * half)
+            if resasc != 0.0 and err != 0.0:
+                err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+            if resabs > _UFLOW / (50.0 * _EPMACH):
+                err = max(_EPMACH * 50.0 * resabs, err)
+            values.append(resk * half)
+            errs.append(err)
     except (OverflowError, ZeroDivisionError) as exc:
         raise NonFiniteError(
             f"integrand raised {type(exc).__name__} on [{lo!r}, {hi!r}]") from exc
+    if m is None:
+        return values[0], errs[0], 15
+    return values, errs, 15
 
-    # Scaled deviation of samples from the panel mean; this is what makes
-    # the error estimate honest on nearly-singular panels.
-    reskh = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - reskh)
-    idx = 1
-    for j in range(7):
-        resasc += _WGK[j] * (abs(samples[idx] - reskh) + abs(samples[idx + 1] - reskh))
-        idx += 2
 
-    value = resk * half
-    resabs *= abs(half)
-    resasc *= abs(half)
-    err = abs((resk - resg) * half)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > _UFLOW / (50.0 * _EPMACH):
-        err = max(_EPMACH * 50.0 * resabs, err)
-    return value, err, 15
+def _worst(errors) -> float:
+    """The largest of errors, or NaN if any of them is NaN (max() would
+    keep its running value against a NaN)."""
+    worst = errors[0]
+    for e in errors:
+        if e != e:
+            return e
+        if e > worst:
+            worst = e
+    return worst
+
+
+def _integrate(f, m: int | None, lo: float, hi: float,
+               tol: float) -> list[IntegrationResult]:
+    """Integrate the m components of f over (lo, hi) on one adaptive mesh.
+
+    f returns m values per node, or with m = None one value, which is
+    one component.  The panel with the largest component error is split
+    while any component's total error exceeds tol, and all components
+    share the panel budget; each result counts every node of the mesh.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
+        raise InvalidInput(f"need finite lo < hi, got ({lo!r}, {hi!r})")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise InvalidInput(f"tol must be positive and finite, got {tol!r}")
+
+    def panel(a, b):
+        values, errs, n = _kronrod_panel(f, a, b, m)
+        return ([values], [errs], n) if m is None else (values, errs, n)
+
+    values, errs, evals = panel(lo, hi)
+    # heap of (-largest error, insertion id, lo, hi, values, errors)
+    counter = 0
+    panels = [(-_worst(errs), counter, lo, hi, values, errs)]
+    totals = list(errs)
+    comps = range(len(errs))
+
+    # a NaN total ends the loop as if it had converged
+    while _worst(totals) > tol and len(panels) < _MAX_PANELS:
+        neg, _, a, b, v, e = heapq.heappop(panels)
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            # panel no longer splittable in floating point: keep as is
+            counter += 1
+            heapq.heappush(panels, (0.0, counter, a, b, v, e))
+            continue
+        v1, e1, n1 = panel(a, mid)
+        v2, e2, n2 = panel(mid, b)
+        evals += n1 + n2
+        for i in comps:
+            totals[i] += e1[i] + e2[i] - e[i]
+        counter += 1
+        heapq.heappush(panels, (-_worst(e1), counter, a, mid, v1, e1))
+        counter += 1
+        heapq.heappush(panels, (-_worst(e2), counter, mid, b, v2, e2))
+
+    def where(i):
+        return "" if m is None else f" in component {i}"
+
+    for i in comps:
+        if math.isnan(totals[i]):
+            # a NaN estimate ends the loop above as if it had converged;
+            # it comes from panel sums of finite samples that overflow
+            raise NonFiniteError(
+                f"error estimate is NaN{where(i)}: the integrand's panel sums overflow")
+    for i in comps:
+        if totals[i] > tol:
+            raise MaxSubdivisionError(
+                f"panel budget {_MAX_PANELS} exhausted{where(i)}: "
+                f"error {totals[i]:.3e} > tol {tol:.3e}")
+
+    # correctly rounded sums do not depend on the order of the panels
+    return [IntegrationResult(complex(math.fsum(p[4][i].real for p in panels),
+                                      math.fsum(p[4][i].imag for p in panels)),
+                              math.fsum(p[5][i] for p in panels), evals)
+            for i in comps]
 
 
 def integrate_finite(
@@ -155,49 +248,7 @@ def integrate_finite(
     NaN/Inf anywhere it is sampled (or raises OverflowError or
     ZeroDivisionError there), or if the panel sums overflow.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise InvalidInput(f"need finite lo < hi, got ({lo!r}, {hi!r})")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise InvalidInput(f"tol must be positive and finite, got {tol!r}")
-
-    evals = 0
-    value, err, n = _kronrod_panel(f, lo, hi)
-    evals += n
-    # heap of (-error, insertion id, lo, hi, value, error)
-    counter = 0
-    panels = [(-err, counter, lo, hi, value, err)]
-    total_err = err
-
-    while total_err > tol and len(panels) < _MAX_PANELS:
-        neg, _, a, b, v, e = heapq.heappop(panels)
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            # panel no longer splittable in floating point: keep as is
-            counter += 1
-            heapq.heappush(panels, (0.0, counter, a, b, v, e))
-            continue
-        v1, e1, n1 = _kronrod_panel(f, a, mid)
-        v2, e2, n2 = _kronrod_panel(f, mid, b)
-        evals += n1 + n2
-        total_err += e1 + e2 - e
-        counter += 1
-        heapq.heappush(panels, (-e1, counter, a, mid, v1, e1))
-        counter += 1
-        heapq.heappush(panels, (-e2, counter, mid, b, v2, e2))
-
-    if math.isnan(total_err):
-        # a NaN estimate ends the loop above as if it had converged; it
-        # comes from panel sums of finite samples that overflow
-        raise NonFiniteError("error estimate is NaN: the integrand's panel sums overflow")
-    if total_err > tol:
-        raise MaxSubdivisionError(
-            f"panel budget {_MAX_PANELS} exhausted: error {total_err:.3e} > tol {tol:.3e}"
-        )
-
-    # correctly rounded sums do not depend on the order of the panels
-    value = complex(math.fsum(p[4].real for p in panels),
-                    math.fsum(p[4].imag for p in panels))
-    return IntegrationResult(value, math.fsum(p[5] for p in panels), evals)
+    return _integrate(f, None, lo, hi, tol)[0]
 
 
 def integrate_semi_infinite(
@@ -219,23 +270,32 @@ def integrate_semi_infinite(
     nodes of the first panel, which then return about 0 with a tiny
     error estimate.
     """
+    return _integrate_half_line(f, None, tol, split)[0]
+
+
+def _integrate_half_line(f, m: int | None, tol: float,
+                         split: float = 0.0) -> list[IntegrationResult]:
+    """integrate_semi_infinite for the m components of f (m as in
+    _integrate), on one mesh."""
     if not (split >= 0.0 and math.isfinite(split)):
         raise InvalidInput(f"split must be finite and >= 0, got {split!r}")
     if split > 0.0:
-        head = integrate_finite(f, 0.0, split, 0.5 * tol)
-        tail = integrate_semi_infinite(lambda w: f(split + w), 0.5 * tol)
-        return IntegrationResult(
-            value=head.value + tail.value,
-            error_estimate=head.error_estimate + tail.error_estimate,
-            evaluations=head.evaluations + tail.evaluations,
-        )
+        head = _integrate(f, m, 0.0, split, 0.5 * tol)
+        tail = _integrate_half_line(lambda w: f(split + w), m, 0.5 * tol)
+        return [IntegrationResult(h.value + t.value, h.error_estimate + t.error_estimate,
+                                  h.evaluations + t.evaluations)
+                for h, t in zip(head, tail)]
 
-    def g(v: float) -> complex:
-        # two divisions: v * v underflows to 0 for v below 1e-162,
-        # where a divergent f can drive bisection
-        return f((1.0 - v) / v) / v / v
+    # two divisions: v * v underflows to 0 for v below 1e-162, where a
+    # divergent f can drive bisection
+    if m is None:
+        def g(v: float) -> complex:
+            return f((1.0 - v) / v) / v / v
+    else:
+        def g(v: float) -> list:
+            return [y / v / v for y in f((1.0 - v) / v)]
 
-    return integrate_finite(g, 0.0, 1.0, tol)
+    return _integrate(g, m, 0.0, 1.0, tol)
 
 
 def laplace_transform(
@@ -262,16 +322,17 @@ def laplace_transform(
     return integrate_semi_infinite(integrand, tol, split=1.0)
 
 
-def gamma_average(q: Callable[[float], complex], s: float, v: float,
-                  tol: float) -> IntegrationResult:
-    """Evaluate int_0^inf q(e^-t) t^(s-1) e^(-v t)/Gamma(s) dt for s >= 1:
-    the Lerch integral representation, and each built-in kernel's
-    defining integral with h = e^-t.
+def gamma_average(qs: Sequence[Callable[[float], complex]], s: float, v: float,
+                  tol: float) -> list[IntegrationResult]:
+    """Evaluate int_0^inf q(e^-t) t^(s-1) e^(-v t)/Gamma(s) dt for each q
+    of qs, s >= 1: the Lerch integral representation, and each built-in
+    kernel's defining integral with h = e^-t.
 
     In tau = v t the weight is v^-s times the gamma density, of mass 1,
     formed in log space relative to its mode tau = s - 1.  The chart's
     unit is the density's width sqrt(s) and it splits at the mode; the
-    integral is taken to tol relative to v^-s, then scaled by it.
+    integrals are taken to tol relative to v^-s, then scaled by it.  All
+    of qs share one mesh, so h and the density are formed once per node.
     Raises DomainError above order _GAMMA_MAX_ORDER and where v^-s
     overflows.
     """
@@ -304,7 +365,9 @@ def gamma_average(q: Callable[[float], complex], s: float, v: float,
         if mode:
             log_rel += mode * (math.log1p(x / mode) if 2.0 * x > -mode
                                else math.log(tau) - math.log(mode))
-        return q(math.exp(-tau / v)) * math.exp(log_top + log_rel) * width
+        h = math.exp(-tau / v)
+        density = math.exp(log_top + log_rel)
+        return [q(h) * density * width for q in qs]
 
-    res = integrate_semi_infinite(integrand, tol, split=mode / width)
-    return IntegrationResult(res.value * mass, res.error_estimate * mass, res.evaluations)
+    return [IntegrationResult(r.value * mass, r.error_estimate * mass, r.evaluations)
+            for r in _integrate_half_line(integrand, len(qs), tol, mode / width)]

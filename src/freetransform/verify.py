@@ -22,17 +22,16 @@ from ._records import record
 from .kernels import (
     FAMILIES,
     KernelFamily,
+    SSELF,
     const_c,
-    const_c_quad,
     const_d,
-    const_d_quad,
     custom_density,
     custom_step,
     kernel_g,
     kernel_g_quad,
+    kernel_quad_grid,
     pick_eval,
     pick_representation,
-    sself,
 )
 from .measures import (
     LevyTriple,
@@ -120,13 +119,17 @@ def suite_kernels() -> list[CheckResult]:
     grid = _upper_grid()
     worst_g = dict.fromkeys(FAMILIES, 0.0)
     worst_cd = dict.fromkeys(FAMILIES, 0.0)
+    sself_quad = {}
     for fam in _families():
-        for z in grid:
-            dev = abs(kernel_g(fam, z) - kernel_g_quad(fam, z).value)
-            worst_g[fam.tag] = _worst(worst_g[fam.tag], dev)
-        dev_c = abs(const_c(fam) - const_c_quad(fam).value)
-        dev_d = abs(const_d(fam) - const_d_quad(fam).value)
+        # c, d and g at every z of the grid on one mesh per family
+        c, d, gs = kernel_quad_grid(fam, grid)
+        for z, g in zip(grid, gs):
+            worst_g[fam.tag] = _worst(worst_g[fam.tag], abs(kernel_g(fam, z) - g.value))
+        dev_c = abs(const_c(fam) - c.value)
+        dev_d = abs(const_d(fam) - d.value)
         worst_cd[fam.tag] = _worst(worst_cd[fam.tag], dev_c, dev_d)
+        if fam.tag == SSELF:
+            sself_quad[fam.k] = c, d, gs
 
     results = []
     for tag in FAMILIES:
@@ -137,16 +140,16 @@ def suite_kernels() -> list[CheckResult]:
     # with the logarithmic weight, samples other nodes and must agree
     dev = 0.0
     for k in (1, 2, 3):
-        fam = sself(k)
         raw = custom_density(lambda s: s,
                              lambda s, k=k, fac=math.factorial(k - 1):
                              (-math.log(s)) ** (k - 1) / fac,
                              0.0, 1.0)
+        raw_c, raw_d, raw_gs = kernel_quad_grid(raw, grid[::5])
+        c, d, gs = sself_quad[k]
         dev = _worst(dev,
-                     abs(const_c_quad(raw).value - const_c_quad(fam).value),
-                     abs(const_d_quad(raw).value - const_d_quad(fam).value),
-                     *(abs(kernel_g_quad(raw, z).value - kernel_g_quad(fam, z).value)
-                       for z in grid[::5]))
+                     abs(raw_c.value - c.value),
+                     abs(raw_d.value - d.value),
+                     *(abs(r.value - g.value) for r, g in zip(raw_gs, gs[::5])))
     results.append(CheckResult("sself-chart-agreement", dev, 1e-10))
     return results
 

@@ -214,15 +214,15 @@ def test_verify_fails_on_nan(monkeypatch, capsys):
     from freetransform import cli, verify
     from freetransform.quadrature import IntegrationResult
 
-    real = verify.kernel_g_quad
-    poisoned = verify._upper_grid()[3]
+    real = verify.kernel_quad_grid
 
-    def kernel_g_quad(fam, z, *args, **kwargs):
-        if fam.tag == "lclass" and z == poisoned:
-            return IntegrationResult(complex(math.nan, 0.0), 0.0, 0)
-        return real(fam, z, *args, **kwargs)
+    def kernel_quad_grid(fam, zs, *args, **kwargs):
+        c, d, gs = real(fam, zs, *args, **kwargs)
+        if fam.tag == "lclass":
+            gs[3] = IntegrationResult(complex(math.nan, 0.0), 0.0, 0)
+        return c, d, gs
 
-    monkeypatch.setattr(verify, "kernel_g_quad", kernel_g_quad)
+    monkeypatch.setattr(verify, "kernel_quad_grid", kernel_quad_grid)
     assert cli.main(["verify", "kernels"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAIL")]

@@ -24,13 +24,14 @@ from freetransform import (
     kernel_g,
     kernel_g_derivative_quad,
     kernel_g_quad,
+    kernel_quad_grid,
     lclass,
     pick_eval,
     pick_representation,
     sself,
     ubeta,
 )
-from freetransform import kernels, quadrature
+from freetransform import kernels, quadrature, verify
 from freetransform.verify import _upper_grid, run_suite
 
 UPPER = [complex(re, im) for re in (-0.5, 0.4, 1.5) for im in (0.2, 1.0)]
@@ -110,7 +111,7 @@ def _sself_chart_nodes(fam):
         seen.append(s)
         return s / (complex(0.4, 1.0) * s + 1.0)
 
-    kernels._integrate_kernel(fam, f, 1e-10)
+    kernels._integrate_kernel(fam, (f,), 1e-10)
     return seen
 
 
@@ -149,17 +150,101 @@ def test_ubeta_oracle_evaluation_count():
 
 
 def test_kernels_suite_panel_count(monkeypatch):
-    # 4 032 G7/K15 panels when each half-line family had its own chart
+    # 213 G7/K15 panels with one mesh per family; 3 946 with one per
+    # integral, and 4 032 when each half-line family had its own chart
     panels = []
     kronrod_panel = quadrature._kronrod_panel
 
-    def counted(f, lo, hi):
+    def counted(f, lo, hi, m=None):
         panels.append(hi - lo)
-        return kronrod_panel(f, lo, hi)
+        return kronrod_panel(f, lo, hi, m)
 
     monkeypatch.setattr(quadrature, "_kronrod_panel", counted)
     assert all(r.passed for r in run_suite("kernels"))
-    assert 0 < len(panels) <= 4_032
+    assert 0 < len(panels) <= 213
+
+
+def test_kernels_suite_oracle_node_count(monkeypatch):
+    # the integrand nodes behind the 25 g(z), c and d of each of the 15
+    # built-in family orders: 2 310 on one mesh per family order, 50 520
+    # with one mesh per integral; and 885 for the raw sself charts
+    nodes = {}
+    family = [None]
+    kronrod_panel = quadrature._kronrod_panel
+    quad_grid = verify.kernel_quad_grid
+
+    def counted_panel(f, lo, hi, m=None):
+        res = kronrod_panel(f, lo, hi, m)
+        nodes[family[0]] = nodes.get(family[0], 0) + res[2]
+        return res
+
+    def counted_grid(fam, zs, *args, **kwargs):
+        family[0] = fam.tag if fam.tag == kernels.CUSTOM else (fam.tag, fam.k)
+        return quad_grid(fam, zs, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_kronrod_panel", counted_panel)
+    monkeypatch.setattr(verify, "kernel_quad_grid", counted_grid)
+    assert all(r.passed for r in run_suite("kernels"))
+    raw = nodes.pop(kernels.CUSTOM)
+    assert len(nodes) == 15
+    assert sum(nodes.values()) <= 2_310
+    assert raw <= 885
+
+
+# one mesh per family ---------------------------------------------------------
+
+def test_kernel_quad_grid_matches_closed_forms():
+    grid = _upper_grid()
+    for k in (1, 2, 3, 4, 5):
+        for fam in (sself(k), ubeta(k), lclass(k)):
+            c, d, gs = kernel_quad_grid(fam, grid)
+            assert abs(c.value - const_c(fam)) <= 1e-14, fam
+            assert abs(d.value - const_d(fam)) <= 1e-14, fam
+            assert len(gs) == len(grid)
+            for z, g in zip(grid, gs):
+                assert abs(g.value - kernel_g(fam, z)) <= 1e-13, (fam, z)
+            for res in (c, d, *gs):
+                assert res.error_estimate <= 1e-10, fam
+                # one mesh: every component counts the same nodes
+                assert res.evaluations == c.evaluations
+
+
+# (value, error estimate, evaluations) of c, d, g(0.5+0.5j) and
+# g(-0.95+0.02j), frozen from the oracles that integrated each on a mesh
+# of its own: their one-component calls must reproduce them bit for bit.
+# The kernels use only correctly rounded arithmetic, so the values do not
+# depend on the platform's libm.
+_FROZEN_ORACLES = [
+    (ubeta(2), [
+        ((0.6666666666666667+0j), 7.401486830834377e-15, 15),
+        ((0.49999999999999983+0j), 5.551115123125781e-15, 15),
+        ((0.45442075383825853-0.11958368133487889j), 5.675191408200477e-14, 15),
+        ((3.587625891729824-0.5708380446894759j), 1.0750190903400435e-11, 135)]),
+    (custom_density(lambda s: 1.0 - s, lambda s: -3.0 * s * s, 0.0, 1.0,
+                    increasing=False), [
+        ((-0.25+0j), 2.7755575615628914e-15, 15),
+        ((-0.1+0j), 1.1102230246251565e-15, 15),
+        ((0.2876110196153101+0.07944154167983591j), 6.49544601500414e-15, 45),
+        ((0.18459852508903057+0.000962615786219354j), 1.7862879255552043e-11, 15)]),
+    (custom_density(lambda u: 1.0 / (1.0 + u),
+                    lambda u: 1.0 / ((1.0 + u) * (1.0 + u) * (1.0 + u)), 0.0, math.inf), [
+        ((0.3333333333333333+0j), 3.700743415417188e-15, 15),
+        ((0.24999999999999997+0j), 2.775557561562891e-15, 15),
+        ((0.2272103769191293-0.05979184066743945j), 2.8376420175455923e-14, 15),
+        ((1.793812945864912-0.285419022344738j), 5.375132170840695e-12, 135)]),
+    (custom_step(lambda s: 1.0 / (1.0 + s), ((0.5, 0.7), (1.5, 0.3))), [
+        (0.5866666666666667, 0.0, 2),
+        (0.35911111111111105, 0.0, 2),
+        ((0.42670906200317965-0.0985691573926868j), 0.0, 2),
+        ((1.4645627179802174-0.04871685735848976j), 0.0, 2)]),
+]
+
+
+@pytest.mark.parametrize("fam, frozen", _FROZEN_ORACLES)
+def test_one_component_oracles_bit_identical(fam, frozen):
+    got = [const_c_quad(fam), const_d_quad(fam),
+           kernel_g_quad(fam, 0.5 + 0.5j), kernel_g_quad(fam, -0.95 + 0.02j)]
+    assert [tuple(res) for res in got] == frozen
 
 
 def test_lclass_oracle_high_order():

@@ -13,7 +13,7 @@ from freetransform import (
     integrate_semi_infinite,
     laplace_transform,
 )
-from freetransform.quadrature import _kronrod_panel
+from freetransform.quadrature import _integrate, _kronrod_panel, gamma_average
 from freetransform.transforms import logphi
 from freetransform.verify import _GAUSS_PAIRS, _LAPLACE_T
 
@@ -178,6 +178,53 @@ def test_panel_budget_exhaustion():
     # ~1e8 oscillations can't be resolved by 1e4 panels
     with pytest.raises(MaxSubdivisionError):
         integrate_finite(lambda s: math.sin(1e8 * s), 0.0, 1.0, tol=1e-12)
+
+
+# vector integrands: m components on one mesh ----------------------------------
+
+_COMPONENTS = (
+    (lambda s: s ** 3, 0.25),
+    (lambda s: math.cos(40.0 * s), math.sin(40.0) / 40.0),
+    (lambda s: 1.0 / math.sqrt(s), 2.0),
+    (lambda s: complex(math.cos(s), math.sin(s)), complex(math.sin(1.0), 1.0 - math.cos(1.0))),
+)
+
+
+def test_components_share_one_mesh():
+    res = _integrate(lambda s: [f(s) for f, _ in _COMPONENTS], len(_COMPONENTS),
+                     0.0, 1.0, TOL)
+    for r, (_, exact) in zip(res, _COMPONENTS):
+        check(r, exact)
+        assert r.error_estimate <= TOL
+        assert r.evaluations == res[0].evaluations
+    # the shared mesh is as fine as the hardest component needs
+    assert res[0].evaluations >= max(integrate_finite(f, 0.0, 1.0).evaluations
+                                     for f, _ in _COMPONENTS)
+
+
+def test_one_component_is_the_scalar_integral():
+    # one component in a sequence runs the same arithmetic as a bare value
+    for f, _ in _COMPONENTS:
+        for lo, hi in ((0.0, 1.0), (0.25, 3.5)):
+            vector = _integrate(lambda s: (f(s),), 1, lo, hi, TOL)
+            assert vector == [integrate_finite(f, lo, hi, TOL)]
+    q = lambda w: 1.0 / (1.0 - complex(0.5, 2.0) * w)
+    single = gamma_average((q,), 3, 2.5, TOL)
+    pair = gamma_average((q, q), 3, 2.5, TOL)
+    assert pair == single + single
+
+
+def test_nan_in_one_component_raises():
+    # a NaN sample in one component, and finite samples whose panel sums
+    # overflow: the other component converges, the call still fails
+    for bad in (lambda s: math.nan if s > 0.7 else 1.0, lambda s: 1.7e308):
+        with pytest.raises(NonFiniteError):
+            _integrate(lambda s: (s, bad(s)), 2, 0.0, 1.0, TOL)
+
+
+def test_budget_exhaustion_names_the_component():
+    with pytest.raises(MaxSubdivisionError, match="component 1"):
+        _integrate(lambda s: (s, math.sin(1e8 * s), s * s), 3, 0.0, 1.0, 1e-12)
 
 
 # (value, error estimate, evaluation count) of single G7/K15 panels, frozen:
