@@ -15,6 +15,13 @@ Li_s(z) for integer s takes one of three branches by |z|:
   |z| >= 2         the inversion formula, which trades z for 1/z inside
                    the series disk.
 
+What depends on the order alone is tabled once per order, in lru_caches
+of _SERIES_TABLES tables each: the Lerch powers (v+n)^-s, which the power
+series at 1/z also reads with v = 1, the log-series coefficients and
+the inversion formula's eta coefficients.  Each table has a length cap
+independent of s, and terms past it are formed per call, so every sum
+takes the same terms in the same order as without the tables.
+
 Li_1(z) = -log(1-z) is used as it stands beyond the series radius.  The
 Lerch transcendent with integer v reduces to these: Phi(z,s,1) =
 Li_s(z)/z, Phi(z,s,2) = (Li_s(z) - z)/z^2, and Phi(z,1,k) is a logarithm
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 
 from .errors import ConvergenceError, DomainError
@@ -40,8 +48,13 @@ _SERIES_RADIUS = 0.5
 _INVERSION_RADIUS = 2.0
 _SERIES_MAX_TERMS = 1_000_000
 _SERIES_EPS = 1e-15
-# (s, v) pairs whose series powers are kept; a table is at most 51 floats
+# tables kept per routine: (s, v) series powers, at most 51 floats each,
+# and (s, shift) log-series and eta tables, at most _TABLE_TERMS entries
 _SERIES_TABLES = 64
+# mu^m/m! underflows to 0 by m = 229 at |mu| = 3.22, the largest |log z| on
+# 1/2 < |z| < 2, so every log-series sum stops within this many terms; the
+# inversion formula's eta coefficients past it are formed per call
+_TABLE_TERMS = 256
 # relative to the mass v^-s of the integral representation's weight
 _INTEGRAL_TOL = 1e-11
 # the closed-form sums stop at the first nonzero term below this fraction
@@ -158,7 +171,7 @@ def lerch_phi(z: complex, s: int, v: float) -> complex:
     Parameters
     ----------
     z : complex, not on the real ray [1, inf)
-    s : int >= 1
+    s : int >= 1, not a bool
     v : float > 0
 
     The series serves |z| <= 1/2; beyond it, integer v takes a closed
@@ -168,7 +181,8 @@ def lerch_phi(z: complex, s: int, v: float) -> complex:
     z = complex(z)
     if _on_cut(z):
         raise DomainError(f"z = {z!r} lies on the singular ray [1, inf)")
-    if not (isinstance(s, int) and s >= 1):
+    # True passes as an int >= 1; False already fails s >= 1
+    if not (isinstance(s, int) and s >= 1) or s is True:
         raise DomainError(f"s must be an integer >= 1, got {s!r}")
     if not (v > 0.0 and math.isfinite(v)):
         raise DomainError(f"v must be positive and finite, got {v!r}")
@@ -319,16 +333,55 @@ def log_gamma2_slope(eps: float) -> float:
 # polylogarithm ---------------------------------------------------------------
 
 def _power_sum(s: int, w: complex, first: int) -> complex:
-    """sum_{n>=first} w^n / n^s for |w| <= 1/2, stopped relative to the sum."""
+    """sum_{n>=first} w^n / n^s for |w| <= 1/2, stopped relative to the sum.
+
+    n^-s comes from _series_powers(s, 1.0), whose entry n - 1 is
+    (1.0 + (n - 1))^-s = float(n)^-s; powers past that table are formed
+    here, so the terms and the stop are those of the plain loop.
+    """
+    powers = _series_powers(s, 1.0)
     acc = complex(0.0)
     power = w ** first
-    for n in range(first, _SERIES_MAX_TERMS):
+    for inv in powers[first - 1:]:
+        contrib = power * inv
+        acc += contrib
+        if abs(contrib) <= _SUM_EPS * abs(acc):
+            return acc
+        power *= w
+    for n in range(len(powers) + 1, _SERIES_MAX_TERMS):
         contrib = power * float(n) ** -s
         acc += contrib
         if abs(contrib) <= _SUM_EPS * abs(acc):
             return acc
         power *= w
     raise ConvergenceError(f"polylog series stalled at z={w!r}")
+
+
+def _log_series_entries(s: int, shift: int, start: int, stop: int):
+    """(value, weight) of the log-series term m for start <= m < stop:
+
+    - (zeta(s-m) - shift, |zeta(s-m)| + shift) where zeta(s-m) != 0, the
+      value with its stop weight (zeta(s-m) itself for shift = 0);
+    - (shift, 0.0) where zeta(s-m) = 0, so shift = 1 subtracts mu^m/m!;
+    - (H_{s-1} - shift, None) at m = s - 1, the log term.
+    """
+    for m in range(start, stop):
+        if m == s - 1:
+            yield (math.fsum(1.0 / j for j in range(1, s)) - shift, None)
+            continue
+        zeta, zeta_m1 = _zeta_pair(s - m)
+        if zeta:
+            yield (zeta_m1 if shift else zeta, abs(zeta) + shift)
+        else:
+            yield (shift, 0.0)
+
+
+@functools.lru_cache(maxsize=_SERIES_TABLES)
+def _log_series_table(s: int, shift: int) -> tuple:
+    """The first min(s + 2 _BERNOULLI_HALF, _TABLE_TERMS) entries of
+    _log_series_entries(s, shift, ...)."""
+    stop = min(s + 2 * _BERNOULLI_HALF, _TABLE_TERMS)
+    return tuple(_log_series_entries(s, shift, 0, stop))
 
 
 def _log_series(s: int, z: complex, shift: int = 0) -> complex:
@@ -340,25 +393,45 @@ def _log_series(s: int, z: complex, shift: int = 0) -> complex:
     convergent for |mu| < 2 pi (|mu| < 3.3 on 1/2 < |z| < 2).  shift = 1
     subtracts z = exp(mu) term by term.  zeta vanishes at the negative
     even integers, so only a term with nonzero zeta may end the sum, and
-    only once both its zeta part and its shift part are negligible.
+    only once both its zeta part and its shift part are negligible.  The
+    coefficients come from _log_series_table(s, shift); terms past it are
+    formed per call.
     """
     mu = cmath.log(z)
+    table = _log_series_table(s, shift)
+    stop = s + 2 * _BERNOULLI_HALF
+    entries = table if len(table) == stop else itertools.chain(
+        table, _log_series_entries(s, shift, len(table), stop))
     acc = complex(0.0)
     power = complex(1.0)  # mu^m / m!
-    for m in range(s + 2 * _BERNOULLI_HALF):
-        if m == s - 1:
-            harmonic = math.fsum(1.0 / j for j in range(1, s))
-            acc += (harmonic - shift - cmath.log(-mu)) * power
-        else:
-            zeta, zeta_m1 = _zeta_pair(s - m)
-            if zeta:
-                acc += (zeta_m1 if shift else zeta) * power
-                if (abs(zeta) + shift) * abs(power) <= _SUM_EPS * abs(acc):
-                    return acc
-            elif shift:
-                acc -= power
-        power *= mu / (m + 1)
+    for m, (value, weight) in enumerate(entries, 1):
+        if weight:
+            acc += value * power
+            if weight * abs(power) <= _SUM_EPS * abs(acc):
+                return acc
+        elif weight is None:
+            acc += (value - cmath.log(-mu)) * power
+        elif value:
+            acc -= power
+        power *= mu / m
     raise ConvergenceError(f"polylog log-series stalled at z={z!r}, s={s}")
+
+
+def _eta_coefficient(n: int, shift: int) -> float:
+    """The inversion formula's coefficient of L^(s-2n)/(s-2n)!, n >= 1:
+    -2 eta(2n), or 2 - 2 eta(2n) for shift = 1."""
+    zeta, zeta_m1 = _zeta_pair(2 * n)
+    half = 2.0 ** (1 - 2 * n)
+    if shift:
+        return 2.0 * (half * zeta - zeta_m1)
+    return -2.0 * (1.0 - half) * zeta
+
+
+@functools.lru_cache(maxsize=_SERIES_TABLES)
+def _eta_table(s: int, shift: int) -> tuple:
+    """_eta_coefficient(n, shift) for 1 <= n <= min(s // 2, _TABLE_TERMS)."""
+    return tuple(_eta_coefficient(n, shift)
+                 for n in range(1, min(s // 2, _TABLE_TERMS) + 1))
 
 
 def _inversion(s: int, z: complex, shift: int = 0) -> complex:
@@ -374,28 +447,28 @@ def _inversion(s: int, z: complex, shift: int = 0) -> complex:
         -(-1)^s (Li_s(1/z) - 1/z) + 2 sum_{j>s, j=s mod 2} L^j/j!
         + sum_{n=0}^{s//2} (2 - 2 eta(2n)) L^(s-2n)/(s-2n)!,
 
-    free of the cancellation between Li_s(z) and z when |z| < 2^s.
+    free of the cancellation between Li_s(z) and z when |z| < 2^s.  The
+    eta coefficients come from _eta_table(s, shift); those past it are
+    formed per call.
     """
     big_l = cmath.log(-z)
     powers = [complex(1.0)]  # L^j / j!
     for j in range(1, s + 1):
         powers.append(powers[-1] * big_l / j)
     acc = powers[s] if shift else -powers[s]
-    for n in range(1, s // 2 + 1):
-        zeta, zeta_m1 = _zeta_pair(2 * n)
-        half = 2.0 ** (1 - 2 * n)
-        if shift:
-            coef = 2.0 * (half * zeta - zeta_m1)
-        else:
-            coef = -2.0 * (1.0 - half) * zeta
+    coefs = _eta_table(s, shift)
+    for n, coef in enumerate(coefs, 1):
         acc += coef * powers[s - 2 * n]
+    for n in range(len(coefs) + 1, s // 2 + 1):
+        acc += _eta_coefficient(n, shift) * powers[s - 2 * n]
     if shift:
+        l_squared, l_abs = big_l * big_l, abs(big_l)
         power, j = powers[s], s
         while True:
-            power *= big_l * big_l / ((j + 1) * (j + 2))
+            power *= l_squared / ((j + 1) * (j + 2))
             j += 2
             acc += 2.0 * power
-            if j > abs(big_l) and abs(power) <= _SUM_EPS * abs(acc):
+            if j > l_abs and abs(power) <= _SUM_EPS * abs(acc):
                 break
     inner = _power_sum(s, 1.0 / z, 1 + shift)
     return acc - inner if s % 2 == 0 else acc + inner
@@ -409,7 +482,8 @@ def polylog(s: int, z: complex) -> complex:
     |z| >= 2.  z = 1 diverges for s = 1 and is zeta(s) for s >= 2.
     """
     z = complex(z)
-    if not (isinstance(s, int) and s >= 1):
+    # True passes as an int >= 1; False already fails s >= 1
+    if not (isinstance(s, int) and s >= 1) or s is True:
         raise DomainError(f"s must be an integer >= 1, got {s!r}")
     if z == 1.0:
         if s == 1:

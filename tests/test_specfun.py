@@ -116,6 +116,8 @@ def test_lerch_domain():
     with pytest.raises(DomainError):
         lerch_phi(0.5, 0, 1.0)
     with pytest.raises(DomainError):
+        lerch_phi(0.3, True, 1.0)
+    with pytest.raises(DomainError):
         lerch_phi(0.5, 1, -1.0)
     # Phi is about v^-s, beyond the double range, on the integral branch
     # and on the series branch
@@ -207,6 +209,143 @@ def test_polylog_domain():
         polylog(2, 2.0)
     with pytest.raises(DomainError):
         polylog(0, 0.5)
+    with pytest.raises(DomainError):
+        polylog(True, 0.3)
+
+
+
+def _power_sum_direct(s, w, first):
+    """_power_sum with n^-s formed term by term."""
+    acc = complex(0.0)
+    power = w ** first
+    for n in range(first, specfun._SERIES_MAX_TERMS):
+        contrib = power * float(n) ** -s
+        acc += contrib
+        if abs(contrib) <= specfun._SUM_EPS * abs(acc):
+            return acc
+        power *= w
+    raise AssertionError("reference power sum did not stop")
+
+
+def _log_series_direct(s, z, shift):
+    """_log_series with zeta, the stop weight and H_{s-1} formed per term."""
+    mu = cmath.log(z)
+    acc = complex(0.0)
+    power = complex(1.0)
+    for m in range(s + 2 * specfun._BERNOULLI_HALF):
+        if m == s - 1:
+            harmonic = math.fsum(1.0 / j for j in range(1, s))
+            acc += (harmonic - shift - cmath.log(-mu)) * power
+        else:
+            zeta, zeta_m1 = specfun._zeta_pair(s - m)
+            if zeta:
+                acc += (zeta_m1 if shift else zeta) * power
+                if (abs(zeta) + shift) * abs(power) <= specfun._SUM_EPS * abs(acc):
+                    return acc
+            elif shift:
+                acc -= power
+        power *= mu / (m + 1)
+    raise AssertionError("reference log-series did not stop")
+
+
+def _inversion_direct(s, z, shift):
+    """_inversion with every eta coefficient formed per call."""
+    big_l = cmath.log(-z)
+    powers = [complex(1.0)]
+    for j in range(1, s + 1):
+        powers.append(powers[-1] * big_l / j)
+    acc = powers[s] if shift else -powers[s]
+    for n in range(1, s // 2 + 1):
+        zeta, zeta_m1 = specfun._zeta_pair(2 * n)
+        half = 2.0 ** (1 - 2 * n)
+        if shift:
+            coef = 2.0 * (half * zeta - zeta_m1)
+        else:
+            coef = -2.0 * (1.0 - half) * zeta
+        acc += coef * powers[s - 2 * n]
+    if shift:
+        power, j = powers[s], s
+        while True:
+            power *= big_l * big_l / ((j + 1) * (j + 2))
+            j += 2
+            acc += 2.0 * power
+            if j > abs(big_l) and abs(power) <= specfun._SUM_EPS * abs(acc):
+                break
+    inner = _power_sum_direct(s, 1.0 / z, 1 + shift)
+    return acc - inner if s % 2 == 0 else acc + inner
+
+
+_OFF_DISK_ORDERS = (1, 2, 3, 5, 8, 12, 17, 60, 400, 1100)
+# 8 angles off the axes, and the imaginary axis
+_OFF_DISK_ANGLES = tuple(math.pi * (2 * j + 1) / 8 for j in range(8)) + (
+    math.pi / 2, -math.pi / 2)
+
+
+def _compare_off_disk(orders):
+    """_log_series on 1/2 < |z| < 2, _inversion on |z| >= 2 and _power_sum
+    at 1/z against the per-term loops with ==; the number compared."""
+    near = (0.5000001, 0.6, 0.9, 1.0, 1.3, 1.9999999)
+    far = (2.0, 3.0, 10.0, 1e3, 1e8)
+    compared = 0
+    for s in orders:
+        for shift in (0, 1):
+            for theta in _OFF_DISK_ANGLES:
+                for r in near:
+                    z = cmath.rect(r, theta)
+                    assert specfun._log_series(s, z, shift) == \
+                        _log_series_direct(s, z, shift), (s, z, shift)
+                for r in far:
+                    z = cmath.rect(r, theta)
+                    assert specfun._inversion(s, z, shift) == \
+                        _inversion_direct(s, z, shift), (s, z, shift)
+                    w = 1.0 / z
+                    assert specfun._power_sum(s, w, 1 + shift) == \
+                        _power_sum_direct(s, w, 1 + shift), (s, w, shift)
+                    compared += 3
+    return compared
+
+
+def test_off_disk_tables_are_bit_identical():
+    assert _compare_off_disk(_OFF_DISK_ORDERS) > 1000
+
+
+def test_off_disk_terms_past_the_tables_are_bit_identical(monkeypatch):
+    # with short tables, the log-series and eta terms past them are formed
+    # per call; the sums must not change
+    monkeypatch.setattr(specfun, "_TABLE_TERMS", 3)
+    specfun._log_series_table.cache_clear()
+    specfun._eta_table.cache_clear()
+    try:
+        assert _compare_off_disk((2, 5, 8, 17)) > 400
+        assert len(specfun._log_series_table(17, 1)) == 3
+        assert len(specfun._eta_table(17, 1)) == 3
+    finally:
+        specfun._log_series_table.cache_clear()
+        specfun._eta_table.cache_clear()
+
+
+def test_off_disk_tables_are_bounded():
+    tables = (specfun._log_series_table, specfun._eta_table, specfun._series_powers)
+    for table in tables:
+        assert table.cache_info().maxsize == specfun._SERIES_TABLES
+    cap = specfun._TABLE_TERMS
+    # cold calls at high orders: one table each, none longer than the cap,
+    # and no more new zeta values than the cap
+    for call, table, key in ((lambda: lerch_phi(-1.5j, 10 ** 5, 2.0),
+                              specfun._log_series_table, (10 ** 5, 1)),
+                             (lambda: polylog(20000, 1.5j),
+                              specfun._log_series_table, (20000, 0)),
+                             (lambda: polylog(600, 3.0j),
+                              specfun._eta_table, (600, 0))):
+        before = specfun._zeta_pair.cache_info().currsize
+        call()
+        assert len(table(*key)) == cap, key
+        if table is specfun._log_series_table:
+            assert specfun._zeta_pair.cache_info().currsize - before <= cap, key
+    assert len(specfun._series_powers(600, 1.0)) <= 51
+    for table in tables:
+        info = table.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 # collapsed hypergeometric --------------------------------------------------
