@@ -15,12 +15,23 @@ Li_s(z) for integer s takes one of three branches by |z|:
   |z| >= 2         the inversion formula, which trades z for 1/z inside
                    the series disk.
 
-What depends on the order alone is tabled once per order, in lru_caches
-of _SERIES_TABLES tables each: the Lerch powers (v+n)^-s, which the power
-series at 1/z also reads with v = 1, the log-series coefficients and
-the inversion formula's eta coefficients.  Each table has a length cap
-independent of s, and terms past it are formed per call, so every sum
-takes the same terms in the same order as without the tables.
+What does not depend on z is tabled, in bounded lru_caches, and built
+only as far as the sums reach:
+
+  (v+n)^-s         one table per (s, v), at most 51 powers.  The Lerch
+                   series reads it, and with v = 1 so do both sums of
+                   w^n n^-s: polylog's series on |z| <= 1/2 and the
+                   inversion formula's series at w = 1/z.  All of them
+                   share the last _SERIES_TABLES tables.
+  log-series       the coefficients of order s, with their stop weights
+                   and H_{s-1}, in chunks of _TABLE_CHUNK terms, each
+                   built when a sum first runs into it; the last
+                   _LOG_SERIES_CHUNKS chunks kept.
+  eta(2n)          the inversion formula's coefficients, which do not
+                   depend on s: one table per shift, in the same chunks,
+                   the last _SERIES_TABLES chunks kept.
+
+Every sum takes the same terms in the same order as without the tables.
 
 Li_1(z) = -log(1-z) is used as it stands beyond the series radius.  The
 Lerch transcendent with integer v reduces to these: Phi(z,s,1) =
@@ -38,7 +49,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 
 from .errors import ConvergenceError, DomainError
@@ -48,13 +58,15 @@ _SERIES_RADIUS = 0.5
 _INVERSION_RADIUS = 2.0
 _SERIES_MAX_TERMS = 1_000_000
 _SERIES_EPS = 1e-15
-# tables kept per routine: (s, v) series powers, at most 51 floats each,
-# and (s, shift) log-series and eta tables, at most _TABLE_TERMS entries
+# (s, v) series power tables kept, at most 51 floats each, and eta chunks
 _SERIES_TABLES = 64
+# log-series and eta coefficients are tabled in chunks of this many terms
+_TABLE_CHUNK = 32
 # mu^m/m! underflows to 0 by m = 229 at |mu| = 3.22, the largest |log z| on
-# 1/2 < |z| < 2, so every log-series sum stops within this many terms; the
-# inversion formula's eta coefficients past it are formed per call
-_TABLE_TERMS = 256
+# 1/2 < |z| < 2, so every log-series sum stops within this many terms
+_TABLE_TERMS = 8 * _TABLE_CHUNK
+# log-series chunks kept: as many terms as _SERIES_TABLES full orders
+_LOG_SERIES_CHUNKS = _SERIES_TABLES * _TABLE_TERMS // _TABLE_CHUNK
 # relative to the mass v^-s of the integral representation's weight
 _INTEGRAL_TOL = 1e-11
 # the closed-form sums stop at the first nonzero term below this fraction
@@ -337,7 +349,9 @@ def _power_sum(s: int, w: complex, first: int) -> complex:
 
     n^-s comes from _series_powers(s, 1.0), whose entry n - 1 is
     (1.0 + (n - 1))^-s = float(n)^-s; powers past that table are formed
-    here, so the terms and the stop are those of the plain loop.
+    here, so the terms and the stop are those of the plain loop.  Both
+    polylog on |z| <= 1/2 and _inversion at w = 1/z read it, and their
+    (s, 1.0) tables share the cache with _lerch_series's (s, v) ones.
     """
     powers = _series_powers(s, 1.0)
     acc = complex(0.0)
@@ -357,81 +371,73 @@ def _power_sum(s: int, w: complex, first: int) -> complex:
     raise ConvergenceError(f"polylog series stalled at z={w!r}")
 
 
-def _log_series_entries(s: int, shift: int, start: int, stop: int):
-    """(value, weight) of the log-series term m for start <= m < stop:
+@functools.lru_cache(maxsize=_LOG_SERIES_CHUNKS)
+def _log_series_chunk(s: int, shift: int, start: int) -> tuple:
+    """The log-series terms start <= m < start + _TABLE_CHUNK of the order
+    s, none past s + 2 _BERNOULLI_HALF, as (value, weight):
 
     - (zeta(s-m) - shift, |zeta(s-m)| + shift) where zeta(s-m) != 0, the
       value with its stop weight (zeta(s-m) itself for shift = 0);
     - (shift, 0.0) where zeta(s-m) = 0, so shift = 1 subtracts mu^m/m!;
     - (H_{s-1} - shift, None) at m = s - 1, the log term.
     """
-    for m in range(start, stop):
+    chunk = []
+    for m in range(start, min(start + _TABLE_CHUNK, s + 2 * _BERNOULLI_HALF)):
         if m == s - 1:
-            yield (math.fsum(1.0 / j for j in range(1, s)) - shift, None)
+            chunk.append((math.fsum(1.0 / j for j in range(1, s)) - shift, None))
             continue
         zeta, zeta_m1 = _zeta_pair(s - m)
         if zeta:
-            yield (zeta_m1 if shift else zeta, abs(zeta) + shift)
+            chunk.append((zeta_m1 if shift else zeta, abs(zeta) + shift))
         else:
-            yield (shift, 0.0)
-
-
-@functools.lru_cache(maxsize=_SERIES_TABLES)
-def _log_series_table(s: int, shift: int) -> tuple:
-    """The first min(s + 2 _BERNOULLI_HALF, _TABLE_TERMS) entries of
-    _log_series_entries(s, shift, ...)."""
-    stop = min(s + 2 * _BERNOULLI_HALF, _TABLE_TERMS)
-    return tuple(_log_series_entries(s, shift, 0, stop))
+            chunk.append((shift, 0.0))
+    return tuple(chunk)
 
 
 def _log_series(s: int, z: complex, shift: int = 0) -> complex:
     """Li_s(z) - shift * z by Crandall's expansion in mu = log z:
 
-        sum_{m != s-1} (zeta(s-m) - shift) mu^m/m!
-        + mu^(s-1)/(s-1)! (H_{s-1} - shift - log(-mu)),
+        Li_s(z) = sum_{m>=0, m != s-1} zeta(s-m) mu^m/m!
+                  + mu^(s-1)/(s-1)! (H_{s-1} - log(-mu)),
 
     convergent for |mu| < 2 pi (|mu| < 3.3 on 1/2 < |z| < 2).  shift = 1
     subtracts z = exp(mu) term by term.  zeta vanishes at the negative
     even integers, so only a term with nonzero zeta may end the sum, and
     only once both its zeta part and its shift part are negligible.  The
-    coefficients come from _log_series_table(s, shift); terms past it are
-    formed per call.
+    coefficients come from _log_series_chunk(s, shift, ...), one chunk
+    after another.
     """
     mu = cmath.log(z)
-    table = _log_series_table(s, shift)
-    stop = s + 2 * _BERNOULLI_HALF
-    entries = table if len(table) == stop else itertools.chain(
-        table, _log_series_entries(s, shift, len(table), stop))
     acc = complex(0.0)
     power = complex(1.0)  # mu^m / m!
-    for m, (value, weight) in enumerate(entries, 1):
-        if weight:
-            acc += value * power
-            if weight * abs(power) <= _SUM_EPS * abs(acc):
-                return acc
-        elif weight is None:
-            acc += (value - cmath.log(-mu)) * power
-        elif value:
-            acc -= power
-        power *= mu / m
+    for start in range(0, min(s + 2 * _BERNOULLI_HALF, _TABLE_TERMS), _TABLE_CHUNK):
+        for m, (value, weight) in enumerate(_log_series_chunk(s, shift, start), start + 1):
+            if weight:
+                acc += value * power
+                if weight * abs(power) <= _SUM_EPS * abs(acc):
+                    return acc
+            elif weight is None:
+                acc += (value - cmath.log(-mu)) * power
+            elif value:
+                acc -= power
+            power *= mu / m
     raise ConvergenceError(f"polylog log-series stalled at z={z!r}, s={s}")
 
 
-def _eta_coefficient(n: int, shift: int) -> float:
-    """The inversion formula's coefficient of L^(s-2n)/(s-2n)!, n >= 1:
-    -2 eta(2n), or 2 - 2 eta(2n) for shift = 1."""
-    zeta, zeta_m1 = _zeta_pair(2 * n)
-    half = 2.0 ** (1 - 2 * n)
-    if shift:
-        return 2.0 * (half * zeta - zeta_m1)
-    return -2.0 * (1.0 - half) * zeta
-
-
 @functools.lru_cache(maxsize=_SERIES_TABLES)
-def _eta_table(s: int, shift: int) -> tuple:
-    """_eta_coefficient(n, shift) for 1 <= n <= min(s // 2, _TABLE_TERMS)."""
-    return tuple(_eta_coefficient(n, shift)
-                 for n in range(1, min(s // 2, _TABLE_TERMS) + 1))
+def _eta_chunk(shift: int, start: int) -> tuple:
+    """The inversion formula's coefficients of L^(s-2n)/(s-2n)! for
+    start < n <= start + _TABLE_CHUNK, whatever the order s: -2 eta(2n),
+    or 2 - 2 eta(2n) for shift = 1."""
+    chunk = []
+    for n in range(start + 1, start + _TABLE_CHUNK + 1):
+        zeta, zeta_m1 = _zeta_pair(2 * n)
+        half = 2.0 ** (1 - 2 * n)
+        if shift:
+            chunk.append(2.0 * (half * zeta - zeta_m1))
+        else:
+            chunk.append(-2.0 * (1.0 - half) * zeta)
+    return tuple(chunk)
 
 
 def _inversion(s: int, z: complex, shift: int = 0) -> complex:
@@ -448,19 +454,17 @@ def _inversion(s: int, z: complex, shift: int = 0) -> complex:
         + sum_{n=0}^{s//2} (2 - 2 eta(2n)) L^(s-2n)/(s-2n)!,
 
     free of the cancellation between Li_s(z) and z when |z| < 2^s.  The
-    eta coefficients come from _eta_table(s, shift); those past it are
-    formed per call.
+    eta coefficients come from _eta_chunk(shift, ...).
     """
     big_l = cmath.log(-z)
     powers = [complex(1.0)]  # L^j / j!
     for j in range(1, s + 1):
         powers.append(powers[-1] * big_l / j)
     acc = powers[s] if shift else -powers[s]
-    coefs = _eta_table(s, shift)
-    for n, coef in enumerate(coefs, 1):
-        acc += coef * powers[s - 2 * n]
-    for n in range(len(coefs) + 1, s // 2 + 1):
-        acc += _eta_coefficient(n, shift) * powers[s - 2 * n]
+    half = s // 2
+    for start in range(0, half, _TABLE_CHUNK):
+        for n, coef in enumerate(_eta_chunk(shift, start)[:half - start], start + 1):
+            acc += coef * powers[s - 2 * n]
     if shift:
         l_squared, l_abs = big_l * big_l, abs(big_l)
         power, j = powers[s], s

@@ -309,40 +309,40 @@ def test_off_disk_tables_are_bit_identical():
     assert _compare_off_disk(_OFF_DISK_ORDERS) > 1000
 
 
-def test_off_disk_terms_past_the_tables_are_bit_identical(monkeypatch):
-    # with short tables, the log-series and eta terms past them are formed
-    # per call; the sums must not change
-    monkeypatch.setattr(specfun, "_TABLE_TERMS", 3)
-    specfun._log_series_table.cache_clear()
-    specfun._eta_table.cache_clear()
-    try:
-        assert _compare_off_disk((2, 5, 8, 17)) > 400
-        assert len(specfun._log_series_table(17, 1)) == 3
-        assert len(specfun._eta_table(17, 1)) == 3
-    finally:
-        specfun._log_series_table.cache_clear()
-        specfun._eta_table.cache_clear()
+def test_off_disk_terms_past_the_tables_are_bit_identical():
+    # an order whose s // 2 eta coefficients span more chunks than the
+    # cache keeps evicts its own first chunks and builds them again
+    s = 2 * specfun._TABLE_CHUNK * specfun._SERIES_TABLES + 2
+    assert _compare_off_disk((s,)) > 100
 
 
 def test_off_disk_tables_are_bounded():
-    tables = (specfun._log_series_table, specfun._eta_table, specfun._series_powers)
+    tables = (specfun._log_series_chunk, specfun._eta_chunk,
+              specfun._series_powers)
     for table in tables:
-        assert table.cache_info().maxsize == specfun._SERIES_TABLES
-    cap = specfun._TABLE_TERMS
-    # cold calls at high orders: one table each, none longer than the cap,
-    # and no more new zeta values than the cap
-    for call, table, key in ((lambda: lerch_phi(-1.5j, 10 ** 5, 2.0),
-                              specfun._log_series_table, (10 ** 5, 1)),
-                             (lambda: polylog(20000, 1.5j),
-                              specfun._log_series_table, (20000, 0)),
-                             (lambda: polylog(600, 3.0j),
-                              specfun._eta_table, (600, 0))):
-        before = specfun._zeta_pair.cache_info().currsize
+        assert table.cache_info().maxsize is not None
+    chunk = specfun._TABLE_CHUNK
+    # each cold call at an order no other test takes: the chunks it builds
+    # and the new zeta values, at most (shift = 0 at a high order stops
+    # within about 40 terms, as the plain loop did; shift = 1 sums until
+    # mu^m/m! underflows, the whole capped table)
+    for call, chunks in ((lambda: polylog(20000, 1.5j), 1),
+                         (lambda: lerch_phi(-1.5j, 10 ** 5, 2.0),
+                          specfun._TABLE_TERMS // chunk)):
+        zetas = specfun._zeta_pair.cache_info().currsize
+        built = specfun._log_series_chunk.cache_info().misses
         call()
-        assert len(table(*key)) == cap, key
-        if table is specfun._log_series_table:
-            assert specfun._zeta_pair.cache_info().currsize - before <= cap, key
-    assert len(specfun._series_powers(600, 1.0)) <= 51
+        assert specfun._log_series_chunk.cache_info().misses - built <= chunks
+        assert specfun._zeta_pair.cache_info().currsize - zetas <= chunks * chunk
+    for start in range(0, specfun._TABLE_TERMS, chunk):
+        assert len(specfun._log_series_chunk(10 ** 5, 1, start)) == chunk
+    # the eta chunks do not depend on the order: a call needs the chunks
+    # up to s // 2, and builds those no earlier order built
+    polylog(602, 3.0j)
+    built = specfun._eta_chunk.cache_info().misses
+    polylog(600, 5.0j)
+    assert specfun._eta_chunk.cache_info().misses == built
+    assert len(specfun._series_powers(602, 1.0)) <= 51
     for table in tables:
         info = table.cache_info()
         assert info.currsize <= info.maxsize
