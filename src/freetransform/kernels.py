@@ -292,23 +292,6 @@ def kernel_g_quad(fam: KernelFamily, z: complex, tol: float = 1e-10) -> Integrat
     return _integrate_kernel(fam, (_g_integrand(fam, complex(z)),), tol)[0]
 
 
-def kernel_g_derivative_quad(fam: KernelFamily, z: complex, n: int,
-                             tol: float = 1e-10) -> IntegrationResult:
-    """n-th derivative of g at z for a non-decreasing kernel:
-    g^(n)(z) = (-1)^n n! int (h/(1+z h))^(n+1) dr."""
-    if not fam.increasing:
-        raise InvalidInput("derivative formula implemented for the + sign only")
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidInput(f"derivative order must be an integer >= 1, got {n!r}")
-    z = complex(z)
-    fac = (-1) ** n * math.factorial(n)
-
-    def q(hv: float) -> complex:
-        return fac * hv ** n / (1.0 + z * hv) ** (n + 1)
-
-    return _integrate_kernel(fam, (q,), tol)[0]
-
-
 # ---------------------------------------------------------------------------
 # Pick-Nevanlinna representation of step-kernel g
 

@@ -22,10 +22,10 @@ from freetransform import (
     custom_density,
     custom_step,
     kernel_g,
-    kernel_g_derivative_quad,
     kernel_g_quad,
     kernel_quad_grid,
     lclass,
+    lerch_phi,
     pick_eval,
     pick_representation,
     sself,
@@ -411,37 +411,16 @@ def test_custom_step_sign_validation():
 # derivatives ---------------------------------------------------------------------
 
 def test_derivative_formula_first_order():
+    # g(z) = scale Phi(-z, s, v) and z dPhi/dz = Phi(z, s-1, v) - v Phi(z, s, v),
+    # with Phi(z, 0, v) = 1/(1-z)
     h = 1e-5
     for fam in (sself(2), ubeta(1), lclass(1)):
+        _, _, scale, s, v = kernels.FAMILIES[fam.tag].closed_form(fam.k)
         for z in (0.5 + 0.5j, 1.5 + 0.2j):
             fd = (kernel_g(fam, z + h) - kernel_g(fam, z - h)) / (2.0 * h)
-            assert abs(kernel_g_derivative_quad(fam, z, 1).value - fd) < 1e-8
-
-
-def test_derivative_formula_second_order():
-    h = 1e-4  # second differences lose ~eps/h^2 to roundoff
-    fam = ubeta(2)
-    z = 0.8 + 0.4j
-    fd = (kernel_g(fam, z + h) - 2.0 * kernel_g(fam, z)
-          + kernel_g(fam, z - h)) / h ** 2
-    assert abs(kernel_g_derivative_quad(fam, z, 2).value - fd) < 1e-6
-
-
-def test_derivative_step_kernel_exact():
-    h = lambda s: s
-    jumps = ((0.5, 1.0), (1.5, 2.0))
-    fam = custom_step(h, jumps)
-    z = 0.3 + 0.9j
-    exact = sum(-j * h(s) ** 2 / (1.0 + z * h(s)) ** 2 for s, j in jumps)
-    assert abs(kernel_g_derivative_quad(fam, z, 1).value - exact) < 1e-14
-
-
-def test_derivative_validation():
-    with pytest.raises(InvalidInput):
-        kernel_g_derivative_quad(sself(1), 1.0j, 0)
-    dec = custom_step(lambda s: s and 1.0 / s, ((1.0, -1.0),), increasing=False)
-    with pytest.raises(InvalidInput):
-        kernel_g_derivative_quad(dec, 1.0j, 1)
+            lower = 1.0 / (1.0 + z) if s == 1 else lerch_phi(-z, s - 1, v)
+            exact = scale * (lower - v * lerch_phi(-z, s, v)) / z
+            assert abs(fd - exact) < 1e-8
 
 
 # half-plane representation of step kernels ------------------------------------
