@@ -141,8 +141,3 @@ def scale_triple(c: float, tr: LevyTriple) -> LevyTriple:
                       gauss_var=c * c * tr.gauss_var,
                       levy_atoms=tuple(atoms))
 
-
-def reflect_triple(tr: LevyTriple) -> LevyTriple:
-    """Triple of the sign-flipped law (the law of -X)."""
-    return LevyTriple(drift=-tr.drift, gauss_var=tr.gauss_var,
-                      levy_atoms=tuple((-x, w) for x, w in tr.levy_atoms))

@@ -12,7 +12,6 @@ from freetransform import (
     LevyTriple,
     finite_measure_to_triple,
     log_moment,
-    reflect_triple,
     scale_triple,
     triple_to_finite_measure,
 )
@@ -175,7 +174,7 @@ def test_log_moment_validation():
         log_moment(LevyTriple(0.0, 0.0, ()), 0)
 
 
-# dilation and reflection -----------------------------------------------------
+# dilation -------------------------------------------------------------------
 
 def test_scale_triple_example():
     tr = LevyTriple(0.0, 0.0, ((1.0, 1.0),))
@@ -212,12 +211,3 @@ def test_scale_composition(tr, c1, c2):
         assert math.isclose(x1, x2, rel_tol=1e-12)
         assert w1 == w2
 
-
-def test_reflect_triple():
-    tr = LevyTriple(0.4, 1.0, ((1.0, 2.0), (-3.0, 0.5)))
-    out = reflect_triple(tr)
-    assert out.drift == -0.4
-    assert out.gauss_var == 1.0
-    assert out.levy_atoms == ((-1.0, 2.0), (3.0, 0.5))
-    again = reflect_triple(out)
-    assert again == tr

@@ -26,7 +26,6 @@ from freetransform import (
     linf_integrand,
     logphi,
     random_integral_transform,
-    reflect_triple,
     scale_transform,
     scale_triple,
     sself,
@@ -291,7 +290,9 @@ def test_decreasing_kernel_against_reflection_oracle():
     h = lambda s: 1.0 / s
     jumps = ((1.0, -0.6), (2.0, -0.4))
     fam = custom_step(h, jumps, increasing=False)
-    refl = reflect_triple(MIXED)
+    # the triple of the law of -X
+    refl = LevyTriple(-MIXED.drift, MIXED.gauss_var,
+                      tuple((-x, w) for x, w in MIXED.levy_atoms))
     for t in T_GRID:
         direct = random_integral_transform(fam, MIXED, t).value
         oracle = sum((-j) * h(s) * voiculescu_id(refl, t / h(s)).value
