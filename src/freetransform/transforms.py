@@ -34,8 +34,8 @@ from collections.abc import Callable, Sequence
 from ._records import record
 from .errors import DomainError, InvalidInput, NonFiniteError
 from .kernels import KernelFamily, custom_density, lclass, map_data, sself, ubeta
-from .measures import (FiniteMeasure, LevyTriple, finite_measure_to_triple,
-                       log_moment, triple_to_finite_measure)
+from .measures import (FiniteMeasure, LevyTriple, log_moment,
+                       triple_to_finite_measure)
 from .quadrature import integrate_semi_infinite, laplace_transform
 from .specfun import log_gamma2_slope
 
@@ -162,13 +162,6 @@ def transform_sself(k: int, tr: LevyTriple, t: float) -> TransformValue:
     return random_integral_transform(sself(k), tr, t)
 
 
-def transform_sself_measure(k: int, a: float, m: FiniteMeasure,
-                            t: float) -> TransformValue:
-    """Companion-measure form of transform_sself; the integrand value at
-    the origin is 1/(3^k it), carried by the atom m({0})."""
-    return transform_sself(k, finite_measure_to_triple(a, m), t)
-
-
 def transform_ubeta(k: int, tr: LevyTriple, t: float) -> TransformValue:
     """Transform of the image of tr under the power-time-change map.
 
@@ -176,13 +169,6 @@ def transform_ubeta(k: int, tr: LevyTriple, t: float) -> TransformValue:
             + sum w x [k Phi(x/(it), 1, k+1) - (k/(k+1))/(1+x^2)].
     """
     return random_integral_transform(ubeta(k), tr, t)
-
-
-def transform_ubeta_measure(k: int, a: float, m: FiniteMeasure,
-                            t: float) -> TransformValue:
-    """Companion-measure form of transform_ubeta; integrand value
-    (k/(k+2))/(it) at the origin."""
-    return transform_ubeta(k, finite_measure_to_triple(a, m), t)
 
 
 def transform_lclass(k: int, tr: LevyTriple, t: float) -> TransformValue:
@@ -197,30 +183,6 @@ def transform_lclass(k: int, tr: LevyTriple, t: float) -> TransformValue:
     jump measures always have (see log_moment).
     """
     return random_integral_transform(lclass(k), tr, t)
-
-
-def _lclass_weight_at(k: int, x: float) -> float:
-    # weight tying the order-k companion measure to the jump measure
-    return math.log(1.0 + abs(x) ** (2.0 / (k + 1))) ** (k + 1)
-
-
-def transform_lclass_measure(k: int, a: float, m: FiniteMeasure,
-                             t: float) -> TransformValue:
-    """Companion-measure form of transform_lclass.
-
-    Here the measure weights jump atoms by log(1+|x|^(2/(k+1)))^(k+1)
-    (not x^2/(1+x^2)); the origin atom is the Gaussian variance and the
-    integrand value there is 1/(2^(k+1) it).
-    """
-    gauss_var = 0.0
-    jump = []
-    for x, w in m.atoms:
-        if x == 0.0:
-            gauss_var = w
-        elif w > 0.0:
-            jump.append((x, w / _lclass_weight_at(k, x)))
-    tr = LevyTriple(drift=a, gauss_var=gauss_var, levy_atoms=tuple(jump))
-    return transform_lclass(k, tr, t)
 
 
 # ---------------------------------------------------------------------------

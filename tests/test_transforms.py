@@ -30,12 +30,9 @@ from freetransform import (
     scale_triple,
     sself,
     transform_lclass,
-    transform_lclass_measure,
     transform_linf,
     transform_sself,
-    transform_sself_measure,
     transform_ubeta,
-    transform_ubeta_measure,
     ubeta,
     voiculescu_cauchy,
     voiculescu_direct,
@@ -182,37 +179,6 @@ def test_lclass_requires_valid_k():
         transform_ubeta(0, GAUSS, 1.0)
     with pytest.raises(InvalidInput):
         transform_sself(-2, GAUSS, 1.0)
-
-
-# measure-variant entry points ------------------------------------------------------
-
-def test_sself_measure_form():
-    from freetransform import triple_to_finite_measure
-
-    m = triple_to_finite_measure(MIXED)
-    for t in T_GRID:
-        a = transform_sself_measure(2, MIXED.drift, m, t).value
-        assert abs(a - transform_sself(2, MIXED, t).value) < 1e-14
-
-
-def test_ubeta_measure_form():
-    from freetransform import triple_to_finite_measure
-
-    m = triple_to_finite_measure(MIXED)
-    a = transform_ubeta_measure(3, MIXED.drift, m, 1.3).value
-    assert abs(a - transform_ubeta(3, MIXED, 1.3).value) < 1e-14
-
-
-def test_lclass_measure_form_weighting():
-    k = 1
-    atoms = [(0.0, MIXED.gauss_var)]
-    for x, w in MIXED.levy_atoms:
-        weight = math.log(1.0 + abs(x) ** (2.0 / (k + 1))) ** (k + 1)
-        atoms.append((x, w * weight))
-    m = FiniteMeasure(tuple(atoms))
-    for t in T_GRID:
-        a = transform_lclass_measure(k, MIXED.drift, m, t).value
-        assert abs(a - transform_lclass(k, MIXED, t).value) < 1e-13
 
 
 # dilation and convolution algebra ----------------------------------------------------
