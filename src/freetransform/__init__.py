@@ -27,7 +27,6 @@ from .kernels import (
     custom_density,
     custom_step,
     kernel_g,
-    kernel_g_derivative_quad,
     kernel_g_quad,
     kernel_quad_grid,
     lclass,
@@ -40,8 +39,6 @@ from .measures import (
     FiniteMeasure,
     LevyTriple,
     finite_measure_to_triple,
-    log_moment,
-    reflect_triple,
     scale_triple,
     triple_to_finite_measure,
 )
@@ -66,7 +63,6 @@ from .specfun import (
     polylog,
 )
 from .transforms import (
-    ConvolutionSplitReport,
     LInfSpec,
     TransformValue,
     add_transforms,
@@ -77,12 +73,9 @@ from .transforms import (
     random_integral_transform,
     scale_transform,
     transform_lclass,
-    transform_lclass_measure,
     transform_linf,
     transform_sself,
-    transform_sself_measure,
     transform_ubeta,
-    transform_ubeta_measure,
     voiculescu_cauchy,
     voiculescu_direct,
     voiculescu_id,
@@ -93,7 +86,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError",
-    "ConvolutionSplitReport",
     "DomainError",
     "FiltrationLimitReport",
     "FiniteMeasure",
@@ -126,14 +118,12 @@ __all__ = [
     "integrate_finite",
     "integrate_semi_infinite",
     "kernel_g",
-    "kernel_g_derivative_quad",
     "kernel_g_quad",
     "kernel_quad_grid",
     "laplace_transform",
     "lclass",
     "lerch_phi",
     "linf_integrand",
-    "log_moment",
     "logphi",
     "lower_selfdec_class",
     "lower_shrink_class",
@@ -141,17 +131,13 @@ __all__ = [
     "pick_representation",
     "polylog",
     "random_integral_transform",
-    "reflect_triple",
     "scale_transform",
     "scale_triple",
     "sself",
     "transform_lclass",
-    "transform_lclass_measure",
     "transform_linf",
     "transform_sself",
-    "transform_sself_measure",
     "transform_ubeta",
-    "transform_ubeta_measure",
     "triple_to_finite_measure",
     "ubeta",
     "voiculescu_cauchy",

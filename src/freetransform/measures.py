@@ -113,15 +113,6 @@ def finite_measure_to_triple(a: float, m: FiniteMeasure) -> LevyTriple:
     return LevyTriple(drift=a, gauss_var=gauss_var, levy_atoms=tuple(jump))
 
 
-def log_moment(tr: LevyTriple, p: int = 1) -> float:
-    """p-th logarithmic moment of the jump measure,
-    sum over |x| > 1 of w * log(1+|x|)^p.  Always finite here."""
-    if not (isinstance(p, int) and p >= 1):
-        raise InvalidInput(f"p must be an integer >= 1, got {p!r}")
-    return sum(w * math.log(1.0 + abs(x)) ** p
-               for x, w in tr.levy_atoms if abs(x) > 1.0)
-
-
 def scale_triple(c: float, tr: LevyTriple) -> LevyTriple:
     """Triple of the dilated law (the law of c*X for X with triple tr).
 

@@ -156,15 +156,19 @@ def _kronrod_panel(f, lo: float, hi: float, m: int | None = None):
     return values, errs, 15
 
 
-def _worst(errors) -> float:
-    """The largest of errors, or NaN if any of them is NaN (max() would
-    keep its running value against a NaN)."""
-    worst = errors[0]
-    for e in errors:
-        if e != e:
-            return e
-        if e > worst:
-            worst = e
+def _worst(*values: float) -> float:
+    """The largest of values, or NaN if any of them is NaN.
+
+    max() keeps its running value when compared against a NaN; a panel
+    error, an error total or a verify deviation folded with this shows a
+    NaN instead of losing it.
+    """
+    worst = -math.inf
+    for v in values:
+        if v != v:
+            return v
+        if v > worst:
+            worst = v
     return worst
 
 
@@ -189,12 +193,12 @@ def _integrate(f, m: int | None, lo: float, hi: float,
     values, errs, evals = panel(lo, hi)
     # heap of (-largest error, insertion id, lo, hi, values, errors)
     counter = 0
-    panels = [(-_worst(errs), counter, lo, hi, values, errs)]
+    panels = [(-_worst(*errs), counter, lo, hi, values, errs)]
     totals = list(errs)
     comps = range(len(errs))
 
     # a NaN total ends the loop as if it had converged
-    while _worst(totals) > tol and len(panels) < _MAX_PANELS:
+    while _worst(*totals) > tol and len(panels) < _MAX_PANELS:
         neg, _, a, b, v, e = heapq.heappop(panels)
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
@@ -208,9 +212,9 @@ def _integrate(f, m: int | None, lo: float, hi: float,
         for i in comps:
             totals[i] += e1[i] + e2[i] - e[i]
         counter += 1
-        heapq.heappush(panels, (-_worst(e1), counter, a, mid, v1, e1))
+        heapq.heappush(panels, (-_worst(*e1), counter, a, mid, v1, e1))
         counter += 1
-        heapq.heappush(panels, (-_worst(e2), counter, mid, b, v2, e2))
+        heapq.heappush(panels, (-_worst(*e2), counter, mid, b, v2, e2))
 
     def where(i):
         return "" if m is None else f" in component {i}"

@@ -34,9 +34,8 @@ from collections.abc import Callable, Sequence
 from ._records import record
 from .errors import DomainError, InvalidInput, NonFiniteError
 from .kernels import KernelFamily, custom_density, lclass, map_data, sself, ubeta
-from .measures import (FiniteMeasure, LevyTriple, log_moment,
-                       triple_to_finite_measure)
-from .quadrature import integrate_semi_infinite, laplace_transform
+from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
+from .quadrature import _worst, integrate_semi_infinite, laplace_transform
 from .specfun import log_gamma2_slope
 
 Evaluator = Callable[[float], complex]
@@ -180,7 +179,7 @@ def transform_lclass(k: int, tr: LevyTriple, t: float) -> TransformValue:
 
     where x Phi(x/(it), k+1, 1) = it Li_{k+1}(x/(it)).  The class needs a
     finite (k+1)-st logarithmic moment of the jump measure, which atomic
-    jump measures always have (see log_moment).
+    jump measures always have.
     """
     return random_integral_transform(lclass(k), tr, t)
 
@@ -292,20 +291,7 @@ def add_transforms(V1: Evaluator, V2: Evaluator, t: float) -> TransformValue:
 # ---------------------------------------------------------------------------
 # structural checks
 
-@record
-class ConvolutionSplitReport:
-    """Result of checking V[omega * Iomega] = V[Iomega] + V[omega] on a
-    grid, where I is the exponential-kernel integral map."""
-
-    t_grid: tuple[float, ...]
-    totals: tuple[complex, ...]
-    deviations: tuple[float, ...]
-    max_deviation: float
-    jump_log_moment: float
-
-
-def exp_map_convolution_check(omega: LevyTriple,
-                              t_grid: Sequence[float]) -> ConvolutionSplitReport:
+def exp_map_convolution_check(omega: LevyTriple, t_grid: Sequence[float]) -> float:
     """Verify the additive split of the selfdecomposable decomposition.
 
     A law rho with background driving law omega decomposes as the
@@ -314,7 +300,8 @@ def exp_map_convolution_check(omega: LevyTriple,
     rule (pointwise addition) applied to the closed forms must reproduce
     V_rho built independently: the image from its defining integral,
     with c, d and g of the kernel e^-s on (0, inf) all by quadrature,
-    and V[omega] through the Laplace route.
+    and V[omega] through the Laplace route.  Returns the largest
+    deviation over the grid, NaN if any deviation is NaN.
     """
     grid = tuple(_check_t(t) for t in t_grid)
     if not grid:
@@ -325,23 +312,9 @@ def exp_map_convolution_check(omega: LevyTriple,
     exp_kernel = custom_density(lambda s: math.exp(-s), lambda s: 1.0, 0.0, math.inf)
     # c and d by quadrature once, g per atom and t
     v_image_direct = random_integral_evaluator(exp_kernel, omega)
-
-    totals = []
-    deviations = []
-    for t in grid:
-        direct = v_image_direct(t) + voiculescu_via_laplace(omega, t).value
-        via_rule = add_transforms(v_image, v_omega, t).value
-        totals.append(direct)
-        deviations.append(abs(direct - via_rule))
-    return ConvolutionSplitReport(
-        t_grid=grid,
-        totals=tuple(totals),
-        deviations=tuple(deviations),
-        # max() keeps its running value against a NaN; a NaN must show
-        max_deviation=(math.nan if any(map(math.isnan, deviations))
-                       else max(deviations)),
-        jump_log_moment=log_moment(omega, 1),
-    )
+    return _worst(*(abs(v_image_direct(t) + voiculescu_via_laplace(omega, t).value
+                        - add_transforms(v_image, v_omega, t).value)
+                    for t in grid))
 
 
 def cauchy_pick_integral(t: float) -> complex:

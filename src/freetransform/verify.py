@@ -8,6 +8,8 @@ deviation does not exceed its tolerance.  Sign and band checks are folded
 into the same shape by reporting the amount by which the constraint is
 violated (0.0 when satisfied) against a tolerance of 0.0.  A strict
 inequality reports its worst value against _BELOW_ZERO, so that 0 fails.
+Deviations are folded with quadrature._worst, never with max(), so a
+check whose computation goes NaN anywhere reports NaN and fails.
 
 All sampling is seeded, so repeated runs produce identical tables.
 """
@@ -44,6 +46,7 @@ from .operators import (
     lower_selfdec_class,
     lower_shrink_class,
 )
+from .quadrature import _worst
 from .specfun import euler_gamma, gamma_fn
 from .transforms import (
     add_transforms,
@@ -75,22 +78,6 @@ class CheckResult:
 
 # the largest negative double: a value passes against it only when < 0
 _BELOW_ZERO = -math.ulp(0.0)
-
-
-def _worst(*values: float) -> float:
-    """The largest of values, or NaN if any of them is NaN.
-
-    Every deviation is folded with this, never with max(), which keeps
-    its running value when compared against a NaN; a check whose
-    computation goes NaN anywhere then reports NaN and fails.
-    """
-    worst = -math.inf
-    for v in values:
-        if v != v:
-            return v
-        if v > worst:
-            worst = v
-    return worst
 
 
 # shared sample grids -----------------------------------------------------
@@ -233,7 +220,7 @@ def suite_operators() -> list[CheckResult]:
         dev = _worst(dev, abs(w1 - w2) / w2 if x1 == x2 else math.inf)
     results.append(CheckResult("measure-roundtrip", dev, 1e-12))
 
-    dev = exp_map_convolution_check(tr, _T_GRID).max_deviation
+    dev = exp_map_convolution_check(tr, _T_GRID)
     results.append(CheckResult("exp-map-split", dev, 1e-12))
 
     # (2 - t d/dt) - (1 - t d/dt) is the identity, whatever the step noise

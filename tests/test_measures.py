@@ -11,7 +11,6 @@ from freetransform import (
     InvalidInput,
     LevyTriple,
     finite_measure_to_triple,
-    log_moment,
     scale_triple,
     triple_to_finite_measure,
 )
@@ -153,25 +152,6 @@ def test_round_trip(tr):
     for (x1, w1), (x2, w2) in zip(back.levy_atoms, tr.levy_atoms):
         assert x1 == x2
         assert math.isclose(w1, w2, rel_tol=1e-12)
-
-
-# log moments ----------------------------------------------------------------
-
-def test_log_moment_values():
-    tr = LevyTriple(0.0, 0.0, ((math.e - 1.0, 2.0),))
-    # log(1 + (e-1)) = 1, so every power gives back the mass
-    assert math.isclose(log_moment(tr, 1), 2.0, rel_tol=1e-15)
-    assert math.isclose(log_moment(tr, 2), 2.0, rel_tol=1e-15)
-
-
-def test_log_moment_ignores_small_jumps():
-    tr = LevyTriple(0.0, 3.0, ((0.5, 4.0), (-1.0, 2.0)))
-    assert log_moment(tr, 1) == 0.0
-
-
-def test_log_moment_validation():
-    with pytest.raises(InvalidInput):
-        log_moment(LevyTriple(0.0, 0.0, ()), 0)
 
 
 # dilation -------------------------------------------------------------------

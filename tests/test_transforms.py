@@ -205,15 +205,11 @@ def test_additivity_under_convolution():
 
 
 def test_exp_map_convolution_split():
-    rep = exp_map_convolution_check(MIXED, T_GRID)
-    assert rep.max_deviation <= 1e-12
-    assert rep.t_grid == T_GRID
-    assert len(rep.totals) == 3
-    assert rep.jump_log_moment > 0.0
+    assert exp_map_convolution_check(MIXED, T_GRID) <= 1e-12
 
 
 def test_exp_map_convolution_split_reports_nan(monkeypatch):
-    # a NaN at a later grid point must not be folded away by max()
+    # a NaN at the last grid point must not be folded away by max()
     from freetransform import transforms
 
     real_id = transforms.voiculescu_id
@@ -224,9 +220,7 @@ def test_exp_map_convolution_split_reports_nan(monkeypatch):
         return real_id(tr, t)
 
     monkeypatch.setattr(transforms, "voiculescu_id", nan_at_last)
-    rep = exp_map_convolution_check(MIXED, T_GRID)
-    assert not math.isnan(rep.deviations[0])
-    assert math.isnan(rep.max_deviation)
+    assert math.isnan(exp_map_convolution_check(MIXED, T_GRID))
 
 
 def test_exp_map_convolution_split_sees_a_wrong_image(monkeypatch):
@@ -240,7 +234,7 @@ def test_exp_map_convolution_split_sees_a_wrong_image(monkeypatch):
         return transforms.TransformValue(t, real_lclass(k, tr, t).value + 1e-9)
 
     monkeypatch.setattr(transforms, "transform_lclass", shifted)
-    assert exp_map_convolution_check(MIXED, T_GRID).max_deviation >= 1e-10
+    assert exp_map_convolution_check(MIXED, T_GRID) >= 1e-10
 
 
 def test_exp_map_convolution_empty_grid():
