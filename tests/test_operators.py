@@ -134,9 +134,9 @@ def test_lowering_labels():
 
 def test_filtration_limit_report():
     rep = filtration_limit_check(MIXED, 1.0)
-    assert rep.ks == (10, 100, 1000)
-    assert rep.decreasing
-    assert rep.rate_ok
+    assert rep._fields == ("deviations", "ratios")
+    devs = rep.deviations
+    assert len(devs) == 3 and devs[0] > devs[1] > devs[2]
     assert len(rep.ratios) == 2
     for r in rep.ratios:
         assert 5.0 <= r <= 20.0
@@ -156,6 +156,10 @@ def test_filtration_requires_increasing_ks():
         filtration_limit_check(MIXED, 1.0, ks=(100, 10))
     with pytest.raises(InvalidInput):
         filtration_limit_check(MIXED, 1.0, ks=(0, 10))
+    # entries are ints as they stand, never coerced
+    for ks in ((10.5, 100), (10, 100.0), ("10", "100"), (True, 10)):
+        with pytest.raises(InvalidInput):
+            filtration_limit_check(MIXED, 1.0, ks=ks)
 
 
 def test_ubeta_deviation_shrinks_against_named_value():
