@@ -182,7 +182,7 @@ def lerch_phi(z: complex, s: int, v: float) -> complex:
 
     Parameters
     ----------
-    z : complex, not on the real ray [1, inf)
+    z : complex, finite, not on the real ray [1, inf)
     s : int >= 1, not a bool
     v : float > 0
 
@@ -201,6 +201,9 @@ def lerch_phi(z: complex, s: int, v: float) -> complex:
 
     if abs(z) <= _SERIES_RADIUS:
         return _lerch_series(z, s, v)
+    # off the disk only: abs() of an infinite or NaN z is never <= 1/2
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
     if v == math.floor(v) and v <= _CLOSED_FORM_MAX_V:
         k = int(v)
         if k == 1:
@@ -483,7 +486,8 @@ def polylog(s: int, z: complex) -> complex:
 
     Branches: the power series for |z| <= 1/2, -log(1-z) for s = 1,
     Crandall's log-series for 1/2 < |z| < 2, the inversion formula for
-    |z| >= 2.  z = 1 diverges for s = 1 and is zeta(s) for s >= 2.
+    |z| >= 2.  z = 1 diverges for s = 1 and is zeta(s) for s >= 2; an
+    infinite or NaN z raises DomainError.
     """
     z = complex(z)
     # True passes as an int >= 1; False already fails s >= 1
@@ -498,6 +502,8 @@ def polylog(s: int, z: complex) -> complex:
     r = abs(z)
     if r <= _SERIES_RADIUS:
         return _power_sum(s, z, 1)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
     if s == 1:
         return -cmath.log(1.0 - z)
     if r < _INVERSION_RADIUS:

@@ -2,7 +2,11 @@
 
 import cmath
 import math
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +204,35 @@ def test_polylog_derivative_recurrence():
     for z in (0.4, -0.9, 0.3 + 0.2j):
         dz = (polylog(3, z + h) - polylog(3, z - h)) / (2.0 * h)
         assert abs(z * dz - polylog(2, z)) < 1e-8
+
+
+def test_non_finite_argument_is_a_domain_error():
+    # in a child process, so that a hang fails here instead of stalling:
+    # with |log(-z)| = inf the inversion formula's tail once never ended
+    src = str(pathlib.Path(specfun.__file__).resolve().parents[1])
+    code = textwrap.dedent(f"""
+        import math, sys
+        sys.path.insert(0, {src!r})
+        from freetransform import DomainError, lerch_phi, polylog
+        inf, nan = math.inf, math.nan
+        for z in (complex(0.0, -inf), complex(inf, inf), complex(-inf, 0.0),
+                  complex(nan, 0.0), complex(0.0, nan), complex(nan, nan)):
+            for s, v in ((2, 2.0), (3, 1.0), (1, 5.0), (2, 2.5)):
+                try:
+                    lerch_phi(z, s, v)
+                    sys.exit(f"lerch_phi({{z!r}}, {{s}}, {{v}}) returned")
+                except DomainError:
+                    pass
+            for s in (1, 2, 7):
+                try:
+                    polylog(s, z)
+                    sys.exit(f"polylog({{s}}, {{z!r}}) returned")
+                except DomainError:
+                    pass
+    """)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
 
 
 def test_polylog_domain():
