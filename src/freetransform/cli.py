@@ -36,6 +36,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 
+# the most points an eval grid takes
+MAX_STEPS = 1_000_000
+
 _CLASS_TAGS = ("uks", "ubk", "lk", "linf", "id")
 # kernel family of each class that takes a k; linf and id take none
 _CLASS_FAMILIES = {"uks": SSELF, "ubk": UBETA, "lk": LCLASS}
@@ -110,11 +113,14 @@ def geometric_grid(t_min: float, t_max: float, steps: int):
         raise InvalidInput(f"--t-min must be positive, got {t_min!r}")
     if not (t_max >= t_min and math.isfinite(t_max)):
         raise InvalidInput(f"--t-max must be >= --t-min, got {t_max!r}")
-    if steps < 1:
-        raise InvalidInput(f"--steps must be >= 1, got {steps!r}")
+    if not 1 <= steps <= MAX_STEPS:
+        raise InvalidInput(f"--steps must be in [1, {MAX_STEPS}], got {steps!r}")
     if steps == 1:
         return [t_min]
     ratio = t_max / t_min
+    if math.isinf(ratio):
+        raise InvalidInput(f"--t-max / --t-min overflows double precision: "
+                           f"{t_max!r} / {t_min!r}")
     return [t_min * ratio ** (i / (steps - 1)) for i in range(steps)]
 
 
@@ -242,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--input", required=True, help="JSON input file")
     p_eval.add_argument("--t-min", type=float, default=0.5)
     p_eval.add_argument("--t-max", type=float, default=2.0)
-    p_eval.add_argument("--steps", type=int, default=9)
+    p_eval.add_argument("--steps", type=int, default=9,
+                        help=f"grid points, 1 to {MAX_STEPS}")
     p_eval.add_argument("--out", default="-", help="output CSV path, '-' = stdout")
     p_eval.set_defaults(fn=cmd_eval)
 

@@ -23,6 +23,12 @@ upper signs for a non-decreasing time change.  The named classes
 this one formula with a built-in family, whose g is a scaled
 Hurwitz-Lerch value; the fully scale-invariant limit class has its own
 closed form.
+
+Every class is evaluated from the triple by one of three evaluators,
+random_integral_evaluator, direct_evaluator and linf_evaluator; each
+transform_* function is one point of one of them.
+exp_map_convolution_check returns the largest deviation of the
+selfdecomposable split, which verify holds to its tolerance.
 """
 
 from __future__ import annotations
@@ -238,7 +244,10 @@ def linf_integrand(x: float, t: float) -> complex:
     in _linf_factor."""
     t = _check_t(t)
     factor, eps = _linf_factor(x)
-    return factor * t ** -eps
+    try:
+        return factor * t ** -eps
+    except OverflowError:
+        raise NonFiniteError(f"linf_integrand: t^(1-|x|) overflows at x={x!r}, t={t!r}")
 
 
 def linf_evaluator(spec: LInfSpec) -> Evaluator:
@@ -253,8 +262,11 @@ def linf_evaluator(spec: LInfSpec) -> Evaluator:
     def V(t: float) -> complex:
         t = _check_t(t)
         acc = shift
-        for w, factor, eps in atoms:
-            acc -= w * (factor * t ** -eps)
+        try:
+            for w, factor, eps in atoms:
+                acc -= w * (factor * t ** -eps)
+        except OverflowError:
+            raise NonFiniteError(f"transform_linf: t^(1-|x|) overflows at t={t!r}")
         return _finite(acc, "transform_linf")
 
     return V

@@ -141,6 +141,53 @@ def test_eval_grid_validation(gauss_json):
     assert res.returncode == 2
 
 
+def test_eval_grid_limits(gauss_json, capsys):
+    # a t ratio that overflows, or more points than MAX_STEPS, is an
+    # input error, raised before any point is formed
+    from freetransform import cli
+
+    base = ["eval", "--class", "id", "--input", gauss_json]
+    for extra in (["--t-min", "1e-200", "--t-max", "1e300"],
+                  ["--steps", str(cli.MAX_STEPS + 1)],
+                  ["--steps", "100000000000000000000"]):
+        assert cli.main(base + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    # the largest finite ratio still gives a grid
+    grid = cli.geometric_grid(1e-308, 1.0, 3)
+    assert grid[0] == 1e-308 and math.isclose(grid[-1], 1.0, rel_tol=1e-14)
+    assert str(cli.MAX_STEPS) in run("eval", "--help").stdout
+
+
+def test_eval_overflowing_linf_power_is_a_domain_error(tmp_path, capsys):
+    # t^(1-|x|) of an atom at x = 2 overflows below t of about 5.6e-309
+    from freetransform import cli
+
+    path = tmp_path / "linf.json"
+    path.write_text(json.dumps({"c": 0.1, "atoms": [{"x": 2, "w": 1.0}]}))
+    argv = ["eval", "--class", "linf", "--input", str(path),
+            "--t-min", "1e-310", "--t-max", "1e-300", "--steps", "3"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and err.count("\n") == 1, err
+
+
+def test_eval_non_finite_lerch_argument_ends(tmp_path):
+    # x/t overflows to inf at a subnormal t; a child process with a
+    # timeout turns a hang into a failure
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps({"a": 0.3, "sigma2": 1.0, "atoms": [
+        {"x": 0.5, "w": 1.0}, {"x": -2.0, "w": 0.4}]}))
+    for cls in (["uks", "--k", "2"], ["ubk", "--k", "3"], ["lk", "--k", "1"]):
+        res = subprocess.run(CMD + ["eval", "--class", *cls, "--input", str(path),
+                                    "--t-min", "1e-320", "--t-max", "1e-310",
+                                    "--steps", "3"],
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("domain error: ")
+        assert res.stderr.count("\n") == 1, res.stderr
+
+
 def test_eval_unknown_field(gauss_json, tmp_path):
     path = tmp_path / "extra.json"
     path.write_text('{"a": 1, "mu": 3}')
