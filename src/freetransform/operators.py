@@ -9,6 +9,10 @@ With u = log t, t d/dt = d/du, and a power is applied in one pass as
 (a - d/du)^n V = sum_m C(n, m) a^(n-m) (-d/du)^m V.  Derivatives are
 numerical, so the operators apply to arbitrary evaluators, including
 quadrature-backed ones; no lowered evaluator is differentiated again.
+
+derivative_t is the plain dV/dt of one point.  filtration_limit_check
+tabulates the power-time-change classes' gap to their k -> infinity
+limit, the plain transform; verify's limits suite judges the table.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ integrands share is evaluated once per node.  The loop splits the panel
 with the largest component error while any component's total error
 exceeds the tolerance.  integrate_finite, integrate_semi_infinite and
 laplace_transform are its one-component calls; gamma_average takes a
-sequence of integrands.
+sequence of integrands.  _worst is the package's one max that keeps a
+NaN: it picks the panel to split here, and folds the deviations of
+transforms' structural check and of verify.
 
 Integrals over (0, inf) are reduced to (0, 1) with u = (1 - v)/v.  A
 smooth integrand that decays exponentially, such as a u^k e^-u weight or

@@ -52,9 +52,3 @@ def test_no_caller_list_is_current():
     assert NO_CALLER.keys() <= set(freetransform.__all__)
     assert not NO_CALLER.keys() & used, sorted(NO_CALLER.keys() & used)
 
-
-def test_all_matches_the_package_namespace():
-    assert len(set(freetransform.__all__)) == len(freetransform.__all__)
-    assert freetransform.__all__ == sorted(freetransform.__all__)
-    for name in freetransform.__all__:
-        assert hasattr(freetransform, name), name
