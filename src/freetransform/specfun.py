@@ -22,7 +22,8 @@ only as far as the sums reach:
                    series reads it, and with v = 1 so do both sums of
                    w^n n^-s: polylog's series on |z| <= 1/2 and the
                    inversion formula's series at w = 1/z.  All of them
-                   share the last _SERIES_TABLES tables.
+                   share the last _SERIES_TABLES tables.  The axis loop
+                   below reads the same powers grouped by four.
   log-series       the coefficients of order s, with their stop weights
                    and H_{s-1}, in chunks of _TABLE_CHUNK terms, each
                    built when a sum first runs into it; the last
@@ -32,6 +33,15 @@ only as far as the sums reach:
                    the last _SERIES_TABLES chunks kept.
 
 Every sum takes the same terms in the same order as without the tables.
+
+On the imaginary axis z = iy, y != 0, where every argument -ix/t of the
+transforms lies, the Lerch series is summed in float arithmetic (the
+axis loop, _lerch_series_axis): even powers of iy are real and odd ones
+imaginary, so each term goes to one part with a sign fixed by n mod 4.
+It makes the complex loop's products, sums and stop tests on the
+nonzero parts, and its values are the complex loop's bit for bit,
+signed zeros included.  z = 0, real z and every other z take the
+complex loop.
 
 Li_1(z) = -log(1-z) is used as it stands beyond the series radius.  The
 Lerch transcendent with integer v reduces to these: Phi(z,s,1) =
@@ -56,6 +66,8 @@ from .quadrature import gamma_average
 
 _SERIES_RADIUS = 0.5
 _INVERSION_RADIUS = 2.0
+# the Lerch series' term limit; a multiple of 4, as _lerch_series_axis takes
+# four terms per pass
 _SERIES_MAX_TERMS = 1_000_000
 _SERIES_EPS = 1e-15
 # (s, v) series power tables kept, at most 51 floats each, and eta chunks
@@ -145,8 +157,12 @@ def _lerch_series(z: complex, s: int, v: float) -> complex:
     about 2^-s).  The negative power underflows to 0 where (v+n)^s would
     overflow.  The powers come from _series_powers(s, v); a sum that
     runs past that table (|z| > 1/2, from _lerch_log) forms the rest
-    itself, so the terms and the stop are the same either way.
+    itself, so the terms and the stop are the same either way.  On the
+    imaginary axis _lerch_series_axis sums the same terms in float
+    arithmetic; z = 0 and real z take the complex loop.
     """
+    if z.real == 0.0 and z.imag:
+        return _lerch_series_axis(z, s, v)
     powers = _series_powers(s, v)
     acc = complex(0.0)
     term = complex(1.0)  # z^n, starting at n = 0
@@ -166,6 +182,80 @@ def _lerch_series(z: complex, s: int, v: float) -> complex:
     raise ConvergenceError(
         f"Lerch series did not converge within {_SERIES_MAX_TERMS} terms at z={z!r}"
     )
+
+
+@functools.lru_cache(maxsize=_SERIES_TABLES)
+def _axis_powers(s: int, v: float) -> tuple:
+    """_series_powers(s, v) in groups of four, the last group filled out
+    with the (v+n)^-s that follow the table."""
+    powers = _series_powers(s, v)
+    top = -(-len(powers) // 4) * 4
+    powers += tuple((v + n) ** -s for n in range(len(powers), top))
+    return tuple(powers[n:n + 4] for n in range(0, top, 4))
+
+
+def _axis_powers_past(s: int, v: float, groups: tuple):
+    """The groups of _axis_powers(s, v), then (v+n)^-s formed past them in
+    groups of four, up to _SERIES_MAX_TERMS powers in all."""
+    yield from groups
+    for n in range(4 * len(groups), _SERIES_MAX_TERMS, 4):
+        yield ((v + n) ** -s, (v + (n + 1)) ** -s,
+               (v + (n + 2)) ** -s, (v + (n + 3)) ** -s)
+
+
+def _lerch_series_axis(z: complex, s: int, v: float) -> complex:
+    """_lerch_series at z = iy, y != 0 (either sign of zero real part),
+    in float arithmetic, four terms per pass.
+
+    (iy)^n is real for even n and imaginary for odd n, so each term
+    |y|^n (v+n)^-s goes to the real part with sign + or - for n = 0 or 2
+    (mod 4), and to the imaginary part with + or - for n = 1 or 3; the
+    sign of y is applied to the imaginary part once, at the end.  Each
+    product, sum and stop test is the one the complex loop makes on the
+    term's nonzero part, and rounding is symmetric under negation, so
+    the value is the complex loop's bit for bit.  Neither accumulator can
+    become -0.0 (nor can the complex loop's), and 0.0 - im keeps a zero
+    imaginary part +0.0.
+
+    For |y| <= 1/2 the computed |y|^n never exceeds 2^-n, so the sum
+    stops inside the table, as the complex loop does.  Only |y| > 1/2
+    (from _lerch_log) reads powers past it; _SERIES_MAX_TERMS is a
+    multiple of 4, so the last pass ends on the complex loop's last term
+    and the same ConvergenceError follows.
+    """
+    groups = _axis_powers(s, v)
+    stop = _SERIES_EPS * groups[0][0]
+    step = abs(z.imag)
+    if step > _SERIES_RADIUS:
+        groups = _axis_powers_past(s, v, groups)
+    re = im = 0.0
+    mag = 1.0  # |y|^n
+    for p0, p1, p2, p3 in groups:
+        contrib = mag * p0
+        re += contrib
+        if contrib <= stop:
+            break
+        mag *= step
+        contrib = mag * p1
+        im += contrib
+        if contrib <= stop:
+            break
+        mag *= step
+        contrib = mag * p2
+        re -= contrib
+        if contrib <= stop:
+            break
+        mag *= step
+        contrib = mag * p3
+        im -= contrib
+        if contrib <= stop:
+            break
+        mag *= step
+    else:
+        raise ConvergenceError(
+            f"Lerch series did not converge within {_SERIES_MAX_TERMS} terms at z={z!r}"
+        )
+    return complex(re, im if z.imag > 0.0 else 0.0 - im)
 
 
 def _lerch_integral(z: complex, s: int, v: float) -> complex:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freetransform import (
+    ConvergenceError,
     DomainError,
     InvalidInput,
     euler_gamma,
@@ -164,6 +165,26 @@ def test_lerch_series_table_is_bit_identical():
         compared += 1
     assert compared > 800
     assert specfun._lerch_series(0.3, 1100, 2.0) == 0.0
+    # the imaginary axis, summed in float arithmetic: both signs of y and
+    # of the zero real part, subnormal y, |y| = 1/2, and |y| in (1/2, 1)
+    # past the table; repr tells signed zeros apart
+    tiny = 5e-324
+    ys = (tiny, 1e-310, 1e-160, 2.0 ** -537, 1e-3, 0.1, 0.3,
+          math.nextafter(0.5, 0.0), 0.5, 0.55, 0.7, 0.9, 0.97)
+    axis = [(complex(zr, sign * y), s, v)
+            for zr in (0.0, -0.0) for sign in (1.0, -1.0) for y in ys
+            for s in (1, 2, 5, 17, 1100) for v in (0.3, 1.0, 2.0, 17.0, 1e300)]
+    compared = 0
+    for z, s, v in axis:
+        try:
+            got = specfun._lerch_series(z, s, v)
+        except DomainError:
+            continue
+        assert repr(got) == repr(_lerch_series_direct(z, s, v)), (z, s, v)
+        compared += 1
+    assert compared > 1200
+    # a zero imaginary part stays +0.0 for y < 0, as in the complex loop
+    assert repr(specfun._lerch_series(complex(0.0, -tiny), 17, 2.0)) == "(7.62939453125e-06+0j)"
     info = specfun._series_powers.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
     for s in (1, 2, 5, 16, 60, 1100):
@@ -172,6 +193,30 @@ def test_lerch_series_table_is_bit_identical():
                 assert len(specfun._series_powers(s, v)) <= 51, (s, v)
             except DomainError:
                 pass
+
+
+def test_lerch_series_axis_stops_where_the_complex_loop_does(monkeypatch):
+    # the float loop on the axis takes four terms per pass: with a term
+    # limit at or past the reference's last term it gives the reference's
+    # value, and below it the complex loop's ConvergenceError
+    for z, s, v in ((0.9j, 1, 100.0), (-0.7j, 1, 3.0), (complex(-0.0, 0.6), 2, 1.0)):
+        terms = 0
+        term = complex(1.0)
+        while abs(term * (v + terms) ** -s) > specfun._SERIES_EPS * v ** -s:
+            term *= z
+            terms += 1
+        terms += 1  # the term that meets the stop is summed too
+        limit = (terms - 1) // 4 * 4
+        # both loops read the whole table whatever the limit
+        assert limit >= 4 * len(specfun._axis_powers(s, v)), (z, s, v)
+        monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", -(-terms // 4) * 4)
+        assert repr(specfun._lerch_series(z, s, v)) == repr(_lerch_series_direct(z, s, v))
+        monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", limit)
+        with pytest.raises(ConvergenceError) as err:
+            specfun._lerch_series(z, s, v)
+        assert str(err.value) == (f"Lerch series did not converge within {limit} "
+                                  f"terms at z={z!r}")
+    assert specfun._SERIES_MAX_TERMS % 4 == 0
 
 
 # polylog -----------------------------------------------------------------
@@ -351,7 +396,7 @@ def test_off_disk_terms_past_the_tables_are_bit_identical():
 
 def test_off_disk_tables_are_bounded():
     tables = (specfun._log_series_chunk, specfun._eta_chunk,
-              specfun._series_powers)
+              specfun._series_powers, specfun._axis_powers)
     for table in tables:
         assert table.cache_info().maxsize is not None
     chunk = specfun._TABLE_CHUNK
@@ -376,6 +421,8 @@ def test_off_disk_tables_are_bounded():
     polylog(600, 5.0j)
     assert specfun._eta_chunk.cache_info().misses == built
     assert len(specfun._series_powers(602, 1.0)) <= 51
+    # the axis table groups the same powers by four: at most 13 groups
+    assert len(specfun._axis_powers(602, 1.0)) <= 13
     for table in tables:
         info = table.cache_info()
         assert info.currsize <= info.maxsize
