@@ -36,7 +36,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 
-# the most points an eval grid takes
+# the most points an eval or kernels grid takes
 MAX_STEPS = 1_000_000
 
 _CLASS_TAGS = ("uks", "ubk", "lk", "linf", "id")
@@ -125,7 +125,11 @@ def geometric_grid(t_min: float, t_max: float, steps: int):
 
 
 def parse_grid(text: str):
-    """'re0:re1:n,im0:im1:n' -> complex grid points, row-major over re."""
+    """'re0:re1:n,im0:im1:n' -> complex grid points, row-major over re.
+
+    The bounds must be finite, with a finite span, and the grid may hold
+    at most MAX_STEPS points; both are checked before any point is formed.
+    """
     parts = text.split(",")
     if len(parts) != 2:
         raise InvalidInput(f"--grid must have two axes, got {text!r}")
@@ -138,15 +142,25 @@ def parse_grid(text: str):
             lo, hi, n = float(bits[0]), float(bits[1]), int(bits[2])
         except ValueError:
             raise InvalidInput(f"--grid {name} axis must be numeric, got {part!r}")
+        if not math.isfinite(hi - lo):
+            raise InvalidInput(f"--grid {name} axis bounds must be finite with a "
+                               f"finite span, got {part!r}")
         if n < 1 or hi < lo:
             raise InvalidInput(f"--grid {name} axis must have hi >= lo and n >= 1")
+        return lo, hi, n
+
+    def points(lo: float, hi: float, n: int):
         if n == 1:
             return [lo]
         return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
-    res = axis(parts[0], "real")
-    ims = axis(parts[1], "imaginary")
-    return [complex(re, im) for re in res for im in ims]
+    re_axis = axis(parts[0], "real")
+    im_axis = axis(parts[1], "imaginary")
+    if re_axis[2] * im_axis[2] > MAX_STEPS:
+        raise InvalidInput(f"--grid may hold at most {MAX_STEPS} points, got "
+                           f"{re_axis[2]} x {im_axis[2]}")
+    ims = points(*im_axis)
+    return [complex(re, im) for re in points(*re_axis) for im in ims]
 
 
 def _write_rows(path, header: str, rows):
@@ -154,8 +168,11 @@ def _write_rows(path, header: str, rows):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write output file: {exc}")
 
 
 # commands ----------------------------------------------------------------
@@ -260,8 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern = sub.add_parser("kernels", help="tabulate g closed form vs quadrature")
     p_kern.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p_kern.add_argument("--k", type=int, required=True)
-    p_kern.add_argument("--grid", default="-0.5:2:5,0.1:2:5")
-    p_kern.add_argument("--out", default="-")
+    p_kern.add_argument("--grid", default="-0.5:2:5,0.1:2:5",
+                        help="re0:re1:n,im0:im1:n with finite bounds, "
+                             f"at most {MAX_STEPS} points in all")
+    p_kern.add_argument("--out", default="-", help="output CSV path, '-' = stdout")
     p_kern.set_defaults(fn=cmd_kernels)
 
     p_info = sub.add_parser("info", help="list classes, kernel families and verify suites")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from ._records import record
-from .errors import InvalidInput
+from .errors import InvalidInput, NonFiniteError
 
 Atom = tuple[float, float]  # (location, weight)
 
@@ -94,22 +94,38 @@ class FiniteMeasure:
 
 def triple_to_finite_measure(tr: LevyTriple) -> FiniteMeasure:
     """Companion measure of a triple: jump atoms reweighted by
-    x^2/(1+x^2), plus an atom of mass gauss_var at the origin."""
-    atoms = [(x, w * (x * x / (1.0 + x * x))) for x, w in tr.levy_atoms]
+    x^2/(1+x^2), plus an atom of mass gauss_var at the origin.  Where x*x
+    overflows the factor is 1.0, which is what x^2/(1+x^2) rounds to."""
+    atoms = []
+    for x, w in tr.levy_atoms:
+        xx = x * x
+        atoms.append((x, w * (xx / (1.0 + xx) if xx != math.inf else 1.0)))
     if tr.gauss_var > 0.0:
         atoms.append((0.0, tr.gauss_var))
     return FiniteMeasure(atoms=tuple(atoms))
 
 
 def finite_measure_to_triple(a: float, m: FiniteMeasure) -> LevyTriple:
-    """Inverse of triple_to_finite_measure; the drift passes through."""
+    """Inverse of triple_to_finite_measure; the drift passes through.
+
+    The factor (1+x^2)/x^2 is 1.0 where x*x overflows.  NonFiniteError
+    names x where x*x underflows to 0 or the jump weight overflows.
+    """
     gauss_var = 0.0
     jump = []
     for x, w in m.atoms:
         if x == 0.0:
             gauss_var = w
         elif w > 0.0:
-            jump.append((x, w * ((1.0 + x * x) / (x * x))))
+            xx = x * x
+            if xx == 0.0:
+                raise NonFiniteError(f"jump weight at x={x!r} is not finite: "
+                                     "x*x underflows to 0")
+            weight = w * ((1.0 + xx) / xx if xx != math.inf else 1.0)
+            if weight == math.inf:
+                raise NonFiniteError(f"jump weight {w!r} * (1+x^2)/x^2 at "
+                                     f"x={x!r} overflows double precision")
+            jump.append((x, weight))
     return LevyTriple(drift=a, gauss_var=gauss_var, levy_atoms=tuple(jump))
 
 

@@ -1,13 +1,18 @@
 """Command-line interface: formats, grids, exit codes, determinism."""
 
+import contextlib
 import gc
+import io
 import json
 import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 CMD = [sys.executable, "-m", "freetransform.cli"]
 
@@ -188,6 +193,92 @@ def test_eval_non_finite_lerch_argument_ends(tmp_path):
         assert res.stderr.count("\n") == 1, res.stderr
 
 
+def test_eval_atom_beyond_the_square_root_of_the_double_range(tmp_path):
+    # x*x overflows for |x| above about 1.34e154; the companion weight
+    # x^2/(1+x^2) is 1.0 there, so every class gives rows
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"a": 0.3, "sigma2": 1.0, "atoms": [
+        {"x": 1e200, "w": 1.0}, {"x": -0.5, "w": 0.4}]}))
+    for cls in (["id"], ["uks", "--k", "0"], ["uks", "--k", "2"],
+                ["ubk", "--k", "3"], ["lk", "--k", "1"]):
+        res = run("eval", "--class", *cls, "--input", str(path), "--steps", "3")
+        assert res.returncode == 0, (cls, res.stderr)
+        assert res.stderr == "" and len(res.stdout.splitlines()) == 4
+
+
+def _log_uniform(lo=-300.0, hi=300.0):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _valid_eval_input(draw):
+    """A valid eval invocation: class, k <= 20, 0-4 atoms with |x|,
+    weights and sigma2 log-uniform on [1e-300, 1e300] (linf atoms on its
+    support), and a finite t-grid of at most 3 steps."""
+    from freetransform import cli
+
+    class_tag = draw(st.sampled_from(cli._CLASS_TAGS))
+    if class_tag == "linf":
+        mags = _log_uniform(-300.0, math.log10(2.0)).map(lambda x: min(x, 2.0))
+    else:
+        mags = _log_uniform()
+    atoms = draw(st.lists(st.tuples(mags, st.booleans()), max_size=4,
+                          unique_by=lambda a: a[0]))
+    atoms = [{"x": -x if negative and x < 2.0 else x, "w": draw(_log_uniform())}
+             for x, negative in atoms]
+    if class_tag == "linf":
+        data = {"c": draw(st.floats(-1.0, 1.0)), "atoms": atoms}
+    else:
+        data = {"a": draw(st.floats(-1.0, 1.0)), "sigma2": draw(_log_uniform()),
+                "atoms": atoms}
+    t_min = draw(_log_uniform())
+    t_max = t_min * draw(_log_uniform(0.0, 3.0))
+    if math.isinf(t_max):
+        t_max = t_min
+    argv = ["eval", "--class", class_tag, "--t-min", repr(t_min),
+            "--t-max", repr(t_max), "--steps", str(draw(st.integers(1, 3)))]
+    if class_tag in cli._CLASS_FAMILIES or class_tag == "uks":
+        argv += ["--k", str(draw(st.integers(cli._lowest_k(class_tag), 20)))]
+    return argv, data
+
+
+@settings(max_examples=80, deadline=None)
+@given(_valid_eval_input())
+def test_eval_exit_contract_on_valid_inputs(tmp_path_factory, case):
+    # a valid input gives rows (exit 0) or a one-line domain error (exit
+    # 3), never an input error and never an escaped exception
+    from freetransform import cli
+
+    argv, data = case
+    path = tmp_path_factory.getbasetemp() / "contract.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--input", str(path)])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert len(out.getvalue().splitlines()) == 1 + int(argv[argv.index("--steps") + 1])
+    else:
+        assert code == 3, (argv, data, err.getvalue())
+        assert err.getvalue().startswith("domain error: ")
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+def test_output_file_that_cannot_be_written_is_an_input_error(gauss_json, tmp_path,
+                                                             capsys):
+    from freetransform import cli
+
+    missing = str(tmp_path / "no_such_dir" / "x.csv")
+    for argv in (["eval", "--class", "id", "--input", gauss_json, "--out", missing],
+                 ["eval", "--class", "id", "--input", gauss_json, "--out", str(tmp_path)],
+                 ["kernels", "--family", "sself", "--k", "1", "--out", missing]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output file: "), err
+        assert err.count("\n") == 1, err
+    assert not (tmp_path / "no_such_dir").exists()
+
+
 def test_eval_unknown_field(gauss_json, tmp_path):
     path = tmp_path / "extra.json"
     path.write_text('{"a": 1, "mu": 3}')
@@ -233,6 +324,38 @@ def test_kernels_grid_validation():
     res = run("kernels", "--family", "sself", "--k", "0",
               "--grid", "0:1:2,0:1:2")
     assert res.returncode == 2
+
+
+def test_kernels_grid_limits(monkeypatch, capsys):
+    # a non-finite bound or span, or more than MAX_STEPS points in all, is
+    # an input error raised before any point is formed.  With the limit
+    # at 100, a grid of 100 000 points that were built before the check
+    # would show as MBs of traced memory.
+    from freetransform import InvalidInput, cli
+
+    monkeypatch.setattr(cli, "MAX_STEPS", 100)
+    for grid in ("0:1:101,0.1:1:1", "0:1:11,0.1:1:10", "0:1:100000,0.1:1:1",
+                 "0:1:1,0.1:1:100000"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInput, match="at most 100 points"):
+                cli.parse_grid(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, (grid, peak)
+    assert len(cli.parse_grid("0:1:10,0.1:1:10")) == 100
+    monkeypatch.undo()
+
+    for grid in (f"0:1:{cli.MAX_STEPS + 1},0.1:1:1",
+                 "0:1:100000000000000000000,0.1:1:1",
+                 "0:1:2,nan:1:2", "0:inf:2,0.1:1:2", "-inf:0:2,0.1:1:2",
+                 "-1e308:1e308:3,0.1:1:2"):
+        assert cli.main(["kernels", "--family", "sself", "--k", "1",
+                         f"--grid={grid}"]) == 2, grid
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid ") and err.count("\n") == 1, err
+    assert str(cli.MAX_STEPS) in run("kernels", "--help").stdout
 
 
 # verify -------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from freetransform import (
     FiniteMeasure,
     InvalidInput,
     LevyTriple,
+    NonFiniteError,
     finite_measure_to_triple,
     scale_triple,
     triple_to_finite_measure,
@@ -139,6 +140,26 @@ def test_measure_to_triple():
     assert tr.drift == 0.7
     assert tr.gauss_var == 2.0
     assert math.isclose(tr.levy_atoms[0][1], 1.0 * 10.0 / 9.0)
+
+
+def test_companion_weights_where_x_squared_overflows():
+    # x*x is inf from |x| of about 1.34e154; x^2/(1+x^2) rounds to 1.0 there
+    tr = LevyTriple(0.0, 0.0, ((1e200, 2.0), (-1e300, 0.5), (1e154, 3.0)))
+    m = triple_to_finite_measure(tr)
+    assert m.mass_at(1e200) == 2.0 and m.mass_at(-1e300) == 0.5
+    assert m.mass_at(1e154) == 3.0 * (1e308 / (1.0 + 1e308))
+    back = finite_measure_to_triple(0.0, m)
+    assert back.levy_atoms == ((-1e300, 0.5), (1e154, 3.0), (1e200, 2.0))
+
+
+def test_measure_to_triple_names_an_unrepresentable_jump_weight():
+    # x*x underflows to 0, or the factor (1+x^2)/x^2 overflows the weight
+    for x, w in ((1e-200, 1.0), (-1e-170, 1.0), (1e-160, 1.0), (1e-150, 1e300)):
+        with pytest.raises(NonFiniteError, match=f"x={x!r}"):
+            finite_measure_to_triple(0.0, FiniteMeasure(((x, w), (1.0, 1.0))))
+    # just inside the range, the weight is finite
+    tr = finite_measure_to_triple(0.0, FiniteMeasure(((1e-150, 1e-10),)))
+    assert tr.levy_atoms[0][1] == 1e-10 * ((1.0 + 1e-300) / 1e-300)
 
 
 @settings(max_examples=100, deadline=None)
