@@ -25,10 +25,12 @@ g(z) = scale * Phi(-z, s, v):
 
 With h = e^-t each defining integral int h q(h) dr is the Lerch
 integral representation, so the same (scale, s, v) give the quadrature
-oracle: scale * quadrature.gamma_average(qs, s, v).  kernel_quad_grid
-integrates c, d and g over a grid of z on one adaptive mesh, so h and
-the weight are formed once per node; const_c_quad, const_d_quad and
-kernel_g_quad are its one-integral cases, each on a mesh of its own.
+oracle: scale * quadrature.gamma_average(q, m, s, v).  kernel_quad_grid
+integrates c, d and g over a grid of z on one adaptive mesh: one
+function of h returns the m integrands [1, h, 1/(z h +- 1) for each z],
+and per node h and the real weight are formed once, so each integrand
+costs one multiply.  const_c_quad, const_d_quad and kernel_g_quad are
+its one-integral cases, each on a mesh of its own.
 
 plus CUSTOM kernels given either by a density dr/ds or by the jumps of
 a monotone step function r.
@@ -147,7 +149,7 @@ class _Family:
     """A built-in family of order k >= lowest.
 
     closed_form(k) = (c, d, scale, s, v), g(z) = scale * Phi(-z, s, v);
-    the oracle is scale * gamma_average(qs, s, v).
+    the oracle is scale * gamma_average(q, m, s, v).
     """
 
     lowest: int
@@ -211,42 +213,48 @@ def kernel_g(fam: KernelFamily, z: complex) -> complex:
 # ---------------------------------------------------------------------------
 # quadrature paths (oracles for the closed forms; the only route for CUSTOM)
 
-def _integrate_kernel(fam: KernelFamily, qs, tol: float) -> list[IntegrationResult]:
-    """int f(h) dr over the family for each q of qs, f(h) = h q(h), all
-    on one mesh: a step kernel's sum, a CUSTOM density as given, low
-    ubeta orders on (0, 1], and else the gamma average of qs, whose
-    weight holds h = e^-t, so an h that has underflowed to 0 meets no
-    division.  h and the weight are formed once per node."""
+def _integrate_kernel(fam: KernelFamily, f, m: int | None,
+                      tol: float) -> list[IntegrationResult]:
+    """int h f(h) dr over the family for the m components of f (m as in
+    quadrature._integrate), all on one mesh: a step kernel's sum, a
+    CUSTOM density as given, low ubeta orders on (0, 1], and else the
+    gamma average of f, whose weight holds h = e^-t, so an h that has
+    underflowed to 0 meets no division.  Per node, h and the real weight
+    are formed once, and each component costs one multiply."""
     if fam.jumps is not None:
         steps = [(j, fam.h(s)) for s, j in fam.jumps]
-        return [IntegrationResult(sum(j * (hv * q(hv)) for j, hv in steps),
-                                  0.0, len(steps)) for q in qs]
-    m = len(qs)
-    if fam.tag == CUSTOM:
-        h, weight, lo = fam.h, fam.r_density, fam.lo
-
-        def f(u):
-            hv, w = h(u), weight(u)
-            return [hv * q(hv) * w for q in qs]
-
-        if math.isinf(fam.hi):
-            # the half line starts at 0
-            return _integrate_half_line(lambda w: f(lo + w), m, tol)
-        return _integrate(f, m, lo, fam.hi, tol)
+        rows = [f(hv) for _, hv in steps]
+        return [IntegrationResult(sum(j * (hv * y) for (j, hv), y in zip(steps, col)),
+                                  0.0, len(steps))
+                for col in ((rows,) if m is None else zip(*rows))]
     k = fam.k
-    if fam.tag == UBETA and k < _UBETA_CHART_MAX_ORDER:
+    if fam.tag == CUSTOM:
+        h, scale, density, lo, hi = fam.h, 1.0, fam.r_density, fam.lo, fam.hi
+    elif fam.tag == UBETA and k < _UBETA_CHART_MAX_ORDER:
         # h = s, dr = k s^(k-1) ds
-        def f(s):
-            power = s ** (k - 1)
-            return [s * q(s) * k * power for q in qs]
+        h, scale, density, lo, hi = (lambda s: s), k, (lambda s: s ** (k - 1)), 0.0, 1.0
+    else:
+        _, _, scale, s, v = FAMILIES[fam.tag].closed_form(k)
+        return [IntegrationResult(scale * r.value, scale * r.error_estimate, r.evaluations)
+                for r in gamma_average(f, m, s, v, tol)]
 
-        return _integrate(f, m, 0.0, 1.0, tol)
-    _, _, scale, s, v = FAMILIES[fam.tag].closed_form(k)
-    return [IntegrationResult(scale * r.value, scale * r.error_estimate, r.evaluations)
-            for r in gamma_average(qs, s, v, tol)]
+    def node(u: float, x: float):
+        # dr = scale * density ds; x as in quadrature._integrate_half_line,
+        # 1.0 off its chart
+        hv = h(u)
+        if m is None:
+            # one value is formed as h f(h) scale density, as it always was
+            return hv * f(hv) * scale * density(u) / x / x
+        weight = hv * scale * density(u) / x / x
+        return [y * weight for y in f(hv)]
+
+    if math.isinf(hi):
+        # the half line starts at lo
+        return _integrate_half_line(lambda u, x: node(lo + u, x), m, tol)
+    return _integrate(lambda u: node(u, 1.0), m, lo, hi, tol)
 
 
-# the q of c = int h dr, d = int h^2 dr and g(z) = int h/(z h +- 1) dr
+# the f of c = int h dr, d = int h^2 dr and g(z) = int h/(z h +- 1) dr
 
 def _c_integrand(hv: float) -> float:
     return 1.0
@@ -256,31 +264,32 @@ def _d_integrand(hv: float) -> float:
     return hv
 
 
-def _g_integrand(fam: KernelFamily, z: complex):
-    sign = 1.0 if fam.increasing else -1.0
-    return lambda hv: 1.0 / (z * hv + sign)
+def _g_sign(fam: KernelFamily) -> float:
+    return 1.0 if fam.increasing else -1.0
 
 
 def kernel_quad_grid(fam: KernelFamily, zs, tol: float = 1e-10
                      ) -> tuple[IntegrationResult, IntegrationResult, list[IntegrationResult]]:
     """(c, d, [g(z) for z in zs]) by direct integration, every integral
     on one adaptive mesh and each to tol: the oracle of const_c, const_d
-    and kernel_g over a grid of z.  Each result's evaluations count the
-    nodes of the shared mesh."""
+    and kernel_g over a grid of z.  One function of h returns all of
+    their integrands, and each result's evaluations count the nodes of
+    the shared mesh."""
     zs = [complex(z) for z in zs]
+    sign = _g_sign(fam)
     res = _integrate_kernel(
-        fam, [_c_integrand, _d_integrand, *(_g_integrand(fam, z) for z in zs)], tol)
+        fam, lambda hv: [1.0, hv, *[1.0 / (z * hv + sign) for z in zs]], len(zs) + 2, tol)
     return res[0], res[1], res[2:]
 
 
 def const_c_quad(fam: KernelFamily, tol: float = 1e-10) -> IntegrationResult:
     """c = int h dr by direct integration (finite sum for step kernels)."""
-    return _integrate_kernel(fam, (_c_integrand,), tol)[0]
+    return _integrate_kernel(fam, _c_integrand, None, tol)[0]
 
 
 def const_d_quad(fam: KernelFamily, tol: float = 1e-10) -> IntegrationResult:
     """d = int h^2 dr by direct integration."""
-    return _integrate_kernel(fam, (_d_integrand,), tol)[0]
+    return _integrate_kernel(fam, _d_integrand, None, tol)[0]
 
 
 def kernel_g_quad(fam: KernelFamily, z: complex, tol: float = 1e-10) -> IntegrationResult:
@@ -289,7 +298,8 @@ def kernel_g_quad(fam: KernelFamily, z: complex, tol: float = 1e-10) -> Integrat
     The sign in the denominator follows the declared monotonicity:
     +1 when r is non-decreasing, -1 when non-increasing.
     """
-    return _integrate_kernel(fam, (_g_integrand(fam, complex(z)),), tol)[0]
+    z, sign = complex(z), _g_sign(fam)
+    return _integrate_kernel(fam, lambda hv: 1.0 / (z * hv + sign), None, tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,13 @@ integrate against.
 from __future__ import annotations
 
 import math
+import sys
 
 from ._records import record
 from .errors import InvalidInput, NonFiniteError
 
 Atom = tuple[float, float]  # (location, weight)
+_MIN_NORMAL = sys.float_info.min
 
 
 def _check_atoms(atoms, *, allow_zero_loc: bool, nonneg_ok: bool, what: str):
@@ -95,11 +97,16 @@ class FiniteMeasure:
 def triple_to_finite_measure(tr: LevyTriple) -> FiniteMeasure:
     """Companion measure of a triple: jump atoms reweighted by
     x^2/(1+x^2), plus an atom of mass gauss_var at the origin.  Where x*x
-    overflows the factor is 1.0, which is what x^2/(1+x^2) rounds to."""
+    overflows the factor is 1.0, which is what x^2/(1+x^2) rounds to;
+    where it is below the smallest normal double the mass is formed as
+    (w x) x/(1+x^2), which keeps a w x^2 that x*x alone would lose."""
     atoms = []
     for x, w in tr.levy_atoms:
         xx = x * x
-        atoms.append((x, w * (xx / (1.0 + xx) if xx != math.inf else 1.0)))
+        if xx < _MIN_NORMAL:
+            atoms.append((x, w * x * x / (1.0 + xx)))
+        else:
+            atoms.append((x, w * (xx / (1.0 + xx) if xx != math.inf else 1.0)))
     if tr.gauss_var > 0.0:
         atoms.append((0.0, tr.gauss_var))
     return FiniteMeasure(atoms=tuple(atoms))

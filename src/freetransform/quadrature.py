@@ -10,8 +10,8 @@ values per node, all integrated on one mesh, so a weight that several
 integrands share is evaluated once per node.  The loop splits the panel
 with the largest component error while any component's total error
 exceeds the tolerance.  integrate_finite, integrate_semi_infinite and
-laplace_transform are its one-component calls; gamma_average takes a
-sequence of integrands.  _worst is the package's one max that keeps a
+laplace_transform are its one-component calls; gamma_average takes the
+same vector integrand.  _worst is the package's one max that keeps a
 NaN: it picks the panel to split here, and folds the deviations of
 transforms' structural check and of verify.
 
@@ -27,9 +27,10 @@ evaluations on the package's kernel and Laplace oracles.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 from ._records import record
 from .errors import DomainError, InvalidInput, MaxSubdivisionError, NonFiniteError
@@ -67,6 +68,9 @@ _WG = (
 _MAX_PANELS = 10_000
 _EPMACH = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
+# a panel's weighted absolute sum above which its error estimate is held
+# to at least 50 eps times that sum, as in QUADPACK
+_RESABS_FLOOR = _UFLOW / (50.0 * _EPMACH)
 # gamma_average's highest order: beyond it the head's first panel can
 # miss the mode and return half the mass (in a scan, from s = 5.5e5 at
 # tol = 0.1, 1.05e6 at 1e-3 and 2.9e6 at 1e-10)
@@ -87,7 +91,10 @@ def _kronrod_panel(f, lo: float, hi: float, m: int | None = None):
 
     f returns m values per node, and the panel returns (kronrod values,
     error estimates, evaluation count) with one entry per component;
-    with m = None, f returns one value and so does the panel.
+    with m = None, f returns one value and so does the panel.  Samples
+    may be float, int or complex; they are summed as returned, and only
+    each panel value is made complex.  InvalidInput names a node that
+    returns other than m values.
     """
     isfinite = math.isfinite
     center = 0.5 * (lo + hi)
@@ -95,6 +102,7 @@ def _kronrod_panel(f, lo: float, hi: float, m: int | None = None):
     if not lo < center < hi:
         # thinner than one ulp; nothing representable left to sample
         return (0.0, 0.0, 0) if m is None else ([0.0] * m, [0.0] * m, 0)
+    abs_half = abs(half)
 
     nodes = [center]
     for x in _XGK[:7]:
@@ -116,9 +124,14 @@ def _kronrod_panel(f, lo: float, hi: float, m: int | None = None):
     # from the integrand either means the same as a non-finite sample
     try:
         rows = list(map(f, nodes))
+        if m is not None:
+            for x, row in zip(nodes, rows):
+                if len(row) != m:
+                    raise InvalidInput(
+                        f"integrand returned {len(row)} values at {x!r}, expected {m}")
         for col in ((rows,) if m is None else zip(*rows)):
             # the sums run left to right, in the order of QUADPACK's qk15
-            fc, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = map(complex, col)
+            fc, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = col
             s1, s3, s5 = a1 + b1, a3 + b3, a5 + b5
             resk = (w7 * fc + w0 * (a0 + b0) + w1 * s1 + w2 * (a2 + b2) + w3 * s3
                     + w4 * (a4 + b4) + w5 * s5 + w6 * (a6 + b6))
@@ -129,8 +142,8 @@ def _kronrod_panel(f, lo: float, hi: float, m: int | None = None):
                       + w6 * (abs(a6) + abs(b6)))
             if not isfinite(resabs):
                 # a non-finite sample, or finite ones whose sum overflows
-                for x, y in zip(nodes, map(complex, col)):
-                    if not (isfinite(y.real) and isfinite(y.imag)):
+                for x, y in zip(nodes, col):
+                    if not cmath.isfinite(y):
                         raise NonFiniteError(f"integrand non-finite at {x!r}")
 
             # Scaled deviation of samples from the panel mean; this is what
@@ -141,14 +154,14 @@ def _kronrod_panel(f, lo: float, hi: float, m: int | None = None):
                       + w3 * (abs(a3 - h) + abs(b3 - h)) + w4 * (abs(a4 - h) + abs(b4 - h))
                       + w5 * (abs(a5 - h) + abs(b5 - h)) + w6 * (abs(a6 - h) + abs(b6 - h)))
 
-            resabs *= abs(half)
-            resasc *= abs(half)
+            resabs *= abs_half
+            resasc *= abs_half
             err = abs((resk - resg) * half)
             if resasc != 0.0 and err != 0.0:
                 err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-            if resabs > _UFLOW / (50.0 * _EPMACH):
+            if resabs > _RESABS_FLOOR:
                 err = max(_EPMACH * 50.0 * resabs, err)
-            values.append(resk * half)
+            values.append(complex(resk * half))
             errs.append(err)
     except (OverflowError, ZeroDivisionError) as exc:
         raise NonFiniteError(
@@ -179,7 +192,8 @@ def _integrate(f, m: int | None, lo: float, hi: float,
     """Integrate the m components of f over (lo, hi) on one adaptive mesh.
 
     f returns m values per node, or with m = None one value, which is
-    one component.  The panel with the largest component error is split
+    one component; a node that returns other than m values raises
+    InvalidInput.  The panel with the largest component error is split
     while any component's total error exceeds tol, and all components
     share the panel budget; each result counts every node of the mesh.
     """
@@ -276,32 +290,34 @@ def integrate_semi_infinite(
     nodes of the first panel, which then return about 0 with a tiny
     error estimate.
     """
-    return _integrate_half_line(f, None, tol, split)[0]
+    return _integrate_half_line(lambda u, x: f(u) / x / x, None, tol, split)[0]
 
 
 def _integrate_half_line(f, m: int | None, tol: float,
                          split: float = 0.0) -> list[IntegrationResult]:
     """integrate_semi_infinite for the m components of f (m as in
-    _integrate), on one mesh."""
+    _integrate), on one mesh.
+
+    f(u, x) returns the integrand at u divided twice by x: on the chart
+    u = split + (1 - x)/x that is its Jacobian 1/x^2, and on the head
+    (0, split) x = 1.0.  A weight that the m components share takes the
+    Jacobian once per node; two divisions, because x * x underflows to
+    0 for x below 1e-162, where a divergent integrand can drive
+    bisection.
+    """
     if not (split >= 0.0 and math.isfinite(split)):
         raise InvalidInput(f"split must be finite and >= 0, got {split!r}")
-    if split > 0.0:
-        head = _integrate(f, m, 0.0, split, 0.5 * tol)
-        tail = _integrate_half_line(lambda w: f(split + w), m, 0.5 * tol)
-        return [IntegrationResult(h.value + t.value, h.error_estimate + t.error_estimate,
-                                  h.evaluations + t.evaluations)
-                for h, t in zip(head, tail)]
 
-    # two divisions: v * v underflows to 0 for v below 1e-162, where a
-    # divergent f can drive bisection
-    if m is None:
-        def g(v: float) -> complex:
-            return f((1.0 - v) / v) / v / v
-    else:
-        def g(v: float) -> list:
-            return [y / v / v for y in f((1.0 - v) / v)]
+    def chart(x: float):
+        return f(split + (1.0 - x) / x, x)
 
-    return _integrate(g, m, 0.0, 1.0, tol)
+    if split == 0.0:
+        return _integrate(chart, m, 0.0, 1.0, tol)
+    head = _integrate(lambda u: f(u, 1.0), m, 0.0, split, 0.5 * tol)
+    tail = _integrate(chart, m, 0.0, 1.0, 0.5 * tol)
+    return [IntegrationResult(h.value + t.value, h.error_estimate + t.error_estimate,
+                              h.evaluations + t.evaluations)
+            for h, t in zip(head, tail)]
 
 
 def laplace_transform(
@@ -319,28 +335,30 @@ def laplace_transform(
     if not (t > 0.0 and math.isfinite(t)):
         raise InvalidInput(f"t must be positive and finite, got {t!r}")
 
-    def integrand(u: float) -> complex:
+    def integrand(u: float, x: float) -> complex:
         damp = math.exp(-t * u)
         if damp == 0.0:
             return 0.0
-        return g(u) * damp
+        return g(u) * damp / x / x
 
-    return integrate_semi_infinite(integrand, tol, split=1.0)
+    return _integrate_half_line(integrand, None, tol, 1.0)[0]
 
 
-def gamma_average(qs: Sequence[Callable[[float], complex]], s: float, v: float,
+def gamma_average(f, m: int | None, s: float, v: float,
                   tol: float) -> list[IntegrationResult]:
-    """Evaluate int_0^inf q(e^-t) t^(s-1) e^(-v t)/Gamma(s) dt for each q
-    of qs, s >= 1: the Lerch integral representation, and each built-in
-    kernel's defining integral with h = e^-t.
+    """Evaluate int_0^inf f(e^-t) t^(s-1) e^(-v t)/Gamma(s) dt for the m
+    components of f (m as in _integrate), s >= 1: the Lerch integral
+    representation, and each built-in kernel's defining integral with
+    h = e^-t.
 
     In tau = v t the weight is v^-s times the gamma density, of mass 1,
     formed in log space relative to its mode tau = s - 1.  The chart's
     unit is the density's width sqrt(s) and it splits at the mode; the
     integrals are taken to tol relative to v^-s, then scaled by it.  All
-    of qs share one mesh, so h and the density are formed once per node.
-    Raises DomainError above order _GAMMA_MAX_ORDER and where v^-s
-    overflows.
+    components share one mesh: per node, h and the real weight (density,
+    width and the chart's Jacobian) are formed once, and each component
+    costs one multiply.  Raises DomainError above order _GAMMA_MAX_ORDER
+    and where v^-s overflows.
     """
     if s > _GAMMA_MAX_ORDER:
         raise DomainError(f"gamma average of order {s!r} > {_GAMMA_MAX_ORDER}: "
@@ -362,18 +380,23 @@ def gamma_average(qs: Sequence[Callable[[float], complex]], s: float, v: float,
         log_top = (-0.5 * math.log(2.0 * math.pi * mode)
                    - (1.0 / 12.0 - w * (1.0 / 360.0 - w / 1260.0)) / mode)
 
-    def integrand(y: float) -> complex:
+    def integrand(y: float, x: float):
         tau = width * y
-        x = tau - mode
-        # mode log(tau/mode) - x; near the mode log1p rounds to about
+        dev = tau - mode
+        # mode log(tau/mode) - dev; near the mode log1p rounds to about
         # eps sqrt(s) where log(tau) gives eps s log s
-        log_rel = -x
+        log_rel = -dev
         if mode:
-            log_rel += mode * (math.log1p(x / mode) if 2.0 * x > -mode
+            log_rel += mode * (math.log1p(dev / mode) if 2.0 * dev > -mode
                                else math.log(tau) - math.log(mode))
-        h = math.exp(-tau / v)
         density = math.exp(log_top + log_rel)
-        return [q(h) * density * width for q in qs]
+        h = math.exp(-tau / v)
+        if m is None:
+            # one value is formed as f(h) density width, as it always was,
+            # so lerch_phi's integral branch keeps its bits
+            return f(h) * density * width / x / x
+        weight = density * width / x / x
+        return [q * weight for q in f(h)]
 
     return [IntegrationResult(r.value * mass, r.error_estimate * mass, r.evaluations)
-            for r in _integrate_half_line(integrand, len(qs), tol, mode / width)]
+            for r in _integrate_half_line(integrand, m, tol, mode / width)]

@@ -39,7 +39,8 @@ from collections.abc import Callable, Sequence
 
 from ._records import record
 from .errors import DomainError, InvalidInput, NonFiniteError
-from .kernels import KernelFamily, custom_density, lclass, map_data, sself, ubeta
+from .kernels import (KernelFamily, custom_density, kernel_quad_grid, lclass, map_data,
+                      sself, ubeta)
 from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
 from .quadrature import _worst, integrate_semi_infinite, laplace_transform
 from .specfun import log_gamma2_slope
@@ -128,8 +129,14 @@ def random_integral_evaluator(fam: KernelFamily, tr: LevyTriple) -> Evaluator:
     (+-) c/(1+x^2); each call then evaluates g once per atom.  The sign
     pattern follows the declared monotonicity of the time change.
     """
-    sign = 1.0 if fam.increasing else -1.0
     c, d, g = map_data(fam)
+    return _image_evaluator(c, d, g, 1.0 if fam.increasing else -1.0, tr)
+
+
+def _image_evaluator(c: float, d: float, g: Callable[[complex], complex],
+                     sign: float, tr: LevyTriple) -> Evaluator:
+    """random_integral_evaluator from the kernel data (c, d, g) and the
+    sign of the time change."""
     drift = tr.drift * c
     gauss = sign * tr.gauss_var * d
     atoms = [(w * sign * x, x, sign * c / (1.0 + x * x)) for x, w in tr.levy_atoms]
@@ -311,9 +318,10 @@ def exp_map_convolution_check(omega: LevyTriple, t_grid: Sequence[float]) -> flo
     at transform level V_rho = V[I omega] + V[omega].  The convolution
     rule (pointwise addition) applied to the closed forms must reproduce
     V_rho built independently: the image from its defining integral,
-    with c, d and g of the kernel e^-s on (0, inf) all by quadrature,
-    and V[omega] through the Laplace route.  Returns the largest
-    deviation over the grid, NaN if any deviation is NaN.
+    with c, d and each g(ix/t) it needs of the kernel e^-s on (0, inf)
+    by quadrature on one mesh, and V[omega] through the Laplace route.
+    Returns the largest deviation over the grid, NaN if any deviation
+    is NaN.
     """
     grid = tuple(_check_t(t) for t in t_grid)
     if not grid:
@@ -322,8 +330,10 @@ def exp_map_convolution_check(omega: LevyTriple, t_grid: Sequence[float]) -> flo
     v_image = lambda t: transform_lclass(0, omega, t).value
     v_omega = lambda t: voiculescu_id(omega, t).value
     exp_kernel = custom_density(lambda s: math.exp(-s), lambda s: 1.0, 0.0, math.inf)
-    # c and d by quadrature once, g per atom and t
-    v_image_direct = random_integral_evaluator(exp_kernel, omega)
+    zs = [1j * x / t for t in grid for x, _ in omega.levy_atoms]
+    c, d, gs = kernel_quad_grid(exp_kernel, zs)
+    g = dict(zip(zs, (r.value for r in gs))).__getitem__
+    v_image_direct = _image_evaluator(c.value.real, d.value.real, g, 1.0, omega)
     return _worst(*(abs(v_image_direct(t) + voiculescu_via_laplace(omega, t).value
                         - add_transforms(v_image, v_omega, t).value)
                     for t in grid))

@@ -206,6 +206,20 @@ def test_eval_atom_beyond_the_square_root_of_the_double_range(tmp_path):
         assert res.stderr == "" and len(res.stdout.splitlines()) == 4
 
 
+def test_eval_atom_whose_square_is_below_the_normal_range(tmp_path):
+    # x*x underflows to 0 at x = 1e-170, while the companion mass w x^2 =
+    # 1e-40 is a normal double: V(i) is about m/(i) = -1e-40 i, not 0
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"atoms": [{"x": 1e-170, "w": 1e300}]}))
+    for cls in (["id"], ["uks", "--k", "0"]):
+        res = run("eval", "--class", *cls, "--input", str(path),
+                  "--t-min", "1", "--t-max", "1", "--steps", "1")
+        assert res.returncode == 0, (cls, res.stderr)
+        t, re_v, im_v = map(float, res.stdout.splitlines()[1].split(","))
+        assert (t, re_v) == (1.0, 0.0), cls
+        assert math.isclose(im_v, -1e-40, rel_tol=1e-14), (cls, im_v)
+
+
 def _log_uniform(lo=-300.0, hi=300.0):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 

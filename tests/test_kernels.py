@@ -111,7 +111,7 @@ def _sself_chart_nodes(fam):
         seen.append(s)
         return s / (complex(0.4, 1.0) * s + 1.0)
 
-    kernels._integrate_kernel(fam, (f,), 1e-10)
+    kernels._integrate_kernel(fam, f, None, 1e-10)
     return seen
 
 
@@ -191,6 +191,22 @@ def test_kernels_suite_oracle_node_count(monkeypatch):
     assert raw <= 885
 
 
+def test_nevanlinna_suite_takes_each_g_once(monkeypatch):
+    # one map_data per family order, 9 in all; 1 800 when kernel_g took
+    # it at each of the 200 samples
+    calls = []
+    real_map_data = kernels.map_data
+
+    def counted(fam):
+        calls.append(fam)
+        return real_map_data(fam)
+
+    monkeypatch.setattr(kernels, "map_data", counted)
+    monkeypatch.setattr(verify, "map_data", counted)
+    assert all(r.passed for r in run_suite("nevanlinna"))
+    assert 0 < len(calls) <= 9
+
+
 # one mesh per family ---------------------------------------------------------
 
 def test_kernel_quad_grid_matches_closed_forms():
@@ -245,6 +261,13 @@ def test_one_component_oracles_bit_identical(fam, frozen):
     got = [const_c_quad(fam), const_d_quad(fam),
            kernel_g_quad(fam, 0.5 + 0.5j), kernel_g_quad(fam, -0.95 + 0.02j)]
     assert [tuple(res) for res in got] == frozen
+
+
+def test_step_kernel_grid_is_its_one_component_sums():
+    # a step kernel's sums take the same products on either path
+    fam, frozen = _FROZEN_ORACLES[-1]
+    c, d, gs = kernel_quad_grid(fam, (0.5 + 0.5j, -0.95 + 0.02j))
+    assert [tuple(res) for res in (c, d, *gs)] == frozen
 
 
 def test_lclass_oracle_high_order():

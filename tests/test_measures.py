@@ -152,6 +152,23 @@ def test_companion_weights_where_x_squared_overflows():
     assert back.levy_atoms == ((-1e300, 0.5), (1e154, 3.0), (1e200, 2.0))
 
 
+def test_companion_weights_where_x_squared_is_not_normal():
+    # x*x is subnormal or 0 below |x| of about 1.5e-154; the mass is then
+    # formed as (w x) x/(1+x^2), and w x^2 survives where it is normal
+    tiny = 2.2250738585072014e-308
+    for x, w in ((1e-170, 1e300), (-1e-170, 1e300), (1e-160, 3.0), (1e-200, 1e250)):
+        m = triple_to_finite_measure(LevyTriple(0.0, 0.0, ((x, w),)))
+        assert m.mass_at(x) == w * x * x / (1.0 + x * x)
+    assert math.isclose(
+        triple_to_finite_measure(LevyTriple(0.0, 0.0, ((1e-170, 1e300),))).mass_at(1e-170),
+        1e-40, rel_tol=1e-15)
+    # from the smallest normal x*x on, the mass is w (x^2/(1+x^2)) as before
+    for x in (math.sqrt(tiny), 1.5e-154, 1e-100, 0.5, -3.0):
+        assert x * x >= tiny
+        m = triple_to_finite_measure(LevyTriple(0.0, 0.0, ((x, 0.7),)))
+        assert m.mass_at(x) == 0.7 * (x * x / (1.0 + x * x))
+
+
 def test_measure_to_triple_names_an_unrepresentable_jump_weight():
     # x*x underflows to 0, or the factor (1+x^2)/x^2 overflows the weight
     for x, w in ((1e-200, 1.0), (-1e-170, 1.0), (1e-160, 1.0), (1e-150, 1e300)):

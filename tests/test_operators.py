@@ -167,3 +167,26 @@ def test_ubeta_deviation_shrinks_against_named_value():
     base = voiculescu_id(MIXED, t).value
     gaps = [abs(transform_ubeta(k, MIXED, t).value - base) for k in (10, 100)]
     assert gaps[1] < gaps[0] / 5.0
+
+
+def test_operators_suite_builds_each_lowered_transform_once(monkeypatch):
+    # 24 lowered random-integral transforms: shrink and selfdec steps for
+    # 3 triples and 3 orders, and 3 powers of each.  Each is built once,
+    # not once per point that the finite differences take; what is left
+    # in the transforms module are the 48 single-point comparisons
+    from freetransform import transforms, verify
+
+    built = {"verify": 0, "transforms": 0}
+
+    def counting(where, real):
+        def evaluator(fam, tr):
+            built[where] += 1
+            return real(fam, tr)
+        return evaluator
+
+    monkeypatch.setattr(verify, "random_integral_evaluator",
+                        counting("verify", verify.random_integral_evaluator))
+    monkeypatch.setattr(transforms, "random_integral_evaluator",
+                        counting("transforms", transforms.random_integral_evaluator))
+    assert all(r.passed for r in verify.run_suite("operators"))
+    assert built == {"verify": 24, "transforms": 48}

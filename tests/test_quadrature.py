@@ -1,6 +1,7 @@
 """Adaptive Gauss-Kronrod integration against integrals with known values."""
 
 import math
+import re
 
 import pytest
 
@@ -209,9 +210,14 @@ def test_one_component_is_the_scalar_integral():
             vector = _integrate(lambda s: (f(s),), 1, lo, hi, TOL)
             assert vector == [integrate_finite(f, lo, hi, TOL)]
     q = lambda w: 1.0 / (1.0 - complex(0.5, 2.0) * w)
-    single = gamma_average((q,), 3, 2.5, TOL)
-    pair = gamma_average((q, q), 3, 2.5, TOL)
+    single = gamma_average(lambda w: (q(w),), 1, 3, 2.5, TOL)
+    pair = gamma_average(lambda w: (q(w), q(w)), 2, 3, 2.5, TOL)
     assert pair == single + single
+    # a bare value multiplies by the density and its factors in turn,
+    # one component by their product: the same mesh, rounded apart
+    bare = gamma_average(q, None, 3, 2.5, TOL)
+    assert [r.evaluations for r in bare] == [r.evaluations for r in single]
+    assert abs(bare[0].value - single[0].value) <= 1e-15 * abs(single[0].value)
 
 
 def test_nan_in_one_component_raises():
@@ -220,6 +226,15 @@ def test_nan_in_one_component_raises():
     for bad in (lambda s: math.nan if s > 0.7 else 1.0, lambda s: 1.7e308):
         with pytest.raises(NonFiniteError):
             _integrate(lambda s: (s, bad(s)), 2, 0.0, 1.0, TOL)
+
+
+def test_a_node_must_return_m_values():
+    # zip() across the nodes would keep the shortest count, or the longest
+    # row's extra values, without a word
+    for f, got in ((lambda s: (s,), 1), (lambda s: (s, s, s), 3),
+                   (lambda s: (s, s) if s < 0.9 else (s,), 1)):
+        with pytest.raises(InvalidInput, match=f"returned {got} values at .*, expected 2"):
+            _integrate(f, 2, 0.0, 1.0, TOL)
 
 
 def test_budget_exhaustion_names_the_component():
@@ -256,3 +271,41 @@ _FROZEN_PANELS = [
 def test_panel_bit_identical(f, lo, hi, frozen):
     value, err, n = _kronrod_panel(f, lo, hi)
     assert (complex(value), err, n) == frozen
+
+
+def _mixed(s):
+    # a float, an int and a complex component: each is summed as returned
+    return (1.0 / (1.0 + s), 3 if s < 0.5 else -2, complex(s * s, 1.0 / (2.0 - s)))
+
+
+# (values, error estimates, evaluation count) of _mixed's vector panels,
+# frozen from the panel that made every sample complex before summing
+_FROZEN_VECTOR_PANELS = [
+    (0.0, 1.0,
+     ([0.6931471805599453 + 0j, 0.23814732364409025 + 0j,
+       0.33333333333333337 + 0.6931471805599453j],
+      [7.273495740812831e-13, 2.472573270354099, 4.725161199280543e-13], 15)),
+    (-1.5, 0.75,
+     ([-3.7542302016808713 + 0j, 5.6766519845844865 + 0j,
+       1.265625 + 1.0296194171811583j],
+      [11.807913018856725, 1.9418825264405521, 1.2910913920948299e-09], 15)),
+]
+
+
+@pytest.mark.parametrize("lo, hi, frozen", _FROZEN_VECTOR_PANELS)
+def test_vector_panel_bit_identical(lo, hi, frozen):
+    values, errs, n = _kronrod_panel(_mixed, lo, hi, 3)
+    assert all(type(v) is complex for v in values)
+    assert (values, errs, n) == frozen
+
+
+def test_nan_in_a_float_component_names_its_node():
+    nodes = []
+    _kronrod_panel(lambda s: nodes.append(s) or 0.0, 0.0, 1.0)
+    bad = nodes[5]
+
+    def f(s):
+        return (complex(s, 1.0), math.nan if s == bad else s, 2)
+
+    with pytest.raises(NonFiniteError, match=re.escape(f"non-finite at {bad!r}")):
+        _kronrod_panel(f, 0.0, 1.0, 3)

@@ -237,6 +237,29 @@ def test_exp_map_convolution_split_sees_a_wrong_image(monkeypatch):
     assert exp_map_convolution_check(MIXED, T_GRID) >= 1e-10
 
 
+def test_exp_map_convolution_split_panel_count(monkeypatch):
+    # 77 G7/K15 panels: 13 for c, d and the 9 g(ix/t) of the image on one
+    # mesh, and 64 for the Laplace route; 175 with c, d and each g on a
+    # mesh of its own
+    from freetransform import quadrature
+
+    panels = []
+    kronrod_panel = quadrature._kronrod_panel
+
+    def counted(f, lo, hi, m=None):
+        panels.append(hi - lo)
+        return kronrod_panel(f, lo, hi, m)
+
+    monkeypatch.setattr(quadrature, "_kronrod_panel", counted)
+    assert exp_map_convolution_check(MIXED, T_GRID) <= 1e-12
+    assert 0 < len(panels) <= 77
+
+
+def test_exp_map_convolution_split_without_jumps():
+    # no atom, so the image's mesh holds c and d alone
+    assert exp_map_convolution_check(LevyTriple(0.3, 1.7, ()), T_GRID) <= 1e-12
+
+
 def test_exp_map_convolution_empty_grid():
     with pytest.raises(InvalidInput):
         exp_map_convolution_check(MIXED, ())
