@@ -115,8 +115,10 @@ def triple_to_finite_measure(tr: LevyTriple) -> FiniteMeasure:
 def finite_measure_to_triple(a: float, m: FiniteMeasure) -> LevyTriple:
     """Inverse of triple_to_finite_measure; the drift passes through.
 
-    The factor (1+x^2)/x^2 is 1.0 where x*x overflows.  NonFiniteError
-    names x where x*x underflows to 0 or the jump weight overflows.
+    The factor (1+x^2)/x^2 is 1.0 where x*x overflows; where x*x is below
+    the smallest normal double the weight is formed as w/x/x + w, which
+    inverts the companion mass (w x) x/(1+x^2).  NonFiniteError names x
+    where the jump weight overflows.
     """
     gauss_var = 0.0
     jump = []
@@ -125,10 +127,10 @@ def finite_measure_to_triple(a: float, m: FiniteMeasure) -> LevyTriple:
             gauss_var = w
         elif w > 0.0:
             xx = x * x
-            if xx == 0.0:
-                raise NonFiniteError(f"jump weight at x={x!r} is not finite: "
-                                     "x*x underflows to 0")
-            weight = w * ((1.0 + xx) / xx if xx != math.inf else 1.0)
+            if xx < _MIN_NORMAL:
+                weight = w / x / x + w
+            else:
+                weight = w * ((1.0 + xx) / xx if xx != math.inf else 1.0)
             if weight == math.inf:
                 raise NonFiniteError(f"jump weight {w!r} * (1+x^2)/x^2 at "
                                      f"x={x!r} overflows double precision")

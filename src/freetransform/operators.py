@@ -73,6 +73,7 @@ def _lowering(a: float, V, n) -> TransformEvaluator:
     O(h^4) while rounding grows like eps/h^m, and h = 4 eps^(1/(m+4))
     balances the two.  n = 1, 2, 3 cost 5, 9 and 17 evaluations of V;
     the error grows with n (3e-8 at n = 4, 1e-6 at 6, 2e-5 at 8).
+    DomainError names t and n where a difference node above t overflows.
     """
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= _MAX_POWER:
         raise InvalidInput(f"n must be an integer in [1, {_MAX_POWER}], got {n!r}")
@@ -83,9 +84,17 @@ def _lowering(a: float, V, n) -> TransformEvaluator:
             raise DomainError(f"lowered transforms take t > 0, got t={t!r}")
         u, v0 = math.log(t), fn(t)  # v0 is the centre of each even-order difference
 
+        def node(x: float) -> complex:
+            try:
+                tx = math.exp(x)
+            except OverflowError:
+                raise DomainError(f"lowered transform at t={t!r}, n={n}: the "
+                                  f"difference node exp({x!r}) overflows") from None
+            return fn(tx)
+
         def difference(m: int, step: float) -> complex:
             return sum((-1) ** j * math.comb(m, j)
-                       * (v0 if 2 * j == m else fn(math.exp(u + (0.5 * m - j) * step)))
+                       * (v0 if 2 * j == m else node(u + (0.5 * m - j) * step))
                        for j in range(m + 1)) / step ** m
 
         acc = a ** n * v0

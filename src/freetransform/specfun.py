@@ -15,24 +15,17 @@ Li_s(z) for integer s takes one of three branches by |z|:
   |z| >= 2         the inversion formula, which trades z for 1/z inside
                    the series disk.
 
-What does not depend on z is tabled, in bounded lru_caches, and built
-only as far as the sums reach:
-
-  (v+n)^-s         one table per (s, v), at most 51 powers.  The Lerch
-                   series reads it, and with v = 1 so do both sums of
-                   w^n n^-s: polylog's series on |z| <= 1/2 and the
-                   inversion formula's series at w = 1/z.  All of them
-                   share the last _SERIES_TABLES tables.  The axis loop
-                   below reads the same powers grouped by four.
-  log-series       the coefficients of order s, with their stop weights
-                   and H_{s-1}, in chunks of _TABLE_CHUNK terms, each
-                   built when a sum first runs into it; the last
-                   _LOG_SERIES_CHUNKS chunks kept.
-  eta(2n)          the inversion formula's coefficients, which do not
-                   depend on s: one table per shift, in the same chunks,
-                   the last _SERIES_TABLES chunks kept.
-
-Every sum takes the same terms in the same order as without the tables.
+What does not depend on z is tabled.  A bounded lru_cache holds the
+last _SERIES_TABLES tables of (v+n)^-s, one per (s, v), at most 51
+powers each: the Lerch series reads them, and with v = 1 so do both
+sums of w^n n^-s, polylog's series on |z| <= 1/2 and the inversion
+formula's at w = 1/z; the axis loop below reads the same powers grouped
+by four.  Three fixed tables, built on first use, serve every order:
+zeta(n) for _ZETA_LOW <= n < _ZETA_TOP, past which zeta(n) - 1
+underflows; H_{s-1} for the orders whose log-series reach their log
+term; and the inversion formula's eta(2n) coefficients, one table per
+shift, up to the n from which the coefficient is a constant.  Every sum
+takes the same terms in the same order as without the tables.
 
 On the imaginary axis z = iy, y != 0, where every argument -ix/t of the
 transforms lies, the Lerch series is summed in float arithmetic (the
@@ -70,15 +63,11 @@ _INVERSION_RADIUS = 2.0
 # four terms per pass
 _SERIES_MAX_TERMS = 1_000_000
 _SERIES_EPS = 1e-15
-# (s, v) series power tables kept, at most 51 floats each, and eta chunks
+# (s, v) series power tables kept, at most 51 floats each
 _SERIES_TABLES = 64
-# log-series and eta coefficients are tabled in chunks of this many terms
-_TABLE_CHUNK = 32
 # mu^m/m! underflows to 0 by m = 229 at |mu| = 3.22, the largest |log z| on
 # 1/2 < |z| < 2, so every log-series sum stops within this many terms
-_TABLE_TERMS = 8 * _TABLE_CHUNK
-# log-series chunks kept: as many terms as _SERIES_TABLES full orders
-_LOG_SERIES_CHUNKS = _SERIES_TABLES * _TABLE_TERMS // _TABLE_CHUNK
+_LOG_SERIES_TERMS = 256
 # relative to the mass v^-s of the integral representation's weight
 _INTEGRAL_TOL = 1e-11
 # the closed-form sums stop at the first nonzero term below this fraction
@@ -102,6 +91,13 @@ _TAIL_EPS = 2.0 ** -60
 _LOG_GAMMA2_TERMS = 64
 # B_0, B_2, ..., B_{2 _BERNOULLI_HALF} are tabulated
 _BERNOULLI_HALF = 64
+# the zeta table spans _ZETA_LOW <= n < _ZETA_TOP: below, zeta needs Bernoulli
+# numbers past their table; from 1075 on, every k^-n in zeta(n) - 1 underflows
+_ZETA_LOW = -2 * _BERNOULLI_HALF
+_ZETA_TOP = 1075
+# inversion coefficients past their tables: -2 eta(2n) is -2.0 once 2^(1-2n)
+# is below half an ulp of 1, and 2 - 2 eta(2n) is 0.0 once it underflows
+_ETA_TAIL = (-2.0, 0.0)
 
 # Euler-Mascheroni constant, double precision.
 _EULER_GAMMA = 0.5772156649015329
@@ -387,25 +383,34 @@ def _zeta_minus_one(n: int) -> float:
 
 
 @functools.cache
-def _zeta_pair(n: int) -> tuple:
-    """(zeta(n), zeta(n) - 1) for an integer n != 1, cached.
-
-    n >= 2 sums zeta(n) - 1 directly, n = 0 is -1/2, and zeta(-q) =
-    -B_{q+1}/(q+1), which vanishes at the negative even integers.
-    """
-    if n >= 2:
-        m1 = _zeta_minus_one(n)
-        return (1.0 + m1, m1)
-    if n == 0:
-        return (-0.5, -1.5)
-    q = -n
-    if q % 2 == 0:
-        return (0.0, -1.0)
+def _zeta_table() -> tuple:
+    """(zeta(n), zeta(n) - 1) for _ZETA_LOW <= n < _ZETA_TOP at index
+    n - _ZETA_LOW, None at the pole n = 1; built on first use.  n >= 2
+    sums zeta(n) - 1 directly, n = 0 is -1/2, and zeta(-q) =
+    -B_{q+1}/(q+1), which vanishes at the negative even integers."""
     bern = _bernoulli_even()
-    if (q + 1) // 2 >= len(bern):
+    table = []
+    for n in range(_ZETA_LOW, _ZETA_TOP):
+        if n >= 2:
+            m1 = _zeta_minus_one(n)
+            table.append((1.0 + m1, m1))
+        elif n == 1:
+            table.append(None)
+        else:
+            val = (-0.5 if n == 0 else 0.0 if n % 2 == 0
+                   else -bern[(1 - n) // 2] / (1 - n))
+            table.append((val, val - 1.0))
+    return tuple(table)
+
+
+def _zeta_pair(n: int) -> tuple:
+    """(zeta(n), zeta(n) - 1) for an integer n != 1: from the zeta table,
+    and (1.0, 0.0) past it."""
+    if n >= _ZETA_TOP:
+        return (1.0, 0.0)
+    if n < _ZETA_LOW:
         raise ConvergenceError(f"zeta({n}) lies beyond the Bernoulli table")
-    val = -bern[(q + 1) // 2] / (q + 1)
-    return (val, val - 1.0)
+    return _zeta_table()[n - _ZETA_LOW]
 
 
 @functools.cache
@@ -464,27 +469,12 @@ def _power_sum(s: int, w: complex, first: int) -> complex:
     raise ConvergenceError(f"polylog series stalled at z={w!r}")
 
 
-@functools.lru_cache(maxsize=_LOG_SERIES_CHUNKS)
-def _log_series_chunk(s: int, shift: int, start: int) -> tuple:
-    """The log-series terms start <= m < start + _TABLE_CHUNK of the order
-    s, none past s + 2 _BERNOULLI_HALF, as (value, weight):
-
-    - (zeta(s-m) - shift, |zeta(s-m)| + shift) where zeta(s-m) != 0, the
-      value with its stop weight (zeta(s-m) itself for shift = 0);
-    - (shift, 0.0) where zeta(s-m) = 0, so shift = 1 subtracts mu^m/m!;
-    - (H_{s-1} - shift, None) at m = s - 1, the log term.
-    """
-    chunk = []
-    for m in range(start, min(start + _TABLE_CHUNK, s + 2 * _BERNOULLI_HALF)):
-        if m == s - 1:
-            chunk.append((math.fsum(1.0 / j for j in range(1, s)) - shift, None))
-            continue
-        zeta, zeta_m1 = _zeta_pair(s - m)
-        if zeta:
-            chunk.append((zeta_m1 if shift else zeta, abs(zeta) + shift))
-        else:
-            chunk.append((shift, 0.0))
-    return tuple(chunk)
+@functools.cache
+def _harmonic_table() -> tuple:
+    """H_j = 1 + 1/2 + ... + 1/j, each an fsum, for 0 <= j < _LOG_SERIES_TERMS:
+    H_{s-1} of every order s whose log-series reaches its log term."""
+    inverses = [1.0 / j for j in range(1, _LOG_SERIES_TERMS)]
+    return tuple(math.fsum(inverses[:j]) for j in range(_LOG_SERIES_TERMS))
 
 
 def _log_series(s: int, z: complex, shift: int = 0) -> complex:
@@ -497,40 +487,45 @@ def _log_series(s: int, z: complex, shift: int = 0) -> complex:
     subtracts z = exp(mu) term by term.  zeta vanishes at the negative
     even integers, so only a term with nonzero zeta may end the sum, and
     only once both its zeta part and its shift part are negligible.  The
-    coefficients come from _log_series_chunk(s, shift, ...), one chunk
-    after another.
+    pairs (zeta(s-m), zeta(s-m) - 1), whose entry [shift] is the
+    coefficient, come from the zeta table (None at the log term m = s - 1,
+    where H_{s-1} comes from the harmonic table), past it from _zeta_pair.
     """
     mu = cmath.log(z)
     acc = complex(0.0)
     power = complex(1.0)  # mu^m / m!
-    for start in range(0, min(s + 2 * _BERNOULLI_HALF, _TABLE_TERMS), _TABLE_CHUNK):
-        for m, (value, weight) in enumerate(_log_series_chunk(s, shift, start), start + 1):
-            if weight:
-                acc += value * power
-                if weight * abs(power) <= _SUM_EPS * abs(acc):
-                    return acc
-            elif weight is None:
-                acc += (value - cmath.log(-mu)) * power
-            elif value:
-                acc -= power
-            power *= mu / m
+    top = min(s + 2 * _BERNOULLI_HALF, _LOG_SERIES_TERMS)
+    first = s - _ZETA_LOW
+    pairs = (_zeta_table()[first:first - top:-1] if s < _ZETA_TOP
+             else [_zeta_pair(s - m) for m in range(top)])
+    for m, pair in enumerate(pairs, 1):
+        if pair is None:
+            acc += (_harmonic_table()[s - 1] - shift - cmath.log(-mu)) * power
+        elif pair[0]:
+            acc += pair[shift] * power
+            if (abs(pair[0]) + shift) * abs(power) <= _SUM_EPS * abs(acc):
+                return acc
+        elif shift:
+            acc -= power
+        power *= mu / m
     raise ConvergenceError(f"polylog log-series stalled at z={z!r}, s={s}")
 
 
-@functools.lru_cache(maxsize=_SERIES_TABLES)
-def _eta_chunk(shift: int, start: int) -> tuple:
-    """The inversion formula's coefficients of L^(s-2n)/(s-2n)! for
-    start < n <= start + _TABLE_CHUNK, whatever the order s: -2 eta(2n),
-    or 2 - 2 eta(2n) for shift = 1."""
-    chunk = []
-    for n in range(start + 1, start + _TABLE_CHUNK + 1):
+@functools.cache
+def _eta_tables() -> tuple:
+    """The inversion formula's coefficients of L^(s-2n)/(s-2n)! at index
+    n - 1, for every order s: -2 eta(2n) for shift = 0, 2 - 2 eta(2n) for
+    shift = 1, each table cut where it settles on its _ETA_TAIL constant."""
+    tables = ([], [])
+    for n in range(1, _ZETA_TOP // 2 + 1):
         zeta, zeta_m1 = _zeta_pair(2 * n)
         half = 2.0 ** (1 - 2 * n)
-        if shift:
-            chunk.append(2.0 * (half * zeta - zeta_m1))
-        else:
-            chunk.append(-2.0 * (1.0 - half) * zeta)
-    return tuple(chunk)
+        tables[0].append(-2.0 * (1.0 - half) * zeta)
+        tables[1].append(2.0 * (half * zeta - zeta_m1))
+    for coefs, tail in zip(tables, _ETA_TAIL):
+        while coefs[-1] == tail:
+            coefs.pop()
+    return tuple(map(tuple, tables))
 
 
 def _inversion(s: int, z: complex, shift: int = 0) -> complex:
@@ -547,7 +542,8 @@ def _inversion(s: int, z: complex, shift: int = 0) -> complex:
         + sum_{n=0}^{s//2} (2 - 2 eta(2n)) L^(s-2n)/(s-2n)!,
 
     free of the cancellation between Li_s(z) and z when |z| < 2^s.  The
-    eta coefficients come from _eta_chunk(shift, ...).
+    eta coefficients come from _eta_tables(), and past the end of the
+    table are its _ETA_TAIL constant.
     """
     big_l = cmath.log(-z)
     powers = [complex(1.0)]  # L^j / j!
@@ -555,9 +551,12 @@ def _inversion(s: int, z: complex, shift: int = 0) -> complex:
         powers.append(powers[-1] * big_l / j)
     acc = powers[s] if shift else -powers[s]
     half = s // 2
-    for start in range(0, half, _TABLE_CHUNK):
-        for n, coef in enumerate(_eta_chunk(shift, start)[:half - start], start + 1):
-            acc += coef * powers[s - 2 * n]
+    coefs = _eta_tables()[shift]
+    for n, coef in enumerate(coefs[:half], 1):
+        acc += coef * powers[s - 2 * n]
+    tail = _ETA_TAIL[shift]
+    for n in range(len(coefs) + 1, half + 1):
+        acc += tail * powers[s - 2 * n]
     if shift:
         l_squared, l_abs = big_l * big_l, abs(big_l)
         power, j = powers[s], s

@@ -435,6 +435,11 @@ def test_cli_start_up_imports_no_dataclasses_or_typing():
     assert "freetransform.cli" in loaded
     heavy = {"dataclasses", "typing", "inspect", "ast", "dis", "tokenize"}
     assert not heavy & loaded, sorted(heavy & loaded)
+    # the runtime is stdlib-only: every top-level module is the standard
+    # library's or the package itself (__main__ is the -c script)
+    tops = {name.partition(".")[0] for name in loaded}
+    foreign = tops - set(sys.stdlib_module_names) - {"freetransform", "__main__"}
+    assert not foreign, sorted(foreign)
 
 
 # info and flags -------------------------------------------------------------------

@@ -170,13 +170,27 @@ def test_companion_weights_where_x_squared_is_not_normal():
 
 
 def test_measure_to_triple_names_an_unrepresentable_jump_weight():
-    # x*x underflows to 0, or the factor (1+x^2)/x^2 overflows the weight
+    # w/x/x (x*x below the normal range) or w (1+x^2)/x^2 overflows
     for x, w in ((1e-200, 1.0), (-1e-170, 1.0), (1e-160, 1.0), (1e-150, 1e300)):
         with pytest.raises(NonFiniteError, match=f"x={x!r}"):
             finite_measure_to_triple(0.0, FiniteMeasure(((x, w), (1.0, 1.0))))
     # just inside the range, the weight is finite
     tr = finite_measure_to_triple(0.0, FiniteMeasure(((1e-150, 1e-10),)))
     assert tr.levy_atoms[0][1] == 1e-10 * ((1.0 + 1e-300) / 1e-300)
+
+
+def test_measure_to_triple_inverts_masses_where_x_squared_is_not_normal():
+    # the weight is w/x/x + w there, the inverse of (w x) x/(1+x^2); the
+    # subnormal mass 1e-320 of (1e-160, 1) keeps about 11 bits
+    for x, w, rel in ((1e-170, 1e300, 1e-12), (-1e-170, 1e300, 1e-12),
+                      (1e-160, 1.0, 5e-4)):
+        m = triple_to_finite_measure(LevyTriple(0.0, 0.0, ((x, w),)))
+        (back_x, back_w), = finite_measure_to_triple(0.0, m).levy_atoms
+        assert back_x == x and math.isclose(back_w, w, rel_tol=rel), (x, back_w)
+    # from the smallest normal x*x on, the weight is w (1+x^2)/x^2 as before
+    for x in (math.sqrt(2.2250738585072014e-308), 1.5e-154, 1e-100, 0.5, -3.0):
+        tr = finite_measure_to_triple(0.0, FiniteMeasure(((x, 0.7),)))
+        assert tr.levy_atoms[0][1] == 0.7 * ((1.0 + x * x) / (x * x))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,11 +1,13 @@
 """Differential lowering operators and the large-k filtration limit."""
 
 import math
+import re
 
 import pytest
 
 from freetransform import (
     DomainError,
+    FreeTransformError,
     InvalidInput,
     LevyTriple,
     StepError,
@@ -14,11 +16,13 @@ from freetransform import (
     filtration_limit_check,
     lower_selfdec_class,
     lower_shrink_class,
+    sself,
     transform_lclass,
     transform_sself,
     transform_ubeta,
     voiculescu_id,
 )
+from freetransform.transforms import random_integral_evaluator
 from freetransform.verify import _OP_TRIPLES
 
 MIXED = LevyTriple(0.4, 1.1, ((-1.5, 0.4), (0.7, 1.2), (2.0, 0.3)))
@@ -124,6 +128,23 @@ def test_operator_power_validation():
         for t in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 lower(lambda t: t)(t)
+
+
+@pytest.mark.parametrize("lower", [lower_shrink_class, lower_selfdec_class])
+def test_lowering_at_the_ends_of_the_float_range(lower):
+    # each point gives a finite value or a package error; a difference
+    # node above t that overflows exp() is a DomainError naming t and n
+    for n in range(1, 7):
+        lowered = lower(random_integral_evaluator(sself(n), MIXED), n)
+        for t in (5e-324, 1e-300, 1e307, 1.7e308, 1.79e308):
+            try:
+                value = lowered(t)
+            except FreeTransformError:
+                continue
+            assert math.isfinite(value.real) and math.isfinite(value.imag), (n, t)
+    for n, t in ((2, 1.79e308), (4, 1.7e308)):
+        with pytest.raises(DomainError, match=re.escape(f"t={t!r}, n={n}")):
+            lower(random_integral_evaluator(sself(n), MIXED), n)(t)
 
 
 def test_lowering_labels():

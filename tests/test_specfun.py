@@ -388,44 +388,64 @@ def test_off_disk_tables_are_bit_identical():
 
 
 def test_off_disk_terms_past_the_tables_are_bit_identical():
-    # an order whose s // 2 eta coefficients span more chunks than the
-    # cache keeps evicts its own first chunks and builds them again
-    s = 2 * specfun._TABLE_CHUNK * specfun._SERIES_TABLES + 2
-    assert _compare_off_disk((s,)) > 100
+    # s // 2 = 539 eta coefficients run past both eta tables into their
+    # constant tails, and at 4098 the log-series reads only zeta = 1.0
+    # terms, past the zeta table
+    s = 2 * 538 + 2
+    assert s // 2 > max(map(len, specfun._eta_tables()))
+    assert _compare_off_disk((s, 4098)) > 200
 
 
 def test_off_disk_tables_are_bounded():
-    tables = (specfun._log_series_chunk, specfun._eta_chunk,
-              specfun._series_powers, specfun._axis_powers)
-    for table in tables:
-        assert table.cache_info().maxsize is not None
-    chunk = specfun._TABLE_CHUNK
-    # each cold call at an order no other test takes: the chunks it builds
-    # and the new zeta values, at most (shift = 0 at a high order stops
-    # within about 40 terms, as the plain loop did; shift = 1 sums until
-    # mu^m/m! underflows, the whole capped table)
-    for call, chunks in ((lambda: polylog(20000, 1.5j), 1),
-                         (lambda: lerch_phi(-1.5j, 10 ** 5, 2.0),
-                          specfun._TABLE_TERMS // chunk)):
-        zetas = specfun._zeta_pair.cache_info().currsize
-        built = specfun._log_series_chunk.cache_info().misses
-        call()
-        assert specfun._log_series_chunk.cache_info().misses - built <= chunks
-        assert specfun._zeta_pair.cache_info().currsize - zetas <= chunks * chunk
-    for start in range(0, specfun._TABLE_TERMS, chunk):
-        assert len(specfun._log_series_chunk(10 ** 5, 1, start)) == chunk
-    # the eta chunks do not depend on the order: a call needs the chunks
-    # up to s // 2, and builds those no earlier order built
-    polylog(602, 3.0j)
-    built = specfun._eta_chunk.cache_info().misses
-    polylog(600, 5.0j)
-    assert specfun._eta_chunk.cache_info().misses == built
+    # the only order-keyed caches are the two (s, v) power tables, and
+    # they are bounded; every other cache is a table built once
+    cached = {name: fn for name, fn in vars(specfun).items()
+              if hasattr(fn, "cache_info")}
+    keyed = {name for name, fn in cached.items()
+             if fn.cache_info().maxsize is not None}
+    assert keyed == {"_series_powers", "_axis_powers"}
+    polylog(30, 1.5j)
+    polylog(30, 3.0j)
+    lerch_phi(-1.5j, 30, 2.0)
+    before = {name: fn.cache_info().currsize for name, fn in cached.items()}
+    for s in (2 * 10 ** 4, 10 ** 5):
+        polylog(s, 1.5j)
+        lerch_phi(-1.5j, s, 2.0)
+        polylog(s, 3.0j)
+        lerch_phi(-3.0j, s, 2.0)
+    for name, fn in cached.items():
+        info = fn.cache_info()
+        if name in keyed:
+            assert info.currsize <= info.maxsize, name
+        else:
+            assert info.currsize == before[name] <= 1, name
+    # fixed lengths, whatever the orders taken
+    assert len(specfun._zeta_table()) == specfun._ZETA_TOP - specfun._ZETA_LOW == 1203
+    assert len(specfun._harmonic_table()) == specfun._LOG_SERIES_TERMS == 256
+    assert tuple(map(len, specfun._eta_tables())) == (27, 537)
     assert len(specfun._series_powers(602, 1.0)) <= 51
     # the axis table groups the same powers by four: at most 13 groups
     assert len(specfun._axis_powers(602, 1.0)) <= 13
-    for table in tables:
-        info = table.cache_info()
-        assert info.currsize <= info.maxsize
+
+
+def test_table_tails_are_constant():
+    # past each fixed table the direct formulas give the table's tail
+    # constant, checked for every n up to 5000
+    assert specfun._zeta_minus_one(specfun._ZETA_TOP - 1) > 0.0
+    for n in range(specfun._ZETA_TOP, 5001):
+        zeta_m1 = specfun._zeta_minus_one(n)
+        assert (1.0 + zeta_m1, zeta_m1) == (1.0, 0.0) == specfun._zeta_pair(n), n
+    for shift, coefs in enumerate(specfun._eta_tables()):
+        tail = specfun._ETA_TAIL[shift]
+        assert coefs[-1] != tail, shift
+        for n in range(len(coefs) + 1, 5001):
+            zeta_m1 = specfun._zeta_minus_one(2 * n)
+            zeta, half = 1.0 + zeta_m1, 2.0 ** (1 - 2 * n)
+            if shift:
+                coef = 2.0 * (half * zeta - zeta_m1)
+            else:
+                coef = -2.0 * (1.0 - half) * zeta
+            assert repr(coef) == repr(tail), (shift, n)
 
 
 # collapsed hypergeometric --------------------------------------------------
