@@ -8,24 +8,28 @@ log Gamma(2 + eps) on |eps| <= 1 as a power series from the zeta table.
 
 Li_s(z) for integer s takes one of three branches by |z|:
 
-  |z| <= 1/2       the power series sum_{n>=1} z^n / n^s;
+  |z| <= 1/2       the power series sum_{n>=1} z^n / n^s = z Phi(z, s, 1);
   1/2 < |z| < 2    Crandall's log-series in mu = log z,
                    sum_{m != s-1} zeta(s-m) mu^m/m!
                    + mu^(s-1)/(s-1)! (H_{s-1} - log(-mu));
   |z| >= 2         the inversion formula, which trades z for 1/z inside
                    the series disk.
 
+The Lerch series is the only series on the disk |w| <= 1/2: polylog
+there takes sum_{n>=1} w^n n^-s = w Phi(w, s, 1), and the inversion
+formula at w = 1/z the same sum, or sum_{n>=2} w^n n^-s =
+w^2 Phi(w, s, 2) when it subtracts z.
+
 What does not depend on z is tabled.  A bounded lru_cache holds the
-last _SERIES_TABLES tables of (v+n)^-s, one per (s, v), at most 51
-powers each: the Lerch series reads them, and with v = 1 so do both
-sums of w^n n^-s, polylog's series on |z| <= 1/2 and the inversion
-formula's at w = 1/z; the axis loop below reads the same powers grouped
-by four.  Three fixed tables, built on first use, serve every order:
-zeta(n) for _ZETA_LOW <= n < _ZETA_TOP, past which zeta(n) - 1
-underflows; H_{s-1} for the orders whose log-series reach their log
-term; and the inversion formula's eta(2n) coefficients, one table per
-shift, up to the n from which the coefficient is a constant.  Every sum
-takes the same terms in the same order as without the tables.
+last _SERIES_TABLES tables of (v+n)^-s, one per (s, v), in groups of
+four, at most 13 groups each; the Lerch series reads them, and forms
+the powers past a table in one place.  Three fixed tables, built on
+first use, serve every order: zeta(n) for _ZETA_LOW <= n < _ZETA_TOP,
+past which zeta(n) - 1 underflows; H_{s-1} for the orders whose
+log-series reach their log term; and the inversion formula's eta(2n)
+coefficients, one table per shift, up to the n from which the
+coefficient is a constant.  Every sum takes the same terms in the same
+order as without the tables.
 
 On the imaginary axis z = iy, y != 0, where every argument -ix/t of the
 transforms lies, the Lerch series is summed in float arithmetic (the
@@ -59,11 +63,11 @@ from .quadrature import gamma_average
 
 _SERIES_RADIUS = 0.5
 _INVERSION_RADIUS = 2.0
-# the Lerch series' term limit; a multiple of 4, as _lerch_series_axis takes
-# four terms per pass
+# the Lerch series' term limit; a multiple of 4, as both of its loops read
+# the powers in groups of four
 _SERIES_MAX_TERMS = 1_000_000
 _SERIES_EPS = 1e-15
-# (s, v) series power tables kept, at most 51 floats each
+# (s, v) series power tables kept, at most 13 groups of four floats each
 _SERIES_TABLES = 64
 # mu^m/m! underflows to 0 by m = 229 at |mu| = 3.22, the largest |log z| on
 # 1/2 < |z| < 2, so every log-series sum stops within this many terms
@@ -128,10 +132,11 @@ def _on_cut(z: complex) -> bool:
 
 @functools.lru_cache(maxsize=_SERIES_TABLES)
 def _series_powers(s: int, v: float) -> tuple:
-    """(v+n)^-s for n = 0, 1, ... up to the first n with
-    2^-n (v+n)^-s <= _SERIES_EPS v^-s: every power the series takes at
-    |z| <= 1/2, at most 51 of them for s >= 1.  DomainError where v^-s
-    overflows double precision; (v+n)^-s for n >= 1 cannot, as v+n > 1.
+    """(v+n)^-s in groups of four, n = 0, 1, ... up to the first n with
+    2^-n (v+n)^-s <= _SERIES_EPS v^-s, the last group filled out with the
+    powers that follow: every power the series takes at |z| <= 1/2, at
+    most 13 groups for s >= 1.  DomainError where v^-s overflows double
+    precision; (v+n)^-s for n >= 1 cannot, as v+n > 1.
     """
     try:
         first = v ** -s
@@ -139,64 +144,52 @@ def _series_powers(s: int, v: float) -> tuple:
         raise DomainError(f"v^-s = {v!r}^-{s} overflows double precision")
     stop = _SERIES_EPS * first
     powers = [first]
-    while 0.5 ** (len(powers) - 1) * powers[-1] > stop:
+    while 0.5 ** (len(powers) - 1) * powers[-1] > stop or len(powers) % 4:
         powers.append((v + len(powers)) ** -s)
-    return tuple(powers)
+    return tuple(tuple(powers[n:n + 4]) for n in range(0, len(powers), 4))
+
+
+def _series_powers_past(s: int, v: float, groups: tuple):
+    """The groups of _series_powers(s, v), then (v+n)^-s formed past them
+    in groups of four, up to _SERIES_MAX_TERMS powers in all."""
+    yield from groups
+    for n in range(4 * len(groups), _SERIES_MAX_TERMS, 4):
+        yield ((v + n) ** -s, (v + (n + 1)) ** -s,
+               (v + (n + 2)) ** -s, (v + (n + 3)) ** -s)
 
 
 def _lerch_series(z: complex, s: int, v: float) -> complex:
-    """Direct summation of sum_{n>=0} z^n / (v+n)^s.
+    """Direct summation of sum_{n>=0} z^n / (v+n)^s: lerch_phi's series
+    on |z| <= 1/2, and with v = 1 or 2 the sums of z^n n^-s that polylog
+    and the inversion formula take there.
 
     The sum stops at the first term below _SERIES_EPS times the first
     term v^-s, which for |z| <= 1/2 and v >= 1 is within a factor 2 of
     |Phi|: the stop is relative, however small Phi is (Phi(z, s, 2) is
     about 2^-s).  The negative power underflows to 0 where (v+n)^s would
-    overflow.  The powers come from _series_powers(s, v); a sum that
-    runs past that table (|z| > 1/2, from _lerch_log) forms the rest
-    itself, so the terms and the stop are the same either way.  On the
-    imaginary axis _lerch_series_axis sums the same terms in float
-    arithmetic; z = 0 and real z take the complex loop.
+    overflow.  The powers come from _series_powers(s, v), and past that
+    table from _series_powers_past, so the terms and the stop are the
+    same either way; the complex loop may read past the table at any z,
+    as nothing bounds its rounded |z^n| by 2^-n.  On the imaginary axis
+    _lerch_series_axis sums the same terms in float arithmetic; z = 0
+    and real z take the complex loop.
     """
     if z.real == 0.0 and z.imag:
         return _lerch_series_axis(z, s, v)
-    powers = _series_powers(s, v)
+    groups = _series_powers(s, v)
     acc = complex(0.0)
     term = complex(1.0)  # z^n, starting at n = 0
-    stop = _SERIES_EPS * powers[0]
-    for power in powers:
-        contrib = term * power
-        acc += contrib
-        if abs(contrib) <= stop:
-            return acc
-        term *= z
-    for n in range(len(powers), _SERIES_MAX_TERMS):
-        contrib = term * (v + n) ** -s
-        acc += contrib
-        if abs(contrib) <= stop:
-            return acc
-        term *= z
+    stop = _SERIES_EPS * groups[0][0]
+    for group in _series_powers_past(s, v, groups):
+        for power in group:
+            contrib = term * power
+            acc += contrib
+            if abs(contrib) <= stop:
+                return acc
+            term *= z
     raise ConvergenceError(
         f"Lerch series did not converge within {_SERIES_MAX_TERMS} terms at z={z!r}"
     )
-
-
-@functools.lru_cache(maxsize=_SERIES_TABLES)
-def _axis_powers(s: int, v: float) -> tuple:
-    """_series_powers(s, v) in groups of four, the last group filled out
-    with the (v+n)^-s that follow the table."""
-    powers = _series_powers(s, v)
-    top = -(-len(powers) // 4) * 4
-    powers += tuple((v + n) ** -s for n in range(len(powers), top))
-    return tuple(powers[n:n + 4] for n in range(0, top, 4))
-
-
-def _axis_powers_past(s: int, v: float, groups: tuple):
-    """The groups of _axis_powers(s, v), then (v+n)^-s formed past them in
-    groups of four, up to _SERIES_MAX_TERMS powers in all."""
-    yield from groups
-    for n in range(4 * len(groups), _SERIES_MAX_TERMS, 4):
-        yield ((v + n) ** -s, (v + (n + 1)) ** -s,
-               (v + (n + 2)) ** -s, (v + (n + 3)) ** -s)
 
 
 def _lerch_series_axis(z: complex, s: int, v: float) -> complex:
@@ -219,11 +212,11 @@ def _lerch_series_axis(z: complex, s: int, v: float) -> complex:
     multiple of 4, so the last pass ends on the complex loop's last term
     and the same ConvergenceError follows.
     """
-    groups = _axis_powers(s, v)
+    groups = _series_powers(s, v)
     stop = _SERIES_EPS * groups[0][0]
     step = abs(z.imag)
     if step > _SERIES_RADIUS:
-        groups = _axis_powers_past(s, v, groups)
+        groups = _series_powers_past(s, v, groups)
     re = im = 0.0
     mag = 1.0  # |y|^n
     for p0, p1, p2, p3 in groups:
@@ -442,33 +435,6 @@ def log_gamma2_slope(eps: float) -> float:
 
 # polylogarithm ---------------------------------------------------------------
 
-def _power_sum(s: int, w: complex, first: int) -> complex:
-    """sum_{n>=first} w^n / n^s for |w| <= 1/2, stopped relative to the sum.
-
-    n^-s comes from _series_powers(s, 1.0), whose entry n - 1 is
-    (1.0 + (n - 1))^-s = float(n)^-s; powers past that table are formed
-    here, so the terms and the stop are those of the plain loop.  Both
-    polylog on |z| <= 1/2 and _inversion at w = 1/z read it, and their
-    (s, 1.0) tables share the cache with _lerch_series's (s, v) ones.
-    """
-    powers = _series_powers(s, 1.0)
-    acc = complex(0.0)
-    power = w ** first
-    for inv in powers[first - 1:]:
-        contrib = power * inv
-        acc += contrib
-        if abs(contrib) <= _SUM_EPS * abs(acc):
-            return acc
-        power *= w
-    for n in range(len(powers) + 1, _SERIES_MAX_TERMS):
-        contrib = power * float(n) ** -s
-        acc += contrib
-        if abs(contrib) <= _SUM_EPS * abs(acc):
-            return acc
-        power *= w
-    raise ConvergenceError(f"polylog series stalled at z={w!r}")
-
-
 @functools.cache
 def _harmonic_table() -> tuple:
     """H_j = 1 + 1/2 + ... + 1/j, each an fsum, for 0 <= j < _LOG_SERIES_TERMS:
@@ -566,7 +532,8 @@ def _inversion(s: int, z: complex, shift: int = 0) -> complex:
             acc += 2.0 * power
             if j > l_abs and abs(power) <= _SUM_EPS * abs(acc):
                 break
-    inner = _power_sum(s, 1.0 / z, 1 + shift)
+    w = 1.0 / z
+    inner = (w * w if shift else w) * _lerch_series(w, s, 1.0 + shift)
     return acc - inner if s % 2 == 0 else acc + inner
 
 
@@ -590,7 +557,7 @@ def polylog(s: int, z: complex) -> complex:
         raise DomainError(f"z = {z!r} lies on the singular ray [1, inf)")
     r = abs(z)
     if r <= _SERIES_RADIUS:
-        return _power_sum(s, z, 1)
+        return z * _lerch_series(z, s, 1.0)
     if not cmath.isfinite(z):
         raise DomainError(f"z must be finite, got {z!r}")
     if s == 1:

@@ -38,7 +38,7 @@ import math
 from collections.abc import Callable, Sequence
 
 from ._records import record
-from .errors import DomainError, InvalidInput, NonFiniteError
+from .errors import DomainError, FreeTransformError, InvalidInput, NonFiniteError
 from .kernels import (KernelFamily, custom_density, kernel_quad_grid, lclass, map_data,
                       sself, ubeta)
 from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
@@ -65,9 +65,9 @@ def _check_t(t: float) -> float:
     return float(t)
 
 
-def _finite(v: complex, what: str) -> complex:
+def _finite(v: complex, what: str, t: float) -> complex:
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        raise NonFiniteError(f"{what} produced a non-finite value {v!r}")
+        raise NonFiniteError(f"{what} produced a non-finite value {v!r} at t={t!r}")
     return v
 
 
@@ -92,7 +92,7 @@ def direct_evaluator(a: float, m: FiniteMeasure) -> Evaluator:
         acc = complex(a)
         for x, w in atoms:
             acc += w * (1.0 + it * x) / (it - x)
-        return _finite(acc, "voiculescu_direct")
+        return _finite(acc, "voiculescu_direct", t)
 
     return V
 
@@ -115,7 +115,7 @@ def voiculescu_via_laplace(tr: LevyTriple, t: float) -> TransformValue:
     for the finite-sum path."""
     t = _check_t(t)
     res = laplace_transform(lambda u: logphi(tr, -u), t, _ORACLE_TOL)
-    return TransformValue(t, _finite(1j * t * t * res.value, "voiculescu_via_laplace"))
+    return TransformValue(t, _finite(1j * t * t * res.value, "voiculescu_via_laplace", t))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,8 @@ def random_integral_evaluator(fam: KernelFamily, tr: LevyTriple) -> Evaluator:
 def _image_evaluator(c: float, d: float, g: Callable[[complex], complex],
                      sign: float, tr: LevyTriple) -> Evaluator:
     """random_integral_evaluator from the kernel data (c, d, g) and the
-    sign of the time change."""
+    sign of the time change.  A package error raised by g is raised
+    again with t and the atom's x added to its message."""
     drift = tr.drift * c
     gauss = sign * tr.gauss_var * d
     atoms = [(w * sign * x, x, sign * c / (1.0 + x * x)) for x, w in tr.levy_atoms]
@@ -144,9 +145,12 @@ def _image_evaluator(c: float, d: float, g: Callable[[complex], complex],
     def V(t: float) -> complex:
         t = _check_t(t)
         acc = drift + gauss / (1j * t)
-        for weight, x, shift in atoms:
-            acc += weight * (g(1j * x / t) - shift)
-        return _finite(acc, "random_integral_transform")
+        try:
+            for weight, x, shift in atoms:
+                acc += weight * (g(1j * x / t) - shift)
+        except FreeTransformError as err:
+            raise type(err)(f"{err} at t={t!r}, atom x={x!r}") from err
+        return _finite(acc, "random_integral_transform", t)
 
     return V
 
@@ -274,7 +278,7 @@ def linf_evaluator(spec: LInfSpec) -> Evaluator:
                 acc -= w * (factor * t ** -eps)
         except OverflowError:
             raise NonFiniteError(f"transform_linf: t^(1-|x|) overflows at t={t!r}")
-        return _finite(acc, "transform_linf")
+        return _finite(acc, "transform_linf", t)
 
     return V
 

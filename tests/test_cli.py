@@ -5,12 +5,12 @@ import gc
 import io
 import json
 import math
-import pathlib
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
+from childproc import SRC, child_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,8 @@ CMD = [sys.executable, "-m", "freetransform.cli"]
 
 
 def run(*args):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True)
+    return subprocess.run(CMD + list(args), capture_output=True, text=True,
+                          env=child_env())
 
 
 @pytest.fixture()
@@ -179,18 +180,24 @@ def test_eval_overflowing_linf_power_is_a_domain_error(tmp_path, capsys):
 
 def test_eval_non_finite_lerch_argument_ends(tmp_path):
     # x/t overflows to inf at a subnormal t; a child process with a
-    # timeout turns a hang into a failure
+    # timeout turns a hang into a failure.  The message names t, and for
+    # the Lerch classes the atom whose x/t overflowed (both do here); id
+    # overflows in sigma2/(it)
     path = tmp_path / "tri.json"
     path.write_text(json.dumps({"a": 0.3, "sigma2": 1.0, "atoms": [
         {"x": 0.5, "w": 1.0}, {"x": -2.0, "w": 0.4}]}))
-    for cls in (["uks", "--k", "2"], ["ubk", "--k", "3"], ["lk", "--k", "1"]):
+    for cls in (["uks", "--k", "2"], ["ubk", "--k", "3"], ["lk", "--k", "1"], ["id"]):
         res = subprocess.run(CMD + ["eval", "--class", *cls, "--input", str(path),
                                     "--t-min", "1e-320", "--t-max", "1e-310",
                                     "--steps", "3"],
-                             capture_output=True, text=True, timeout=60)
+                             capture_output=True, text=True, timeout=60,
+                             env=child_env())
         assert res.returncode == 3, res.stderr
         assert res.stderr.startswith("domain error: ")
         assert res.stderr.count("\n") == 1, res.stderr
+        assert "t=1e-320" in res.stderr, res.stderr
+        if cls != ["id"]:
+            assert "atom x=-2.0" in res.stderr or "atom x=0.5" in res.stderr, res.stderr
 
 
 def test_eval_atom_beyond_the_square_root_of_the_double_range(tmp_path):
@@ -423,11 +430,8 @@ def test_verify_unknown_suite():
 def test_cli_start_up_imports_no_dataclasses_or_typing():
     # dataclasses brings inspect, ast, dis and tokenize with it; a fresh
     # interpreter without site or environment shows what the CLI loads
-    import freetransform
-
-    src = str(pathlib.Path(freetransform.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, %r); import freetransform.cli; "
-            "print(' '.join(sorted(sys.modules)))" % src)
+            "print(' '.join(sorted(sys.modules)))" % SRC)
     res = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from childproc import child_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -163,7 +164,7 @@ def test_cli_wide_grid_high_order(tmp_path, class_tag, k, t_min, t_max):
         [sys.executable, "-m", "freetransform.cli", "eval", "--class", class_tag,
          "--k", str(k), "--input", str(path), "--t-min", t_min,
          "--t-max", t_max, "--steps", "50"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert res.returncode == 0, res.stderr
     rows = res.stdout.splitlines()[1:]
     assert len(rows) == 50

@@ -33,6 +33,11 @@ def _grid(radii):
             if z.imag == 0.0 and z.real >= 1.0:
                 continue  # the cut itself is a DomainError
             yield z
+        # the exact imaginary axis, where every eval argument -ix/t lies:
+        # cmath.rect(r, pi/2) has real part 6e-17, off the float axis loop
+        for re in (0.0, -0.0):
+            for im in (r, -r):
+                yield complex(re, im)
 
 
 def _mpc(z):
