@@ -23,17 +23,17 @@ g(z) = scale * Phi(-z, s, v):
              (exponential kernel; c = 1, d = 2^-(k+1),
               g(z) = Phi(-z, k+1, 1) = -z^-1 Li_{k+1}(-z))
 
+plus CUSTOM kernels given either by a density dr/ds or by the jumps of
+a monotone step function r.
+
 With h = e^-t each defining integral int h q(h) dr is the Lerch
 integral representation, so the same (scale, s, v) give the quadrature
 oracle: scale * quadrature.gamma_average(q, m, s, v).  kernel_quad_grid
 integrates c, d and g over a grid of z on one adaptive mesh: one
 function of h returns the m integrands [1, h, 1/(z h +- 1) for each z],
 and per node h and the real weight are formed once, so each integrand
-costs one multiply.  const_c_quad, const_d_quad and kernel_g_quad are
-its one-integral cases, each on a mesh of its own.
-
-plus CUSTOM kernels given either by a density dr/ds or by the jumps of
-a monotone step function r.
+costs one multiply.  const_c_quad, const_d_quad and kernel_g_quad
+integrate one of them, m = 1, each on a mesh of its own.
 """
 
 from __future__ import annotations
@@ -213,12 +213,12 @@ def kernel_g(fam: KernelFamily, z: complex) -> complex:
 # ---------------------------------------------------------------------------
 # quadrature paths (oracles for the closed forms; the only route for CUSTOM)
 
-def _integrate_kernel(fam: KernelFamily, f, m: int | None,
+def _integrate_kernel(fam: KernelFamily, f, m: int,
                       tol: float) -> list[IntegrationResult]:
-    """int h f(h) dr over the family for the m components of f (m as in
-    quadrature._integrate), all on one mesh: a step kernel's sum, a
-    CUSTOM density as given, low ubeta orders on (0, 1], and else the
-    gamma average of f, whose weight holds h = e^-t, so an h that has
+    """int h f(h) dr over the family for the m components of f, f(h) a
+    sequence of m values, all on one mesh: a step kernel's sum, a CUSTOM
+    density as given, low ubeta orders on (0, 1], and else the gamma
+    average of f, whose weight holds h = e^-t, so an h that has
     underflowed to 0 meets no division.  Per node, h and the real weight
     are formed once, and each component costs one multiply."""
     if fam.jumps is not None:
@@ -226,7 +226,7 @@ def _integrate_kernel(fam: KernelFamily, f, m: int | None,
         rows = [f(hv) for _, hv in steps]
         return [IntegrationResult(sum(j * (hv * y) for (j, hv), y in zip(steps, col)),
                                   0.0, len(steps))
-                for col in ((rows,) if m is None else zip(*rows))]
+                for col in zip(*rows)]
     k = fam.k
     if fam.tag == CUSTOM:
         h, scale, density, lo, hi = fam.h, 1.0, fam.r_density, fam.lo, fam.hi
@@ -242,9 +242,6 @@ def _integrate_kernel(fam: KernelFamily, f, m: int | None,
         # dr = scale * density ds; x as in quadrature._integrate_half_line,
         # 1.0 off its chart
         hv = h(u)
-        if m is None:
-            # one value is formed as h f(h) scale density, as it always was
-            return hv * f(hv) * scale * density(u) / x / x
         weight = hv * scale * density(u) / x / x
         return [y * weight for y in f(hv)]
 
@@ -252,16 +249,6 @@ def _integrate_kernel(fam: KernelFamily, f, m: int | None,
         # the half line starts at lo
         return _integrate_half_line(lambda u, x: node(lo + u, x), m, tol)
     return _integrate(lambda u: node(u, 1.0), m, lo, hi, tol)
-
-
-# the f of c = int h dr, d = int h^2 dr and g(z) = int h/(z h +- 1) dr
-
-def _c_integrand(hv: float) -> float:
-    return 1.0
-
-
-def _d_integrand(hv: float) -> float:
-    return hv
 
 
 def _g_sign(fam: KernelFamily) -> float:
@@ -284,12 +271,12 @@ def kernel_quad_grid(fam: KernelFamily, zs, tol: float = 1e-10
 
 def const_c_quad(fam: KernelFamily, tol: float = 1e-10) -> IntegrationResult:
     """c = int h dr by direct integration (finite sum for step kernels)."""
-    return _integrate_kernel(fam, _c_integrand, None, tol)[0]
+    return _integrate_kernel(fam, lambda hv: (1.0,), 1, tol)[0]
 
 
 def const_d_quad(fam: KernelFamily, tol: float = 1e-10) -> IntegrationResult:
     """d = int h^2 dr by direct integration."""
-    return _integrate_kernel(fam, _d_integrand, None, tol)[0]
+    return _integrate_kernel(fam, lambda hv: (hv,), 1, tol)[0]
 
 
 def kernel_g_quad(fam: KernelFamily, z: complex, tol: float = 1e-10) -> IntegrationResult:
@@ -299,7 +286,7 @@ def kernel_g_quad(fam: KernelFamily, z: complex, tol: float = 1e-10) -> Integrat
     +1 when r is non-decreasing, -1 when non-increasing.
     """
     z, sign = complex(z), _g_sign(fam)
-    return _integrate_kernel(fam, lambda hv: 1.0 / (z * hv + sign), None, tol)[0]
+    return _integrate_kernel(fam, lambda hv: (1.0 / (z * hv + sign),), 1, tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@ panel.  All nodes are interior, so integrands may be singular (but
 integrable) at the endpoints; they are simply never evaluated there.
 Panels are split adaptively, worst error first, under a global budget.
 
-The panel routine and the adaptive loop take a vector integrand: m
+Every integrand is a vector integrand: it returns a sequence of m >= 1
 values per node, all integrated on one mesh, so a weight that several
 integrands share is evaluated once per node.  The loop splits the panel
 with the largest component error while any component's total error
 exceeds the tolerance.  integrate_finite, integrate_semi_infinite and
-laplace_transform are its one-component calls; gamma_average takes the
-same vector integrand.  _worst is the package's one max that keeps a
+laplace_transform are its m = 1 calls; gamma_average takes the same
+vector integrand.  _worst is the package's one max that keeps a
 NaN: it picks the panel to split here, and folds the deviations of
 transforms' structural check and of verify.
 
@@ -86,22 +86,21 @@ class IntegrationResult:
     evaluations: int
 
 
-def _kronrod_panel(f, lo: float, hi: float, m: int | None = None):
+def _kronrod_panel(f, lo: float, hi: float, m: int):
     """Apply the G7/K15 pair on [lo, hi] to every component of f.
 
-    f returns m values per node, and the panel returns (kronrod values,
-    error estimates, evaluation count) with one entry per component;
-    with m = None, f returns one value and so does the panel.  Samples
-    may be float, int or complex; they are summed as returned, and only
-    each panel value is made complex.  InvalidInput names a node that
-    returns other than m values.
+    f returns a sequence of m values per node, and the panel returns
+    (kronrod values, error estimates, evaluation count) with one entry
+    per component.  Samples may be float, int or complex; they are
+    summed as returned, and only each panel value is made complex.
+    InvalidInput names a node that returns other than m values.
     """
     isfinite = math.isfinite
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     if not lo < center < hi:
         # thinner than one ulp; nothing representable left to sample
-        return (0.0, 0.0, 0) if m is None else ([0.0] * m, [0.0] * m, 0)
+        return [0.0] * m, [0.0] * m, 0
     abs_half = abs(half)
 
     nodes = [center]
@@ -124,12 +123,11 @@ def _kronrod_panel(f, lo: float, hi: float, m: int | None = None):
     # from the integrand either means the same as a non-finite sample
     try:
         rows = list(map(f, nodes))
-        if m is not None:
-            for x, row in zip(nodes, rows):
-                if len(row) != m:
-                    raise InvalidInput(
-                        f"integrand returned {len(row)} values at {x!r}, expected {m}")
-        for col in ((rows,) if m is None else zip(*rows)):
+        for x, row in zip(nodes, rows):
+            if len(row) != m:
+                raise InvalidInput(
+                    f"integrand returned {len(row)} values at {x!r}, expected {m}")
+        for col in zip(*rows):
             # the sums run left to right, in the order of QUADPACK's qk15
             fc, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = col
             s1, s3, s5 = a1 + b1, a3 + b3, a5 + b5
@@ -166,8 +164,6 @@ def _kronrod_panel(f, lo: float, hi: float, m: int | None = None):
     except (OverflowError, ZeroDivisionError) as exc:
         raise NonFiniteError(
             f"integrand raised {type(exc).__name__} on [{lo!r}, {hi!r}]") from exc
-    if m is None:
-        return values[0], errs[0], 15
     return values, errs, 15
 
 
@@ -187,31 +183,27 @@ def _worst(*values: float) -> float:
     return worst
 
 
-def _integrate(f, m: int | None, lo: float, hi: float,
+def _integrate(f, m: int, lo: float, hi: float,
                tol: float) -> list[IntegrationResult]:
     """Integrate the m components of f over (lo, hi) on one adaptive mesh.
 
-    f returns m values per node, or with m = None one value, which is
-    one component; a node that returns other than m values raises
-    InvalidInput.  The panel with the largest component error is split
-    while any component's total error exceeds tol, and all components
-    share the panel budget; each result counts every node of the mesh.
+    f returns a sequence of m values per node; a node that returns other
+    than m values raises InvalidInput.  The panel with the largest
+    component error is split while any component's total error exceeds
+    tol, and all components share the panel budget; each result counts
+    every node of the mesh.  Errors name the component only for m > 1.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise InvalidInput(f"need finite lo < hi, got ({lo!r}, {hi!r})")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise InvalidInput(f"tol must be positive and finite, got {tol!r}")
 
-    def panel(a, b):
-        values, errs, n = _kronrod_panel(f, a, b, m)
-        return ([values], [errs], n) if m is None else (values, errs, n)
-
-    values, errs, evals = panel(lo, hi)
+    values, errs, evals = _kronrod_panel(f, lo, hi, m)
     # heap of (-largest error, insertion id, lo, hi, values, errors)
     counter = 0
     panels = [(-_worst(*errs), counter, lo, hi, values, errs)]
     totals = list(errs)
-    comps = range(len(errs))
+    comps = range(m)
 
     # a NaN total ends the loop as if it had converged
     while _worst(*totals) > tol and len(panels) < _MAX_PANELS:
@@ -222,8 +214,8 @@ def _integrate(f, m: int | None, lo: float, hi: float,
             counter += 1
             heapq.heappush(panels, (0.0, counter, a, b, v, e))
             continue
-        v1, e1, n1 = panel(a, mid)
-        v2, e2, n2 = panel(mid, b)
+        v1, e1, n1 = _kronrod_panel(f, a, mid, m)
+        v2, e2, n2 = _kronrod_panel(f, mid, b, m)
         evals += n1 + n2
         for i in comps:
             totals[i] += e1[i] + e2[i] - e[i]
@@ -233,7 +225,7 @@ def _integrate(f, m: int | None, lo: float, hi: float,
         heapq.heappush(panels, (-_worst(*e2), counter, mid, b, v2, e2))
 
     def where(i):
-        return "" if m is None else f" in component {i}"
+        return f" in component {i}" if m > 1 else ""
 
     for i in comps:
         if math.isnan(totals[i]):
@@ -268,14 +260,12 @@ def integrate_finite(
     NaN/Inf anywhere it is sampled (or raises OverflowError or
     ZeroDivisionError there), or if the panel sums overflow.
     """
-    return _integrate(f, None, lo, hi, tol)[0]
+    return _integrate(lambda s: (f(s),), 1, lo, hi, tol)[0]
 
 
 def integrate_semi_infinite(
     f: Callable[[float], complex],
     tol: float = 1e-10,
-    *,
-    split: float = 0.0,
 ) -> IntegrationResult:
     """Integrate f over (0, inf) to absolute tolerance tol.
 
@@ -283,22 +273,22 @@ def integrate_semi_infinite(
     f that decays exponentially, like u^k e^-u, or algebraically, like
     1/u^2, becomes an integrand that vanishes smoothly or stays bounded
     at v = 0.
+    """
+    return _integrate_half_line(lambda u, x: (f(u) / x / x,), 1, tol)[0]
+
+
+def _integrate_half_line(f, m: int, tol: float,
+                         split: float = 0.0) -> list[IntegrationResult]:
+    """integrate_semi_infinite for the m components of f (as in
+    _integrate), on one mesh.
 
     With split > 0, (0, split) is integrated directly and (split, inf)
     through the substitution, each to tol/2.  Split at a sharp peak of
     f: a peak far out on the half line can otherwise fall between the
     nodes of the first panel, which then return about 0 with a tiny
     error estimate.
-    """
-    return _integrate_half_line(lambda u, x: f(u) / x / x, None, tol, split)[0]
 
-
-def _integrate_half_line(f, m: int | None, tol: float,
-                         split: float = 0.0) -> list[IntegrationResult]:
-    """integrate_semi_infinite for the m components of f (m as in
-    _integrate), on one mesh.
-
-    f(u, x) returns the integrand at u divided twice by x: on the chart
+    f(u, x) returns the m integrands at u divided twice by x: on the chart
     u = split + (1 - x)/x that is its Jacobian 1/x^2, and on the head
     (0, split) x = 1.0.  A weight that the m components share takes the
     Jacobian once per node; two divisions, because x * x underflows to
@@ -335,21 +325,21 @@ def laplace_transform(
     if not (t > 0.0 and math.isfinite(t)):
         raise InvalidInput(f"t must be positive and finite, got {t!r}")
 
-    def integrand(u: float, x: float) -> complex:
+    def integrand(u: float, x: float) -> tuple:
         damp = math.exp(-t * u)
         if damp == 0.0:
-            return 0.0
-        return g(u) * damp / x / x
+            return (0.0,)
+        return (g(u) * damp / x / x,)
 
-    return _integrate_half_line(integrand, None, tol, 1.0)[0]
+    return _integrate_half_line(integrand, 1, tol, 1.0)[0]
 
 
-def gamma_average(f, m: int | None, s: float, v: float,
+def gamma_average(f, m: int, s: float, v: float,
                   tol: float) -> list[IntegrationResult]:
     """Evaluate int_0^inf f(e^-t) t^(s-1) e^(-v t)/Gamma(s) dt for the m
-    components of f (m as in _integrate), s >= 1: the Lerch integral
-    representation, and each built-in kernel's defining integral with
-    h = e^-t.
+    components of f, s >= 1: the Lerch integral representation, and each
+    built-in kernel's defining integral with h = e^-t.  f(h) returns a
+    sequence of m values.
 
     In tau = v t the weight is v^-s times the gamma density, of mass 1,
     formed in log space relative to its mode tau = s - 1.  The chart's
@@ -391,10 +381,6 @@ def gamma_average(f, m: int | None, s: float, v: float,
                                else math.log(tau) - math.log(mode))
         density = math.exp(log_top + log_rel)
         h = math.exp(-tau / v)
-        if m is None:
-            # one value is formed as f(h) density width, as it always was,
-            # so lerch_phi's integral branch keeps its bits
-            return f(h) * density * width / x / x
         weight = density * width / x / x
         return [q * weight for q in f(h)]
 

@@ -246,7 +246,7 @@ def test_exp_map_convolution_split_panel_count(monkeypatch):
     panels = []
     kronrod_panel = quadrature._kronrod_panel
 
-    def counted(f, lo, hi, m=None):
+    def counted(f, lo, hi, m):
         panels.append(hi - lo)
         return kronrod_panel(f, lo, hi, m)
 
