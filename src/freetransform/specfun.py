@@ -319,11 +319,16 @@ def _lerch_v2(z: complex, s: int) -> complex:
     Inside |z| < 2 the log-series sums Li_s(z) - z term by term, with
     zeta(n) - 1 in place of zeta(n); beyond, the inversion formula
     subtracts z in closed form.  Neither route forms Li_s(z) and z
-    separately, which would lose about 2^s/|z| relative to Phi.
+    separately, which would lose about 2^s/|z| relative to Phi.  z * z
+    overflows for |z| above about 1.34e154, so there Phi divides by z
+    twice.
     """
     if abs(z) < _INVERSION_RADIUS:
         return _log_series(s, z, shift=1) / (z * z)
-    return _inversion(s, z, shift=1) / (z * z)
+    square = z * z
+    if not cmath.isfinite(square):
+        return _inversion(s, z, shift=1) / z / z
+    return _inversion(s, z, shift=1) / square
 
 
 # zeta at the integers -------------------------------------------------------

@@ -213,6 +213,56 @@ def test_eval_atom_beyond_the_square_root_of_the_double_range(tmp_path):
         assert res.stderr == "" and len(res.stdout.splitlines()) == 4
 
 
+# |x|/t from 1e150 to 1e308: Phi(z, s, 2) divided by z * z, which
+# overflows from |z| of about 1.34e154 on, and uks printed 0.0 there with
+# exit 0.  Far out V(it) is about -it; uks rows are held to it within
+# FAR_BOUND, 2.6 times the worst measured, 1.2e-13 at k = 2, x = 1e308,
+# t = 1 (lerch_phi's inversion formula loses about |log z| eps there)
+FAR_BOUND = 3e-13
+_FAR_ATOMS = (1e152, -1e160, 1e200, -1e250, 1e300, 1e308, -1e308)
+_FAR_CLASSES = (["id"], ["uks", "--k", "0"], ["uks", "--k", "1"], ["uks", "--k", "2"],
+                ["uks", "--k", "5"], ["ubk", "--k", "1"], ["ubk", "--k", "3"],
+                ["lk", "--k", "0"], ["lk", "--k", "2"])
+
+
+def _eval_rows_or_domain_error(argv, steps):
+    """The rows of an in-process eval, or None for a one-line domain
+    error (exit 3)."""
+    from freetransform import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--steps", str(steps)])
+    if code == 3:
+        assert err.getvalue().startswith("domain error: "), argv
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        return None
+    assert (code, err.getvalue()) == (0, ""), argv
+    rows = [tuple(map(float, row.split(","))) for row in out.getvalue().splitlines()[1:]]
+    assert len(rows) == steps, argv
+    assert all(math.isfinite(v) for row in rows for v in row), (argv, rows)
+    return rows
+
+
+def test_eval_atoms_far_beyond_t(tmp_path):
+    path = tmp_path / "far.json"
+    for x in _FAR_ATOMS:
+        path.write_text(json.dumps({"atoms": [{"x": x, "w": 1.0}]}))
+        for cls in _FAR_CLASSES:
+            rows = _eval_rows_or_domain_error(
+                ["eval", "--class", *cls, "--input", str(path),
+                 "--t-min", "1", "--t-max", "100"], 3)
+            if cls[0] == "uks" and rows is not None:
+                for t, re_v, im_v in rows:
+                    assert abs(complex(re_v, im_v + t)) <= FAR_BOUND * t, (x, cls, t)
+    # linf atoms lie in (-2, 2], so t goes down to |x|/1e308
+    for x in (2.0, -1.5, 0.5):
+        path.write_text(json.dumps({"c": 0.3, "atoms": [{"x": x, "w": 1.0}]}))
+        _eval_rows_or_domain_error(
+            ["eval", "--class", "linf", "--input", str(path),
+             "--t-min", repr(abs(x) / 1e308), "--t-max", repr(abs(x) / 1e150)], 5)
+
+
 def test_eval_atom_whose_square_is_below_the_normal_range(tmp_path):
     # x*x underflows to 0 at x = 1e-170, while the companion mass w x^2 =
     # 1e-40 is a normal double: V(i) is about m/(i) = -1e-40 i, not 0
@@ -330,6 +380,21 @@ def test_kernels_origin_value():
     row = res.stdout.splitlines()[1].split(",")
     assert float(row[2]) == 0.5
     assert float(row[6]) < 1e-10
+
+
+def test_kernels_far_out(capsys):
+    # z * z overflows at z = 1e300 (1 + i), and g printed NaN with exit 0
+    from freetransform import cli
+
+    assert cli.main(["kernels", "--family", "sself", "--k", "3",
+                     "--grid", "1e300:1e300:1,1e300:1e300:1"]) == 0
+    row = list(map(float, capsys.readouterr().out.splitlines()[1].split(",")))
+    assert all(map(math.isfinite, row)), row
+    # g = Phi(-z, 3, 2) is 1/z = 5e-301 (1 - i) but for a term of relative
+    # size 1e-295; the oracle holds an absolute 1e-10
+    g = complex(row[2], row[3])
+    assert abs(g - 1.0 / complex(1e300, 1e300)) <= FAR_BOUND * abs(g)
+    assert row[6] <= 1e-10
 
 
 def test_kernels_domain_exit(tmp_path):

@@ -9,6 +9,7 @@ the package's own series.
 
 import cmath
 import math
+import sys
 
 import pytest
 
@@ -181,6 +182,24 @@ def test_sself_kernel_next_to_its_cut():
 def test_lerch_v2_far_out(s):
     # the integral branch lost six digits at |z| = 1e8
     assert _rel(lerch_phi(1e8j, s, 2.0), _phi_v2(1e8j, s)) < 1e-12
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 5, 8, 16])
+def test_lerch_v2_beyond_the_square_root_of_the_double_range(s):
+    # z * z overflows from |z| of about 1.34e154 on, and Phi came out 0 or
+    # NaN.  Worst measured: 8.1e-14, at s = 3, z = 1e244j; the inversion
+    # formula's sum for Li_s(z) - z loses about |log z| eps.  The bound
+    # leaves a margin of 2.4.
+    worst = 0.0
+    for e in range(150, 308, 2):
+        for y in (10.0 ** e, 3.3 * 10.0 ** e, -(10.0 ** e), -3.3 * 10.0 ** e):
+            z = complex(0.0, y)
+            worst = max(worst, _rel(lerch_phi(z, s, 2.0), _phi_v2(z, s)))
+    # either side of the first |z| whose square overflows, and the largest
+    root = math.sqrt(sys.float_info.max)
+    for z in (root * 1j, math.nextafter(root, math.inf) * 1j, sys.float_info.max * 1j):
+        worst = max(worst, _rel(lerch_phi(z, s, 2.0), _phi_v2(z, s)))
+    assert worst < 2e-13, worst
 
 
 # the |z| <= 1/2 series at high order ----------------------------------------
