@@ -23,9 +23,6 @@ g(z) = scale * Phi(-z, s, v):
              (exponential kernel; c = 1, d = 2^-(k+1),
               g(z) = Phi(-z, k+1, 1) = -z^-1 Li_{k+1}(-z))
 
-plus CUSTOM kernels given either by a density dr/ds or by the jumps of
-a monotone step function r.
-
 With h = e^-t each defining integral int h q(h) dr is the Lerch
 integral representation, so the same (scale, s, v) give the quadrature
 oracle: scale * quadrature.gamma_average(q, m, s, v).  kernel_quad_grid
@@ -34,6 +31,9 @@ function of h returns the m integrands [1, h, 1/(z h +- 1) for each z],
 and per node h and the real weight are formed once, so each integrand
 costs one multiply.  const_c_quad, const_d_quad and kernel_g_quad
 integrate one of them, m = 1, each on a mesh of its own.
+
+plus CUSTOM kernels given either by a density dr/ds or by the jumps of
+a monotone step function r.
 """
 
 from __future__ import annotations

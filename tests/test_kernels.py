@@ -227,10 +227,7 @@ def test_kernel_quad_grid_matches_closed_forms():
 
 # (value, error estimate, evaluations) of c, d, g(0.5+0.5j) and
 # g(-0.95+0.02j), each integrated on a mesh of its own, frozen: any rewrite
-# of the one-component oracles must reproduce them bit for bit.  c and d
-# date from the bare-value integrand, whose products they keep; g is
-# frozen from the one-component integrand, which multiplies g by one
-# weight per node.
+# of the one-component oracles must reproduce them bit for bit.
 # The kernels use only correctly rounded arithmetic, so the values do not
 # depend on the platform's libm.
 _FROZEN_ORACLES = [
