@@ -39,9 +39,9 @@ KERNEL_ORDERS = (1, 2, 5)
 KERNEL_GRIDS = (None, "0:0:1,-3:3:7")
 
 
-def _decks():
+def _decks(root: Path):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_decks", ROOT / "perfbench" / "decks.py")
+        "perfbench_decks", root / "perfbench" / "decks.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses resolves the deck's string annotations through sys.modules
     sys.modules[spec.name] = module
@@ -49,10 +49,11 @@ def _decks():
     return module
 
 
-def ops(input_root: str | None = None) -> list[tuple[str, list[str]]]:
-    """(id, argv) of every op.  Eval inputs are named relative to the
-    working directory; with input_root given they are written there."""
-    decks = _decks()
+def ops(input_root: str | None = None, root: Path = ROOT) -> list[tuple[str, list[str]]]:
+    """(id, argv) of every op, from the decks of the tree at root.  Eval
+    inputs are named relative to the working directory; with input_root
+    given they are written there."""
+    decks = _decks(root)
     out = []
     for workload in ("eval-series", "eval-wide"):
         for seed in SEEDS:
@@ -89,10 +90,10 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_all(workdir: str) -> dict[str, tuple[list[str], int, str, str]]:
+def run_all(workdir: str, root: Path = ROOT) -> dict[str, tuple[list[str], int, str, str]]:
     """Every op run in workdir, its inputs written there first."""
     here = os.getcwd()
-    table = ops(workdir)
+    table = ops(workdir, root)
     os.chdir(workdir)
     try:
         return {name: (argv, *run_op(argv)) for name, argv in table}
@@ -143,10 +144,8 @@ def _base_outputs(rev: str) -> dict:
 def main(args: list[str]) -> int:
     if args[:1] == ["--dump"]:
         # child side of _base_outputs: the package comes from PYTHONPATH
-        global ROOT
-        ROOT = Path(args[1])
         with tempfile.TemporaryDirectory() as tmp:
-            got = run_all(tmp)
+            got = run_all(tmp, Path(args[1]))
         json.dump({name: [code, out, err] for name, (_, code, out, err) in got.items()},
                   sys.stdout)
         return 0
