@@ -64,7 +64,6 @@ from .specfun import (
 )
 from .transforms import (
     LInfSpec,
-    TransformValue,
     add_transforms,
     cauchy_pick_integral,
     exp_map_convolution_check,
@@ -77,7 +76,6 @@ from .transforms import (
     transform_sself,
     transform_ubeta,
     voiculescu_cauchy,
-    voiculescu_direct,
     voiculescu_id,
     voiculescu_via_laplace,
 )
@@ -100,7 +98,6 @@ __all__ = [
     "PickRepresentation",
     "StepError",
     "TransformEvaluator",
-    "TransformValue",
     "add_transforms",
     "cauchy_pick_integral",
     "const_c",
@@ -141,7 +138,6 @@ __all__ = [
     "triple_to_finite_measure",
     "ubeta",
     "voiculescu_cauchy",
-    "voiculescu_direct",
     "voiculescu_id",
     "voiculescu_via_laplace",
 ]

@@ -54,7 +54,10 @@ def _num(obj: dict, key: str, where: str, default=None) -> float:
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise InvalidInput(f"field '{where}{key}' must be a number, got {val!r}")
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:
+        raise InvalidInput(f"field '{where}{key}' lies beyond the double range") from None
 
 
 def _atom_list(obj: dict, where: str = ""):
@@ -102,7 +105,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InvalidInput(f"cannot read input file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer of more digits than int() takes
         raise InvalidInput(f"input file is not valid JSON: {exc}")
 
 

@@ -38,7 +38,9 @@ a monotone step function r.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from collections.abc import Callable
 
 from ._records import record
@@ -88,6 +90,8 @@ class KernelFamily:
         lowest, k = FAMILIES[self.tag].lowest, self.k
         if isinstance(k, bool) or not isinstance(k, int) or k < lowest:
             raise InvalidInput(f"{self.tag} needs an integer k >= {lowest}, got {k!r}")
+        if k > sys.float_info.max:  # the closed forms take k as a double
+            raise InvalidInput(f"{self.tag} needs k <= {sys.float_info.max!r}")
         return self
 
 
@@ -334,9 +338,22 @@ def pick_representation(h_values, r_jumps) -> PickRepresentation:
 
 
 def pick_eval(rep: PickRepresentation, z: complex) -> complex:
-    """Evaluate shift + sum (1+zx)/(z-x) m({x}) at z."""
+    """Evaluate shift + sum (1+zx)/(z-x) m({x}) at z.
+
+    Where that sum is not finite, and only there, each term that is not
+    finite is formed again dividing before weighting, and for |x| >= 1
+    as w ((1/x + z)/(z/x - 1)), so neither z x nor w (1 + z x) overflows.
+    """
     z = complex(z)
     acc = complex(rep.shift)
     for x, w in rep.measure.atoms:
         acc += w * (1.0 + z * x) / (z - x)
+    if not cmath.isfinite(acc):
+        acc = complex(rep.shift)
+        for x, w in rep.measure.atoms:
+            term = w * (1.0 + z * x) / (z - x)
+            if not cmath.isfinite(term):
+                term = w * ((1.0 / x + z) / (z / x - 1.0) if abs(x) >= 1.0
+                            else (1.0 + z * x) / (z - x))
+            acc += term
     return acc

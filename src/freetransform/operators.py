@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from ._records import record
 from .errors import DomainError, InvalidInput, StepError
 from .measures import LevyTriple
-from .transforms import transform_ubeta, voiculescu_id
+from .transforms import Evaluator, transform_ubeta, voiculescu_id
 
-Evaluator = Callable[[float], complex]
 _MAX_POWER = 6  # largest n of a lowering power; see _lowering
 
 
@@ -141,8 +140,8 @@ def filtration_limit_check(tr: LevyTriple, t: float,
     if (any(isinstance(k, bool) or not isinstance(k, int) for k in ks)
             or any(k < 1 for k in ks) or list(ks) != sorted(set(ks))):
         raise InvalidInput(f"ks must be strictly increasing positive ints, got {ks!r}")
-    limit = voiculescu_id(tr, t).value
-    devs = tuple(abs(transform_ubeta(k, tr, t).value - limit) for k in ks)
+    limit = voiculescu_id(tr, t)
+    devs = tuple(abs(transform_ubeta(k, tr, t) - limit) for k in ks)
 
     ratios = []
     for i, k in enumerate(ks):

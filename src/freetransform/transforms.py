@@ -26,7 +26,9 @@ closed form.
 
 Every class is evaluated from the triple by one of three evaluators,
 random_integral_evaluator, direct_evaluator and linf_evaluator; each
-transform_* function is one point of one of them.
+transform_* function is one point of one of them and returns the
+complex V(it).  direct_evaluator's finite sum is the Pick sum
+kernels.pick_eval at z = it.
 exp_map_convolution_check returns the largest deviation of the
 selfdecomposable split, which verify holds to its tolerance.
 """
@@ -39,8 +41,8 @@ from collections.abc import Callable, Sequence
 
 from ._records import record
 from .errors import DomainError, FreeTransformError, InvalidInput, NonFiniteError
-from .kernels import (KernelFamily, custom_density, kernel_quad_grid, lclass, map_data,
-                      sself, ubeta)
+from .kernels import (KernelFamily, PickRepresentation, custom_density, kernel_quad_grid,
+                      lclass, map_data, pick_eval, sself, ubeta)
 from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
 from .quadrature import _worst, integrate_semi_infinite, laplace_transform
 from .specfun import log_gamma2_slope
@@ -49,14 +51,6 @@ Evaluator = Callable[[float], complex]
 
 # absolute tolerance of the Laplace and Cauchy half-line oracles
 _ORACLE_TOL = 1e-8
-
-
-@record
-class TransformValue:
-    """One point evaluation V(it) of a transform."""
-
-    t: float
-    value: complex
 
 
 def _check_t(t: float) -> float:
@@ -82,40 +76,30 @@ def logphi(tr: LevyTriple, t: float) -> complex:
 
 
 def direct_evaluator(a: float, m: FiniteMeasure) -> Evaluator:
-    """t -> V(it) = a + sum (1+itx)/(it-x) m({x}); an atom at 0
-    contributes m({0})/(it)."""
-    atoms = m.atoms
+    """t -> V(it) = a + sum (1+itx)/(it-x) m({x}), pick_eval at z = it;
+    an atom at 0 contributes m({0})/(it)."""
+    rep = PickRepresentation(a, m)
 
     def V(t: float) -> complex:
         t = _check_t(t)
-        it = 1j * t
-        acc = complex(a)
-        for x, w in atoms:
-            acc += w * (1.0 + it * x) / (it - x)
-        return _finite(acc, "voiculescu_direct", t)
+        return _finite(pick_eval(rep, 1j * t), "voiculescu_id", t)
 
     return V
 
 
-def voiculescu_direct(a: float, m: FiniteMeasure, t: float) -> TransformValue:
-    """V(it) = a + sum (1+itx)/(it-x) m({x}); one point of
-    direct_evaluator(a, m)."""
-    t = _check_t(t)
-    return TransformValue(t, direct_evaluator(a, m)(t))
+def voiculescu_id(tr: LevyTriple, t: float) -> complex:
+    """Transform of the free counterpart, straight from the triple: one
+    point of direct_evaluator on the companion measure."""
+    return direct_evaluator(tr.drift, triple_to_finite_measure(tr))(t)
 
 
-def voiculescu_id(tr: LevyTriple, t: float) -> TransformValue:
-    """Transform of the free counterpart, straight from the triple."""
-    return voiculescu_direct(tr.drift, triple_to_finite_measure(tr), t)
-
-
-def voiculescu_via_laplace(tr: LevyTriple, t: float) -> TransformValue:
+def voiculescu_via_laplace(tr: LevyTriple, t: float) -> complex:
     """Same value as voiculescu_id, but through the analytic route
     i t^2 * Laplace{log phi(-u)}(t).  Serves as the independent oracle
     for the finite-sum path."""
     t = _check_t(t)
     res = laplace_transform(lambda u: logphi(tr, -u), t, _ORACLE_TOL)
-    return TransformValue(t, _finite(1j * t * t * res.value, "voiculescu_via_laplace", t))
+    return _finite(1j * t * t * res.value, "voiculescu_via_laplace", t)
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +139,17 @@ def _image_evaluator(c: float, d: float, g: Callable[[complex], complex],
     return V
 
 
-def random_integral_transform(fam: KernelFamily, tr: LevyTriple, t: float) -> TransformValue:
+def random_integral_transform(fam: KernelFamily, tr: LevyTriple, t: float) -> complex:
     """Transform of the image of tr under the family's random-integral map;
     one point of random_integral_evaluator(fam, tr)."""
     t = _check_t(t)
-    return TransformValue(t, random_integral_evaluator(fam, tr)(t))
+    return random_integral_evaluator(fam, tr)(t)
 
 
 # ---------------------------------------------------------------------------
 # named classes: random_integral_transform with a built-in family
 
-def transform_sself(k: int, tr: LevyTriple, t: float) -> TransformValue:
+def transform_sself(k: int, tr: LevyTriple, t: float) -> complex:
     """Transform of the k-times shrink-selfdecomposable image of tr.
 
     V(it) = a/2^k + sigma^2/(3^k it)
@@ -178,7 +162,7 @@ def transform_sself(k: int, tr: LevyTriple, t: float) -> TransformValue:
     return random_integral_transform(sself(k), tr, t)
 
 
-def transform_ubeta(k: int, tr: LevyTriple, t: float) -> TransformValue:
+def transform_ubeta(k: int, tr: LevyTriple, t: float) -> complex:
     """Transform of the image of tr under the power-time-change map.
 
     V(it) = k a/(k+1) + k sigma^2/((k+2) it)
@@ -187,7 +171,7 @@ def transform_ubeta(k: int, tr: LevyTriple, t: float) -> TransformValue:
     return random_integral_transform(ubeta(k), tr, t)
 
 
-def transform_lclass(k: int, tr: LevyTriple, t: float) -> TransformValue:
+def transform_lclass(k: int, tr: LevyTriple, t: float) -> complex:
     """Transform of the image of tr under the order-k exponential-kernel
     map (the k-th selfdecomposable layer):
 
@@ -283,32 +267,31 @@ def linf_evaluator(spec: LInfSpec) -> Evaluator:
     return V
 
 
-def transform_linf(spec: LInfSpec, t: float) -> TransformValue:
+def transform_linf(spec: LInfSpec, t: float) -> complex:
     """V(it) = shift - sum m({x}) * linf_integrand(x, t); one point of
     linf_evaluator(spec).
 
     Invariant under c V(t/c): the integrand scales with t^(1-|x|) and
     each atom's contribution picks up exactly the compensating factor.
     """
-    t = _check_t(t)
-    return TransformValue(t, linf_evaluator(spec)(t))
+    return linf_evaluator(spec)(t)
 
 
 # ---------------------------------------------------------------------------
 # transform algebra
 
-def scale_transform(c: float, V: Evaluator, t: float) -> TransformValue:
+def scale_transform(c: float, V: Evaluator, t: float) -> complex:
     """Transform of the dilated law: (scale_c V)(it) = c V(it/c)."""
     if not (c > 0.0 and math.isfinite(c)):
         raise InvalidInput(f"scale factor must be positive and finite, got {c!r}")
     t = _check_t(t)
-    return TransformValue(t, c * complex(V(t / c)))
+    return c * complex(V(t / c))
 
 
-def add_transforms(V1: Evaluator, V2: Evaluator, t: float) -> TransformValue:
+def add_transforms(V1: Evaluator, V2: Evaluator, t: float) -> complex:
     """Transform of the (free or classical) convolution: pointwise sum."""
     t = _check_t(t)
-    return TransformValue(t, complex(V1(t)) + complex(V2(t)))
+    return complex(V1(t)) + complex(V2(t))
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +314,15 @@ def exp_map_convolution_check(omega: LevyTriple, t_grid: Sequence[float]) -> flo
     if not grid:
         raise InvalidInput("t_grid must be non-empty")
 
-    v_image = lambda t: transform_lclass(0, omega, t).value
-    v_omega = lambda t: voiculescu_id(omega, t).value
+    v_image = lambda t: transform_lclass(0, omega, t)
+    v_omega = lambda t: voiculescu_id(omega, t)
     exp_kernel = custom_density(lambda s: math.exp(-s), lambda s: 1.0, 0.0, math.inf)
     zs = [1j * x / t for t in grid for x, _ in omega.levy_atoms]
     c, d, gs = kernel_quad_grid(exp_kernel, zs)
     g = dict(zip(zs, (r.value for r in gs))).__getitem__
     v_image_direct = _image_evaluator(c.value.real, d.value.real, g, 1.0, omega)
-    return _worst(*(abs(v_image_direct(t) + voiculescu_via_laplace(omega, t).value
-                        - add_transforms(v_image, v_omega, t).value)
+    return _worst(*(abs(v_image_direct(t) + voiculescu_via_laplace(omega, t)
+                        - add_transforms(v_image, v_omega, t))
                     for t in grid))
 
 
@@ -357,8 +340,7 @@ def cauchy_pick_integral(t: float) -> complex:
     return res.value
 
 
-def voiculescu_cauchy(a: float, t: float) -> TransformValue:
+def voiculescu_cauchy(a: float, t: float) -> complex:
     """Transform with the standard Cauchy companion measure
     m(dx) = dx/(2(1+x^2)): a + (1/2) * cauchy_pick_integral = a - i pi/2."""
-    t = _check_t(t)
-    return TransformValue(t, a + 0.5 * cauchy_pick_integral(t))
+    return a + 0.5 * cauchy_pick_integral(t)

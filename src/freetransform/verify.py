@@ -185,38 +185,38 @@ def suite_operators() -> list[CheckResult]:
             lower = lower_selfdec_class(random_integral_evaluator(lclass(k), tr))
             for t in _T_GRID:
                 dev_shrink = _worst(dev_shrink,
-                                    abs(upper(t) - transform_sself(k - 1, tr, t).value))
+                                    abs(upper(t) - transform_sself(k - 1, tr, t)))
                 dev_selfdec = _worst(dev_selfdec,
-                                     abs(lower(t) - transform_lclass(k - 1, tr, t).value))
+                                     abs(lower(t) - transform_lclass(k - 1, tr, t)))
     results.append(CheckResult("shrink-step", dev_shrink, 1e-6))
     results.append(CheckResult("selfdec-step", dev_selfdec, 1e-6))
 
     tr = _OP_TRIPLES[0]
     for k in (1, 2, 3):
         powered = lower_shrink_class(random_integral_evaluator(sself(k), tr), k)
-        dev = _worst(*(abs(powered(t) - voiculescu_id(tr, t).value) for t in _T_GRID))
+        dev = _worst(*(abs(powered(t) - voiculescu_id(tr, t)) for t in _T_GRID))
         results.append(CheckResult(f"shrink-power-{k}", dev, k / 1e7))
     for k in (0, 1, 2):
         powered = lower_selfdec_class(random_integral_evaluator(lclass(k), tr), k + 1)
-        dev = _worst(*(abs(powered(t) - voiculescu_id(tr, t).value) for t in _T_GRID))
+        dev = _worst(*(abs(powered(t) - voiculescu_id(tr, t)) for t in _T_GRID))
         results.append(CheckResult(f"selfdec-power-{k + 1}", dev, (k + 1) / 1e7))
 
     # exact transform algebra: dilation, convolution, measure round trip
-    V = lambda t: voiculescu_id(tr, t).value
+    V = lambda t: voiculescu_id(tr, t)
     dev = 0.0
     for c in (0.3, 2.0, 7.5):
         scaled = scale_triple(c, tr)
         for t in _T_GRID:
-            rhs = voiculescu_id(scaled, t).value
-            dev = _worst(dev, abs(scale_transform(c, V, t).value - rhs) / (1.0 + abs(rhs)))
+            rhs = voiculescu_id(scaled, t)
+            dev = _worst(dev, abs(scale_transform(c, V, t) - rhs) / (1.0 + abs(rhs)))
     results.append(CheckResult("dilation-identity", dev, 1e-12))
 
     tr1 = LevyTriple(0.5, 1.0, ((1.0, 0.7),))
     tr2 = LevyTriple(-0.2, 0.5, ((-2.0, 0.4),))
     merged = LevyTriple(0.3, 1.5, ((-2.0, 0.4), (1.0, 0.7)))
-    dev = _worst(*(abs(add_transforms(lambda u: voiculescu_id(tr1, u).value,
-                                      lambda u: voiculescu_id(tr2, u).value, t).value
-                       - voiculescu_id(merged, t).value) for t in _T_GRID))
+    dev = _worst(*(abs(add_transforms(lambda u: voiculescu_id(tr1, u),
+                                      lambda u: voiculescu_id(tr2, u), t)
+                       - voiculescu_id(merged, t)) for t in _T_GRID))
     results.append(CheckResult("convolution-identity", dev, 1e-12))
 
     back = finite_measure_to_triple(tr.drift, triple_to_finite_measure(tr))
@@ -232,7 +232,7 @@ def suite_operators() -> list[CheckResult]:
     # (2 - t d/dt) - (1 - t d/dt) is the identity, whatever the step noise
     dev = 0.0
     for tr in _OP_TRIPLES:
-        V = lambda t, tr=tr: voiculescu_id(tr, t).value
+        V = lambda t, tr=tr: voiculescu_id(tr, t)
         big, small = lower_shrink_class(V), lower_selfdec_class(V)
         dev = _worst(dev, *(abs(big(t) - small(t) - V(t)) for t in _T_GRID))
     results.append(CheckResult("operator-difference-identity", dev, 1e-12))
@@ -313,11 +313,11 @@ def suite_laplace() -> list[CheckResult]:
         tr = LevyTriple(a, var, ())
         for t in _LAPLACE_T:
             closed = a + var / (1j * t)
-            dev = _worst(dev, abs(voiculescu_via_laplace(tr, t).value - closed))
+            dev = _worst(dev, abs(voiculescu_via_laplace(tr, t) - closed))
     results.append(CheckResult("gaussian-laplace-roundtrip", dev, 1e-6))
 
     tr = LevyTriple(0.3, 0.0, ((1.0, 1.0), (-2.0, 0.5)))
-    dev = _worst(*(abs(voiculescu_via_laplace(tr, t).value - voiculescu_id(tr, t).value)
+    dev = _worst(*(abs(voiculescu_via_laplace(tr, t) - voiculescu_id(tr, t))
                    for t in _T_GRID))
     results.append(CheckResult("atomic-laplace-roundtrip", dev, 1e-6))
 

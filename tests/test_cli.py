@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from childproc import SRC, child_env
@@ -215,9 +216,10 @@ def test_eval_atom_beyond_the_square_root_of_the_double_range(tmp_path):
 
 # |x|/t from 1e150 to 1e308: Phi(z, s, 2) divided by z * z, which
 # overflows from |z| of about 1.34e154 on, and uks printed 0.0 there with
-# exit 0.  Far out V(it) is about -it; uks rows are held to it within
-# FAR_BOUND, 2.6 times the worst measured, 1.2e-13 at k = 2, x = 1e308,
-# t = 1 (lerch_phi's inversion formula loses about |log z| eps there)
+# exit 0; and t x, which overflows for id at x = 1e308, t = 10.  Far out
+# V(it) is about -it; id and uks rows are held to it within FAR_BOUND,
+# 2.6 times the worst measured, 1.2e-13 at k = 2, x = 1e308, t = 1
+# (lerch_phi's inversion formula loses about |log z| eps there)
 FAR_BOUND = 3e-13
 _FAR_ATOMS = (1e152, -1e160, 1e200, -1e250, 1e300, 1e308, -1e308)
 _FAR_CLASSES = (["id"], ["uks", "--k", "0"], ["uks", "--k", "1"], ["uks", "--k", "2"],
@@ -252,9 +254,22 @@ def test_eval_atoms_far_beyond_t(tmp_path):
             rows = _eval_rows_or_domain_error(
                 ["eval", "--class", *cls, "--input", str(path),
                  "--t-min", "1", "--t-max", "100"], 3)
-            if cls[0] == "uks" and rows is not None:
+            if cls in (["id"], ["uks", "--k", "0"]):
+                assert rows is not None, (x, cls)
+            if cls[0] in ("id", "uks") and rows is not None:
                 for t, re_v, im_v in rows:
                     assert abs(complex(re_v, im_v + t)) <= FAR_BOUND * t, (x, cls, t)
+                if abs(x) == 1e308 and cls[0] == "id":
+                    assert rows[1] == (10.0, math.copysign(9.899999999999998e-307, x),
+                                       -10.0), (x, rows)
+    # w (1 + i t x) overflows at t = 1; V(i) is -i w x^2/(1+x^2), about
+    # -1e300 i.  The other classes still exit 3 here: w x overflows
+    path.write_text(json.dumps({"atoms": [{"x": 1e10, "w": 1e300}]}))
+    for cls in (["id"], ["uks", "--k", "0"]):
+        rows = _eval_rows_or_domain_error(
+            ["eval", "--class", *cls, "--input", str(path), "--t-min", "1", "--t-max", "1"], 1)
+        assert rows is not None, cls
+        assert abs(complex(rows[0][1], rows[0][2] + 1e300)) <= FAR_BOUND * 1e300, rows
     # linf atoms lie in (-2, 2], so t goes down to |x|/1e308
     for x in (2.0, -1.5, 0.5):
         path.write_text(json.dumps({"c": 0.3, "atoms": [{"x": x, "w": 1.0}]}))
@@ -313,11 +328,33 @@ def _valid_eval_input(draw):
     return argv, data
 
 
+def _id_reference(data, t):
+    """(Re V(it), Im V(it), sum of absolute contributions) of the identity
+    map, exact in rationals: per atom, Re is w x^3 (t^2-1)/((1+x^2)(t^2+x^2))
+    and Im is -w t x^2/(t^2+x^2); a and -sigma2/t are added."""
+    t, a, var = Fraction(t), Fraction(data["a"]), Fraction(data["sigma2"])
+    re, im, scale = a, -var / t, abs(a) + var / t
+    for atom in data["atoms"]:
+        x, w = Fraction(atom["x"]), Fraction(atom["w"])
+        part_re = w * x ** 3 * (t * t - 1) / ((1 + x * x) * (t * t + x * x))
+        part_im = -w * t * x * x / (t * t + x * x)
+        re, im, scale = re + part_re, im + part_im, scale + abs(part_re) + abs(part_im)
+    return re, im, scale
+
+
+# id and uks --k 0 rows against _id_reference, relative to the sum of
+# absolute contributions (absolute below the smallest normal double):
+# 2.6 times the worst of 19 500 rows drawn as below, 3.9e-16
+ID_BOUND = 1e-15
+
+
 @settings(max_examples=80, deadline=None)
 @given(_valid_eval_input())
 def test_eval_exit_contract_on_valid_inputs(tmp_path_factory, case):
     # a valid input gives rows (exit 0) or a one-line domain error (exit
-    # 3), never an input error and never an escaped exception
+    # 3), never an input error and never an escaped exception.  The
+    # identity map's rows are right, and it answers wherever the sum of
+    # absolute contributions stays below 1e308
     from freetransform import cli
 
     argv, data = case
@@ -326,13 +363,26 @@ def test_eval_exit_contract_on_valid_inputs(tmp_path_factory, case):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv + ["--input", str(path)])
+    identity = argv[2] == "id" or (argv[2] == "uks" and argv[-1] == "0")
     if code == 0:
         assert err.getvalue() == ""
-        assert len(out.getvalue().splitlines()) == 1 + int(argv[argv.index("--steps") + 1])
+        rows = out.getvalue().splitlines()[1:]
+        assert len(rows) == int(argv[argv.index("--steps") + 1])
+        for row in rows if identity else ():
+            t, re_v, im_v = map(float, row.split(","))
+            re, im, scale = _id_reference(data, t)
+            dev = (abs(Fraction(re_v) - re) + abs(Fraction(im_v) - im)) / max(
+                scale, Fraction(sys.float_info.min))
+            assert dev <= ID_BOUND, (argv, data, row, float(dev))
     else:
         assert code == 3, (argv, data, err.getvalue())
         assert err.getvalue().startswith("domain error: ")
         assert err.getvalue().count("\n") == 1, err.getvalue()
+        if identity:
+            grid = cli.geometric_grid(*(float(argv[argv.index(flag) + 1])
+                                        for flag in ("--t-min", "--t-max")),
+                                      int(argv[argv.index("--steps") + 1]))
+            assert max(_id_reference(data, t)[2] for t in grid) >= 1e308, (argv, data)
 
 
 def test_output_file_that_cannot_be_written_is_an_input_error(gauss_json, tmp_path,
@@ -356,6 +406,43 @@ def test_eval_unknown_field(gauss_json, tmp_path):
     res = run("eval", "--class", "id", "--input", str(path))
     assert res.returncode == 2
     assert "mu" in res.stderr
+
+
+def _one_error_line(argv, capsys):
+    from freetransform import cli
+
+    assert cli.main(argv) == 2, argv
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    return err
+
+
+def test_json_integers_beyond_the_double_range(tmp_path, capsys):
+    # float() of such an integer raises OverflowError; the error names the field
+    huge = "1" + "0" * 400
+    path = tmp_path / "huge.json"
+    for cls, text, field in (
+            ("id", f'{{"a": {huge}}}', "'a'"),
+            ("id", f'{{"sigma2": {huge}}}', "'sigma2'"),
+            ("id", f'{{"atoms": [{{"x": {huge}, "w": 1}}]}}', "'atoms[0].x'"),
+            ("id", f'{{"atoms": [{{"x": 1, "w": {huge}}}]}}', "'atoms[0].w'"),
+            ("linf", f'{{"c": {huge}}}', "'c'"),
+            # more digits than int() takes
+            ("id", f'{{"a": 1{"0" * 5000}}}', "not valid JSON")):
+        path.write_text(text)
+        err = _one_error_line(["eval", "--class", cls, "--input", str(path)], capsys)
+        assert field in err, (text[:20], err)
+
+
+def test_k_beyond_the_double_range_is_an_input_error(gauss_json, capsys):
+    # the closed forms take k as a double; float(k) would overflow
+    huge = "1" + "0" * 400
+    for cls in ("uks", "ubk", "lk"):
+        _one_error_line(["eval", "--class", cls, "--k", huge, "--input", gauss_json],
+                        capsys)
+    for family in ("sself", "ubeta", "lclass"):
+        err = _one_error_line(["kernels", "--family", family, "--k", huge], capsys)
+        assert family in err, err
 
 
 # kernels ----------------------------------------------------------------------

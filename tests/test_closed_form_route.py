@@ -142,10 +142,10 @@ _LINF_SPECS = st.builds(
        lg_t=st.floats(-8.0, 12.0))
 def test_class_transforms_raise_only_package_errors(tr, spec, k, lg_t):
     t = 10.0 ** lg_t
-    _answers(lambda: transform_sself(k, tr, t).value)
-    _answers(lambda: transform_ubeta(max(k, 1), tr, t).value)
-    _answers(lambda: transform_lclass(k, tr, t).value)
-    _answers(lambda: transform_linf(spec, t).value)
+    _answers(lambda: transform_sself(k, tr, t))
+    _answers(lambda: transform_ubeta(max(k, 1), tr, t))
+    _answers(lambda: transform_lclass(k, tr, t))
+    _answers(lambda: transform_linf(spec, t))
 
 
 def _wide(class_tag, k, t_min="1e-8", t_max="1e12"):

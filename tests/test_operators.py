@@ -57,23 +57,23 @@ def test_evaluator_wrapper():
 
 
 def test_shrink_lowering_single_step():
-    V = lambda t: transform_sself(2, MIXED, t).value
+    V = lambda t: transform_sself(2, MIXED, t)
     lowered = lower_shrink_class(V)
     for t in T_GRID:
-        target = transform_sself(1, MIXED, t).value
+        target = transform_sself(1, MIXED, t)
         assert abs(lowered(t) - target) < 1e-6, t
 
 
 def test_selfdec_lowering_single_step():
-    V = lambda t: transform_lclass(1, MIXED, t).value
+    V = lambda t: transform_lclass(1, MIXED, t)
     lowered = lower_selfdec_class(V)
     for t in T_GRID:
-        target = transform_lclass(0, MIXED, t).value
+        target = transform_lclass(0, MIXED, t)
         assert abs(lowered(t) - target) < 1e-6, t
 
 
 def test_lowering_difference_is_identity():
-    V = lambda t: voiculescu_id(MIXED, t).value
+    V = lambda t: voiculescu_id(MIXED, t)
     big = lower_shrink_class(V)
     small = lower_selfdec_class(V)
     for t in T_GRID:
@@ -82,7 +82,7 @@ def test_lowering_difference_is_identity():
 
 def test_operator_power_single_matches_direct():
     # n = 1 against the definition 2 V - t dV/dt, differentiated in t
-    V = lambda t: transform_sself(1, MIXED, t).value
+    V = lambda t: transform_sself(1, MIXED, t)
     lowered = lower_shrink_class(V, 1)
     for t in (0.8, 1.6):
         direct = 2.0 * V(t) - t * derivative_t(V, t, 1e-3 * t)
@@ -90,10 +90,10 @@ def test_operator_power_single_matches_direct():
 
 
 def test_operator_power_reaches_base_class():
-    V = lambda t: transform_sself(3, MIXED, t).value
+    V = lambda t: transform_sself(3, MIXED, t)
     powered = lower_shrink_class(V, 3)
     for t in T_GRID:
-        assert abs(powered(t) - voiculescu_id(MIXED, t).value) < 1e-8
+        assert abs(powered(t) - voiculescu_id(MIXED, t)) < 1e-8
 
 
 @pytest.mark.parametrize("n,bound", [(1, 1e-12), (2, 1e-9), (3, 1e-8),
@@ -103,10 +103,10 @@ def test_operator_power_over_four_decades_of_t(n, bound):
     # to the plain transform
     worst = 0.0
     for tr in _OP_TRIPLES:
-        shrink = lower_shrink_class(lambda t: transform_sself(n, tr, t).value, n)
-        selfdec = lower_selfdec_class(lambda t: transform_lclass(n - 1, tr, t).value, n)
+        shrink = lower_shrink_class(lambda t: transform_sself(n, tr, t), n)
+        selfdec = lower_selfdec_class(lambda t: transform_lclass(n - 1, tr, t), n)
         for t in (0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0):
-            target = voiculescu_id(tr, t).value
+            target = voiculescu_id(tr, t)
             for lowered in (shrink, selfdec):
                 worst = max(worst, abs(lowered(t) - target) / (1.0 + abs(target)))
     assert worst < bound, worst
@@ -185,8 +185,8 @@ def test_filtration_requires_increasing_ks():
 
 def test_ubeta_deviation_shrinks_against_named_value():
     t = 2.0
-    base = voiculescu_id(MIXED, t).value
-    gaps = [abs(transform_ubeta(k, MIXED, t).value - base) for k in (10, 100)]
+    base = voiculescu_id(MIXED, t)
+    gaps = [abs(transform_ubeta(k, MIXED, t) - base) for k in (10, 100)]
     assert gaps[1] < gaps[0] / 5.0
 
 

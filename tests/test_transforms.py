@@ -15,7 +15,6 @@ from freetransform import (
     LInfSpec,
     PickRepresentation,
     TransformEvaluator,
-    TransformValue,
     add_transforms,
     cauchy_pick_integral,
     custom_density,
@@ -25,6 +24,7 @@ from freetransform import (
     lclass,
     linf_integrand,
     logphi,
+    pick_eval,
     random_integral_transform,
     scale_transform,
     scale_triple,
@@ -35,7 +35,6 @@ from freetransform import (
     transform_ubeta,
     ubeta,
     voiculescu_cauchy,
-    voiculescu_direct,
     voiculescu_id,
     voiculescu_via_laplace,
 )
@@ -66,14 +65,24 @@ def test_logphi_compound_poisson():
 # direct evaluation ------------------------------------------------------------
 
 def test_direct_single_atom():
-    val = voiculescu_direct(0.0, FiniteMeasure(((1.0, 1.0),)), 1.0)
-    assert abs(val.value - (-1.0j)) < 1e-15  # (1+i)/(i-1) = -i
-    assert val.t == 1.0
+    val = direct_evaluator(0.0, FiniteMeasure(((1.0, 1.0),)))(1.0)
+    assert type(val) is complex
+    assert abs(val - (-1.0j)) < 1e-15  # (1+i)/(i-1) = -i
 
 
 def test_direct_origin_atom_is_gaussian_term():
-    val = voiculescu_direct(0.0, FiniteMeasure(((0.0, 2.0),)), 1.0)
-    assert abs(val.value - 2.0 / 1.0j) < 1e-15
+    val = direct_evaluator(0.0, FiniteMeasure(((0.0, 2.0),)))(1.0)
+    assert abs(val - 2.0 / 1.0j) < 1e-15
+
+
+def test_direct_far_atoms_divide_before_weighting():
+    # t x or w (1 + itx) overflows; the value is about -it and -w i
+    for x in (1e308, -1e308):
+        V = direct_evaluator(0.0, FiniteMeasure(((x, 1.0),)))
+        for t in (10.0, 100.0):
+            assert abs(V(t) + 1j * t) <= 1e-15 * t, (x, t)
+    val = direct_evaluator(0.0, FiniteMeasure(((1e10, 1e300),)))(1.0)
+    assert abs(val + 1e300j) <= 1e-15 * 1e300
 
 
 def test_direct_evaluator_equals_the_formula():
@@ -85,12 +94,24 @@ def test_direct_evaluator_equals_the_formula():
         acc = complex(-0.3)
         for x, w in m.atoms:
             acc += w * (1.0 + it * x) / (it - x)
-        assert V(t) == acc == voiculescu_direct(-0.3, m, t).value, t
+        assert V(t) == acc == pick_eval(PickRepresentation(-0.3, m), it), t
 
 
 def test_id_gaussian_closed_form():
     for t in T_GRID:
-        assert abs(voiculescu_id(GAUSS, t).value - (1.0 + 2.0 / (1j * t))) < 1e-15
+        assert abs(voiculescu_id(GAUSS, t) - (1.0 + 2.0 / (1j * t))) < 1e-15
+
+
+def test_one_point_transforms_return_complex():
+    V = lambda u: voiculescu_id(MIXED, u)
+    spec = LInfSpec(0.4, FiniteMeasure(((1.0, 0.5),)))
+    for value in (voiculescu_id(MIXED, 1.0), voiculescu_via_laplace(GAUSS, 1.0),
+                  random_integral_transform(ubeta(2), MIXED, 1.0),
+                  transform_sself(0, MIXED, 1.0), transform_sself(2, MIXED, 1.0),
+                  transform_ubeta(2, MIXED, 1.0), transform_lclass(1, MIXED, 1.0),
+                  transform_linf(spec, 1.0), scale_transform(2.0, V, 1.0),
+                  add_transforms(V, V, 1.0), voiculescu_cauchy(0.3, 1.0)):
+        assert type(value) is complex, value
 
 
 def test_id_rejects_bad_t():
@@ -104,8 +125,8 @@ def test_id_rejects_bad_t():
 def test_laplace_route_matches_direct():
     for tr in (GAUSS, MIXED):
         for t in T_GRID:
-            a = voiculescu_via_laplace(tr, t).value
-            b = voiculescu_id(tr, t).value
+            a = voiculescu_via_laplace(tr, t)
+            b = voiculescu_id(tr, t)
             assert abs(a - b) < 1e-7, (tr, t)
 
 
@@ -114,10 +135,10 @@ def test_laplace_route_matches_direct():
 def test_named_transforms_equal_generic():
     for t in T_GRID:
         for k in (1, 2):
-            a = random_integral_transform(sself(k), MIXED, t).value
-            assert abs(a - transform_sself(k, MIXED, t).value) < 1e-12
-            b = random_integral_transform(ubeta(k), MIXED, t).value
-            assert abs(b - transform_ubeta(k, MIXED, t).value) < 1e-12
+            a = random_integral_transform(sself(k), MIXED, t)
+            assert abs(a - transform_sself(k, MIXED, t)) < 1e-12
+            b = random_integral_transform(ubeta(k), MIXED, t)
+            assert abs(b - transform_ubeta(k, MIXED, t)) < 1e-12
 
 
 def _transform_per_t(fam, tr, t):
@@ -143,22 +164,22 @@ def test_random_integral_evaluator_equals_the_formula():
         for i in range(steps):
             t = 10.0 ** (-3.0 + 6.0 * i / (steps - 1))
             value = V(t)
-            assert value == random_integral_transform(fam, tr, t).value, (fam, t)
+            assert value == random_integral_transform(fam, tr, t), (fam, t)
             assert value == _transform_per_t(fam, tr, t), (fam, t)
 
 
 def test_shrink_order_zero_is_id():
     for t in T_GRID:
-        assert abs(transform_sself(0, MIXED, t).value
-                   - voiculescu_id(MIXED, t).value) < 1e-14
+        assert abs(transform_sself(0, MIXED, t)
+                   - voiculescu_id(MIXED, t)) < 1e-14
 
 
 def test_ubeta_large_k_approaches_id():
     t = 1.0
-    target = voiculescu_id(GAUSS, t).value
+    target = voiculescu_id(GAUSS, t)
     # closed-form gap: |-a/(k+1) + 2 sigma^2/((k+2) i t)|
     for k in (10, 100):
-        gap = abs(transform_ubeta(k, GAUSS, t).value - target)
+        gap = abs(transform_ubeta(k, GAUSS, t) - target)
         exact = abs(complex(-1.0 / (k + 1), -2.0 * 2.0 / (k + 2)))
         assert math.isclose(gap, exact, rel_tol=1e-9)
 
@@ -169,7 +190,7 @@ def test_lclass_poisson_value():
     t = 2.0
     it = 2.0j
     exact = it * (-cmath.log(1.0 - 1.0 / it)) - 0.5
-    assert abs(transform_lclass(0, tr, t).value - exact) < 1e-14
+    assert abs(transform_lclass(0, tr, t) - exact) < 1e-14
 
 
 def test_lclass_requires_valid_k():
@@ -189,8 +210,8 @@ def test_lclass_requires_valid_k():
 def test_scaling_identity(c, t):
     """c V(it/c) must equal the transform of the dilated triple."""
     scaled = scale_triple(c, MIXED)
-    lhs = scale_transform(c, lambda u: voiculescu_id(MIXED, u).value, t).value
-    rhs = voiculescu_id(scaled, t).value
+    lhs = scale_transform(c, lambda u: voiculescu_id(MIXED, u), t)
+    rhs = voiculescu_id(scaled, t)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 
@@ -199,9 +220,9 @@ def test_additivity_under_convolution():
     tr2 = LevyTriple(-0.2, 0.5, ((-2.0, 0.4),))
     convolved = LevyTriple(0.3, 1.5, ((-2.0, 0.4), (1.0, 0.7)))
     for t in T_GRID:
-        total = add_transforms(lambda u: voiculescu_id(tr1, u).value,
-                               lambda u: voiculescu_id(tr2, u).value, t).value
-        assert abs(total - voiculescu_id(convolved, t).value) < 1e-12
+        total = add_transforms(lambda u: voiculescu_id(tr1, u),
+                               lambda u: voiculescu_id(tr2, u), t)
+        assert abs(total - voiculescu_id(convolved, t)) < 1e-12
 
 
 def test_exp_map_convolution_split():
@@ -216,7 +237,7 @@ def test_exp_map_convolution_split_reports_nan(monkeypatch):
 
     def nan_at_last(tr, t):
         if t == T_GRID[-1]:
-            return transforms.TransformValue(t, complex(math.nan, 0.0))
+            return complex(math.nan, 0.0)
         return real_id(tr, t)
 
     monkeypatch.setattr(transforms, "voiculescu_id", nan_at_last)
@@ -231,7 +252,7 @@ def test_exp_map_convolution_split_sees_a_wrong_image(monkeypatch):
     real_lclass = transforms.transform_lclass
 
     def shifted(k, tr, t):
-        return transforms.TransformValue(t, real_lclass(k, tr, t).value + 1e-9)
+        return real_lclass(k, tr, t) + 1e-9
 
     monkeypatch.setattr(transforms, "transform_lclass", shifted)
     assert exp_map_convolution_check(MIXED, T_GRID) >= 1e-10
@@ -277,8 +298,8 @@ def test_decreasing_kernel_against_reflection_oracle():
     refl = LevyTriple(-MIXED.drift, MIXED.gauss_var,
                       tuple((-x, w) for x, w in MIXED.levy_atoms))
     for t in T_GRID:
-        direct = random_integral_transform(fam, MIXED, t).value
-        oracle = sum((-j) * h(s) * voiculescu_id(refl, t / h(s)).value
+        direct = random_integral_transform(fam, MIXED, t)
+        oracle = sum((-j) * h(s) * voiculescu_id(refl, t / h(s))
                      for s, j in jumps)
         assert abs(direct - oracle) < 1e-12, t
 
@@ -289,8 +310,8 @@ def test_increasing_step_kernel_average_identity():
     jumps = ((0.25, 0.5), (0.75, 0.5))
     fam = custom_step(h, jumps)
     for t in T_GRID:
-        direct = random_integral_transform(fam, MIXED, t).value
-        oracle = sum(j * h(s) * voiculescu_id(MIXED, t / h(s)).value
+        direct = random_integral_transform(fam, MIXED, t)
+        oracle = sum(j * h(s) * voiculescu_id(MIXED, t / h(s))
                      for s, j in jumps)
         assert abs(direct - oracle) < 1e-12
 
@@ -327,14 +348,14 @@ def test_linf_evaluator_equals_the_formula():
         acc = complex(spec.shift)
         for x, w in spec.measure.atoms:
             acc -= w * _linf_integrand_per_t(x, t)
-        assert V(t) == acc == transform_linf(spec, t).value, t
+        assert V(t) == acc == transform_linf(spec, t), t
         assert linf_integrand(-0.5, t) == _linf_integrand_per_t(-0.5, t)
 
 
 def test_linf_rademacher():
     spec = LInfSpec(0.4, FiniteMeasure(((1.0, 0.5), (-1.0, 0.5))))
     for t in T_GRID:
-        val = transform_linf(spec, t).value
+        val = transform_linf(spec, t)
         assert abs(val - complex(0.4, -math.pi / 2.0)) < 1e-15
 
 
@@ -346,8 +367,8 @@ def test_linf_scale_closure():
             FiniteMeasure(tuple((x, w * c ** abs(x))
                                 for x, w in spec.measure.atoms)))
         for t in (0.7, 1.9):
-            lhs = scale_transform(c, lambda u: transform_linf(spec, u).value, t).value
-            rhs = transform_linf(rescaled, t).value
+            lhs = scale_transform(c, lambda u: transform_linf(spec, u), t)
+            rhs = transform_linf(rescaled, t)
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 
@@ -374,8 +395,6 @@ def test_linf_spec_record():
     assert LInfSpec(0.0, FiniteMeasure()) != PickRepresentation(0.0, FiniteMeasure())
     assert LInfSpec(0.0) == LInfSpec(0.0, FiniteMeasure())
     assert hash(LInfSpec(0.0)) == hash(LInfSpec(0.0, FiniteMeasure()))
-    assert TransformValue(1.0, 1j) != (1.0, 1j)
-    assert repr(TransformValue(1.0, 1j)) == "TransformValue(t=1.0, value=1j)"
 
 
 def test_transform_evaluator_builds_by_keyword():
@@ -404,5 +423,5 @@ def test_cauchy_integral_value():
 
 def test_cauchy_transform_is_shift_minus_half_pi():
     for t in (0.5, 1.0):
-        val = voiculescu_cauchy(0.3, t).value
+        val = voiculescu_cauchy(0.3, t)
         assert abs(val - complex(0.3, -math.pi / 2.0)) < 1e-6
