@@ -319,12 +319,21 @@ def _lerch_v2(z: complex, s: int) -> complex:
     Inside |z| < 2 the log-series sums Li_s(z) - z term by term, with
     zeta(n) - 1 in place of zeta(n); beyond, the inversion formula
     subtracts z in closed form.  Neither route forms Li_s(z) and z
-    separately, which would lose about 2^s/|z| relative to Phi.  z * z
-    overflows for |z| above about 1.34e154, so there Phi divides by z
-    twice.
+    separately, which would lose about 2^s/|z| relative to Phi.  But the
+    shifted inversion rebuilds -z as a sum of about |log z|/2 terms in
+    log(-z) and loses about |log z| eps, 8e-14 at |z| = 1e300, while far
+    enough out Li_s(z) is small beside z and the difference loses
+    nothing: from |z| = 4^s on, Phi is the unshifted Li_s(z) minus z,
+    divided by z twice.  (At 2^(s+2) that route still lost 8e-12 for
+    s = 100.)  Below, z * z overflows for |z| above about 1.34e154, so
+    there too Phi divides by z twice.
     """
-    if abs(z) < _INVERSION_RADIUS:
+    r = abs(z)
+    if r < _INVERSION_RADIUS:
         return _log_series(s, z, shift=1) / (z * z)
+    # log2 takes any s, where 4.0 ** s overflows from s = 512 on
+    if math.log2(r) >= 2 * s:
+        return (_inversion(s, z) - z) / z / z
     square = z * z
     if not cmath.isfinite(square):
         return _inversion(s, z, shift=1) / z / z
@@ -413,9 +422,10 @@ def _zeta_pair(n: int) -> tuple:
 
 @functools.cache
 def _log_gamma2_coefficients() -> tuple:
-    """(zeta(k) - 1)/k for 2 <= k < 2 + _LOG_GAMMA2_TERMS, from the zeta
-    table; built on first use."""
-    return tuple(_zeta_pair(k)[1] / k for k in range(2, 2 + _LOG_GAMMA2_TERMS))
+    """(zeta(k) - 1)/k for 2 <= k < 2 + _LOG_GAMMA2_TERMS, each summed as
+    the zeta table sums it, without building the whole table; built on
+    first use."""
+    return tuple(_zeta_minus_one(k) / k for k in range(2, 2 + _LOG_GAMMA2_TERMS))
 
 
 def log_gamma2_slope(eps: float) -> float:

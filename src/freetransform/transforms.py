@@ -21,8 +21,21 @@ family's Pick function g:
 upper signs for a non-decreasing time change.  The named classes
 (iterated shrink-scaling, power time change, exponential kernel) are
 this one formula with a built-in family, whose g is a scaled
-Hurwitz-Lerch value; the fully scale-invariant limit class has its own
-closed form.
+Hurwitz-Lerch value, scale Phi(-z, s, v); the fully scale-invariant
+limit class has its own closed form.
+
+random_integral_evaluator has two t-bands for a built-in family.  Below
+t = 2X, X = max|x| over the atoms, each point evaluates g once per atom.
+On t >= 2X every argument ix/t lies on the Lerch series disk, and the
+sum over the atoms is one power series in X/t,
+
+    sum w x g(ix/t) = scale sum_n (-i)^n (v+n)^-s M_n (X/t)^n,
+    M_n = sum w x (x/X)^n,
+
+whose coefficients, moments of the jump measure, are the image's free
+cumulants; the evaluator builds them once, on the first t of the band.
+CUSTOM families and exp_map_convolution_check's oracle image keep the
+per-atom sum at every t.
 
 Every class is evaluated from the triple by one of three evaluators,
 random_integral_evaluator, direct_evaluator and linf_evaluator; each
@@ -41,11 +54,11 @@ from collections.abc import Callable, Sequence
 
 from ._records import record
 from .errors import DomainError, FreeTransformError, InvalidInput, NonFiniteError
-from .kernels import (KernelFamily, PickRepresentation, custom_density, kernel_quad_grid,
-                      lclass, map_data, pick_eval, sself, ubeta)
+from .kernels import (CUSTOM, FAMILIES, KernelFamily, PickRepresentation, custom_density,
+                      kernel_quad_grid, lclass, map_data, pick_eval, sself, ubeta)
 from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
 from .quadrature import _worst, integrate_semi_infinite, laplace_transform
-from .specfun import log_gamma2_slope
+from .specfun import _SERIES_EPS, _series_powers, log_gamma2_slope
 
 Evaluator = Callable[[float], complex]
 
@@ -110,33 +123,119 @@ def random_integral_evaluator(fam: KernelFamily, tr: LevyTriple) -> Evaluator:
 
     Takes the family's kernel moments and Pick function from map_data
     once, and with them each atom's weight w (+-) x and shift
-    (+-) c/(1+x^2); each call then evaluates g once per atom.  The sign
-    pattern follows the declared monotonicity of the time change.
+    (+-) c/(1+x^2); each call then evaluates g once per atom, or, for a
+    built-in family on t >= 2 max|x|, sums the atoms' moment series.
+    The sign pattern follows the declared monotonicity of the time change.
     """
     c, d, g = map_data(fam)
-    return _image_evaluator(c, d, g, 1.0 if fam.increasing else -1.0, tr)
+    lerch = None if fam.tag == CUSTOM else FAMILIES[fam.tag].closed_form(fam.k)[2:]
+    return _image_evaluator(c, d, g, 1.0 if fam.increasing else -1.0, tr, lerch)
 
 
 def _image_evaluator(c: float, d: float, g: Callable[[complex], complex],
-                     sign: float, tr: LevyTriple) -> Evaluator:
+                     sign: float, tr: LevyTriple,
+                     lerch: tuple[float, int, float] | None = None) -> Evaluator:
     """random_integral_evaluator from the kernel data (c, d, g) and the
     sign of the time change.  A package error raised by g is raised
-    again with t and the atom's x added to its message."""
+    again with t and the atom's x added to its message.
+
+    With lerch = (scale, s, v), g(z) = scale Phi(-z, s, v), and on
+    t >= 2 max|x| the sum over the atoms is one power series in
+    max|x|/t, whose table _moment_series builds on the first such t.
+    Elsewhere, or where that sum is not finite, each call evaluates g
+    once per atom; where the weighted sum is not finite, each term is
+    formed again weighting last, w ((+-) x (g - shift)), so that an
+    overflowing w x does not overflow a finite value.
+    """
     drift = tr.drift * c
     gauss = sign * tr.gauss_var * d
     atoms = [(w * sign * x, x, sign * c / (1.0 + x * x)) for x, w in tr.levy_atoms]
+    far = max((abs(x) for x, _ in tr.levy_atoms), default=0.0)
+    # with no atom off the origin there is nothing to sum
+    reach = 2.0 * far if lerch is not None and far else math.inf
+    series = None
 
     def V(t: float) -> complex:
+        nonlocal series
         t = _check_t(t)
+        if t >= reach:
+            if series is None:
+                series = _moment_series(lerch, atoms, far)
+            constant, table, stop = series
+            r = far / t
+            re = im = 0.0
+            mag = 1.0  # r^n
+            for odd, odd_bound, even, even_bound in table:
+                mag *= r
+                im += odd * mag
+                if odd_bound * mag <= stop:
+                    break
+                mag *= r
+                re += even * mag
+                if even_bound * mag <= stop:
+                    break
+            acc = complex(drift + constant + re, im - gauss / t)
+            if cmath.isfinite(acc):
+                return acc
         acc = drift + gauss / (1j * t)
         try:
             for weight, x, shift in atoms:
                 acc += weight * (g(1j * x / t) - shift)
+            if not cmath.isfinite(acc):
+                acc = drift + gauss / (1j * t)
+                for (_, x, shift), (_, w) in zip(atoms, tr.levy_atoms):
+                    acc += w * (sign * x * (g(1j * x / t) - shift))
         except FreeTransformError as err:
             raise type(err)(f"{err} at t={t!r}, atom x={x!r}") from err
         return _finite(acc, "random_integral_transform", t)
 
     return V
+
+
+# (-i)^n = +1, -i, -1, +i: the sign of the term n and, for odd n, of its
+# imaginary part
+_QUARTER_TURNS = (1.0, -1.0, -1.0, 1.0)
+
+
+def _moment_series(lerch: tuple[float, int, float], atoms, far: float) -> tuple:
+    """(constant, table, stop): the atoms' sum  sum weight (scale
+    Phi(-ix/t, s, v) - shift)  as one power series in r = far/t,
+    far = max|x|, for t >= 2 far.
+
+    With p_n = (v+n)^-s from specfun._series_powers(s, v) and q = x/far,
+    that sum is
+
+        sum_n (-i)^n scale p_n M_n r^n - sum weight shift,
+        M_n = sum weight q^n,
+
+    whose t-free part is the constant, sum weight (scale p_0 - shift),
+    summed atom by atom.  The table holds, for n = 1, 3, 5, ..., the
+    imaginary coefficient of r^n, its bound scale p_n sum |weight q^n|,
+    the real coefficient of r^(n+1) and its bound.  A sum stops at the
+    first n whose bound times r^n is at most stop, _SERIES_EPS times the
+    bound of r^0: each atom's own Lerch series stops at that relative
+    term, and as r <= 1/2 the table, at most 52 terms, holds every term
+    the stop takes.
+    """
+    scale, s, v = lerch
+    factors = [scale * p for group in _series_powers(s, v) for p in group]
+    terms = [(weight, x / far) for weight, x, _ in atoms if x]
+    stop = _SERIES_EPS * factors[0] * sum(abs(weight) for weight, _ in terms)
+    if stop == math.inf:
+        # no bound on the terms: every point sums g atom by atom
+        return math.nan, [], stop
+    coefs, bounds = [], []
+    powers = [weight for weight, _ in terms]  # weight q^n
+    for n, f in enumerate(factors[1:], 1):
+        powers = [p * q for p, (_, q) in zip(powers, terms)]
+        coefs.append(_QUARTER_TURNS[n % 4] * f * sum(powers))
+        bounds.append(f * sum(map(abs, powers)))
+    # n = 1, 2, ... in pairs, closed by a zero term, whose bound ends any sum
+    coefs.append(0.0)
+    bounds.append(0.0)
+    table = list(zip(coefs[::2], bounds[::2], coefs[1::2], bounds[1::2]))
+    constant = sum(weight * (factors[0] - shift) for weight, x, shift in atoms if x)
+    return constant, table, stop
 
 
 def random_integral_transform(fam: KernelFamily, tr: LevyTriple, t: float) -> complex:

@@ -410,6 +410,30 @@ def test_off_disk_tables_are_bounded():
     assert len(specfun._series_powers(602, 1.0)) <= 13
 
 
+def test_linf_eval_leaves_the_zeta_table_unbuilt(tmp_path):
+    # log Gamma(2 + eps) needs 64 values of zeta(k) - 1, not the whole
+    # 1203-pair table with its Bernoulli numbers; a fresh process's eval
+    # of the scale-invariant class builds only what it reads
+    path = tmp_path / "linf.json"
+    path.write_text('{"c": 0.3, "atoms": [{"x": 0.5, "w": 1.0}, {"x": -1.5, "w": 0.2}]}')
+    code = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from freetransform import cli, specfun
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["eval", "--class", "linf", "--input", {str(path)!r}])
+        sys.exit(code or specfun._zeta_table.cache_info().currsize
+                 or specfun._log_gamma2_coefficients.cache_info().currsize != 1)
+    """)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, env=child_env())
+    assert res.returncode == 0, (res.returncode, res.stderr)
+
+
+def test_log_gamma2_coefficients_are_the_zeta_table_values():
+    assert specfun._log_gamma2_coefficients() == tuple(
+        specfun._zeta_pair(k)[1] / k for k in range(2, 2 + specfun._LOG_GAMMA2_TERMS))
+
+
 def test_table_tails_are_constant():
     # past each fixed table the direct formulas give the table's tail
     # constant, checked for every n up to 5000

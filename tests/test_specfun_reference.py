@@ -184,12 +184,27 @@ def test_lerch_v2_far_out(s):
     assert _rel(lerch_phi(1e8j, s, 2.0), _phi_v2(1e8j, s)) < 1e-12
 
 
+@pytest.mark.parametrize("s", [2, 3, 5, 8, 16])
+def test_lerch_v2_on_the_axis_from_4_to_the_s(s):
+    # from |z| = 4^s on Phi(z, s, 2) is (Li_s(z) - z)/z/z with Li_s(z)
+    # from the unshifted inversion; the shifted one, which rebuilds -z
+    # from log(-z), lost about |log z| eps, 1.1e-13 at |z| = 1e308.
+    # Worst measured: 2.2e-16; the bound leaves a margin of 2.3
+    worst = 0.0
+    grid = [m * 10.0 ** e for e in range(1, 309, 2) for m in (1.0, 3.3)] + [1.7e308]
+    for y in grid:
+        if y >= 4.0 ** s:
+            for z in (complex(0.0, y), complex(0.0, -y)):
+                worst = max(worst, _rel(lerch_phi(z, s, 2.0), _phi_v2(z, s)))
+    assert worst < 5e-16, worst
+
+
 @pytest.mark.parametrize("s", [1, 2, 3, 5, 8, 16])
 def test_lerch_v2_beyond_the_square_root_of_the_double_range(s):
     # z * z overflows from |z| of about 1.34e154 on, and Phi came out 0 or
-    # NaN.  Worst measured: 8.1e-14, at s = 3, z = 1e244j; the inversion
-    # formula's sum for Li_s(z) - z loses about |log z| eps.  The bound
-    # leaves a margin of 2.4.
+    # NaN.  Worst measured: 2.2e-16 (8.1e-14, at s = 3, z = 1e244j, while
+    # the shifted inversion served these |z|).  The bound leaves a margin
+    # of 2.3.
     worst = 0.0
     for e in range(150, 308, 2):
         for y in (10.0 ** e, 3.3 * 10.0 ** e, -(10.0 ** e), -3.3 * 10.0 ** e):
@@ -199,7 +214,7 @@ def test_lerch_v2_beyond_the_square_root_of_the_double_range(s):
     root = math.sqrt(sys.float_info.max)
     for z in (root * 1j, math.nextafter(root, math.inf) * 1j, sys.float_info.max * 1j):
         worst = max(worst, _rel(lerch_phi(z, s, 2.0), _phi_v2(z, s)))
-    assert worst < 2e-13, worst
+    assert worst < 5e-16, worst
 
 
 # the |z| <= 1/2 series at high order ----------------------------------------
