@@ -48,7 +48,7 @@ from .errors import DomainError, InvalidInput
 from .measures import FiniteMeasure
 from .quadrature import (IntegrationResult, _integrate, _integrate_half_line,
                          gamma_average)
-from .specfun import lerch_phi
+from .specfun import _route, lerch_phi
 
 SSELF = "sself"
 UBETA = "ubeta"
@@ -187,16 +187,18 @@ def const_d(fam: KernelFamily) -> float:
 def map_data(fam: KernelFamily) -> tuple[float, float, Callable[[complex], complex]]:
     """(c, d, g) that fix the family's random-integral map.
 
-    Built-ins take the closed forms, g(z) = scale * Phi(-z, s, v), with
-    no check of the singular ray; CUSTOM kernels integrate c, d and each
-    value of g to the oracles' default tolerance.
+    Built-ins take the closed forms, g(z) = scale * Phi(-z, s, v), bound
+    to specfun._route(s, v): no argument checks per point, and none of
+    the singular ray; CUSTOM kernels integrate c, d and each value of g
+    to the oracles' default tolerance.
     """
     if fam.tag == CUSTOM:
         return (const_c_quad(fam).value.real,
                 const_d_quad(fam).value.real,
                 lambda z: kernel_g_quad(fam, z).value)
     c, d, scale, s, v = FAMILIES[fam.tag].closed_form(fam.k)
-    return c, d, lambda z: scale * lerch_phi(-z, s, v)
+    phi = _route(s, v)
+    return c, d, lambda z: scale * phi(-z)
 
 
 def kernel_g(fam: KernelFamily, z: complex) -> complex:
@@ -211,7 +213,8 @@ def kernel_g(fam: KernelFamily, z: complex) -> complex:
         return kernel_g_quad(fam, z).value
     if z.imag == 0.0 and z.real <= -1.0:
         raise DomainError(f"z = {z!r} lies on the singular ray (-inf, -1]")
-    return map_data(fam)[2](z)
+    _, _, scale, s, v = FAMILIES[fam.tag].closed_form(fam.k)
+    return scale * lerch_phi(-z, s, v)
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def lerch_phi(z: complex, s: int, v: float) -> complex:
 
     The series serves |z| <= 1/2; beyond it, integer v takes a closed
     form (v = 1, v = 2, or s = 1) and other v the integral
-    representation.
+    representation.  The checks, then _route(s, v)(z).
     """
     z = complex(z)
     if _on_cut(z):
@@ -277,21 +277,44 @@ def lerch_phi(z: complex, s: int, v: float) -> complex:
         raise DomainError(f"s must be an integer >= 1, got {s!r}")
     if not (v > 0.0 and math.isfinite(v)):
         raise DomainError(f"v must be positive and finite, got {v!r}")
+    return _route(s, v)(z)
 
-    if abs(z) <= _SERIES_RADIUS:
-        return _lerch_series(z, s, v)
-    # off the disk only: abs() of an infinite or NaN z is never <= 1/2
-    if not cmath.isfinite(z):
-        raise DomainError(f"z must be finite, got {z!r}")
-    if v == math.floor(v) and v <= _CLOSED_FORM_MAX_V:
-        k = int(v)
-        if k == 1:
+
+@functools.lru_cache(maxsize=_SERIES_TABLES)
+def _route(s: int, v: float):
+    """Phi(., s, v) for an integer s >= 1 and a finite v > 0, with the
+    dispatch on (s, v) made once: a function of a complex z off the ray
+    [1, inf), which it does not check.
+
+    |z| <= 1/2 takes the series, and a non-finite z off that disk is a
+    DomainError.  Beyond the disk v = 1 takes polylog(s, z)/z, through
+    the module-global name, which a tracer may rebind; s = 1 _lerch_log;
+    v = 2 _lerch_v2; and other v, or integer v past _CLOSED_FORM_MAX_V,
+    the integral representation.
+    """
+    k = int(v) if v == math.floor(v) and v <= _CLOSED_FORM_MAX_V else 0
+    if k == 1:
+        def closed(z):
             return polylog(s, z) / z
-        if s == 1:
+    elif k and s == 1:
+        def closed(z):
             return _lerch_log(z, k)
-        if k == 2:
+    elif k == 2:
+        def closed(z):
             return _lerch_v2(z, s)
-    return _lerch_integral(z, s, v)
+    else:
+        def closed(z):
+            return _lerch_integral(z, s, v)
+
+    def phi(z: complex) -> complex:
+        if abs(z) <= _SERIES_RADIUS:
+            return _lerch_series(z, s, v)
+        # off the disk only: abs() of an infinite or NaN z is never <= 1/2
+        if not cmath.isfinite(z):
+            raise DomainError(f"z must be finite, got {z!r}")
+        return closed(z)
+
+    return phi
 
 
 def _lerch_log(z: complex, k: int) -> complex:

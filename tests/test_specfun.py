@@ -380,13 +380,13 @@ def test_off_disk_terms_past_the_tables_are_bit_identical():
 
 
 def test_off_disk_tables_are_bounded():
-    # the only order-keyed cache is the (s, v) power table, and it is
-    # bounded; every other cache is a table built once
+    # the order-keyed caches, the (s, v) power tables and the (s, v)
+    # routes, are bounded; every other cache is a table built once
     cached = {name: fn for name, fn in vars(specfun).items()
               if hasattr(fn, "cache_info")}
     keyed = {name for name, fn in cached.items()
              if fn.cache_info().maxsize is not None}
-    assert keyed == {"_series_powers"}
+    assert keyed == {"_series_powers", "_route"}
     polylog(30, 1.5j)
     polylog(30, 3.0j)
     lerch_phi(-1.5j, 30, 2.0)
