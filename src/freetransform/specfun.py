@@ -77,6 +77,12 @@ _INTEGRAL_TOL = 1e-11
 # the closed-form sums stop at the first nonzero term below this fraction
 # of the running sum
 _SUM_EPS = 2.0 ** -53
+# off the disk, Re z <= 0 takes the defining sum of Phi(z, s, v) where its
+# tail bound |z|^n (v+n)^-s is below _SUM_EPS v^-s within this many terms
+_DIRECT_TERMS = 4
+# below this order _direct_radius(s, v) <= 1/2 for every v >= 1, so polylog
+# need not form it
+_DIRECT_MIN_ORDER = 22
 # Phi(z, 1, k) in closed form cancels about |z|^-k inside the unit disk;
 # below this |z|^k the direct series is summed instead
 _LOG_FORM_MIN = 1e-3
@@ -102,6 +108,9 @@ _ZETA_TOP = 1075
 # inversion coefficients past their tables: -2 eta(2n) is -2.0 once 2^(1-2n)
 # is below half an ulp of 1, and 2 - 2 eta(2n) is 0.0 once it underflows
 _ETA_TAIL = (-2.0, 0.0)
+
+# log of the largest double, to within 0.8
+_LOG_DOUBLE_MAX = 709.0
 
 # Euler-Mascheroni constant, double precision.
 _EULER_GAMMA = 0.5772156649015329
@@ -292,6 +301,7 @@ def _route(s: int, v: float):
     v = 2 _lerch_v2; and other v, or integer v past _CLOSED_FORM_MAX_V,
     the integral representation.
     """
+    direct = _direct_radius(s, v)
     k = int(v) if v == math.floor(v) and v <= _CLOSED_FORM_MAX_V else 0
     if k == 1:
         def closed(z):
@@ -307,14 +317,56 @@ def _route(s: int, v: float):
             return _lerch_integral(z, s, v)
 
     def phi(z: complex) -> complex:
-        if abs(z) <= _SERIES_RADIUS:
+        r = abs(z)
+        if r <= _SERIES_RADIUS:
             return _lerch_series(z, s, v)
         # off the disk only: abs() of an infinite or NaN z is never <= 1/2
         if not cmath.isfinite(z):
             raise DomainError(f"z must be finite, got {z!r}")
+        if r <= direct and z.real <= 0.0:
+            return _lerch_direct(z, s, v)
         return closed(z)
 
     return phi
+
+
+def _direct_radius(s: int, v: float) -> float:
+    """The largest |z| at which the tail bound |z|^n (v+n)^-s of the
+    defining sum reaches _SUM_EPS v^-s by n = _DIRECT_TERMS, inf where that
+    |z| passes the double range: about (1 + 4/v)^(s/4) / 10^4, which
+    passes 1/2 from s = 22 on for v = 1 and from s = 31 on for v = 2."""
+    log_r = (s * math.log1p(_DIRECT_TERMS / v) + math.log(_SUM_EPS)) / _DIRECT_TERMS
+    return math.exp(log_r) if log_r < _LOG_DOUBLE_MAX else math.inf
+
+
+def _lerch_direct(z: complex, s: int, v: float) -> complex:
+    """Phi(z, s, v) = sum_{n>=0} z^n (v+n)^-s for Re z <= 0 off the disk,
+    at the orders where its terms fall fast: v^-s times sum_n z^n
+    (v/(v+n))^s, up to the first n whose bound |z|^n (v/(v+n))^s is at
+    most _SUM_EPS, by n = _DIRECT_TERMS where |z| <= _direct_radius(s, v).
+
+    The sum need not converge: its tail past n is z^n Phi(z, s, v+n), and
+    for Re z <= 0 the integral representation bounds |Phi(z, s, v+n)| by
+    (v+n)^-s, as |1 - z e^-t| >= 1 there.  Each bound is formed as the
+    exp of its log, so neither |z|^n nor (v+n)^-s over- or underflows;
+    its rounding is about (n log|z|) eps relative, on terms at most
+    _SUM_EPS^(n/4) of the first.  DomainError where v^-s overflows.
+    """
+    try:
+        first = v ** -s
+    except OverflowError:
+        raise DomainError(f"v^-s = {v!r}^-{s} overflows double precision")
+    r = abs(z)
+    log_r, unit = math.log(r), z / r
+    acc = complex(1.0)
+    turn = complex(1.0)  # (z/|z|)^n
+    for n in range(1, _DIRECT_TERMS + 1):
+        bound = math.exp(n * log_r - s * math.log1p(n / v))
+        if bound <= _SUM_EPS:
+            break
+        turn *= unit
+        acc += bound * turn
+    return first * acc
 
 
 def _lerch_log(z: complex, k: int) -> complex:
@@ -500,8 +552,9 @@ def _log_series(s: int, z: complex, shift: int = 0) -> complex:
     power = complex(1.0)  # mu^m / m!
     top = min(s + 2 * _BERNOULLI_HALF, _LOG_SERIES_TERMS)
     first = s - _ZETA_LOW
+    # past the table the pairs are formed as the sum reads them
     pairs = (_zeta_table()[first:first - top:-1] if s < _ZETA_TOP
-             else [_zeta_pair(s - m) for m in range(top)])
+             else map(_zeta_pair, range(s, s - top, -1)))
     for m, pair in enumerate(pairs, 1):
         if pair is None:
             acc += (_harmonic_table()[s - 1] - shift - cmath.log(-mu)) * power
@@ -548,28 +601,44 @@ def _inversion(s: int, z: complex, shift: int = 0) -> complex:
     free of the cancellation between Li_s(z) and z when |z| < 2^s.  The
     eta coefficients come from _eta_tables(), and past the end of the
     table are its _ETA_TAIL constant.
+
+    One forward pass sums the terms from j = s mod 2 up, stepping
+    L^j/j! by L^2/((j+1)(j+2)): the coefficient of L^j is the n-th, n =
+    (s-j)/2, down to the -1 or +1 of L^s, after which the shifted tail
+    runs on with coefficient 2 until its terms, past j = |L|, fall below
+    _SUM_EPS of the sum.  Nothing is kept per term.
     """
     big_l = cmath.log(-z)
-    powers = [complex(1.0)]  # L^j / j!
-    for j in range(1, s + 1):
-        powers.append(powers[-1] * big_l / j)
-    acc = powers[s] if shift else -powers[s]
-    half = s // 2
+    l_squared = big_l * big_l
     coefs = _eta_tables()[shift]
-    for n, coef in enumerate(coefs[:half], 1):
-        acc += coef * powers[s - 2 * n]
+    half = s // 2
+    cut = min(half, len(coefs))
+    j = s % 2
+    power = big_l if j else complex(1.0)  # L^j / j!
+    acc = complex(0.0)
     tail = _ETA_TAIL[shift]
-    for n in range(len(coefs) + 1, half + 1):
-        acc += tail * powers[s - 2 * n]
+    for _ in range(half - cut):
+        acc += tail * power
+        power *= l_squared / ((j + 1) * (j + 2))
+        j += 2
+    for coef in reversed(coefs[:cut]):
+        acc += coef * power
+        power *= l_squared / ((j + 1) * (j + 2))
+        j += 2
     if shift:
-        l_squared, l_abs = big_l * big_l, abs(big_l)
-        power, j = powers[s], s
+        acc += power
+        # the tail's terms 2 L^j/j!, doubled once: scaling by 2 is exact,
+        # so each term and stop test is that of L^j/j! times 2
+        power *= 2.0
+        l_abs, eps = abs(big_l), 2.0 * _SUM_EPS
         while True:
             power *= l_squared / ((j + 1) * (j + 2))
             j += 2
-            acc += 2.0 * power
-            if j > l_abs and abs(power) <= _SUM_EPS * abs(acc):
+            acc += power
+            if j > l_abs and abs(power) <= eps * abs(acc):
                 break
+    else:
+        acc -= power
     w = 1.0 / z
     inner = (w * w if shift else w) * _lerch_series(w, s, 1.0 + shift)
     return acc - inner if s % 2 == 0 else acc + inner
@@ -579,8 +648,9 @@ def polylog(s: int, z: complex) -> complex:
     """Polylogarithm Li_s(z) = sum_{n>=1} z^n / n^s for integer s >= 1.
 
     Branches: the power series for |z| <= 1/2, -log(1-z) for s = 1,
-    Crandall's log-series for 1/2 < |z| < 2, the inversion formula for
-    |z| >= 2.  z = 1 diverges for s = 1 and is zeta(s) for s >= 2; an
+    z Phi(z, s, 1) by its defining sum for Re z <= 0 at the orders where
+    it stops within _DIRECT_TERMS terms, Crandall's log-series for
+    1/2 < |z| < 2, the inversion formula for |z| >= 2.  z = 1 diverges for s = 1 and is zeta(s) for s >= 2; an
     infinite or NaN z raises DomainError.
     """
     z = complex(z)
@@ -600,6 +670,8 @@ def polylog(s: int, z: complex) -> complex:
         raise DomainError(f"z must be finite, got {z!r}")
     if s == 1:
         return -cmath.log(1.0 - z)
+    if s >= _DIRECT_MIN_ORDER and z.real <= 0.0 and r <= _direct_radius(s, 1.0):
+        return z * _lerch_direct(z, s, 1.0)
     if r < _INVERSION_RADIUS:
         return _log_series(s, z)
     return _inversion(s, z)

@@ -1,12 +1,14 @@
 """The closed-form Lerch/polylog route: no quadrature on the hot path,
 agreement with the integral oracle, the gamma overflow, only package
-errors escaping, the CLI on the wide t-grid, and the per-process parser."""
+errors escaping, the CLI on the wide t-grid, the per-process parser,
+the branch each (s, v) and |z| band takes, and the large orders."""
 
 import cmath
 import json
 import math
 import subprocess
 import sys
+import textwrap
 
 import pytest
 from childproc import child_env
@@ -17,7 +19,7 @@ from freetransform import (DomainError, FiniteMeasure, FreeTransformError,
                            LevyTriple, LInfSpec, gamma_fn, lerch_phi, polylog,
                            transform_lclass, transform_linf, transform_sself,
                            transform_ubeta)
-from freetransform import cli, specfun
+from freetransform import cli, kernels, specfun
 
 WIDE_T = [1e-3 * 1e6 ** (i / 24) for i in range(25)]
 TRIPLE = LevyTriple(0.3, 1.2, ((-1.7, 0.4), (0.05, 1.1), (0.6, 0.8)))
@@ -195,3 +197,136 @@ def test_parser_built_once_gives_identical_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(argv)
     assert (exc.value.code, *capsys.readouterr()) == first
+
+
+# one route per (s, v) ---------------------------------------------------------
+
+_BRANCHES = ("_lerch_series", "_lerch_direct", "_lerch_log", "_lerch_v2",
+             "_lerch_integral", "polylog", "_log_series", "_inversion")
+
+
+def _count_branches(monkeypatch):
+    """Wrap each private branch of specfun, and polylog, with a counter."""
+    counts = dict.fromkeys(_BRANCHES, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in _BRANCHES:
+        monkeypatch.setattr(specfun, name, counted(name, getattr(specfun, name)))
+    return counts
+
+
+# (s, v, z) -> the branches one lerch_phi call runs, polylog's own branch
+# included: each (s, v) kind in each |z| band, and the large orders either
+# side of Re z = 0
+_DISPATCH = [
+    ((3, 1.0, 0.3j), {"_lerch_series"}),
+    ((3, 1.0, -1.2j), {"polylog", "_log_series"}),
+    ((3, 1.0, 40j), {"polylog", "_inversion", "_lerch_series"}),
+    ((1, 5.0, 0.4), {"_lerch_series"}),
+    ((1, 5.0, -1.2j), {"_lerch_log"}),
+    ((1, 5.0, 40j), {"_lerch_log"}),
+    ((3, 2.0, -0.2), {"_lerch_series"}),
+    ((3, 2.0, 1.2j), {"_lerch_v2", "_log_series"}),
+    ((3, 2.0, -40j), {"_lerch_v2", "_inversion", "_lerch_series"}),
+    ((2, 2.5, 0.3j), {"_lerch_series"}),
+    ((2, 2.5, 1.2j), {"_lerch_integral"}),
+    ((1, 100_001.0, 1.2j), {"_lerch_integral"}),
+    ((40, 1.0, -30j), {"_lerch_direct"}),
+    ((40, 2.0, complex(-3.0, 4.0)), {"_lerch_direct"}),
+    ((40, 1.0, complex(3.0, 4.0)), {"polylog", "_inversion", "_lerch_series"}),
+    ((10 ** 9, 2.0, -1e300j), {"_lerch_direct"}),
+]
+
+
+@pytest.mark.parametrize("args,branches", _DISPATCH)
+def test_each_kind_and_band_takes_its_branch(monkeypatch, args, branches):
+    s, v, z = args
+    specfun._route.cache_clear()
+    counts = _count_branches(monkeypatch)
+    lerch_phi(z, s, v)
+    assert {name for name, n in counts.items() if n} == branches
+    # once each: no branch falls back on another
+    assert all(counts[name] == 1 for name in branches), counts
+
+
+def test_routes_resolve_once_per_order():
+    specfun._route.cache_clear()
+    phi = specfun._route(5, 2.0)
+    assert specfun._route(5, 2.0) is phi
+    assert lerch_phi(3j, 5, 2.0) == phi(3j)
+    assert specfun._route.cache_info().currsize == 1
+
+
+def test_eval_calls_no_checked_lerch_phi(monkeypatch, tmp_path, capsys):
+    # an eval op checks (s, v) once, when it binds g to the route, and
+    # no point calls the checked lerch_phi
+    calls = []
+
+    def forbidden(*args):
+        calls.append(args)
+        return lerch_phi(*args)
+
+    monkeypatch.setattr(specfun, "lerch_phi", forbidden)
+    monkeypatch.setattr(kernels, "lerch_phi", forbidden)
+    counts = _count_branches(monkeypatch)
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"a": 0.2, "sigma2": 0.7, "atoms": [
+        {"x": 0.05, "w": 0.3}, {"x": -0.4, "w": 1.2}, {"x": 2.0, "w": 0.5}]}))
+    for class_tag in ("uks", "ubk", "lk"):
+        assert cli.main(["eval", "--class", class_tag, "--k", "4", "--input", str(path),
+                         "--t-min", "1e-3", "--t-max", "1e3", "--steps", "50"]) == 0
+    assert capsys.readouterr().out.count("\n") == 3 * 51
+    assert calls == []
+    assert counts["_inversion"] > 0 and counts["_lerch_log"] > 0
+
+
+# orders past any deck: the defining sum, in bounded time and memory -----------
+
+def test_cli_huge_orders_answer_in_bounded_time_and_memory(tmp_path):
+    # in a child process under an address-space limit: lk and uks at
+    # k = 10^6 and 10^9 on the wide grid, each within 0.1 s of in-process
+    # time and within 5 MB of the peak RSS of a k = 16 op
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"a": 0.2, "sigma2": 0.7, "atoms": [
+        {"x": 0.05, "w": 0.3}, {"x": -0.4, "w": 1.2}, {"x": 2.0, "w": 0.5}]}))
+    code = textwrap.dedent(f"""
+        import contextlib, io, json, math, resource, sys, time
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        from freetransform import cli
+
+        def op(class_tag, k):
+            out = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["eval", "--class", class_tag, "--k", str(k),
+                                 "--input", {str(path)!r}, "--t-min", "1e-3",
+                                 "--t-max", "1e3", "--steps", "50"])
+            seconds = time.perf_counter() - start
+            rows = out.getvalue().splitlines()[1:]
+            finite = len(rows) == 50 and all(
+                math.isfinite(float(x)) for row in rows for x in row.split(","))
+            return code, finite, seconds
+
+        report = {{}}
+        for class_tag in ("lk", "uks"):
+            op(class_tag, 16)
+        base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        for class_tag in ("lk", "uks"):
+            for k in (10 ** 6, 10 ** 9):
+                report[f"{{class_tag}} {{k}}"] = op(class_tag, k)
+        grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base
+        print(json.dumps({{"ops": report, "grown_kb": grown}}))
+    """)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, env=child_env())
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    for name, (code, finite, seconds) in report["ops"].items():
+        assert code == 0 and finite, name
+        assert seconds < 0.1, (name, seconds)
+    assert report["grown_kb"] < 5 * 1024, report

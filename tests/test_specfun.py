@@ -312,28 +312,34 @@ def _log_series_direct(s, z, shift):
 
 
 def _inversion_direct(s, z, shift):
-    """_inversion with every eta coefficient formed per call."""
+    """_inversion with every eta coefficient formed per term, in the same
+    one forward pass from L^(s mod 2)/(s mod 2)! up."""
     big_l = cmath.log(-z)
-    powers = [complex(1.0)]
-    for j in range(1, s + 1):
-        powers.append(powers[-1] * big_l / j)
-    acc = powers[s] if shift else -powers[s]
-    for n in range(1, s // 2 + 1):
+    l_squared = big_l * big_l
+    j = s % 2
+    power = big_l if j else complex(1.0)
+    acc = complex(0.0)
+    for n in range(s // 2, 0, -1):
         zeta, zeta_m1 = specfun._zeta_pair(2 * n)
         half = 2.0 ** (1 - 2 * n)
         if shift:
             coef = 2.0 * (half * zeta - zeta_m1)
         else:
             coef = -2.0 * (1.0 - half) * zeta
-        acc += coef * powers[s - 2 * n]
+        acc += coef * power
+        power *= l_squared / ((j + 1) * (j + 2))
+        j += 2
+    assert j == s
     if shift:
-        power, j = powers[s], s
+        acc += power
         while True:
-            power *= big_l * big_l / ((j + 1) * (j + 2))
+            power *= l_squared / ((j + 1) * (j + 2))
             j += 2
             acc += 2.0 * power
             if j > abs(big_l) and abs(power) <= specfun._SUM_EPS * abs(acc):
                 break
+    else:
+        acc -= power
     w = 1.0 / z
     inner = (w * w if shift else w) * _lerch_series_direct(w, s, 1.0 + shift)
     return acc - inner if s % 2 == 0 else acc + inner

@@ -16,6 +16,7 @@ import pytest
 from freetransform import (LevyTriple, gamma_fn, kernel_g, lerch_phi,
                            linf_integrand, polylog, sself, transform_lclass,
                            transform_sself, transform_ubeta)
+from freetransform import specfun
 from freetransform.specfun import _zeta_pair
 
 mpmath = pytest.importorskip("mpmath")
@@ -215,6 +216,82 @@ def test_lerch_v2_beyond_the_square_root_of_the_double_range(s):
     for z in (root * 1j, math.nextafter(root, math.inf) * 1j, sys.float_info.max * 1j):
         worst = max(worst, _rel(lerch_phi(z, s, 2.0), _phi_v2(z, s)))
     assert worst < 5e-16, worst
+
+
+# the inversion formula on its own, both shifts -----------------------------
+
+INVERSION_ORDERS = (2, 3, 4, 5, 8, 11, 16, 17, 30, 60, 100, 200, 400)
+INVERSION_RADII = (2.0, 3.0, 10.0, 1e2, 1e3, 1e5, 1e10, 1e20, 1e50, 1e100,
+                   1e200, 1e300)
+# per shift, the worst that summing a per-call list of the powers of L from
+# the top down reached on this grid, fixed before measuring the one-pass
+# sum: 1.992e-14 at s = 400, |z| = 1e200 and 2.875e-14 at s = 3,
+# |z| = 1e300.  Both are the conditioning of Li_s in L = log(-z), about
+# s eps (or |L| eps in the shifted tail), which the rounding of L carries.
+INVERSION_BOUND = (1.992e-14, 2.876e-14)
+
+
+@pytest.mark.parametrize("s", INVERSION_ORDERS)
+def test_inversion_against_mpmath(s):
+    worst = [0.0, 0.0]
+    for r in INVERSION_RADII:
+        zs = [cmath.rect(r, math.pi * (2 * j + 1) / 8) for j in range(8)]
+        zs += [complex(re, im) for re in (0.0, -0.0) for im in (r, -r)]
+        for z in zs:
+            w = _mpc(z)
+            # Li_s(z) - z cancels up to 2^s/|z|
+            with mpmath.workdps(30 + int(0.31 * s)):
+                li = mpmath.polylog(s, w)
+                refs = (li, li - w)
+            for shift in (0, 1):
+                worst[shift] = max(worst[shift],
+                                   _rel(specfun._inversion(s, z, shift), refs[shift]))
+    assert worst[0] <= INVERSION_BOUND[0] and worst[1] <= INVERSION_BOUND[1], worst
+
+
+# the defining sum at large orders, Re z <= 0 ---------------------------------
+
+def _phi_direct(z, s, v):
+    """sum_{n<N} z^n (v+n)^-s at 40 digits, N the first n whose tail bound
+    |z|^n (v+n)^-s, valid for Re z <= 0, is below 1e-35 of the first term;
+    None where the bounds grow again before that."""
+    with mpmath.workdps(40):
+        w, first = _mpc(z), mpmath.mpf(v) ** -s
+        acc, last = mpmath.mpf(0), None
+        for n in range(10 ** 4):
+            bound = abs(w) ** n * mpmath.mpf(v + n) ** -s
+            if bound < mpmath.mpf(10) ** -35 * first:
+                return acc
+            if last is not None and bound > last:
+                return None
+            acc += w ** n * mpmath.mpf(v + n) ** -s
+            last = bound
+    return None
+
+
+# fixed before measuring: the sum is v^-s (1 + small), a few roundings
+DIRECT_BOUND = 1e-15
+
+
+@pytest.mark.parametrize("s", [40, 100, 1000])
+@pytest.mark.parametrize("v", [1.0, 2.0])
+def test_direct_sum_against_mpmath(s, v):
+    # 24 radii log-spaced from 0.6 to the branch's radius or 1e300
+    top = min(specfun._direct_radius(s, v), 1e300)
+    radii = [0.6 * (top / 0.6) ** (i / 23) for i in range(24)]
+    angles = (math.pi / 2, 5 * math.pi / 8, 3 * math.pi / 4, 7 * math.pi / 8, math.pi)
+    checked, worst = 0, 0.0
+    for r in radii:
+        for theta in angles:
+            for z in (cmath.rect(r, theta), cmath.rect(r, -theta)):
+                z = complex(0.0, z.imag) if theta == math.pi / 2 else z
+                ref = _phi_direct(z, s, v)
+                if ref is None:
+                    continue
+                worst = max(worst, _rel(lerch_phi(z, s, v), ref))
+                checked += 1
+    assert checked >= 50
+    assert worst <= DIRECT_BOUND, worst
 
 
 # the |z| <= 1/2 series at high order ----------------------------------------
