@@ -13,7 +13,25 @@ Li_s(z) for integer s takes one of three branches by |z|:
                    sum_{m != s-1} zeta(s-m) mu^m/m!
                    + mu^(s-1)/(s-1)! (H_{s-1} - log(-mu));
   |z| >= 2         the inversion formula, which trades z for 1/z inside
-                   the series disk.
+                   the series disk, summed in one forward pass over the
+                   powers L^j/j! of L = log(-z), stepping by L^2, with no
+                   list of them.
+
+Ahead of the last two, at the orders where it stops within four terms,
+Re z <= 0 takes the defining sum sum_n z^n (v+n)^-s (_lerch_direct):
+there the integral representation bounds its tail past n by |z|^n
+(v+n)^-s, although the sum diverges for |z| > 1.  Every eval argument
+-ix/t lies there: past s of about 1 800 for v = 1 and 2 600 for v = 2
+the sum serves every finite z with Re z <= 0, so the lclass and sself
+kernels' work stays bounded at every order.
+
+lerch_phi checks its arguments and calls _route(s, v), a bounded cache
+of one function of z per (s, v), with the dispatch on (s, v) made once:
+the series on the disk, and off it the defining sum, then polylog for
+v = 1, the log closed form for s = 1, Phi(z, s, 2) = (Li_s(z) - z)/z^2,
+or the integral representation.  kernels.map_data binds the kernels'
+g to the route, so an evaluator makes no check and no dispatch per
+point.
 
 The Lerch series is the only series on the disk |w| <= 1/2: polylog
 there takes sum_{n>=1} w^n n^-s = w Phi(w, s, 1), and the inversion
@@ -296,7 +314,8 @@ def _route(s: int, v: float):
     [1, inf), which it does not check.
 
     |z| <= 1/2 takes the series, and a non-finite z off that disk is a
-    DomainError.  Beyond the disk v = 1 takes polylog(s, z)/z, through
+    DomainError.  Beyond the disk, Re z <= 0 up to _direct_radius(s, v)
+    takes the defining sum; else v = 1 takes polylog(s, z)/z, through
     the module-global name, which a tracer may rebind; s = 1 _lerch_log;
     v = 2 _lerch_v2; and other v, or integer v past _CLOSED_FORM_MAX_V,
     the integral representation.
@@ -650,8 +669,9 @@ def polylog(s: int, z: complex) -> complex:
     Branches: the power series for |z| <= 1/2, -log(1-z) for s = 1,
     z Phi(z, s, 1) by its defining sum for Re z <= 0 at the orders where
     it stops within _DIRECT_TERMS terms, Crandall's log-series for
-    1/2 < |z| < 2, the inversion formula for |z| >= 2.  z = 1 diverges for s = 1 and is zeta(s) for s >= 2; an
-    infinite or NaN z raises DomainError.
+    1/2 < |z| < 2, the inversion formula for |z| >= 2.  z = 1 diverges
+    for s = 1 and is zeta(s) for s >= 2; an infinite or NaN z raises
+    DomainError.
     """
     z = complex(z)
     # True passes as an int >= 1; False already fails s >= 1

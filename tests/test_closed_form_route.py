@@ -254,12 +254,17 @@ def test_each_kind_and_band_takes_its_branch(monkeypatch, args, branches):
     assert all(counts[name] == 1 for name in branches), counts
 
 
-def test_routes_resolve_once_per_order():
-    specfun._route.cache_clear()
-    phi = specfun._route(5, 2.0)
-    assert specfun._route(5, 2.0) is phi
-    assert lerch_phi(3j, 5, 2.0) == phi(3j)
-    assert specfun._route.cache_info().currsize == 1
+def test_polylog_takes_the_direct_sum_from_its_lowest_order(monkeypatch):
+    # below _DIRECT_MIN_ORDER no v >= 1 reaches past the series disk, so
+    # polylog forms no radius there
+    low = specfun._DIRECT_MIN_ORDER
+    radius = specfun._direct_radius
+    assert radius(low - 1, 1.0) <= specfun._SERIES_RADIUS < radius(low, 1.0)
+    counts = _count_branches(monkeypatch)
+    z = complex(0.0, -0.7)
+    assert abs(z) <= radius(low, 1.0)
+    assert polylog(low, z) == z * specfun._lerch_direct(z, low, 1.0)
+    assert counts["_lerch_direct"] == 2 and counts["_log_series"] == 0
 
 
 def test_eval_calls_no_checked_lerch_phi(monkeypatch, tmp_path, capsys):
