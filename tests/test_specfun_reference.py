@@ -224,10 +224,10 @@ INVERSION_ORDERS = (2, 3, 4, 5, 8, 11, 16, 17, 30, 60, 100, 200, 400)
 INVERSION_RADII = (2.0, 3.0, 10.0, 1e2, 1e3, 1e5, 1e10, 1e20, 1e50, 1e100,
                    1e200, 1e300)
 # per shift, the worst that summing a per-call list of the powers of L from
-# the top down reached on this grid, fixed before measuring the one-pass
-# sum: 1.992e-14 at s = 400, |z| = 1e200 and 2.875e-14 at s = 3,
-# |z| = 1e300.  Both are the conditioning of Li_s in L = log(-z), about
-# s eps (or |L| eps in the shifted tail), which the rounding of L carries.
+# the top down reached on this grid: 1.992e-14 at s = 400, |z| = 1e200,
+# and 2.875e-14 at s = 3, |z| = 1e300.  Both are the conditioning of Li_s
+# in L = log(-z), about s eps (or |L| eps in the shifted tail), which the
+# rounding of L carries.
 INVERSION_BOUND = (1.992e-14, 2.876e-14)
 
 
