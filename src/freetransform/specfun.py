@@ -39,9 +39,9 @@ formula at w = 1/z the same sum, or sum_{n>=2} w^n n^-s =
 w^2 Phi(w, s, 2) when it subtracts z.
 
 What does not depend on z is tabled.  A bounded lru_cache holds the
-last _SERIES_TABLES tables of (v+n)^-s, one per (s, v), in groups of
-four, at most 13 groups each; the Lerch series reads them, and forms
-the powers past a table in one place.  Three fixed tables, built on
+last _SERIES_TABLES tables of (v+n)^-s, one per (s, v): v^-s, then rows
+of four terms, at most 13 rows each; the Lerch series reads them, and
+forms the rows past a table in one place.  Three fixed tables, built on
 first use, serve every order: zeta(n) for _ZETA_LOW <= n < _ZETA_TOP,
 past which zeta(n) - 1 underflows; H_{s-1} for the orders whose
 log-series reach their log term; and the inversion formula's eta(2n)
@@ -49,14 +49,16 @@ coefficients, one table per shift, up to the n from which the
 coefficient is a constant.  Every sum takes the same terms in the same
 order as without the tables.
 
-On the imaginary axis z = iy, y != 0, where every argument -ix/t of the
-transforms lies, the Lerch series is summed in float arithmetic (the
-axis loop, _lerch_series_axis): even powers of iy are real and odd ones
-imaginary, so each term goes to one part with a sign fixed by n mod 4.
-It makes the complex loop's products, sums and stop tests on the
-nonzero parts, and its values are the complex loop's bit for bit,
-signed zeros included.  z = 0, real z and every other z take the
-complex loop.
+On the imaginary axis, where every argument -ix/t of the transforms
+lies, one float loop, _axis_sum, sums a power series in iy: odd powers
+are imaginary and even ones real, so each term goes to one part, the
+sign of i^n held in its coefficient.  It reads one row format, four
+pairs (c_n, b_n) a row, and stops at the first n whose bound b_n |y|^n
+is at most the caller's stop.  Two series take it, both built on the
+(s, v) table: the Lerch series at z = iy, y != 0, whose values are the
+complex loop's bit for bit, signed zeros included (z = 0, real z and
+every other z take the complex loop); and the image classes' moment
+series, whose rows _moment_rows builds once per law for transforms.
 
 Li_1(z) = -log(1-z) is used as it stands beyond the series radius.  The
 Lerch transcendent with integer v reduces to these: Phi(z,s,1) =
@@ -81,11 +83,11 @@ from .quadrature import gamma_average
 
 _SERIES_RADIUS = 0.5
 _INVERSION_RADIUS = 2.0
-# the Lerch series' term limit; a multiple of 4, as both of its loops read
-# the powers in groups of four
+# the Lerch series' term limit, its first term v^-s not counted; a multiple
+# of 4, as its rows hold the terms n = 4j+1 to 4j+4
 _SERIES_MAX_TERMS = 1_000_000
 _SERIES_EPS = 1e-15
-# (s, v) series power tables kept, at most 13 groups of four floats each
+# (s, v) series power tables kept, at most 13 rows of eight floats each
 _SERIES_TABLES = 64
 # mu^m/m! underflows to 0 by m = 229 at |mu| = 3.22, the largest |log z| on
 # 1/2 < |z| < 2, so every log-series sum stops within this many terms
@@ -159,30 +161,66 @@ def _on_cut(z: complex) -> bool:
 
 @functools.lru_cache(maxsize=_SERIES_TABLES)
 def _series_powers(s: int, v: float) -> tuple:
-    """(v+n)^-s in groups of four, n = 0, 1, ... up to the first n with
-    2^-n (v+n)^-s <= _SERIES_EPS v^-s, the last group filled out with the
-    powers that follow: every power the series takes at |z| <= 1/2, at
-    most 13 groups for s >= 1.  DomainError where v^-s overflows double
-    precision; (v+n)^-s for n >= 1 cannot, as v+n > 1.
+    """(p_0, rows) with p_n = (v+n)^-s: p_0 = v^-s, and _series_row's
+    rows of the terms n = 1, 2, ... up to the first n with 2^-n p_n <=
+    _SERIES_EPS p_0, the last row filled out with the terms that follow:
+    every term the series takes at |z| <= 1/2, at most 13 rows for
+    s >= 1.  DomainError where v^-s overflows double precision; (v+n)^-s
+    for n >= 1 cannot, as v+n > 1.
     """
     try:
         first = v ** -s
     except OverflowError:
         raise DomainError(f"v^-s = {v!r}^-{s} overflows double precision")
-    stop = _SERIES_EPS * first
-    powers = [first]
-    while 0.5 ** (len(powers) - 1) * powers[-1] > stop or len(powers) % 4:
-        powers.append((v + len(powers)) ** -s)
-    return tuple(tuple(powers[n:n + 4]) for n in range(0, len(powers), 4))
+    rows = [_series_row(s, v, 1)]
+    # 2^-n p_n falls with n, so only a row's last term is tested
+    while 0.5 ** (4 * len(rows)) * rows[-1][-1] > _SERIES_EPS * first:
+        rows.append(_series_row(s, v, 4 * len(rows) + 1))
+    return first, tuple(rows)
 
 
-def _series_powers_past(s: int, v: float, groups: tuple):
-    """The groups of _series_powers(s, v), then (v+n)^-s formed past them
-    in groups of four, up to _SERIES_MAX_TERMS powers in all."""
-    yield from groups
-    for n in range(4 * len(groups), _SERIES_MAX_TERMS, 4):
-        yield ((v + n) ** -s, (v + (n + 1)) ** -s,
-               (v + (n + 2)) ** -s, (v + (n + 3)) ** -s)
+def _series_row(s: int, v: float, n: int) -> tuple:
+    """The terms n to n+3, n = 1 mod 4, in _axis_sum's row format: pairs
+    (c_m, b_m) with b_m = (v+m)^-s and c_m = b_m times the sign of i^m."""
+    p1, p2, p3, p4 = [(v + m) ** -s for m in range(n, n + 4)]
+    return (p1, p1, -p2, p2, -p3, p3, p4, p4)
+
+
+def _series_rows_past(s: int, v: float, rows: tuple):
+    """The rows of _series_powers(s, v), then rows formed past them, up
+    to the term n = _SERIES_MAX_TERMS."""
+    yield from rows
+    for n in range(4 * len(rows) + 1, _SERIES_MAX_TERMS, 4):
+        yield _series_row(s, v, n)
+
+
+def _axis_sum(rows, r: float, stop: float, re: float):
+    """(re + the even terms, the odd terms) of sum_{n>=1} c_n r^n, up to
+    the first n whose bound b_n r^n is at most stop; None where the rows
+    end first.  rows holds the pairs (c_n, b_n), four to a row from n = 1.
+    """
+    im = 0.0
+    mag = 1.0  # r^n
+    for c1, b1, c2, b2, c3, b3, c4, b4 in rows:
+        mag *= r
+        im += c1 * mag
+        if b1 * mag <= stop:
+            break
+        mag *= r
+        re += c2 * mag
+        if b2 * mag <= stop:
+            break
+        mag *= r
+        im += c3 * mag
+        if b3 * mag <= stop:
+            break
+        mag *= r
+        re += c4 * mag
+        if b4 * mag <= stop:
+            break
+    else:
+        return None
+    return re, im
 
 
 def _lerch_series(z: complex, s: int, v: float) -> complex:
@@ -195,83 +233,71 @@ def _lerch_series(z: complex, s: int, v: float) -> complex:
     |Phi|: the stop is relative, however small Phi is (Phi(z, s, 2) is
     about 2^-s).  The negative power underflows to 0 where (v+n)^s would
     overflow.  The powers come from _series_powers(s, v), and past that
-    table from _series_powers_past, so the terms and the stop are the
-    same either way; the complex loop may read past the table at any z,
-    as nothing bounds its rounded |z^n| by 2^-n.  On the imaginary axis
-    _lerch_series_axis sums the same terms in float arithmetic; z = 0
+    table from _series_rows_past, so the terms and the stop are the same
+    either way; the complex loop may read past the table at any z, as
+    nothing bounds its rounded |z^n| by 2^-n.
+
+    At z = iy, y != 0 (either sign of zero real part), the sum is
+    _axis_sum's at r = |y| from v^-s, with the sign of y applied to the
+    imaginary part at the end.  Each product, sum and stop test is the
+    one the complex loop makes on the term's nonzero part, and rounding
+    is symmetric under negation, so the value is the complex loop's bit
+    for bit.  Neither part can become -0.0 (nor can the complex loop's),
+    and 0.0 - im keeps a zero imaginary part +0.0.  For |y| <= 1/2 the
+    computed |y|^n never exceeds 2^-n, so the sum stops inside the
+    table; only |y| > 1/2 (from _lerch_log) reads rows past it.  z = 0
     and real z take the complex loop.
     """
+    first, rows = _series_powers(s, v)
+    stop = _SERIES_EPS * first
     if z.real == 0.0 and z.imag:
-        return _lerch_series_axis(z, s, v)
-    groups = _series_powers(s, v)
-    acc = complex(0.0)
-    term = complex(1.0)  # z^n, starting at n = 0
-    stop = _SERIES_EPS * groups[0][0]
-    for group in _series_powers_past(s, v, groups):
-        for power in group:
-            contrib = term * power
-            acc += contrib
-            if abs(contrib) <= stop:
-                return acc
-            term *= z
+        y = abs(z.imag)
+        if y > _SERIES_RADIUS:
+            rows = _series_rows_past(s, v, rows)
+        parts = _axis_sum(rows, y, stop, first)
+        if parts is not None:
+            re, im = parts
+            return complex(re, im if z.imag > 0.0 else 0.0 - im)
+    else:
+        # the term n = 0 is first itself, and meets the stop only where
+        # first is 0, as every later term then does
+        acc = complex(first)
+        term = complex(1.0)  # z^n
+        for row in _series_rows_past(s, v, rows):
+            for power in row[1::2]:
+                term *= z
+                contrib = term * power
+                acc += contrib
+                if abs(contrib) <= stop:
+                    return acc
     raise ConvergenceError(
         f"Lerch series did not converge within {_SERIES_MAX_TERMS} terms at z={z!r}"
     )
 
 
-def _lerch_series_axis(z: complex, s: int, v: float) -> complex:
-    """_lerch_series at z = iy, y != 0 (either sign of zero real part),
-    in float arithmetic, four terms per pass.
-
-    (iy)^n is real for even n and imaginary for odd n, so each term
-    |y|^n (v+n)^-s goes to the real part with sign + or - for n = 0 or 2
-    (mod 4), and to the imaginary part with + or - for n = 1 or 3; the
-    sign of y is applied to the imaginary part once, at the end.  Each
-    product, sum and stop test is the one the complex loop makes on the
-    term's nonzero part, and rounding is symmetric under negation, so
-    the value is the complex loop's bit for bit.  Neither accumulator can
-    become -0.0 (nor can the complex loop's), and 0.0 - im keeps a zero
-    imaginary part +0.0.
-
-    For |y| <= 1/2 the computed |y|^n never exceeds 2^-n, so the sum
-    stops inside the table, as the complex loop does.  Only |y| > 1/2
-    (from _lerch_log) reads powers past it; _SERIES_MAX_TERMS is a
-    multiple of 4, so the last pass ends on the complex loop's last term
-    and the same ConvergenceError follows.
+def _moment_rows(scale: float, s: int, v: float, atoms: list) -> tuple:
+    """(first, rows, stop) of sum_{(w, q) in atoms} w scale Phi(iqr, s, v)
+    for |q| <= 1 and r <= 1/2: first sum w + sum_n c_n r^n.  With the
+    pairs (c_n, b_n) of _series_powers(s, v) and first = scale v^-s, the
+    rows hold c_n scale sum w q^n and b_n scale sum |w q^n|, closed by a
+    row of zeros; stop is _SERIES_EPS first sum |w|, the relative term
+    at which each atom's own series stops.  No rows where stop is inf.
     """
-    groups = _series_powers(s, v)
-    stop = _SERIES_EPS * groups[0][0]
-    step = abs(z.imag)
-    if step > _SERIES_RADIUS:
-        groups = _series_powers_past(s, v, groups)
-    re = im = 0.0
-    mag = 1.0  # |y|^n
-    for p0, p1, p2, p3 in groups:
-        contrib = mag * p0
-        re += contrib
-        if contrib <= stop:
-            break
-        mag *= step
-        contrib = mag * p1
-        im += contrib
-        if contrib <= stop:
-            break
-        mag *= step
-        contrib = mag * p2
-        re -= contrib
-        if contrib <= stop:
-            break
-        mag *= step
-        contrib = mag * p3
-        im -= contrib
-        if contrib <= stop:
-            break
-        mag *= step
-    else:
-        raise ConvergenceError(
-            f"Lerch series did not converge within {_SERIES_MAX_TERMS} terms at z={z!r}"
-        )
-    return complex(re, im if z.imag > 0.0 else 0.0 - im)
+    first, table = _series_powers(s, v)
+    first *= scale
+    stop = _SERIES_EPS * first * sum(abs(w) for w, _ in atoms)
+    if stop == math.inf:
+        return first, (), stop
+    rows = []
+    powers = [w for w, _ in atoms]  # w q^n
+    for row in table:
+        pairs = []
+        for c, b in zip(row[::2], row[1::2]):
+            powers = [p * q for p, (_, q) in zip(powers, atoms)]
+            pairs += (c * scale * sum(powers), b * scale * sum(map(abs, powers)))
+        rows.append(tuple(pairs))
+    rows.append((0.0,) * 8)
+    return first, tuple(rows), stop
 
 
 def _lerch_integral(z: complex, s: int, v: float) -> complex:
@@ -336,7 +362,10 @@ def _route(s: int, v: float):
             return _lerch_integral(z, s, v)
 
     def phi(z: complex) -> complex:
-        r = abs(z)
+        try:
+            r = abs(z)
+        except OverflowError:
+            raise DomainError(f"|z| passes the largest double at z={z!r}") from None
         if r <= _SERIES_RADIUS:
             return _lerch_series(z, s, v)
         # off the disk only: abs() of an infinite or NaN z is never <= 1/2
@@ -683,7 +712,10 @@ def polylog(s: int, z: complex) -> complex:
         return complex(_zeta_pair(s)[0])
     if _on_cut(z):
         raise DomainError(f"z = {z!r} lies on the singular ray [1, inf)")
-    r = abs(z)
+    try:
+        r = abs(z)
+    except OverflowError:
+        raise DomainError(f"|z| passes the largest double at z={z!r}") from None
     if r <= _SERIES_RADIUS:
         return z * _lerch_series(z, s, 1.0)
     if not cmath.isfinite(z):

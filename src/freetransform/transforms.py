@@ -29,11 +29,13 @@ t = 2X, X = max|x| over the atoms, each point evaluates g once per atom.
 On t >= 2X every argument ix/t lies on the Lerch series disk, and the
 sum over the atoms is one power series in X/t,
 
-    sum w x g(ix/t) = scale sum_n (-i)^n (v+n)^-s M_n (X/t)^n,
-    M_n = sum w x (x/X)^n,
+    sum w x g(ix/t) = scale sum_n i^n (v+n)^-s M_n (X/t)^n,
+    M_n = sum w x (-x/X)^n,
 
 whose coefficients, moments of the jump measure, are the image's free
-cumulants; the evaluator builds them once, on the first t of the band.
+cumulants.  specfun._moment_rows builds their rows once, on the first t
+of the band, in the row format of the Lerch series on the axis, and each
+point is one specfun._axis_sum, the loop that sums that series too.
 CUSTOM families and exp_map_convolution_check's oracle image keep the
 per-atom sum at every t.
 
@@ -58,7 +60,7 @@ from .kernels import (CUSTOM, FAMILIES, KernelFamily, PickRepresentation, custom
                       kernel_quad_grid, lclass, map_data, pick_eval, sself, ubeta)
 from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
 from .quadrature import _worst, integrate_semi_infinite, laplace_transform
-from .specfun import _SERIES_EPS, _series_powers, log_gamma2_slope
+from .specfun import _axis_sum, _moment_rows, log_gamma2_slope
 
 Evaluator = Callable[[float], complex]
 
@@ -141,11 +143,13 @@ def _image_evaluator(c: float, d: float, g: Callable[[complex], complex],
 
     With lerch = (scale, s, v), g(z) = scale Phi(-z, s, v), and on
     t >= 2 max|x| the sum over the atoms is one power series in
-    max|x|/t, whose table _moment_series builds on the first such t.
-    Elsewhere, or where that sum is not finite, each call evaluates g
-    once per atom; where the weighted sum is not finite, each term is
-    formed again weighting last, w ((+-) x (g - shift)), so that an
-    overflowing w x does not overflow a finite value.
+    max|x|/t, whose rows specfun._moment_rows builds on the first such
+    t, and whose t-free part is the compensators' sum
+    sum weight (scale v^-s - shift).  Elsewhere, or where that series
+    has no rows or is not finite, each call evaluates g once per atom;
+    where the weighted sum is not finite, each term is formed again
+    weighting last, w ((+-) x (g - shift)), so that an overflowing w x
+    does not overflow a finite value.
     """
     drift = tr.drift * c
     gauss = sign * tr.gauss_var * d
@@ -160,23 +164,17 @@ def _image_evaluator(c: float, d: float, g: Callable[[complex], complex],
         t = _check_t(t)
         if t >= reach:
             if series is None:
-                series = _moment_series(lerch, atoms, far)
-            constant, table, stop = series
-            r = far / t
-            re = im = 0.0
-            mag = 1.0  # r^n
-            for odd, odd_bound, even, even_bound in table:
-                mag *= r
-                im += odd * mag
-                if odd_bound * mag <= stop:
-                    break
-                mag *= r
-                re += even * mag
-                if even_bound * mag <= stop:
-                    break
-            acc = complex(drift + constant + re, im - gauss / t)
-            if cmath.isfinite(acc):
-                return acc
+                # Phi(-ix/t, s, v) = Phi(iqr, s, v) with q = -x/far, r = far/t
+                first, rows, stop = _moment_rows(
+                    *lerch, [(weight, -x / far) for weight, x, _ in atoms if x])
+                constant = sum(weight * (first - shift) for weight, x, shift in atoms if x)
+                series = constant, rows, stop
+            constant, rows, stop = series
+            parts = _axis_sum(rows, far / t, stop, 0.0)
+            if parts is not None:
+                acc = complex(drift + constant + parts[0], parts[1] - gauss / t)
+                if cmath.isfinite(acc):
+                    return acc
         acc = drift + gauss / (1j * t)
         try:
             for weight, x, shift in atoms:
@@ -192,56 +190,9 @@ def _image_evaluator(c: float, d: float, g: Callable[[complex], complex],
     return V
 
 
-# (-i)^n = +1, -i, -1, +i: the sign of the term n and, for odd n, of its
-# imaginary part
-_QUARTER_TURNS = (1.0, -1.0, -1.0, 1.0)
-
-
-def _moment_series(lerch: tuple[float, int, float], atoms, far: float) -> tuple:
-    """(constant, table, stop): the atoms' sum  sum weight (scale
-    Phi(-ix/t, s, v) - shift)  as one power series in r = far/t,
-    far = max|x|, for t >= 2 far.
-
-    With p_n = (v+n)^-s from specfun._series_powers(s, v) and q = x/far,
-    that sum is
-
-        sum_n (-i)^n scale p_n M_n r^n - sum weight shift,
-        M_n = sum weight q^n,
-
-    whose t-free part is the constant, sum weight (scale p_0 - shift),
-    summed atom by atom.  The table holds, for n = 1, 3, 5, ..., the
-    imaginary coefficient of r^n, its bound scale p_n sum |weight q^n|,
-    the real coefficient of r^(n+1) and its bound.  A sum stops at the
-    first n whose bound times r^n is at most stop, _SERIES_EPS times the
-    bound of r^0: each atom's own Lerch series stops at that relative
-    term, and as r <= 1/2 the table, at most 52 terms, holds every term
-    the stop takes.
-    """
-    scale, s, v = lerch
-    factors = [scale * p for group in _series_powers(s, v) for p in group]
-    terms = [(weight, x / far) for weight, x, _ in atoms if x]
-    stop = _SERIES_EPS * factors[0] * sum(abs(weight) for weight, _ in terms)
-    if stop == math.inf:
-        # no bound on the terms: every point sums g atom by atom
-        return math.nan, [], stop
-    coefs, bounds = [], []
-    powers = [weight for weight, _ in terms]  # weight q^n
-    for n, f in enumerate(factors[1:], 1):
-        powers = [p * q for p, (_, q) in zip(powers, terms)]
-        coefs.append(_QUARTER_TURNS[n % 4] * f * sum(powers))
-        bounds.append(f * sum(map(abs, powers)))
-    # n = 1, 2, ... in pairs, closed by a zero term, whose bound ends any sum
-    coefs.append(0.0)
-    bounds.append(0.0)
-    table = list(zip(coefs[::2], bounds[::2], coefs[1::2], bounds[1::2]))
-    constant = sum(weight * (factors[0] - shift) for weight, x, shift in atoms if x)
-    return constant, table, stop
-
-
 def random_integral_transform(fam: KernelFamily, tr: LevyTriple, t: float) -> complex:
     """Transform of the image of tr under the family's random-integral map;
     one point of random_integral_evaluator(fam, tr)."""
-    t = _check_t(t)
     return random_integral_evaluator(fam, tr)(t)
 
 

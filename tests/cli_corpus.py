@@ -7,14 +7,17 @@ all``, ``info``, and ``kernels`` for each family at k = 1, 2 and 5 on the
 default grid and on one imaginary-axis grid.  test_cli_corpus.py runs
 them in-process and compares.
 
-Regenerate after a change that moves output on purpose:
+Compare this tree's output with a revision's:
 
-    python tests/cli_corpus.py [--base REV]
+    python tests/cli_corpus.py [--base REV] [--write]
 
 It runs every op on this tree and on the ``git archive`` of REV (default
-HEAD), prints each op that moved with the number of rows that moved, the
-columns they moved in, and the largest move relative to the largest
-magnitude among the row's moved fields, then rewrites the corpus.
+HEAD), and prints each op that moved with the number of rows that moved,
+the columns they moved in, and the largest move relative to the largest
+magnitude among the row's moved fields.  It exits 1 when any op moved
+or is new, and 0 when none did.  Only with ``--write``, after a change
+that moves output on purpose, does it rewrite the corpus from this
+tree's output.
 """
 
 from __future__ import annotations
@@ -157,6 +160,7 @@ def main(args: list[str]) -> int:
     total = 0
     for name, (argv, code, out, err) in got.items():
         if name not in base:
+            total += 1
             print(f"{name}: new op")
             continue
         old_code, old_out, old_err = base[name]
@@ -171,13 +175,14 @@ def main(args: list[str]) -> int:
             print(f"{name}: {moved} of {len(out.splitlines()) - 1} rows moved, "
                   f"in {', '.join(columns)}; largest relative move {worst:.2e}")
     print(f"{total} of {len(got)} ops moved against {rev}")
-    corpus = [{"id": name, "argv": argv, "stdout_sha256": sha256(out),
-               "stderr_sha256": sha256(err), "exit": code}
-              for name, (argv, code, out, err) in got.items()]
-    # one op a line, so that a diff of the corpus names the ops that moved
-    CORPUS.write_text("[\n" + ",\n".join(map(json.dumps, corpus)) + "\n]\n",
-                      encoding="utf-8")
-    return 0
+    if "--write" in args:
+        corpus = [{"id": name, "argv": argv, "stdout_sha256": sha256(out),
+                   "stderr_sha256": sha256(err), "exit": code}
+                  for name, (argv, code, out, err) in got.items()]
+        # one op a line, so that a diff of the corpus names the ops that moved
+        CORPUS.write_text("[\n" + ",\n".join(map(json.dumps, corpus)) + "\n]\n",
+                          encoding="utf-8")
+    return 1 if total else 0
 
 
 if __name__ == "__main__":

@@ -389,6 +389,28 @@ def test_eval_exit_contract_on_valid_inputs(tmp_path_factory, case):
             assert max(_id_reference(data, t)[2] for t in grid) >= 1e308, (argv, data)
 
 
+def test_eval_where_the_moment_series_has_no_bound(tmp_path, capsys):
+    # the bound sum |w x| of the atoms' moment series overflows, so its
+    # table is empty and every point sums g atom by atom.  First the
+    # example of the contract above, where w x itself overflows and each
+    # term is weighted last; then finite w x whose moment sums stay
+    # finite, where the series would stop after one term
+    from freetransform import cli
+
+    path = tmp_path / "far.json"
+    for atoms, t, row in (
+            ([{"x": 1, "w": 1}, {"x": 10 ** 8.5, "w": 1e300}], "1e9",
+             "1000000000.0,1.5069862619092399e+308,-3.1465917659610724e+307"),
+            ([{"x": 1, "w": 1e308}, {"x": -0.5, "w": 1.6e308}], "10",
+             "10.0,1.6801571088445236e+307,-4.6448119862113614e+306")):
+        path.write_text(json.dumps({"atoms": atoms}))
+        assert cli.main(["eval", "--class", "uks", "--k", "1", "--input", str(path),
+                         "--t-min", t, "--t-max", t, "--steps", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[1:] == [row]
+
+
 def test_output_file_that_cannot_be_written_is_an_input_error(gauss_json, tmp_path,
                                                              capsys):
     from freetransform import cli
@@ -489,10 +511,13 @@ def test_kernels_far_out(capsys):
 
 
 def test_kernels_domain_exit(tmp_path):
-    res = run("kernels", "--family", "lclass", "--k", "1",
-              "--grid=-1.5:-1.5:1,0:0:1")
-    assert res.returncode == 3
-    assert "domain" in res.stderr.lower()
+    # on the cut, and where |z| passes the largest double
+    for family, k, grid in (("lclass", "1", "-1.5:-1.5:1,0:0:1"),
+                            ("sself", "3", "1.7e308:1.7e308:1,1.7e308:1.7e308:1")):
+        res = run("kernels", "--family", family, "--k", k, f"--grid={grid}")
+        assert res.returncode == 3, res.stderr
+        assert "domain" in res.stderr.lower()
+        assert res.stderr.count("\n") == 1, res.stderr
 
 
 def test_kernels_grid_validation():

@@ -2,7 +2,7 @@
 
 Each op of cli_corpus.py runs in-process; its stdout, stderr and exit
 code must match the corpus.  An op that moves on purpose is re-recorded
-with ``python tests/cli_corpus.py``, which prints what moved.
+with ``python tests/cli_corpus.py --write``, which prints what moved.
 """
 
 import json

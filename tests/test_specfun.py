@@ -21,8 +21,10 @@ from freetransform import (
     integrate_finite,
     integrate_semi_infinite,
     kernel_g,
+    lclass,
     lerch_phi,
     polylog,
+    sself,
     ubeta,
 )
 from freetransform import specfun
@@ -138,7 +140,7 @@ def _lerch_series_direct(z, s, v):
     acc = complex(0.0)
     term = complex(1.0)
     stop = specfun._SERIES_EPS * v ** -s
-    for n in range(specfun._SERIES_MAX_TERMS):
+    for n in range(specfun._SERIES_MAX_TERMS + 1):
         contrib = term * (v + n) ** -s
         acc += contrib
         if abs(contrib) <= stop:
@@ -190,32 +192,34 @@ def test_lerch_series_table_is_bit_identical():
     for s in (1, 2, 5, 16, 60, 1100):
         for v in (0.3, 1, 2, 17, 100_001):
             try:
-                assert len(specfun._series_powers(s, v)) <= 13, (s, v)
+                assert len(specfun._series_powers(s, v)[1]) <= 13, (s, v)
             except DomainError:
                 pass
 
 
 def test_lerch_series_axis_stops_where_the_complex_loop_does(monkeypatch):
-    # the float loop on the axis takes four terms per pass: with a term
-    # limit at or past the reference's last term it gives the reference's
-    # value, and below it the complex loop's ConvergenceError
-    for z, s, v in ((0.9j, 1, 100.0), (-0.7j, 1, 3.0), (complex(-0.0, 0.6), 2, 1.0)):
-        terms = 0
+    # both loops read rows of four terms, n = 1, 2, ...: with a term limit
+    # at or past the reference's last term they give the reference's value,
+    # and below it the same ConvergenceError; the last z is off the axis
+    for z, s, v in ((0.9j, 1, 100.0), (-0.7j, 1, 3.0), (complex(-0.0, 0.6), 2, 1.0),
+                    (complex(0.1, 0.85), 1, 100.0)):
+        expected = repr(_lerch_series_direct(z, s, v))
+        last = 0  # the term that meets the stop, summed too
         term = complex(1.0)
-        while abs(term * (v + terms) ** -s) > specfun._SERIES_EPS * v ** -s:
+        while abs(term * (v + last) ** -s) > specfun._SERIES_EPS * v ** -s:
             term *= z
-            terms += 1
-        terms += 1  # the term that meets the stop is summed too
-        limit = (terms - 1) // 4 * 4
+            last += 1
+        limit = (last - 1) // 4 * 4
         # both loops read the whole table whatever the limit
-        assert limit >= 4 * len(specfun._series_powers(s, v)), (z, s, v)
-        monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", -(-terms // 4) * 4)
-        assert repr(specfun._lerch_series(z, s, v)) == repr(_lerch_series_direct(z, s, v))
+        assert limit >= 4 * len(specfun._series_powers(s, v)[1]), (z, s, v)
+        monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", -(-last // 4) * 4)
+        assert repr(specfun._lerch_series(z, s, v)) == expected
         monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", limit)
         with pytest.raises(ConvergenceError) as err:
             specfun._lerch_series(z, s, v)
         assert str(err.value) == (f"Lerch series did not converge within {limit} "
                                   f"terms at z={z!r}")
+        monkeypatch.undo()
     assert specfun._SERIES_MAX_TERMS % 4 == 0
 
 
@@ -249,6 +253,22 @@ def test_polylog_derivative_recurrence():
     for z in (0.4, -0.9, 0.3 + 0.2j):
         dz = (polylog(3, z + h) - polylog(3, z - h)) / (2.0 * h)
         assert abs(z * dz - polylog(2, z)) < 1e-8
+
+
+def test_modulus_past_the_double_range_is_a_domain_error():
+    # finite parts near the largest double: abs(z) overflows, and once
+    # escaped as a bare OverflowError
+    big = 1.7e308
+    for z in (complex(big, big), complex(-big, -big), complex(big, -big)):
+        for s, v in ((2, 2.0), (3, 1.0), (1, 5.0), (2, 2.5), (40, 1.0)):
+            with pytest.raises(DomainError, match="passes the largest double"):
+                lerch_phi(z, s, v)
+        for s in (1, 3, 40):
+            with pytest.raises(DomainError, match="passes the largest double"):
+                polylog(s, z)
+        for fam in (sself(3), ubeta(2), lclass(1)):
+            with pytest.raises(DomainError, match="passes the largest double"):
+                kernel_g(fam, z)
 
 
 def test_non_finite_argument_is_a_domain_error():
@@ -412,8 +432,8 @@ def test_off_disk_tables_are_bounded():
     assert len(specfun._zeta_table()) == specfun._ZETA_TOP - specfun._ZETA_LOW == 1203
     assert len(specfun._harmonic_table()) == specfun._LOG_SERIES_TERMS == 256
     assert tuple(map(len, specfun._eta_tables())) == (27, 537)
-    # the powers come in groups of four: at most 13 groups
-    assert len(specfun._series_powers(602, 1.0)) <= 13
+    # the powers come in rows of four: at most 13 rows
+    assert len(specfun._series_powers(602, 1.0)[1]) <= 13
 
 
 def test_linf_eval_leaves_the_zeta_table_unbuilt(tmp_path):

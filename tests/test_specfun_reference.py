@@ -103,12 +103,17 @@ def _phi_s1(z, k):
 LERCH_RADII = tuple(r for r in RADII if r <= 1e4)
 
 
+# the worst cases of the two tests below: 1.73e-13 at s = 5, and 4.50e-13
+# at k = 8, where _lerch_log's closed form cancels inside the unit disk
+LERCH_BOUND = 1e-12
+
+
 @pytest.mark.parametrize("s", [1, 2, 3, 5, 8, 11, 12])
 def test_lerch_v2_against_mpmath(s):
     worst = 0.0
     for z in _grid(LERCH_RADII):
         worst = max(worst, _rel(lerch_phi(z, s, 2.0), _phi_v2(z, s)))
-    assert worst < 1e-10, worst
+    assert worst < LERCH_BOUND, worst
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 11, 12])
@@ -116,7 +121,7 @@ def test_lerch_s1_against_mpmath(k):
     worst = 0.0
     for z in _grid(LERCH_RADII):
         worst = max(worst, _rel(lerch_phi(z, 1, float(k)), _phi_s1(z, k)))
-    assert worst < 1e-10, worst
+    assert worst < LERCH_BOUND, worst
 
 
 def _phi_series(w, s, v):
