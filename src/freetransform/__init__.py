@@ -43,7 +43,6 @@ from .measures import (
     triple_to_finite_measure,
 )
 from .operators import (
-    FiltrationLimitReport,
     TransformEvaluator,
     derivative_t,
     filtration_limit_check,
@@ -85,7 +84,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError",
     "DomainError",
-    "FiltrationLimitReport",
     "FiniteMeasure",
     "FreeTransformError",
     "IntegrationResult",

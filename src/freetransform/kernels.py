@@ -184,21 +184,23 @@ def const_d(fam: KernelFamily) -> float:
     return FAMILIES[fam.tag].closed_form(fam.k)[1]
 
 
-def map_data(fam: KernelFamily) -> tuple[float, float, Callable[[complex], complex]]:
-    """(c, d, g) that fix the family's random-integral map.
+def map_data(fam: KernelFamily) -> tuple[float, float, Callable[[complex], complex],
+                                         tuple[float, int, float] | None]:
+    """(c, d, g, lerch) that fix the family's random-integral map.
 
     Built-ins take the closed forms, g(z) = scale * Phi(-z, s, v), bound
     to specfun._route(s, v): no argument checks per point, and none of
-    the singular ray; CUSTOM kernels integrate c, d and each value of g
-    to the oracles' default tolerance.
+    the singular ray; lerch is their (scale, s, v).  CUSTOM kernels
+    integrate c, d and each value of g to 1e-10, and lerch is None.
     """
     if fam.tag == CUSTOM:
         return (const_c_quad(fam).value.real,
                 const_d_quad(fam).value.real,
-                lambda z: kernel_g_quad(fam, z).value)
+                lambda z: kernel_g_quad(fam, z).value,
+                None)
     c, d, scale, s, v = FAMILIES[fam.tag].closed_form(fam.k)
     phi = _route(s, v)
-    return c, d, lambda z: scale * phi(-z)
+    return c, d, lambda z: scale * phi(-z), (scale, s, v)
 
 
 def kernel_g(fam: KernelFamily, z: complex) -> complex:
@@ -220,14 +222,17 @@ def kernel_g(fam: KernelFamily, z: complex) -> complex:
 # ---------------------------------------------------------------------------
 # quadrature paths (oracles for the closed forms; the only route for CUSTOM)
 
-def _integrate_kernel(fam: KernelFamily, f, m: int,
-                      tol: float) -> list[IntegrationResult]:
+# the tolerance every kernel integral is taken to
+_QUAD_TOL = 1e-10
+
+
+def _integrate_kernel(fam: KernelFamily, f, m: int) -> list[IntegrationResult]:
     """int h f(h) dr over the family for the m components of f, f(h) a
-    sequence of m values, all on one mesh: a step kernel's sum, a CUSTOM
-    density as given, low ubeta orders on (0, 1], and else the gamma
-    average of f, whose weight holds h = e^-t, so an h that has
-    underflowed to 0 meets no division.  Per node, h and the real weight
-    are formed once, and each component costs one multiply."""
+    sequence of m values, all on one mesh, each to _QUAD_TOL: a step
+    kernel's sum, a CUSTOM density as given, low ubeta orders on (0, 1],
+    and else the gamma average of f, whose weight holds h = e^-t, so an h
+    that has underflowed to 0 meets no division.  Per node, h and the real
+    weight are formed once, and each component costs one multiply."""
     if fam.jumps is not None:
         steps = [(j, fam.h(s)) for s, j in fam.jumps]
         rows = [f(hv) for _, hv in steps]
@@ -243,7 +248,7 @@ def _integrate_kernel(fam: KernelFamily, f, m: int,
     else:
         _, _, scale, s, v = FAMILIES[fam.tag].closed_form(k)
         return [IntegrationResult(scale * r.value, scale * r.error_estimate, r.evaluations)
-                for r in gamma_average(f, m, s, v, tol)]
+                for r in gamma_average(f, m, s, v, _QUAD_TOL)]
 
     def node(u: float, x: float):
         # dr = scale * density ds; x as in quadrature._integrate_half_line,
@@ -254,46 +259,47 @@ def _integrate_kernel(fam: KernelFamily, f, m: int,
 
     if math.isinf(hi):
         # the half line starts at lo
-        return _integrate_half_line(lambda u, x: node(lo + u, x), m, tol)
-    return _integrate(lambda u: node(u, 1.0), m, lo, hi, tol)
+        return _integrate_half_line(lambda u, x: node(lo + u, x), m, _QUAD_TOL)
+    return _integrate(lambda u: node(u, 1.0), m, lo, hi, _QUAD_TOL)
 
 
 def _g_sign(fam: KernelFamily) -> float:
     return 1.0 if fam.increasing else -1.0
 
 
-def kernel_quad_grid(fam: KernelFamily, zs, tol: float = 1e-10
+def kernel_quad_grid(fam: KernelFamily, zs
                      ) -> tuple[IntegrationResult, IntegrationResult, list[IntegrationResult]]:
     """(c, d, [g(z) for z in zs]) by direct integration, every integral
-    on one adaptive mesh and each to tol: the oracle of const_c, const_d
+    on one adaptive mesh and each to 1e-10: the oracle of const_c, const_d
     and kernel_g over a grid of z.  One function of h returns all of
     their integrands, and each result's evaluations count the nodes of
     the shared mesh."""
     zs = [complex(z) for z in zs]
     sign = _g_sign(fam)
     res = _integrate_kernel(
-        fam, lambda hv: [1.0, hv, *[1.0 / (z * hv + sign) for z in zs]], len(zs) + 2, tol)
+        fam, lambda hv: [1.0, hv, *[1.0 / (z * hv + sign) for z in zs]], len(zs) + 2)
     return res[0], res[1], res[2:]
 
 
-def const_c_quad(fam: KernelFamily, tol: float = 1e-10) -> IntegrationResult:
-    """c = int h dr by direct integration (finite sum for step kernels)."""
-    return _integrate_kernel(fam, lambda hv: (1.0,), 1, tol)[0]
+def const_c_quad(fam: KernelFamily) -> IntegrationResult:
+    """c = int h dr by direct integration to 1e-10 (finite sum for step
+    kernels)."""
+    return _integrate_kernel(fam, lambda hv: (1.0,), 1)[0]
 
 
-def const_d_quad(fam: KernelFamily, tol: float = 1e-10) -> IntegrationResult:
-    """d = int h^2 dr by direct integration."""
-    return _integrate_kernel(fam, lambda hv: (hv,), 1, tol)[0]
+def const_d_quad(fam: KernelFamily) -> IntegrationResult:
+    """d = int h^2 dr by direct integration to 1e-10."""
+    return _integrate_kernel(fam, lambda hv: (hv,), 1)[0]
 
 
-def kernel_g_quad(fam: KernelFamily, z: complex, tol: float = 1e-10) -> IntegrationResult:
-    """g(z) = int h/(z h +- 1) dr by direct integration.
+def kernel_g_quad(fam: KernelFamily, z: complex) -> IntegrationResult:
+    """g(z) = int h/(z h +- 1) dr by direct integration to 1e-10.
 
     The sign in the denominator follows the declared monotonicity:
     +1 when r is non-decreasing, -1 when non-increasing.
     """
     z, sign = complex(z), _g_sign(fam)
-    return _integrate_kernel(fam, lambda hv: (1.0 / (z * hv + sign),), 1, tol)[0]
+    return _integrate_kernel(fam, lambda hv: (1.0 / (z * hv + sign),), 1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ there the integral representation bounds its tail past n by |z|^n
 (v+n)^-s, although the sum diverges for |z| > 1.  Every eval argument
 -ix/t lies there: past s of about 1 800 for v = 1 and 2 600 for v = 2
 the sum serves every finite z with Re z <= 0, so the lclass and sself
-kernels' work stays bounded at every order.
+kernels' work stays bounded at every order.  Its radius,
+_direct_radius(s, v), is asked at every order; below s = 22 for v = 1
+it is at most 1/2, so no z off the series disk takes the sum there.
 
 lerch_phi checks its arguments and calls _route(s, v), a bounded cache
 of one function of z per (s, v), with the dispatch on (s, v) made once:
@@ -100,9 +102,6 @@ _SUM_EPS = 2.0 ** -53
 # off the disk, Re z <= 0 takes the defining sum of Phi(z, s, v) where its
 # tail bound |z|^n (v+n)^-s is below _SUM_EPS v^-s within this many terms
 _DIRECT_TERMS = 4
-# below this order _direct_radius(s, v) <= 1/2 for every v >= 1, so polylog
-# need not form it
-_DIRECT_MIN_ORDER = 22
 # Phi(z, 1, k) in closed form cancels about |z|^-k inside the unit disk;
 # below this |z|^k the direct series is summed instead
 _LOG_FORM_MIN = 1e-3
@@ -722,7 +721,7 @@ def polylog(s: int, z: complex) -> complex:
         raise DomainError(f"z must be finite, got {z!r}")
     if s == 1:
         return -cmath.log(1.0 - z)
-    if s >= _DIRECT_MIN_ORDER and z.real <= 0.0 and r <= _direct_radius(s, 1.0):
+    if z.real <= 0.0 and r <= _direct_radius(s, 1.0):
         return z * _lerch_direct(z, s, 1.0)
     if r < _INVERSION_RADIUS:
         return _log_series(s, z)

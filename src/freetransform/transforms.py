@@ -56,8 +56,8 @@ from collections.abc import Callable, Sequence
 
 from ._records import record
 from .errors import DomainError, FreeTransformError, InvalidInput, NonFiniteError
-from .kernels import (CUSTOM, FAMILIES, KernelFamily, PickRepresentation, custom_density,
-                      kernel_quad_grid, lclass, map_data, pick_eval, sself, ubeta)
+from .kernels import (KernelFamily, PickRepresentation, custom_density, kernel_quad_grid,
+                      lclass, map_data, pick_eval, sself, ubeta)
 from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
 from .quadrature import _worst, integrate_semi_infinite, laplace_transform
 from .specfun import _axis_sum, _moment_rows, log_gamma2_slope
@@ -123,14 +123,13 @@ def voiculescu_via_laplace(tr: LevyTriple, t: float) -> complex:
 def random_integral_evaluator(fam: KernelFamily, tr: LevyTriple) -> Evaluator:
     """t -> V(it) of the image of tr under the family's random-integral map.
 
-    Takes the family's kernel moments and Pick function from map_data
-    once, and with them each atom's weight w (+-) x and shift
-    (+-) c/(1+x^2); each call then evaluates g once per atom, or, for a
-    built-in family on t >= 2 max|x|, sums the atoms' moment series.
+    Takes the family's kernel moments, Pick function and closed form
+    from map_data once, and with them each atom's weight w (+-) x and
+    shift (+-) c/(1+x^2); each call then evaluates g once per atom, or,
+    for a built-in family on t >= 2 max|x|, sums the atoms' moment series.
     The sign pattern follows the declared monotonicity of the time change.
     """
-    c, d, g = map_data(fam)
-    lerch = None if fam.tag == CUSTOM else FAMILIES[fam.tag].closed_form(fam.k)[2:]
+    c, d, g, lerch = map_data(fam)
     return _image_evaluator(c, d, g, 1.0 if fam.increasing else -1.0, tr, lerch)
 
 

@@ -18,6 +18,22 @@ NO_CALLER = {
                          "of the class images",
 }
 
+# defaulted parameters of public functions, each with the reason that
+# more than one value is in use; a parameter that one value serves is
+# a constant instead
+OPTIONS = {
+    "custom_density.increasing": "the model's time-change direction",
+    "custom_step.increasing": "the model's time-change direction",
+    "lower_shrink_class.n": "verify lowers by 1 to 3 levels",
+    "lower_selfdec_class.n": "verify lowers by 1 to 3 levels",
+    "integrate_finite.tol": "out of scope: the package passes 1e-8 where the "
+                            "documented default is 1e-10",
+    "integrate_semi_infinite.tol": "out of scope: the package passes 1e-8 where the "
+                                   "documented default is 1e-10",
+    "laplace_transform.tol": "out of scope: the package passes 1e-8 where the "
+                             "documented default is 1e-10",
+}
+
 
 def _package_references() -> set:
     """Every name that package code outside __init__ reads, other than
@@ -52,3 +68,30 @@ def test_no_caller_list_is_current():
     assert NO_CALLER.keys() <= set(freetransform.__all__)
     assert not NO_CALLER.keys() & used, sorted(NO_CALLER.keys() & used)
 
+
+def _public_defaults() -> set:
+    """'function.parameter' for every defaulted parameter of a public
+    function, read from the package source."""
+    public = set(freetransform.__all__)
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.FunctionDef) or node.name not in public:
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            found.update(f"{node.name}.{a.arg}" for a in defaulted)
+    return found
+
+
+def test_every_public_default_has_a_reason():
+    missing = sorted(_public_defaults() - OPTIONS.keys())
+    assert not missing, f"defaulted public parameters without a reason: {missing}"
+
+
+def test_options_list_is_current():
+    # an entry whose parameter loses its default, or leaves, leaves the list too
+    assert OPTIONS.keys() <= _public_defaults(), sorted(OPTIONS.keys() - _public_defaults())

@@ -4,6 +4,7 @@ errors escaping, the CLI on the wide t-grid, the per-process parser,
 the branch each (s, v) and |z| band takes, and the large orders."""
 
 import cmath
+import itertools
 import json
 import math
 import subprocess
@@ -255,11 +256,11 @@ def test_each_kind_and_band_takes_its_branch(monkeypatch, args, branches):
 
 
 def test_polylog_takes_the_direct_sum_from_its_lowest_order(monkeypatch):
-    # below _DIRECT_MIN_ORDER no v >= 1 reaches past the series disk, so
-    # polylog forms no radius there
-    low = specfun._DIRECT_MIN_ORDER
+    # below the lowest order whose radius passes the series disk no z off
+    # the disk takes the direct sum
     radius = specfun._direct_radius
-    assert radius(low - 1, 1.0) <= specfun._SERIES_RADIUS < radius(low, 1.0)
+    low = next(s for s in itertools.count(1) if radius(s, 1.0) > specfun._SERIES_RADIUS)
+    assert low == 22
     counts = _count_branches(monkeypatch)
     z = complex(0.0, -0.7)
     assert abs(z) <= radius(low, 1.0)

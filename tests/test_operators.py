@@ -154,33 +154,20 @@ def test_lowering_labels():
 
 
 def test_filtration_limit_report():
-    rep = filtration_limit_check(MIXED, 1.0)
-    assert rep._fields == ("deviations", "ratios")
-    devs = rep.deviations
-    assert len(devs) == 3 and devs[0] > devs[1] > devs[2]
-    assert len(rep.ratios) == 2
-    for r in rep.ratios:
-        assert 5.0 <= r <= 20.0
+    devs = filtration_limit_check(MIXED, 1.0)
+    assert type(devs) is tuple and len(devs) == 3
+    assert devs[0] > devs[1] > devs[2]
+    for a, b in zip(devs, devs[1:]):
+        assert 5.0 <= a / b <= 20.0
 
 
 def test_filtration_gaussian_gap_closed_form():
     tr = LevyTriple(1.0, 2.0, ())
     t = 1.0
-    rep = filtration_limit_check(tr, t, ks=(10,))
-    # transform gap: -a/(k+1) + 2 sigma^2/((k+2) i t)
+    gaps = filtration_limit_check(tr, t)
+    # transform gap: -a/(k+1) + 2 sigma^2/((k+2) i t), here at k = 10
     exact = abs(complex(-1.0 / 11.0, -2.0 * 2.0 / 12.0))
-    assert math.isclose(rep.deviations[0], exact, rel_tol=1e-12)
-
-
-def test_filtration_requires_increasing_ks():
-    with pytest.raises(InvalidInput):
-        filtration_limit_check(MIXED, 1.0, ks=(100, 10))
-    with pytest.raises(InvalidInput):
-        filtration_limit_check(MIXED, 1.0, ks=(0, 10))
-    # entries are ints as they stand, never coerced
-    for ks in ((10.5, 100), (10, 100.0), ("10", "100"), (True, 10)):
-        with pytest.raises(InvalidInput):
-            filtration_limit_check(MIXED, 1.0, ks=ks)
+    assert math.isclose(gaps[0], exact, rel_tol=1e-12)
 
 
 def test_ubeta_deviation_shrinks_against_named_value():

@@ -148,7 +148,7 @@ def _transform_per_t(fam, tr, t):
     reference the evaluator must reproduce bit for bit where it sums g
     atom by atom."""
     sign = 1.0 if fam.increasing else -1.0
-    c, d, g = map_data(fam)
+    c, d, g, _ = map_data(fam)
     acc = tr.drift * c + sign * tr.gauss_var * d / (1j * t)
     for x, w in tr.levy_atoms:
         acc += w * sign * x * (g(1j * x / t) - sign * c / (1.0 + x * x))
@@ -158,7 +158,7 @@ def _transform_per_t(fam, tr, t):
 def _absolute_contributions(fam, tr, t):
     """|a c| + |sigma^2 d|/t + sum |w x| (|g(ix/t)| + c/(1+x^2)): the scale
     of the rounding in either way of summing the formula."""
-    c, d, g = map_data(fam)
+    c, d, g, _ = map_data(fam)
     return (abs(tr.drift * c) + abs(tr.gauss_var * d) / t
             + sum(abs(w * x) * (abs(g(1j * x / t)) + abs(c) / (1.0 + x * x))
                   for x, w in tr.levy_atoms))
