@@ -22,10 +22,10 @@ import sys
 from . import __version__
 from .errors import DomainError, FreeTransformError, InvalidInput
 from .kernels import FAMILIES, LCLASS, SSELF, UBETA, KernelFamily, kernel_g, kernel_g_quad
-from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
+from .measures import FiniteMeasure, LevyTriple
 from .transforms import (
     LInfSpec,
-    direct_evaluator,
+    id_evaluator,
     linf_evaluator,
     random_integral_evaluator,
 )
@@ -186,8 +186,7 @@ def _evaluator(class_tag: str, k, data):
         return linf_evaluator(parse_linf_spec(data))
     tr = parse_triple(data)
     if class_tag == "id" or (class_tag == "uks" and k == 0):
-        # voiculescu_id, with the companion measure built once per call
-        return direct_evaluator(tr.drift, triple_to_finite_measure(tr))
+        return id_evaluator(tr)
     return random_integral_evaluator(KernelFamily(_CLASS_FAMILIES[class_tag], k), tr)
 
 

@@ -15,7 +15,8 @@ Li_s(z) for integer s takes one of three branches by |z|:
   |z| >= 2         the inversion formula, which trades z for 1/z inside
                    the series disk, summed in one forward pass over the
                    powers L^j/j! of L = log(-z), stepping by L^2, with no
-                   list of them.
+                   list of them; the pass stops where L^j/j! reaches 0j,
+                   so its work is bounded at every order.
 
 Ahead of the last two, at the orders where it stops within four terms,
 Re z <= 0 takes the defining sum sum_n z^n (v+n)^-s (_lerch_direct):
@@ -31,9 +32,9 @@ lerch_phi checks its arguments and calls _route(s, v), a bounded cache
 of one function of z per (s, v), with the dispatch on (s, v) made once:
 the series on the disk, and off it the defining sum, then polylog for
 v = 1, the log closed form for s = 1, Phi(z, s, 2) = (Li_s(z) - z)/z^2,
-or the integral representation.  kernels.map_data binds the kernels'
-g to the route, so an evaluator makes no check and no dispatch per
-point.
+or the integral representation, each called from the route with no
+frame between.  kernels.map_data binds the kernels' g to the route, so
+an evaluator makes no check and no dispatch per point.
 
 The Lerch series is the only series on the disk |w| <= 1/2: polylog
 there takes sum_{n>=1} w^n n^-s = w Phi(w, s, 1), and the inversion
@@ -48,8 +49,17 @@ first use, serve every order: zeta(n) for _ZETA_LOW <= n < _ZETA_TOP,
 past which zeta(n) - 1 underflows; H_{s-1} for the orders whose
 log-series reach their log term; and the inversion formula's eta(2n)
 coefficients, one table per shift, up to the n from which the
-coefficient is a constant.  Every sum takes the same terms in the same
-order as without the tables.
+coefficient is a constant.  From these, bounded lru_caches of the last
+_SERIES_TABLES orders hold one plan per (s, shift) for each off-disk
+sum, flat tuples of floats built on its first call: the log-series'
+coefficient, stop weight and divisor of each of its at most
+_LOG_SERIES_TERMS terms (_log_series_plan), and the inversion
+formula's table coefficients with the divisors (j+1)(j+2) of their
+steps, at most 537 pairs, and the first _TAIL_STEPS divisors of its
+shifted tail (_inversion_plan); the steps ahead of the table, about s/2
+at high order, stay a count, so no plan grows with s.  _direct_radius
+is cached per (s, v) in the same way.  Every sum takes the same terms
+in the same order as without the tables and plans.
 
 On the imaginary axis, where every argument -ix/t of the transforms
 lies, one float loop, _axis_sum, sums a power series in iy: odd powers
@@ -124,6 +134,9 @@ _BERNOULLI_HALF = 64
 # numbers past their table; from 1075 on, every k^-n in zeta(n) - 1 underflows
 _ZETA_LOW = -2 * _BERNOULLI_HALF
 _ZETA_TOP = 1075
+# the divisors of this many steps of the inversion formula's shifted tail
+# are tabled per order, and formed as many at a time past them
+_TAIL_STEPS = 32
 # inversion coefficients past their tables: -2 eta(2n) is -2.0 once 2^(1-2n)
 # is below half an ulp of 1, and 2 - 2 eta(2n) is 0.0 once it underflows
 _ETA_TAIL = (-2.0, 0.0)
@@ -343,22 +356,19 @@ def _route(s: int, v: float):
     takes the defining sum; else v = 1 takes polylog(s, z)/z, through
     the module-global name, which a tracer may rebind; s = 1 _lerch_log;
     v = 2 _lerch_v2; and other v, or integer v past _CLOSED_FORM_MAX_V,
-    the integral representation.
+    the integral representation.  phi calls the branch it bound when the
+    route was built, with no frame between.
     """
     direct = _direct_radius(s, v)
     k = int(v) if v == math.floor(v) and v <= _CLOSED_FORM_MAX_V else 0
     if k == 1:
-        def closed(z):
-            return polylog(s, z) / z
+        branch = None  # polylog, looked up at each call
     elif k and s == 1:
-        def closed(z):
-            return _lerch_log(z, k)
+        branch, arg = _lerch_log, k
     elif k == 2:
-        def closed(z):
-            return _lerch_v2(z, s)
+        branch, arg = _lerch_v2, s
     else:
-        def closed(z):
-            return _lerch_integral(z, s, v)
+        branch, arg = functools.partial(_lerch_integral, v=v), s
 
     def phi(z: complex) -> complex:
         try:
@@ -372,11 +382,14 @@ def _route(s: int, v: float):
             raise DomainError(f"z must be finite, got {z!r}")
         if r <= direct and z.real <= 0.0:
             return _lerch_direct(z, s, v)
-        return closed(z)
+        if branch is None:
+            return polylog(s, z) / z
+        return branch(z, arg)
 
     return phi
 
 
+@functools.lru_cache(maxsize=_SERIES_TABLES)
 def _direct_radius(s: int, v: float) -> float:
     """The largest |z| at which the tail bound |z|^n (v+n)^-s of the
     defining sum reaches _SUM_EPS v^-s by n = _DIRECT_TERMS, inf where that
@@ -452,14 +465,14 @@ def _lerch_v2(z: complex, s: int) -> complex:
     """
     r = abs(z)
     if r < _INVERSION_RADIUS:
-        return _log_series(s, z, shift=1) / (z * z)
+        return _log_series(s, z, 1) / (z * z)
     # log2 takes any s, where 4.0 ** s overflows from s = 512 on
     if math.log2(r) >= 2 * s:
         return (_inversion(s, z) - z) / z / z
     square = z * z
     if not cmath.isfinite(square):
-        return _inversion(s, z, shift=1) / z / z
-    return _inversion(s, z, shift=1) / square
+        return _inversion(s, z, 1) / z / z
+    return _inversion(s, z, 1) / square
 
 
 # zeta at the integers -------------------------------------------------------
@@ -580,6 +593,34 @@ def _harmonic_table() -> tuple:
     return tuple(math.fsum(inverses[:j]) for j in range(_LOG_SERIES_TERMS))
 
 
+@functools.lru_cache(maxsize=_SERIES_TABLES)
+def _log_series_plan(s: int, shift: int) -> tuple:
+    """(log_coef, segments): _log_series' terms m = 1, 2, ... up to its
+    last, min(s + 2 _BERNOULLI_HALF, _LOG_SERIES_TERMS), which add
+    coef mu^(m-1)/(m-1)!, stop where bound |mu^(m-1)/(m-1)!| is at most
+    _SUM_EPS of the sum, then multiply the power by mu/m.  segments
+    holds the terms of flat triples (coef, bound, m) before the log term
+    m = s, and where the sum reaches it, after it, with log_coef =
+    H_{s-1} - shift.  The zeta pair's entry [shift] is coef, and
+    |zeta| + shift is bound; where zeta is 0, coef is -shift and bound
+    is 0.0, which marks a term that may not end the sum.
+    """
+    top = min(s + 2 * _BERNOULLI_HALF, _LOG_SERIES_TERMS)
+    segments = [[]]
+    log_coef = None
+    for m in range(1, top + 1):
+        if m == s:
+            log_coef = _harmonic_table()[s - 1] - shift
+            segments.append([])
+            continue
+        zeta, zeta_m1 = _zeta_pair(s - m + 1)
+        if zeta:
+            segments[-1] += ((zeta_m1 if shift else zeta), abs(zeta) + shift, float(m))
+        else:
+            segments[-1] += (float(-shift), 0.0, float(m))
+    return log_coef, tuple(map(tuple, segments))
+
+
 def _log_series(s: int, z: complex, shift: int = 0) -> complex:
     """Li_s(z) - shift * z by Crandall's expansion in mu = log z:
 
@@ -590,28 +631,27 @@ def _log_series(s: int, z: complex, shift: int = 0) -> complex:
     subtracts z = exp(mu) term by term.  zeta vanishes at the negative
     even integers, so only a term with nonzero zeta may end the sum, and
     only once both its zeta part and its shift part are negligible.  The
-    pairs (zeta(s-m), zeta(s-m) - 1), whose entry [shift] is the
-    coefficient, come from the zeta table (None at the log term m = s - 1,
-    where H_{s-1} comes from the harmonic table), past it from _zeta_pair.
+    coefficients, zeta(s-m) or zeta(s-m) - 1 by shift, their stop
+    weights and their divisors come from _log_series_plan(s, shift),
+    built once per order; at zeta = 0, shift = 1 adds -1.0 times the
+    power, which is subtracting it, and shift = 0 adds 0.0 times it,
+    which leaves the sum as it is: neither part of the sum is ever -0.0.
     """
+    log_coef, segments = _log_series_plan(s, shift)
     mu = cmath.log(z)
     acc = complex(0.0)
     power = complex(1.0)  # mu^m / m!
-    top = min(s + 2 * _BERNOULLI_HALF, _LOG_SERIES_TERMS)
-    first = s - _ZETA_LOW
-    # past the table the pairs are formed as the sum reads them
-    pairs = (_zeta_table()[first:first - top:-1] if s < _ZETA_TOP
-             else map(_zeta_pair, range(s, s - top, -1)))
-    for m, pair in enumerate(pairs, 1):
-        if pair is None:
-            acc += (_harmonic_table()[s - 1] - shift - cmath.log(-mu)) * power
-        elif pair[0]:
-            acc += pair[shift] * power
-            if (abs(pair[0]) + shift) * abs(power) <= _SUM_EPS * abs(acc):
+    eps = _SUM_EPS
+    for n, terms in enumerate(segments):
+        if n:
+            acc += (log_coef - cmath.log(-mu)) * power
+            power *= mu / s
+        it = iter(terms)
+        for coef, bound, m in zip(it, it, it):
+            acc += power * coef
+            if bound and bound * abs(power) <= eps * abs(acc):
                 return acc
-        elif shift:
-            acc -= power
-        power *= mu / m
+            power *= mu / m
     raise ConvergenceError(f"polylog log-series stalled at z={z!r}, s={s}")
 
 
@@ -630,6 +670,33 @@ def _eta_tables() -> tuple:
         while coefs[-1] == tail:
             coefs.pop()
     return tuple(map(tuple, tables))
+
+
+def _step_divisors(j: int) -> tuple:
+    """The divisors (i+1)(i+2) of the _TAIL_STEPS steps from L^i/i! to
+    L^(i+2)/(i+2)!, i = j, j+2, ..., each the float the division of a
+    complex by the integer takes."""
+    return tuple(float((i + 1) * (i + 2)) for i in range(j, j + 2 * _TAIL_STEPS, 2))
+
+
+@functools.lru_cache(maxsize=_SERIES_TABLES)
+def _inversion_plan(s: int, shift: int) -> tuple:
+    """(head, terms, steps) for _inversion's forward pass: head, the count
+    of its steps that take the _ETA_TAIL constant; terms, the flat pairs
+    (coef, divisor) of the eta coefficients from the table, last first,
+    each with the divisor of its step from L^j/j!; and for shift = 1 the
+    first divisors of the tail past L^s/s!, _step_divisors(s).  At most
+    537 pairs and _TAIL_STEPS divisors, whatever s; the head stays a
+    count."""
+    coefs = _eta_tables()[shift]
+    half = s // 2
+    cut = min(half, len(coefs))
+    j = s % 2 + 2 * (half - cut)
+    terms = []
+    for coef in reversed(coefs[:cut]):
+        terms += (coef, float((j + 1) * (j + 2)))
+        j += 2
+    return half - cut, tuple(terms), _step_divisors(s) if shift else ()
 
 
 def _inversion(s: int, z: complex, shift: int = 0) -> complex:
@@ -653,42 +720,56 @@ def _inversion(s: int, z: complex, shift: int = 0) -> complex:
     L^j/j! by L^2/((j+1)(j+2)): the coefficient of L^j is the n-th, n =
     (s-j)/2, down to the -1 or +1 of L^s, after which the shifted tail
     runs on with coefficient 2 until its terms, past j = |L|, fall below
-    _SUM_EPS of the sum.  Nothing is kept per term.
+    _SUM_EPS of the sum.  _inversion_plan(s, shift), built once per
+    order, holds the table's coefficients with their divisors; the steps
+    ahead of them, about s/2 at high order, are counted off.  Once L^j/j!
+    is exactly 0j every later term is an exact zero, and since neither
+    part of the sum is ever -0.0, adding one leaves the sum as it is:
+    the pass stops there and goes on to the series at 1/z, so its work
+    is bounded at every order.  (The power reaches 0j only past its peak
+    at j = |L|, where the shifted tail would stop at its first term.)
     """
     big_l = cmath.log(-z)
     l_squared = big_l * big_l
-    coefs = _eta_tables()[shift]
-    half = s // 2
-    cut = min(half, len(coefs))
-    j = s % 2
-    power = big_l if j else complex(1.0)  # L^j / j!
+    head, terms, steps = _inversion_plan(s, shift)
+    odd = s % 2
+    power = big_l if odd else complex(1.0)  # L^j / j!, from j = s mod 2
     acc = complex(0.0)
     tail = _ETA_TAIL[shift]
-    for _ in range(half - cut):
-        acc += tail * power
+    for j in range(odd, odd + 2 * head, 2):
+        acc += power * tail
         power *= l_squared / ((j + 1) * (j + 2))
-        j += 2
-    for coef in reversed(coefs[:cut]):
-        acc += coef * power
-        power *= l_squared / ((j + 1) * (j + 2))
-        j += 2
-    if shift:
-        acc += power
-        # the tail's terms 2 L^j/j!, doubled once: scaling by 2 is exact,
-        # so each term and stop test is that of L^j/j! times 2
-        power *= 2.0
-        l_abs, eps = abs(big_l), 2.0 * _SUM_EPS
-        while True:
-            power *= l_squared / ((j + 1) * (j + 2))
-            j += 2
+        if not power:
+            break
+    if power:
+        it = iter(terms)
+        for coef, divisor in zip(it, it):
+            acc += power * coef
+            power *= l_squared / divisor
+        if shift:
             acc += power
-            if j > l_abs and abs(power) <= eps * abs(acc):
+            # the tail's terms 2 L^j/j!, doubled once: scaling by 2 is exact,
+            # so each term and stop test is that of L^j/j! times 2
+            power *= 2.0
+            l_abs, eps = abs(big_l), 2.0 * _SUM_EPS
+            j, divisors = s, steps
+            while True:
+                for divisor in divisors:
+                    power *= l_squared / divisor
+                    j += 2
+                    acc += power
+                    if abs(power) <= eps * abs(acc) and j > l_abs:
+                        break
+                else:
+                    # past the plan's divisors, the next _TAIL_STEPS
+                    divisors = _step_divisors(j)
+                    continue
                 break
-    else:
-        acc -= power
+        else:
+            acc -= power
     w = 1.0 / z
     inner = (w * w if shift else w) * _lerch_series(w, s, 1.0 + shift)
-    return acc - inner if s % 2 == 0 else acc + inner
+    return acc + inner if odd else acc - inner
 
 
 def polylog(s: int, z: complex) -> complex:

@@ -40,10 +40,11 @@ CUSTOM families and exp_map_convolution_check's oracle image keep the
 per-atom sum at every t.
 
 Every class is evaluated from the triple by one of three evaluators,
-random_integral_evaluator, direct_evaluator and linf_evaluator; each
-transform_* function is one point of one of them and returns the
-complex V(it).  direct_evaluator's finite sum is the Pick sum
-kernels.pick_eval at z = it.
+random_integral_evaluator, direct_evaluator (id_evaluator, on the
+triple's companion measure) and linf_evaluator; each transform_*
+function is one point of one of them and returns the complex V(it).
+direct_evaluator's finite sum is the Pick sum kernels.pick_eval at
+z = it.
 exp_map_convolution_check returns the largest deviation of the
 selfdecomposable split, which verify holds to its tolerance.
 """
@@ -102,10 +103,16 @@ def direct_evaluator(a: float, m: FiniteMeasure) -> Evaluator:
     return V
 
 
+def id_evaluator(tr: LevyTriple) -> Evaluator:
+    """t -> voiculescu_id(tr, t): direct_evaluator on the companion
+    measure, built once."""
+    return direct_evaluator(tr.drift, triple_to_finite_measure(tr))
+
+
 def voiculescu_id(tr: LevyTriple, t: float) -> complex:
     """Transform of the free counterpart, straight from the triple: one
-    point of direct_evaluator on the companion measure."""
-    return direct_evaluator(tr.drift, triple_to_finite_measure(tr))(t)
+    point of id_evaluator(tr)."""
+    return id_evaluator(tr)(t)
 
 
 def voiculescu_via_laplace(tr: LevyTriple, t: float) -> complex:
@@ -363,8 +370,8 @@ def exp_map_convolution_check(omega: LevyTriple, t_grid: Sequence[float]) -> flo
     if not grid:
         raise InvalidInput("t_grid must be non-empty")
 
-    v_image = lambda t: transform_lclass(0, omega, t)
-    v_omega = lambda t: voiculescu_id(omega, t)
+    v_image = random_integral_evaluator(lclass(0), omega)
+    v_omega = id_evaluator(omega)
     exp_kernel = custom_density(lambda s: math.exp(-s), lambda s: 1.0, 0.0, math.inf)
     zs = [1j * x / t for t in grid for x, _ in omega.levy_atoms]
     c, d, gs = kernel_quad_grid(exp_kernel, zs)

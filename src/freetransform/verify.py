@@ -55,12 +55,10 @@ from .transforms import (
     add_transforms,
     cauchy_pick_integral,
     exp_map_convolution_check,
+    id_evaluator,
     linf_integrand,
     random_integral_evaluator,
     scale_transform,
-    transform_lclass,
-    transform_sself,
-    voiculescu_id,
     voiculescu_via_laplace,
 )
 
@@ -179,44 +177,44 @@ def suite_operators() -> list[CheckResult]:
     dev_shrink = 0.0
     dev_selfdec = 0.0
     for tr in _OP_TRIPLES:
+        # transform_sself(k, tr, .) and transform_lclass(k, tr, .) for
+        # k = 0 to 3, each built once; sself at k = 0 is the identity map
+        shrunk = [id_evaluator(tr)] + [random_integral_evaluator(sself(k), tr)
+                                       for k in (1, 2, 3)]
+        selfdec = [random_integral_evaluator(lclass(k), tr) for k in (0, 1, 2, 3)]
         for k in (1, 2, 3):
-            # transform_sself(k, tr, t) and transform_lclass(k, tr, t), built once
-            upper = lower_shrink_class(random_integral_evaluator(sself(k), tr))
-            lower = lower_selfdec_class(random_integral_evaluator(lclass(k), tr))
+            upper = lower_shrink_class(shrunk[k])
+            lower = lower_selfdec_class(selfdec[k])
             for t in _T_GRID:
-                dev_shrink = _worst(dev_shrink,
-                                    abs(upper(t) - transform_sself(k - 1, tr, t)))
-                dev_selfdec = _worst(dev_selfdec,
-                                     abs(lower(t) - transform_lclass(k - 1, tr, t)))
+                dev_shrink = _worst(dev_shrink, abs(upper(t) - shrunk[k - 1](t)))
+                dev_selfdec = _worst(dev_selfdec, abs(lower(t) - selfdec[k - 1](t)))
     results.append(CheckResult("shrink-step", dev_shrink, 1e-6))
     results.append(CheckResult("selfdec-step", dev_selfdec, 1e-6))
 
     tr = _OP_TRIPLES[0]
+    V = id_evaluator(tr)
     for k in (1, 2, 3):
         powered = lower_shrink_class(random_integral_evaluator(sself(k), tr), k)
-        dev = _worst(*(abs(powered(t) - voiculescu_id(tr, t)) for t in _T_GRID))
+        dev = _worst(*(abs(powered(t) - V(t)) for t in _T_GRID))
         results.append(CheckResult(f"shrink-power-{k}", dev, k / 1e7))
     for k in (0, 1, 2):
         powered = lower_selfdec_class(random_integral_evaluator(lclass(k), tr), k + 1)
-        dev = _worst(*(abs(powered(t) - voiculescu_id(tr, t)) for t in _T_GRID))
+        dev = _worst(*(abs(powered(t) - V(t)) for t in _T_GRID))
         results.append(CheckResult(f"selfdec-power-{k + 1}", dev, (k + 1) / 1e7))
 
     # exact transform algebra: dilation, convolution, measure round trip
-    V = lambda t: voiculescu_id(tr, t)
     dev = 0.0
     for c in (0.3, 2.0, 7.5):
-        scaled = scale_triple(c, tr)
+        scaled = id_evaluator(scale_triple(c, tr))
         for t in _T_GRID:
-            rhs = voiculescu_id(scaled, t)
+            rhs = scaled(t)
             dev = _worst(dev, abs(scale_transform(c, V, t) - rhs) / (1.0 + abs(rhs)))
     results.append(CheckResult("dilation-identity", dev, 1e-12))
 
-    tr1 = LevyTriple(0.5, 1.0, ((1.0, 0.7),))
-    tr2 = LevyTriple(-0.2, 0.5, ((-2.0, 0.4),))
-    merged = LevyTriple(0.3, 1.5, ((-2.0, 0.4), (1.0, 0.7)))
-    dev = _worst(*(abs(add_transforms(lambda u: voiculescu_id(tr1, u),
-                                      lambda u: voiculescu_id(tr2, u), t)
-                       - voiculescu_id(merged, t)) for t in _T_GRID))
+    V1 = id_evaluator(LevyTriple(0.5, 1.0, ((1.0, 0.7),)))
+    V2 = id_evaluator(LevyTriple(-0.2, 0.5, ((-2.0, 0.4),)))
+    merged = id_evaluator(LevyTriple(0.3, 1.5, ((-2.0, 0.4), (1.0, 0.7))))
+    dev = _worst(*(abs(add_transforms(V1, V2, t) - merged(t)) for t in _T_GRID))
     results.append(CheckResult("convolution-identity", dev, 1e-12))
 
     back = finite_measure_to_triple(tr.drift, triple_to_finite_measure(tr))
@@ -232,7 +230,7 @@ def suite_operators() -> list[CheckResult]:
     # (2 - t d/dt) - (1 - t d/dt) is the identity, whatever the step noise
     dev = 0.0
     for tr in _OP_TRIPLES:
-        V = lambda t, tr=tr: voiculescu_id(tr, t)
+        V = id_evaluator(tr)
         big, small = lower_shrink_class(V), lower_selfdec_class(V)
         dev = _worst(dev, *(abs(big(t) - small(t) - V(t)) for t in _T_GRID))
     results.append(CheckResult("operator-difference-identity", dev, 1e-12))
@@ -317,8 +315,8 @@ def suite_laplace() -> list[CheckResult]:
     results.append(CheckResult("gaussian-laplace-roundtrip", dev, 1e-6))
 
     tr = LevyTriple(0.3, 0.0, ((1.0, 1.0), (-2.0, 0.5)))
-    dev = _worst(*(abs(voiculescu_via_laplace(tr, t) - voiculescu_id(tr, t))
-                   for t in _T_GRID))
+    V = id_evaluator(tr)
+    dev = _worst(*(abs(voiculescu_via_laplace(tr, t) - V(t)) for t in _T_GRID))
     results.append(CheckResult("atomic-laplace-roundtrip", dev, 1e-6))
 
     dev = _worst(*(abs(cauchy_pick_integral(t) - complex(0.0, -math.pi))

@@ -12,8 +12,12 @@ NO_CALLER = {
     "derivative_t": "perfbench/tracer.py wraps it by name",
     "integrate_finite": "perfbench/tracer.py wraps it by name; tests use it as the "
                         "one-integral oracle",
+    "transform_lclass": "perfbench/tracer.py wraps it by name; the one-point form "
+                        "of random_integral_evaluator for the class",
     "transform_linf": "perfbench/tracer.py wraps it by name; the one-point form "
                       "of linf_evaluator, as the other classes have",
+    "transform_sself": "perfbench/tracer.py wraps it by name; the one-point form "
+                       "of random_integral_evaluator for the class",
     "voiculescu_cauchy": "the Cauchy anchor, kept as an oracle for the free laws "
                          "of the class images",
 }

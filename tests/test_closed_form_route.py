@@ -4,6 +4,7 @@ errors escaping, the CLI on the wide t-grid, the per-process parser,
 the branch each (s, v) and |z| band takes, and the large orders."""
 
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -207,7 +208,9 @@ _BRANCHES = ("_lerch_series", "_lerch_direct", "_lerch_log", "_lerch_v2",
 
 
 def _count_branches(monkeypatch):
-    """Wrap each private branch of specfun, and polylog, with a counter."""
+    """Wrap each private branch of specfun, and polylog, with a counter.
+    A route binds its branch when it is built, so the routes are built
+    afresh in a cache of their own, which the test's end discards."""
     counts = dict.fromkeys(_BRANCHES, 0)
 
     def counted(name, fn):
@@ -218,6 +221,9 @@ def _count_branches(monkeypatch):
 
     for name in _BRANCHES:
         monkeypatch.setattr(specfun, name, counted(name, getattr(specfun, name)))
+    routes = functools.lru_cache(maxsize=specfun._SERIES_TABLES)(specfun._route.__wrapped__)
+    monkeypatch.setattr(specfun, "_route", routes)
+    monkeypatch.setattr(kernels, "_route", routes)
     return counts
 
 
@@ -247,7 +253,6 @@ _DISPATCH = [
 @pytest.mark.parametrize("args,branches", _DISPATCH)
 def test_each_kind_and_band_takes_its_branch(monkeypatch, args, branches):
     s, v, z = args
-    specfun._route.cache_clear()
     counts = _count_branches(monkeypatch)
     lerch_phi(z, s, v)
     assert {name for name, n in counts.items() if n} == branches

@@ -178,10 +178,12 @@ def test_ubeta_deviation_shrinks_against_named_value():
 
 
 def test_operators_suite_builds_each_lowered_transform_once(monkeypatch):
-    # 24 lowered random-integral transforms: shrink and selfdec steps for
-    # 3 triples and 3 orders, and 3 powers of each.  Each is built once,
-    # not once per point that the finite differences take; what is left
-    # in the transforms module are the 48 single-point comparisons
+    # 27 random-integral transforms: for each of 3 triples, sself at
+    # orders 1 to 3 and lclass at 0 to 3, which the shrink and selfdec
+    # steps lower and compare with one order down, and 3 powers of each
+    # class.  Each is built once, not once per point that the finite
+    # differences or the comparisons take; the transforms module builds
+    # one, the exponential-map image
     from freetransform import transforms, verify
 
     built = {"verify": 0, "transforms": 0}
@@ -197,4 +199,4 @@ def test_operators_suite_builds_each_lowered_transform_once(monkeypatch):
     monkeypatch.setattr(transforms, "random_integral_evaluator",
                         counting("transforms", transforms.random_integral_evaluator))
     assert all(r.passed for r in verify.run_suite("operators"))
-    assert built == {"verify": 24, "transforms": 48}
+    assert built == {"verify": 27, "transforms": 1}

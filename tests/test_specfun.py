@@ -369,31 +369,38 @@ _OFF_DISK_ORDERS = (1, 2, 3, 5, 8, 12, 17, 60, 400, 1100)
 # 8 angles off the axes, and the imaginary axis
 _OFF_DISK_ANGLES = tuple(math.pi * (2 * j + 1) / 8 for j in range(8)) + (
     math.pi / 2, -math.pi / 2)
+_NEAR = (0.5000001, 0.6, 0.9, 1.0, 1.3, 1.9999999)
+# at |z| = 1e30 the shifted tail runs past the divisors in its plan
+_FAR = (2.0, 3.0, 10.0, 1e3, 1e8, 1e30)
 
 
-def _compare_off_disk(orders):
-    """_log_series on 1/2 < |z| < 2 and _inversion on |z| >= 2 against
-    the per-term loops with ==; the number compared."""
-    near = (0.5000001, 0.6, 0.9, 1.0, 1.3, 1.9999999)
-    far = (2.0, 3.0, 10.0, 1e3, 1e8)
+def _off_disk_points(radii, angles=_OFF_DISK_ANGLES):
+    """z at each radius and angle, and on the negative real axis with
+    either sign of zero imaginary part."""
+    return [z for r in radii
+            for z in [cmath.rect(r, theta) for theta in angles]
+            + [complex(-r, 0.0), complex(-r, -0.0)]]
+
+
+def _compare_off_disk(orders, near=_off_disk_points(_NEAR), far=_off_disk_points(_FAR)):
+    """_log_series at the points near, on 1/2 < |z| < 2, and _inversion
+    at the points far, on |z| >= 2, against the per-term loops, bit for
+    bit, signed zeros included; the number compared."""
     compared = 0
     for s in orders:
         for shift in (0, 1):
-            for theta in _OFF_DISK_ANGLES:
-                for r in near:
-                    z = cmath.rect(r, theta)
-                    assert specfun._log_series(s, z, shift) == \
-                        _log_series_direct(s, z, shift), (s, z, shift)
-                for r in far:
-                    z = cmath.rect(r, theta)
-                    assert specfun._inversion(s, z, shift) == \
-                        _inversion_direct(s, z, shift), (s, z, shift)
-                    compared += 2
+            for z in near:
+                assert repr(specfun._log_series(s, z, shift)) == \
+                    repr(_log_series_direct(s, z, shift)), (s, z, shift)
+            for z in far:
+                assert repr(specfun._inversion(s, z, shift)) == \
+                    repr(_inversion_direct(s, z, shift)), (s, z, shift)
+            compared += len(near) + len(far)
     return compared
 
 
 def test_off_disk_tables_are_bit_identical():
-    assert _compare_off_disk(_OFF_DISK_ORDERS) > 1000
+    assert _compare_off_disk(_OFF_DISK_ORDERS) > 2500
 
 
 def test_off_disk_terms_past_the_tables_are_bit_identical():
@@ -405,14 +412,70 @@ def test_off_disk_terms_past_the_tables_are_bit_identical():
     assert _compare_off_disk((s, 4098)) > 200
 
 
+def test_off_disk_orders_at_the_table_ends_are_bit_identical():
+    # s // 2 one below, at and one past the length of each eta table, 27
+    # and 537, for both parities of s: the first order whose pass takes
+    # a step with the constant coefficient, and the last that takes none
+    edges = [2 * n + parity for n in map(len, specfun._eta_tables())
+             for n in (n - 1, n, n + 1) for parity in (0, 1)]
+    assert edges[:6] == [52, 53, 54, 55, 56, 57]
+    assert _compare_off_disk(edges) > 1000
+
+
+def test_off_disk_at_order_a_million_is_bit_identical():
+    # about s/2 steps of the constant coefficient, most of them after
+    # L^j/j! has reached 0j at |z| <= 1e8: the pass stops there
+    near = _off_disk_points((0.6, 1.3), (math.pi / 2, 2.0))
+    far = _off_disk_points((3.0,), (1.0,))
+    assert _compare_off_disk((10 ** 6,), near, far) == 2 * (len(near) + len(far))
+
+
+def test_inversion_work_is_bounded_at_every_order():
+    # from L^j/j! = 0j on every term is an exact zero, so the pass stops
+    # there: at s = 10^9 it steps a few hundred times, not s/2 times.
+    # Counted as the lines _inversion runs, with the count cut off long
+    # before s/2 steps
+    code = specfun._inversion.__code__
+    limit = 50_000
+    lines = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def count(frame, event, arg):
+            if event == "line":
+                lines.append(frame.f_lineno)
+                if len(lines) > limit:
+                    raise AssertionError(f"_inversion ran past {limit} lines")
+            return count
+
+        return count
+
+    z = complex(3.0, 0.1)
+    sys.settrace(trace)
+    try:
+        li = polylog(10 ** 9, z)
+        phi = lerch_phi(z, 10 ** 9, 2.0)
+    finally:
+        sys.settrace(None)
+    assert 0 < len(lines) < limit
+    # Li_s(z) = z + z^2 2^-s + ..., and Phi(z, s, 2) = 2^-s + ...
+    assert abs(li - z) <= 1e-15 * abs(z)
+    assert abs(phi) <= 1e-15
+
+
 def test_off_disk_tables_are_bounded():
-    # the order-keyed caches, the (s, v) power tables and the (s, v)
-    # routes, are bounded; every other cache is a table built once
+    # the order-keyed caches, the (s, v) power tables, routes and direct
+    # sum radii, and the (s, shift) plans of the log-series and the
+    # inversion formula, are bounded; every other cache is a table built
+    # once
     cached = {name: fn for name, fn in vars(specfun).items()
               if hasattr(fn, "cache_info")}
     keyed = {name for name, fn in cached.items()
              if fn.cache_info().maxsize is not None}
-    assert keyed == {"_series_powers", "_route"}
+    assert keyed == {"_series_powers", "_route", "_direct_radius",
+                     "_log_series_plan", "_inversion_plan"}
     polylog(30, 1.5j)
     polylog(30, 3.0j)
     lerch_phi(-1.5j, 30, 2.0)
@@ -434,6 +497,17 @@ def test_off_disk_tables_are_bounded():
     assert tuple(map(len, specfun._eta_tables())) == (27, 537)
     # the powers come in rows of four: at most 13 rows
     assert len(specfun._series_powers(602, 1.0)[1]) <= 13
+    # a plan holds at most one triple per log-series term, and one pair
+    # per eta coefficient of the table with _TAIL_STEPS divisors, at any
+    # order; the inversion's steps past the table stay a count
+    for s in (2, 30, 1100, 2 * 10 ** 4, 10 ** 5, 10 ** 9):
+        for shift in (0, 1):
+            _, segments = specfun._log_series_plan(s, shift)
+            assert sum(map(len, segments)) <= 3 * specfun._LOG_SERIES_TERMS
+            head, terms, steps = specfun._inversion_plan(s, shift)
+            assert head + len(terms) // 2 == s // 2
+            assert len(terms) <= 2 * 537
+            assert len(steps) == shift * specfun._TAIL_STEPS
 
 
 def test_linf_eval_leaves_the_zeta_table_unbuilt(tmp_path):

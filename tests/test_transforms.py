@@ -321,14 +321,13 @@ def test_exp_map_convolution_split_reports_nan(monkeypatch):
     # a NaN at the last grid point must not be folded away by max()
     from freetransform import transforms
 
-    real_id = transforms.voiculescu_id
+    real_id = transforms.id_evaluator
 
-    def nan_at_last(tr, t):
-        if t == T_GRID[-1]:
-            return complex(math.nan, 0.0)
-        return real_id(tr, t)
+    def nan_at_last(tr):
+        V = real_id(tr)
+        return lambda t: complex(math.nan, 0.0) if t == T_GRID[-1] else V(t)
 
-    monkeypatch.setattr(transforms, "voiculescu_id", nan_at_last)
+    monkeypatch.setattr(transforms, "id_evaluator", nan_at_last)
     assert math.isnan(exp_map_convolution_check(MIXED, T_GRID))
 
 
@@ -337,12 +336,13 @@ def test_exp_map_convolution_split_sees_a_wrong_image(monkeypatch):
     # them shows instead of cancelling
     from freetransform import transforms
 
-    real_lclass = transforms.transform_lclass
+    real_image = transforms.random_integral_evaluator
 
-    def shifted(k, tr, t):
-        return real_lclass(k, tr, t) + 1e-9
+    def shifted(fam, tr):
+        V = real_image(fam, tr)
+        return lambda t: V(t) + 1e-9
 
-    monkeypatch.setattr(transforms, "transform_lclass", shifted)
+    monkeypatch.setattr(transforms, "random_integral_evaluator", shifted)
     assert exp_map_convolution_check(MIXED, T_GRID) >= 1e-10
 
 
