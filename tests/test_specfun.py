@@ -423,8 +423,8 @@ def test_off_disk_orders_at_the_table_ends_are_bit_identical():
 
 
 def test_off_disk_at_order_a_million_is_bit_identical():
-    # about s/2 steps of the constant coefficient, most of them after
-    # L^j/j! has reached 0j at |z| <= 1e8: the pass stops there
+    # about s/2 steps of the constant coefficient, nearly all of them
+    # after L^j/j! has reached 0j at |z| = 3: the pass stops there
     near = _off_disk_points((0.6, 1.3), (math.pi / 2, 2.0))
     far = _off_disk_points((3.0,), (1.0,))
     assert _compare_off_disk((10 ** 6,), near, far) == 2 * (len(near) + len(far))
