@@ -25,12 +25,14 @@ g(z) = scale * Phi(-z, s, v):
 
 With h = e^-t each defining integral int h q(h) dr is the Lerch
 integral representation, so the same (scale, s, v) give the quadrature
-oracle: scale * quadrature.gamma_average(q, m, s, v).  kernel_quad_grid
+oracle: scale * quadrature.gamma_average(f, m, s, v), where
+f(h, weight) returns the m values q(h) * weight.  kernel_quad_grid
 integrates c, d and g over a grid of z on one adaptive mesh: one
-function of h returns the m integrands [1, h, 1/(z h +- 1) for each z],
-and per node h and the real weight are formed once, so each integrand
-costs one multiply.  const_c_quad, const_d_quad and kernel_g_quad
-integrate one of them, m = 1, each on a mesh of its own.
+function of h and the node's real weight, which is formed once per
+node, returns the m integrands [1, h, 1/(z h +- 1) for each z], each
+times the weight, so each integrand costs at most one multiply.
+const_c_quad, const_d_quad and kernel_g_quad integrate one of them,
+m = 1, each on a mesh of its own.
 
 plus CUSTOM kernels given either by a density dr/ds or by the jumps of
 a monotone step function r.
@@ -44,7 +46,7 @@ import sys
 from collections.abc import Callable
 
 from ._records import record
-from .errors import DomainError, InvalidInput
+from .errors import DomainError, InvalidInput, NonFiniteError
 from .measures import FiniteMeasure
 from .quadrature import (IntegrationResult, _integrate, _integrate_half_line,
                          gamma_average)
@@ -153,7 +155,7 @@ class _Family:
     """A built-in family of order k >= lowest.
 
     closed_form(k) = (c, d, scale, s, v), g(z) = scale * Phi(-z, s, v);
-    the oracle is scale * gamma_average(q, m, s, v).
+    the oracle is scale * gamma_average(f, m, s, v).
     """
 
     lowest: int
@@ -227,18 +229,16 @@ _QUAD_TOL = 1e-10
 
 
 def _integrate_kernel(fam: KernelFamily, f, m: int) -> list[IntegrationResult]:
-    """int h f(h) dr over the family for the m components of f, f(h) a
-    sequence of m values, all on one mesh, each to _QUAD_TOL: a step
-    kernel's sum, a CUSTOM density as given, low ubeta orders on (0, 1],
-    and else the gamma average of f, whose weight holds h = e^-t, so an h
-    that has underflowed to 0 meets no division.  Per node, h and the real
-    weight are formed once, and each component costs one multiply."""
+    """int h q(h) dr over the family for the m components of q, all on
+    one mesh, each to _QUAD_TOL: a step kernel's sum, a CUSTOM density as
+    given, low ubeta orders on (0, 1], and else the gamma average, whose
+    weight holds h = e^-t, so an h that has underflowed to 0 meets no
+    division.  f(h, weight) returns the sequence of the m values
+    q(h) * weight.  Per node, h and the real weight (h times dr/ds and
+    the chart's Jacobian, or the gamma weight) are formed once and passed
+    to f, and each component costs one multiply in f."""
     if fam.jumps is not None:
-        steps = [(j, fam.h(s)) for s, j in fam.jumps]
-        rows = [f(hv) for _, hv in steps]
-        return [IntegrationResult(sum(j * (hv * y) for (j, hv), y in zip(steps, col)),
-                                  0.0, len(steps))
-                for col in zip(*rows)]
+        return _step_sums(fam, f, m)
     k = fam.k
     if fam.tag == CUSTOM:
         h, scale, density, lo, hi = fam.h, 1.0, fam.r_density, fam.lo, fam.hi
@@ -254,13 +254,46 @@ def _integrate_kernel(fam: KernelFamily, f, m: int) -> list[IntegrationResult]:
         # dr = scale * density ds; x as in quadrature._integrate_half_line,
         # 1.0 off its chart
         hv = h(u)
-        weight = hv * scale * density(u) / x / x
-        return [y * weight for y in f(hv)]
+        return f(hv, hv * scale * density(u) / x / x)
 
     if math.isinf(hi):
         # the half line starts at lo
         return _integrate_half_line(lambda u, x: node(lo + u, x), m, _QUAD_TOL)
     return _integrate(lambda u: node(u, 1.0), m, lo, hi, _QUAD_TOL)
+
+
+def _step_sums(fam: KernelFamily, f, m: int) -> list[IntegrationResult]:
+    """A step kernel's sums of j * f(h, h) over its jumps (s, j), h = h(s):
+    each value weighted by h at its jump, then by the jump, j * (h y) as
+    the sums have always been formed.  A jump whose integrand raises
+    OverflowError or ZeroDivisionError, whose term is not finite, or at
+    which the running sum overflows raises NonFiniteError naming it."""
+    rows = []
+    for s, _ in fam.jumps:
+        try:
+            hv = fam.h(s)
+            rows.append(f(hv, hv))
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise NonFiniteError(
+                f"integrand raised {type(exc).__name__} at jump {s!r}") from exc
+    results = []
+    for i, col in enumerate(zip(*rows)):
+        terms = [j * y for (_, j), y in zip(fam.jumps, col)]
+        total = sum(terms)
+        if not cmath.isfinite(total):
+            # only on failure: find the first term or partial sum that is
+            # not finite
+            where = f" in component {i}" if m > 1 else ""
+            partial = 0.0
+            for (s, _), term in zip(fam.jumps, terms):
+                if not cmath.isfinite(term):
+                    raise NonFiniteError(f"integrand non-finite at jump {s!r}{where}")
+                partial += term
+                if not cmath.isfinite(partial):
+                    break
+            raise NonFiniteError(f"step sum overflows at jump {s!r}{where}")
+        results.append(IntegrationResult(total, 0.0, len(rows)))
+    return results
 
 
 def _g_sign(fam: KernelFamily) -> float:
@@ -271,25 +304,26 @@ def kernel_quad_grid(fam: KernelFamily, zs
                      ) -> tuple[IntegrationResult, IntegrationResult, list[IntegrationResult]]:
     """(c, d, [g(z) for z in zs]) by direct integration, every integral
     on one adaptive mesh and each to 1e-10: the oracle of const_c, const_d
-    and kernel_g over a grid of z.  One function of h returns all of
-    their integrands, and each result's evaluations count the nodes of
-    the shared mesh."""
+    and kernel_g over a grid of z.  One function of h and the node's
+    weight returns all of their integrands, each times the weight, and
+    each result's evaluations count the nodes of the shared mesh."""
     zs = [complex(z) for z in zs]
     sign = _g_sign(fam)
     res = _integrate_kernel(
-        fam, lambda hv: [1.0, hv, *[1.0 / (z * hv + sign) for z in zs]], len(zs) + 2)
+        fam, lambda hv, w: [w, hv * w, *[1.0 / (z * hv + sign) * w for z in zs]],
+        len(zs) + 2)
     return res[0], res[1], res[2:]
 
 
 def const_c_quad(fam: KernelFamily) -> IntegrationResult:
     """c = int h dr by direct integration to 1e-10 (finite sum for step
     kernels)."""
-    return _integrate_kernel(fam, lambda hv: (1.0,), 1)[0]
+    return _integrate_kernel(fam, lambda hv, w: (w,), 1)[0]
 
 
 def const_d_quad(fam: KernelFamily) -> IntegrationResult:
     """d = int h^2 dr by direct integration to 1e-10."""
-    return _integrate_kernel(fam, lambda hv: (hv,), 1)[0]
+    return _integrate_kernel(fam, lambda hv, w: (hv * w,), 1)[0]
 
 
 def kernel_g_quad(fam: KernelFamily, z: complex) -> IntegrationResult:
@@ -299,7 +333,7 @@ def kernel_g_quad(fam: KernelFamily, z: complex) -> IntegrationResult:
     +1 when r is non-decreasing, -1 when non-increasing.
     """
     z, sign = complex(z), _g_sign(fam)
-    return _integrate_kernel(fam, lambda hv: (1.0 / (z * hv + sign),), 1)[0]
+    return _integrate_kernel(fam, lambda hv, w: (1.0 / (z * hv + sign) * w,), 1)[0]
 
 
 # ---------------------------------------------------------------------------

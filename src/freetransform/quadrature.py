@@ -10,8 +10,10 @@ values per node, all integrated on one mesh, so a weight that several
 integrands share is evaluated once per node.  The loop splits the panel
 with the largest component error while any component's total error
 exceeds the tolerance.  integrate_finite, integrate_semi_infinite and
-laplace_transform are its m = 1 calls; gamma_average takes the same
-vector integrand.  _worst is the package's one max that keeps a
+laplace_transform are its m = 1 calls.  gamma_average forms the shared
+weight itself and passes it to its integrand f(h, weight) with the node's
+h, and f returns its m values already weighted, so no second list is
+built per node.  _worst is the package's one max that keeps a
 NaN: it picks the panel to split here, and folds the deviations of
 transforms' structural check and of verify.
 
@@ -68,9 +70,10 @@ _WG = (
 _MAX_PANELS = 10_000
 _EPMACH = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
-# a panel's weighted absolute sum above which its error estimate is held
-# to at least 50 eps times that sum, as in QUADPACK
-_RESABS_FLOOR = _UFLOW / (50.0 * _EPMACH)
+# a panel's error estimate is held to at least 50 eps times its weighted
+# absolute sum, as in QUADPACK, where that sum exceeds _RESABS_FLOOR
+_EPS50 = 50.0 * _EPMACH
+_RESABS_FLOOR = _UFLOW / _EPS50
 # gamma_average's highest order: beyond it the head's first panel can
 # miss the mode and return half the mass (in a scan, from s = 5.5e5 at
 # tol = 0.1, 1.05e6 at 1e-3 and 2.9e6 at 1e-10)
@@ -106,15 +109,18 @@ def _kronrod_panel(f, lo: float, hi: float, m: int):
     nodes = [center]
     for x in _XGK[:7]:
         x *= half
+        nodes += (center - x, center + x)
+    if nodes[1] <= lo or nodes[2] >= hi:
         # keep the rule strictly open: a node that rounds onto a panel
-        # edge is pulled one step inward
-        x1 = center - x
-        if x1 <= lo:
-            x1 = math.nextafter(lo, hi)
-        x2 = center + x
-        if x2 >= hi:
-            x2 = math.nextafter(hi, lo)
-        nodes += (x1, x2)
+        # edge is pulled one step inward.  Rounding is monotone in the
+        # offset, so an inner node can reach an edge only where the
+        # outermost pair does
+        inner_lo, inner_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
+        for i in range(1, 15, 2):
+            if nodes[i] <= lo:
+                nodes[i] = inner_lo
+            if nodes[i + 1] >= hi:
+                nodes[i + 1] = inner_hi
 
     w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
     g0, g1, g2, g3 = _WG
@@ -123,10 +129,11 @@ def _kronrod_panel(f, lo: float, hi: float, m: int):
     # from the integrand either means the same as a non-finite sample
     try:
         rows = list(map(f, nodes))
-        for x, row in zip(nodes, rows):
-            if len(row) != m:
-                raise InvalidInput(
-                    f"integrand returned {len(row)} values at {x!r}, expected {m}")
+        if list(map(len, rows)).count(m) != 15:
+            for x, row in zip(nodes, rows):
+                if len(row) != m:
+                    raise InvalidInput(
+                        f"integrand returned {len(row)} values at {x!r}, expected {m}")
         for col in zip(*rows):
             # the sums run left to right, in the order of QUADPACK's qk15
             fc, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = col
@@ -154,11 +161,17 @@ def _kronrod_panel(f, lo: float, hi: float, m: int):
 
             resabs *= abs_half
             resasc *= abs_half
+            # min(1.0, r) and max(floor, err) as comparisons: each keeps
+            # its first argument unless the second is strictly smaller or
+            # larger, so a NaN r or err comes out as min and max give it
             err = abs((resk - resg) * half)
             if resasc != 0.0 and err != 0.0:
-                err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+                r = (200.0 * err / resasc) ** 1.5
+                err = resasc * (r if r < 1.0 else 1.0)
             if resabs > _RESABS_FLOOR:
-                err = max(_EPMACH * 50.0 * resabs, err)
+                floor = _EPS50 * resabs
+                if not err > floor:
+                    err = floor
             values.append(complex(resk * half))
             errs.append(err)
     except (OverflowError, ZeroDivisionError) as exc:
@@ -217,8 +230,7 @@ def _integrate(f, m: int, lo: float, hi: float,
         v1, e1, n1 = _kronrod_panel(f, a, mid, m)
         v2, e2, n2 = _kronrod_panel(f, mid, b, m)
         evals += n1 + n2
-        for i in comps:
-            totals[i] += e1[i] + e2[i] - e[i]
+        totals = [t + (x + y - z) for t, x, y, z in zip(totals, e1, e2, e)]
         counter += 1
         heapq.heappush(panels, (-_worst(*e1), counter, a, mid, v1, e1))
         counter += 1
@@ -336,19 +348,20 @@ def laplace_transform(
 
 def gamma_average(f, m: int, s: float, v: float,
                   tol: float) -> list[IntegrationResult]:
-    """Evaluate int_0^inf f(e^-t) t^(s-1) e^(-v t)/Gamma(s) dt for the m
-    components of f, s >= 1: the Lerch integral representation, and each
-    built-in kernel's defining integral with h = e^-t.  f(h) returns a
-    sequence of m values.
+    """Evaluate int_0^inf q(e^-t) t^(s-1) e^(-v t)/Gamma(s) dt for the m
+    components of q, s >= 1: the Lerch integral representation, and each
+    built-in kernel's defining integral with h = e^-t.  f(h, weight)
+    returns the sequence of the m values q(h) * weight: the node's weight
+    is f's to apply, as the last multiply of each value.
 
     In tau = v t the weight is v^-s times the gamma density, of mass 1,
     formed in log space relative to its mode tau = s - 1.  The chart's
     unit is the density's width sqrt(s) and it splits at the mode; the
     integrals are taken to tol relative to v^-s, then scaled by it.  All
     components share one mesh: per node, h and the real weight (density,
-    width and the chart's Jacobian) are formed once, and each component
-    costs one multiply.  Raises DomainError above order _GAMMA_MAX_ORDER
-    and where v^-s overflows.
+    width and the chart's Jacobian) are formed once and passed to f, and
+    each component costs one multiply in f.  Raises DomainError above
+    order _GAMMA_MAX_ORDER and where v^-s overflows.
     """
     if s > _GAMMA_MAX_ORDER:
         raise DomainError(f"gamma average of order {s!r} > {_GAMMA_MAX_ORDER}: "
@@ -380,9 +393,7 @@ def gamma_average(f, m: int, s: float, v: float,
             log_rel += mode * (math.log1p(dev / mode) if 2.0 * dev > -mode
                                else math.log(tau) - math.log(mode))
         density = math.exp(log_top + log_rel)
-        h = math.exp(-tau / v)
-        weight = density * width / x / x
-        return [q * weight for q in f(h)]
+        return f(math.exp(-tau / v), density * width / x / x)
 
     return [IntegrationResult(r.value * mass, r.error_estimate * mass, r.evaluations)
             for r in _integrate_half_line(integrand, m, tol, mode / width)]

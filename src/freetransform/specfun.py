@@ -318,7 +318,8 @@ def _lerch_integral(z: complex, s: int, v: float) -> complex:
     Valid for z off the real ray [1, inf); the integrand's denominator
     never vanishes there.  Taken to _INTEGRAL_TOL relative to v^-s.
     """
-    return gamma_average(lambda w: (1.0 / (1.0 - z * w),), 1, s, v, _INTEGRAL_TOL)[0].value
+    return gamma_average(lambda w, weight: (1.0 / (1.0 - z * w) * weight,), 1, s, v,
+                         _INTEGRAL_TOL)[0].value
 
 
 def lerch_phi(z: complex, s: int, v: float) -> complex:

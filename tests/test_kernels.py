@@ -14,6 +14,7 @@ from freetransform import (
     FreeTransformError,
     InvalidInput,
     KernelFamily,
+    NonFiniteError,
     PickRepresentation,
     const_c,
     const_c_quad,
@@ -88,7 +89,7 @@ def test_g_series_branch_continuity():
                                (lclass(1), (1.0, 2, 1.0))):
         for z in (0.999e-3 * cmath.exp(0.4j), 1.001e-3 * cmath.exp(0.4j)):
             oracle = quadrature.gamma_average(
-                lambda h: (1.0 / (z * h + 1.0),), 1, s, v, 1e-12)[0].value
+                lambda h, w: (1.0 / (z * h + 1.0) * w,), 1, s, v, 1e-12)[0].value
             dev = abs(kernel_g(fam, z) - scale * oracle)
             assert dev < 1e-10, (fam.tag, z)
 
@@ -111,9 +112,9 @@ def _sself_chart_nodes(fam):
     integrand."""
     seen = []
 
-    def f(s):
+    def f(s, w):
         seen.append(s)
-        return (s / (complex(0.4, 1.0) * s + 1.0),)
+        return (s / (complex(0.4, 1.0) * s + 1.0) * w,)
 
     kernels._integrate_kernel(fam, f, 1)
     return seen
@@ -274,6 +275,35 @@ def test_step_kernel_grid_is_its_one_component_sums():
     assert [tuple(res) for res in (c, d, *gs)] == frozen
 
 
+# (value, error estimate, evaluations) of c, d, g(0.5+0.5j) and
+# g(-0.95+0.02j) of kernel_quad_grid, all four on one mesh, frozen: the
+# gamma average's head and tail (sself, lclass) and ubeta's (0, 1] chart
+# with m = 4, where each node weights every component
+_FROZEN_GRIDS = [
+    (sself(3), [
+        ((0.12500000000000006+0j), 2.388740377467121e-12, 270),
+        ((0.03703703703703705+0j), 6.10009796573804e-13, 270),
+        ((0.10764516260818886-0.012511425620197577j), 2.777751898695715e-12, 270),
+        ((0.19217262589197615-0.0033332245411277113j), 1.921104183225609e-12, 270)]),
+    (lclass(2), [
+        ((1.0000000000000004+0j), 1.910992301973697e-11, 300),
+        ((0.12500000000000003+0j), 9.84773842928993e-13, 300),
+        ((0.939921705885807-0.04756686849399564j), 1.8635053383251348e-11, 300),
+        ((1.1824973301065551-0.007010015831910847j), 2.0083227310417308e-11, 300)]),
+    (ubeta(2), [
+        ((0.6666666666666667+0j), 7.401486830834377e-15, 135),
+        ((0.5+0j), 5.551115123125783e-15, 135),
+        ((0.45442075383825864-0.1195836813348789j), 5.22474361001703e-15, 135),
+        ((3.587625891729824-0.5708380446894759j), 1.0750192146296471e-11, 135)]),
+]
+
+
+@pytest.mark.parametrize("fam, frozen", _FROZEN_GRIDS)
+def test_grid_oracles_bit_identical(fam, frozen):
+    c, d, gs = kernel_quad_grid(fam, (0.5 + 0.5j, -0.95 + 0.02j))
+    assert [tuple(res) for res in (c, d, *gs)] == frozen
+
+
 def test_lclass_oracle_high_order():
     # the weight s^k e^-s/k! peaks at s = k, far beyond the first panel's
     # nodes, and s^k alone overflows from k = 75 on the chart's far
@@ -424,6 +454,26 @@ def test_custom_step_decreasing_sign():
     z = 1.0 + 1.0j
     expected = sum(j * h(s) / (z * h(s) - 1.0) for s, j in jumps)
     assert abs(kernel_g_quad(fam, z).value - expected) < 1e-15
+
+
+def test_custom_step_non_finite_sums_name_the_jump():
+    # a density kernel raises NonFiniteError on such an h; a step kernel
+    # gave c = inf with error 0.0, and g = nan+nanj, without a word
+    jumps = ((0.5, 1.0), (1.5, 2.0))
+    with pytest.raises(NonFiniteError, match=r"integrand non-finite at jump 1\.5$"):
+        const_c_quad(custom_step(lambda s: 1e308, jumps))
+    with pytest.raises(NonFiniteError, match=r"integrand non-finite at jump 0\.5$"):
+        kernel_g_quad(custom_step(lambda s: math.nan, jumps), 0.5 + 0.5j)
+    # finite terms whose sum overflows
+    with pytest.raises(NonFiniteError, match=r"step sum overflows at jump 1\.5$"):
+        const_c_quad(custom_step(lambda s: 1e308, ((0.5, 1.0), (1.5, 1.0))))
+    # a pole on a jump
+    with pytest.raises(NonFiniteError, match=r"ZeroDivisionError at jump 0\.5$"):
+        kernel_g_quad(custom_step(lambda s: 1.0, jumps), -1.0)
+    # the grid names the component; the others stay finite elsewhere
+    fam = custom_step(lambda s: 2.0 if s < 1.0 else 1e308, jumps)
+    with pytest.raises(NonFiniteError, match=r"at jump 1\.5 in component 0$"):
+        kernel_quad_grid(fam, (0.5j,))
 
 
 def test_custom_step_sign_validation():

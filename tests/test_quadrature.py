@@ -212,8 +212,8 @@ def test_one_component_is_the_scalar_integral():
             vector = _integrate(lambda s: (f(s),), 1, lo, hi, TOL)
             assert vector == [integrate_finite(f, lo, hi, TOL)]
     q = lambda w: 1.0 / (1.0 - complex(0.5, 2.0) * w)
-    single = gamma_average(lambda w: (q(w),), 1, 3, 2.5, TOL)
-    pair = gamma_average(lambda w: (q(w), q(w)), 2, 3, 2.5, TOL)
+    single = gamma_average(lambda w, weight: (q(w) * weight,), 1, 3, 2.5, TOL)
+    pair = gamma_average(lambda w, weight: (q(w) * weight, q(w) * weight), 2, 3, 2.5, TOL)
     assert pair == single + single
 
 
@@ -242,10 +242,13 @@ def test_budget_exhaustion_names_the_component():
 # (value, error estimate, evaluation count) of single G7/K15 panels, frozen:
 # any rewrite of the panel routine must reproduce them bit for bit.  The
 # integrands use only correctly rounded arithmetic, so the values do not
-# depend on the platform's libm.  The last three panels are a few ulps wide,
-# so their outer nodes round onto an edge and must be pulled inward: the
-# integrand has its pole on that edge.
+# depend on the platform's libm.  The last five panels are 8 to 49 ulps
+# wide, so their outer nodes round onto an edge and must be pulled inward:
+# the integrand has its pole on that edge.  On _THIN, 8 ulps, several node
+# pairs round onto the edges; on _WIDE, 40 ulps, only the outermost pair
+# does.
 _THIN = 1.0 + 8 * 2.0 ** -52
+_WIDE = 1.0 + 40 * 2.0 ** -52
 _FROZEN_PANELS = [
     (lambda s: 1.0 / (1.0 + s), 0.0, 1.0,
      (0.6931471805599453 + 0j, 7.273495740812831e-13, 15)),
@@ -261,6 +264,10 @@ _FROZEN_PANELS = [
      (3.119181117652138 + 0j, 1.9343753145777411, 15)),
     (lambda s: 5e-324 / (s - 5e-324) + 1j, 5e-324, 2.5e-322,
      (2.5e-323 + 2.47e-322j, 2.5e-323, 15)),
+    (lambda s: 1.0 / (s - 1.0), 1.0, _WIDE,
+     (4.779634095850339 + 0j, 4.416457094102766, 15)),
+    (lambda s: 1.0 / (_WIDE - s), 1.0, _WIDE,
+     (4.779634095850339 + 0j, 4.416457094102766, 15)),
 ]
 
 
