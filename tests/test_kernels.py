@@ -470,7 +470,7 @@ def test_custom_step_non_finite_sums_name_the_jump():
     # a pole on a jump
     with pytest.raises(NonFiniteError, match=r"ZeroDivisionError at jump 0\.5$"):
         kernel_g_quad(custom_step(lambda s: 1.0, jumps), -1.0)
-    # the grid names the component; the others stay finite elsewhere
+    # a grid names the first component that is not finite
     fam = custom_step(lambda s: 2.0 if s < 1.0 else 1e308, jumps)
     with pytest.raises(NonFiniteError, match=r"at jump 1\.5 in component 0$"):
         kernel_quad_grid(fam, (0.5j,))

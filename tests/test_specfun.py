@@ -117,8 +117,8 @@ def test_lerch_quadrature_oracle():
 
 
 def test_lerch_integral_bit_identical():
-    # the integral branch's gamma average, frozen at the mesh it takes
-    # today: any rewrite of the integrand or the panels must keep its bits
+    # the integral branch's gamma average, frozen: any rewrite of its
+    # integrand or of the panels must reproduce it bit for bit
     assert specfun._lerch_integral(0.9j, 2, 2.5) == 0.1306766294883017 + 0.05642541160346972j
 
 
