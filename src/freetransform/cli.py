@@ -20,7 +20,7 @@ import math
 import sys
 
 from . import __version__
-from .errors import DomainError, FreeTransformError, InvalidInput
+from .errors import FreeTransformError, InvalidInput
 from .kernels import FAMILIES, LCLASS, SSELF, UBETA, KernelFamily, kernel_g, kernel_g_quad
 from .measures import FiniteMeasure, LevyTriple
 from .transforms import (
@@ -304,11 +304,9 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except FreeTransformError as exc:
-        # convergence or non-finite failures are domain problems too
+        # DomainError, and the convergence and non-finite failures, which
+        # are domain problems too
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

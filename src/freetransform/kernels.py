@@ -50,7 +50,7 @@ from .errors import DomainError, InvalidInput, NonFiniteError
 from .measures import FiniteMeasure
 from .quadrature import (IntegrationResult, _integrate, _integrate_half_line,
                          gamma_average)
-from .specfun import _route, lerch_phi
+from .specfun import _route
 
 SSELF = "sself"
 UBETA = "ubeta"
@@ -210,7 +210,10 @@ def kernel_g(fam: KernelFamily, z: complex) -> complex:
 
     Built-ins assume the + sign (their r is non-decreasing).  The value
     is analytic off the ray (-inf, -1] and satisfies g(0) = c.  CUSTOM
-    kernels fall back to quadrature with the declared sign.
+    kernels fall back to quadrature with the declared sign.  A built-in
+    checks only z, against that ray, which is lerch_phi's cut at -z, and
+    calls specfun._route(s, v) as map_data does: the family checked its
+    order when it was built.
     """
     z = complex(z)
     if fam.tag == CUSTOM:
@@ -218,7 +221,7 @@ def kernel_g(fam: KernelFamily, z: complex) -> complex:
     if z.imag == 0.0 and z.real <= -1.0:
         raise DomainError(f"z = {z!r} lies on the singular ray (-inf, -1]")
     _, _, scale, s, v = FAMILIES[fam.tag].closed_form(fam.k)
-    return scale * lerch_phi(-z, s, v)
+    return scale * _route(s, v)(-z)
 
 
 # ---------------------------------------------------------------------------

@@ -83,16 +83,6 @@ class FiniteMeasure:
                      what="atoms")
         return tuple.__new__(type(self), (_sorted_atoms(self.atoms),))
 
-    def mass_at(self, x: float) -> float:
-        for loc, w in self.atoms:
-            if loc == x:
-                return w
-        return 0.0
-
-    @property
-    def total_mass(self) -> float:
-        return sum(w for _, w in self.atoms)
-
 
 def triple_to_finite_measure(tr: LevyTriple) -> FiniteMeasure:
     """Companion measure of a triple: jump atoms reweighted by

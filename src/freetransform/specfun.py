@@ -28,13 +28,18 @@ kernels' work stays bounded at every order.  Its radius,
 _direct_radius(s, v), is asked at every order; below s = 22 for v = 1
 it is at most 1/2, so no z off the series disk takes the sum there.
 
-lerch_phi checks its arguments and calls _route(s, v), a bounded cache
-of one function of z per (s, v), with the dispatch on (s, v) made once:
-the series on the disk, and off it the defining sum, then polylog for
-v = 1, the log closed form for s = 1, Phi(z, s, 2) = (Li_s(z) - z)/z^2,
-or the integral representation, each called from the route with no
-frame between.  kernels.map_data binds the kernels' g to the route, so
-an evaluator makes no check and no dispatch per point.
+Each argument is checked once, where it enters.  lerch_phi and polylog
+share one order check, _check_order: s is an int >= 1, not a bool,
+that converts to a double (so at most about 1.8e308), since the sums
+take s as one.  lerch_phi then checks z and v and calls _route(s, v), a
+bounded cache of one function of z per (s, v), with the dispatch on
+(s, v) made once: the series on the disk, and off it the defining sum,
+then polylog for v = 1, the log closed form for s = 1, Phi(z, s, 2) =
+(Li_s(z) - z)/z^2, or the integral representation, each called from
+the route with no frame between.  The kernel families check their
+order where they are built, so kernels.map_data binds g to the route,
+and kernels.kernel_g calls it after its own ray check: neither an
+evaluator nor kernel_g checks (s, v) again or dispatches per point.
 
 The Lerch series is the only series on the disk |w| <= 1/2: polylog
 there takes sum_{n>=1} w^n n^-s = w Phi(w, s, 1), and the inversion
@@ -169,6 +174,18 @@ def gamma_fn(x: float) -> float:
 
 def _on_cut(z: complex) -> bool:
     return z.imag == 0.0 and z.real >= 1.0
+
+
+def _check_order(s) -> None:
+    """DomainError unless s is an int >= 1, not a bool, that converts to
+    a double: the sums take s as one."""
+    # True passes as an int >= 1; False already fails s >= 1
+    if not (isinstance(s, int) and s >= 1) or s is True:
+        raise DomainError(f"s must be an integer >= 1, got {s!r}")
+    try:
+        float(s)
+    except OverflowError:
+        raise DomainError(f"s must convert to a double, got {s.bit_length()} bits") from None
 
 
 @functools.lru_cache(maxsize=_SERIES_TABLES)
@@ -328,7 +345,7 @@ def lerch_phi(z: complex, s: int, v: float) -> complex:
     Parameters
     ----------
     z : complex, finite, not on the real ray [1, inf)
-    s : int >= 1, not a bool
+    s : int >= 1, not a bool, that converts to a double
     v : float > 0
 
     The series serves |z| <= 1/2; beyond it, integer v takes a closed
@@ -338,9 +355,7 @@ def lerch_phi(z: complex, s: int, v: float) -> complex:
     z = complex(z)
     if _on_cut(z):
         raise DomainError(f"z = {z!r} lies on the singular ray [1, inf)")
-    # True passes as an int >= 1; False already fails s >= 1
-    if not (isinstance(s, int) and s >= 1) or s is True:
-        raise DomainError(f"s must be an integer >= 1, got {s!r}")
+    _check_order(s)
     if not (v > 0.0 and math.isfinite(v)):
         raise DomainError(f"v must be positive and finite, got {v!r}")
     return _route(s, v)(z)
@@ -411,12 +426,10 @@ def _lerch_direct(z: complex, s: int, v: float) -> complex:
     (v+n)^-s, as |1 - z e^-t| >= 1 there.  Each bound is formed as the
     exp of its log, so neither |z|^n nor (v+n)^-s over- or underflows;
     its rounding is about (n log|z|) eps relative, on terms at most
-    _SUM_EPS^(n/4) of the first.  DomainError where v^-s overflows.
+    _SUM_EPS^(n/4) of the first.  v^-s is _series_powers(s, v)'s, which
+    raises DomainError where it overflows.
     """
-    try:
-        first = v ** -s
-    except OverflowError:
-        raise DomainError(f"v^-s = {v!r}^-{s} overflows double precision")
+    first = _series_powers(s, v)[0]
     r = abs(z)
     log_r, unit = math.log(r), z / r
     acc = complex(1.0)
@@ -675,9 +688,14 @@ def _eta_tables() -> tuple:
 
 def _step_divisors(j: int) -> tuple:
     """The divisors (i+1)(i+2) of the _TAIL_STEPS steps from L^i/i! to
-    L^(i+2)/(i+2)!, i = j, j+2, ..., each the float the division of a
-    complex by the integer takes."""
-    return tuple(float((i + 1) * (i + 2)) for i in range(j, j + 2 * _TAIL_STEPS, 2))
+    L^(i+2)/(i+2)!, i = j, j+2, ..., each the product of the floats i+1
+    and i+2 formed from float(j): the float the division of a complex by
+    the integer takes wherever i+2 <= 2^53, and inf, not OverflowError,
+    where it passes the double range, even for a j within 2 _TAIL_STEPS
+    of the largest int that converts.  Past 2^53 the pass has reached 0j
+    and reads none of them."""
+    x = float(j)
+    return tuple((x + (i + 1)) * (x + (i + 2)) for i in range(0, 2 * _TAIL_STEPS, 2))
 
 
 @functools.lru_cache(maxsize=_SERIES_TABLES)
@@ -695,7 +713,7 @@ def _inversion_plan(s: int, shift: int) -> tuple:
     j = s % 2 + 2 * (half - cut)
     terms = []
     for coef in reversed(coefs[:cut]):
-        terms += (coef, float((j + 1) * (j + 2)))
+        terms += (coef, float(j + 1) * float(j + 2))
         j += 2
     return half - cut, tuple(terms), _step_divisors(s) if shift else ()
 
@@ -780,13 +798,11 @@ def polylog(s: int, z: complex) -> complex:
     z Phi(z, s, 1) by its defining sum for Re z <= 0 at the orders where
     it stops within _DIRECT_TERMS terms, Crandall's log-series for
     1/2 < |z| < 2, the inversion formula for |z| >= 2.  z = 1 diverges
-    for s = 1 and is zeta(s) for s >= 2; an infinite or NaN z raises
-    DomainError.
+    for s = 1 and is zeta(s) for s >= 2; an infinite or NaN z, and an s
+    that is not an int >= 1 converting to a double, raise DomainError.
     """
     z = complex(z)
-    # True passes as an int >= 1; False already fails s >= 1
-    if not (isinstance(s, int) and s >= 1) or s is True:
-        raise DomainError(f"s must be an integer >= 1, got {s!r}")
+    _check_order(s)
     if z == 1.0:
         if s == 1:
             raise DomainError("Li_1(1) diverges")

@@ -161,7 +161,7 @@ def _image_evaluator(c: float, d: float, g: Callable[[complex], complex],
     gauss = sign * tr.gauss_var * d
     atoms = [(w * sign * x, x, sign * c / (1.0 + x * x)) for x, w in tr.levy_atoms]
     far = max((abs(x) for x, _ in tr.levy_atoms), default=0.0)
-    # with no atom off the origin there is nothing to sum
+    # with no atom there is nothing to sum; LevyTriple puts none at 0
     reach = 2.0 * far if lerch is not None and far else math.inf
     series = None
 
@@ -172,8 +172,8 @@ def _image_evaluator(c: float, d: float, g: Callable[[complex], complex],
             if series is None:
                 # Phi(-ix/t, s, v) = Phi(iqr, s, v) with q = -x/far, r = far/t
                 first, rows, stop = _moment_rows(
-                    *lerch, [(weight, -x / far) for weight, x, _ in atoms if x])
-                constant = sum(weight * (first - shift) for weight, x, shift in atoms if x)
+                    *lerch, [(weight, -x / far) for weight, x, _ in atoms])
+                constant = sum(weight * (first - shift) for weight, _, shift in atoms)
                 series = constant, rows, stop
             constant, rows, stop = series
             parts = _axis_sum(rows, far / t, stop, 0.0)
@@ -271,10 +271,9 @@ def _linf_factor(x: float) -> tuple[complex, float]:
     sigma (expm1(L + i sigma pi eps/2) - eps)/eps, where
     L = log Gamma(2+eps) = eps (1 + log_gamma2_slope(eps)), one series on
     the whole support.  x = +-1 exactly, a removable singularity, takes
-    the series' constant term: -+gamma + i pi/2.
+    the series' constant term: -+gamma + i pi/2.  x is not checked:
+    linf_integrand checks it, and LInfSpec its atoms.
     """
-    if x == 0.0 or not (-2.0 < x <= 2.0):
-        raise DomainError(f"x must lie in (-2,0) u (0,2], got {x!r}")
     sigma = 1.0 if x > 0.0 else -1.0
     eps = abs(x) - 1.0
     slope = log_gamma2_slope(eps)
@@ -294,6 +293,8 @@ def linf_integrand(x: float, t: float) -> complex:
     """(Gamma(|x|+1) i e^{i pi x/2} + x) t^(1-|x|) / (1-|x|), formed as
     in _linf_factor."""
     t = _check_t(t)
+    if x == 0.0 or not (-2.0 < x <= 2.0):
+        raise DomainError(f"x must lie in (-2,0) u (0,2], got {x!r}")
     factor, eps = _linf_factor(x)
     try:
         return factor * t ** -eps

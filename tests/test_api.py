@@ -1,4 +1,5 @@
-"""The public API holds only what the package uses or documents a use for."""
+"""The public API holds only what the package uses or documents a use for:
+its names, and the methods and properties of its classes."""
 
 import ast
 import pathlib
@@ -12,6 +13,8 @@ NO_CALLER = {
     "derivative_t": "perfbench/tracer.py wraps it by name",
     "integrate_finite": "perfbench/tracer.py wraps it by name; tests use it as the "
                         "one-integral oracle",
+    "lerch_phi": "perfbench/tracer.py wraps it by name; the checked entry to "
+                 "Phi(z, s, v), whose checked families reach it through the route",
     "transform_lclass": "perfbench/tracer.py wraps it by name; the one-point form "
                         "of random_integral_evaluator for the class",
     "transform_linf": "perfbench/tracer.py wraps it by name; the one-point form "
@@ -71,6 +74,26 @@ def test_no_caller_list_is_current():
     used = _package_references()
     assert NO_CALLER.keys() <= set(freetransform.__all__)
     assert not NO_CALLER.keys() & used, sorted(NO_CALLER.keys() & used)
+
+
+def _public_members() -> set:
+    """'Class.name' for every public method and property of a class in
+    __all__, read from the package source."""
+    public = set(freetransform.__all__)
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and node.name in public:
+                found.update(f"{node.name}.{sub.name}" for sub in node.body
+                             if isinstance(sub, ast.FunctionDef)
+                             and not sub.name.startswith("_"))
+    return found
+
+
+def test_every_public_member_has_a_caller():
+    used = _package_references()
+    unused = sorted(m for m in _public_members() if m.split(".")[1] not in used)
+    assert not unused, f"public methods and properties without a package caller: {unused}"
 
 
 def _public_defaults() -> set:

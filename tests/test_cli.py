@@ -520,6 +520,20 @@ def test_kernels_domain_exit(tmp_path):
         assert res.stderr.count("\n") == 1, res.stderr
 
 
+def test_kernels_orders_past_the_square_root_of_the_double_range(capsys):
+    # the inversion formula's step divisors (j+1)(j+2) pass the double range
+    # from j of about 1.34e154 on; g answers, and the quadrature column
+    # meets the gamma average's order limit
+    from freetransform import cli
+
+    for family in ("lclass", "sself"):
+        assert cli.main(["kernels", "--family", family, "--k", str(10 ** 160),
+                         "--grid=-3:-3:1,0.1:0.1:1"]) == 3, family
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: gamma average of order ") \
+            and err.count("\n") == 1, (family, err)
+
+
 def test_kernels_grid_validation():
     res = run("kernels", "--family", "sself", "--k", "1", "--grid", "0:1:3")
     assert res.returncode == 2

@@ -118,8 +118,12 @@ _TRIPLES = st.builds(
              unique_by=lambda atom: atom[0]))
 
 
+# orders log-uniform up to 10^400, past the double range from about 1.8e308
+_HUGE_ORDERS = st.integers(0, 399).flatmap(lambda e: st.integers(10 ** e, 10 ** (e + 1)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(s=st.integers(1, 200), z=_Z, k=st.integers(1, 1001))
+@given(s=st.one_of(st.integers(1, 200), _HUGE_ORDERS), z=_Z, k=st.integers(1, 1001))
 def test_specfun_raises_only_package_errors(s, z, k):
     _answers(lambda: polylog(s, z))
     _answers(lambda: lerch_phi(z, s, 1.0))
@@ -273,17 +277,27 @@ def test_polylog_takes_the_direct_sum_from_its_lowest_order(monkeypatch):
     assert counts["_lerch_direct"] == 2 and counts["_log_series"] == 0
 
 
-def test_eval_calls_no_checked_lerch_phi(monkeypatch, tmp_path, capsys):
-    # an eval op checks (s, v) once, when it binds g to the route, and
-    # no point calls the checked lerch_phi
+def _record_checked_lerch_phi(monkeypatch) -> list:
+    """Rebind every package module's name for the checked lerch_phi to a
+    wrapper that records its arguments; the list of them."""
     calls = []
 
     def forbidden(*args):
         calls.append(args)
         return lerch_phi(*args)
 
-    monkeypatch.setattr(specfun, "lerch_phi", forbidden)
-    monkeypatch.setattr(kernels, "lerch_phi", forbidden)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "freetransform":
+            for key, value in list(vars(module).items()):
+                if value is lerch_phi:
+                    monkeypatch.setattr(module, key, forbidden)
+    return calls
+
+
+def test_eval_calls_no_checked_lerch_phi(monkeypatch, tmp_path, capsys):
+    # an eval op checks (s, v) once, when it binds g to the route, and
+    # no point calls the checked lerch_phi
+    calls = _record_checked_lerch_phi(monkeypatch)
     counts = _count_branches(monkeypatch)
     path = tmp_path / "law.json"
     path.write_text(json.dumps({"a": 0.2, "sigma2": 0.7, "atoms": [
@@ -296,7 +310,39 @@ def test_eval_calls_no_checked_lerch_phi(monkeypatch, tmp_path, capsys):
     assert counts["_inversion"] > 0 and counts["_lerch_log"] > 0
 
 
+def test_verify_and_kernels_call_no_checked_lerch_phi(monkeypatch, capsys):
+    # the families check (s, v) where they are built; kernel_g checks z
+    # against its ray and calls the route, and so does verify
+    calls = _record_checked_lerch_phi(monkeypatch)
+    assert cli.main(["verify", "all"]) == 0
+    for family in kernels.FAMILIES:
+        assert cli.main(["kernels", "--family", family, "--k", "3"]) == 0
+    assert capsys.readouterr().out.count("\n") > 3 * 26
+    assert calls == []
+
+
 # orders past any deck: the defining sum, in bounded time and memory -----------
+
+@pytest.mark.parametrize("s", [10 ** 155, int(sys.float_info.max) + 1,
+                               2 ** 1024 - 2 ** 970 - 1],
+                         ids=["1e155", "double-max-plus-1", "largest-converting"])
+def test_orders_past_the_square_root_of_the_double_range(s):
+    # the inversion formula's step divisors (j+1)(j+2) pass the double
+    # range from j of about 1.34e154 on; Li_s(z) is z, and Phi(z, s, 2)
+    # about 2^-s, to double precision
+    z = 3 + 0.1j
+    assert abs(polylog(s, z) - z) <= 1e-15 * abs(z)
+    assert abs(lerch_phi(z, s, 2.0)) <= 1e-15
+
+
+def test_orders_past_the_double_range_are_domain_errors():
+    # the sums take s as a double: the smallest int that float() refuses,
+    # one above the largest-converting order above
+    s = 2 ** 1024 - 2 ** 970
+    for call in (lambda: polylog(s, 3j), lambda: lerch_phi(3j, s, 1.0)):
+        with pytest.raises(DomainError, match="s must convert to a double"):
+            call()
+
 
 def test_cli_huge_orders_answer_in_bounded_time_and_memory(tmp_path):
     # in a child process under an address-space limit: lk and uks at

@@ -6,8 +6,12 @@ with v = 1 it pairs polylog (series, log-series, inversion, defining
 sum) with Phi(z, s, 2), and with s = 1 it pairs the log closed form of
 order v with that of order v + 1, and, past the closed forms' largest
 order, the log closed form with the integral representation.  The
-arguments z = +-iy are those of eval.
+arguments z = +-iy are those of eval; v = 1 is also checked on the
+diagonals arg z = +-pi/4 and +-3pi/4.
 """
+
+import cmath
+import math
 
 import pytest
 
@@ -15,11 +19,18 @@ from freetransform import lerch_phi
 
 # relative to |v^-s| + |z Phi(z, s, v+1)|, the scale of the rounding on the
 # right-hand side; fixed before measuring.  Worst measured on the grids
-# below: 8.2e-14 for v = 1 (s = 1000, y = 1.8e229), and 4.5e-16 for s = 1
+# below: 8.2e-14 for v = 1 (s = 1000, y = 1.8e229), 8.7e-14 on its
+# diagonals (s = 1000, |z| = 5.6e234, arg z = +-3pi/4), and 4.5e-16 for
+# s = 1
 BOUND = 1e-13
 
 # quarter decades of y from 1e-3 to 1e300
 Y_V1 = [10.0 ** (e / 4) for e in range(-12, 1201)]
+ORDERS_V1 = [1, 2, 3, 5, 10, 21, 22, 31, 40, 100, 300, 1000, 3000, 10 ** 6, 10 ** 9]
+# unit steps along arg z = +-pi/4 and +-3pi/4: Re z > 0 takes polylog's
+# log-series and inversion, and Re z < 0 the defining sum, with the
+# _lerch_v2 log-series off the negative real axis
+DIAGONALS = [cmath.rect(1.0, k * math.pi / 4) for k in (1, -1, 3, -3)]
 # quarter decades from 1e-2 to 1e12, off the band 1/2 < y < 2 in which
 # the log closed form cancels (FOUND: the _lerch_log band)
 Y_S1 = [y for y in (10.0 ** (e / 4) for e in range(-8, 49)) if not 0.5 < y < 2.0]
@@ -38,11 +49,17 @@ def _worst(s: int, v: float, ys) -> tuple:
                for y in ys for sign in (1.0, -1.0))
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 5, 10, 21, 22, 31, 40, 100, 300, 1000, 3000,
-                               10 ** 6, 10 ** 9])
+@pytest.mark.parametrize("s", ORDERS_V1)
 def test_v_shift_pairs_polylog_with_v2(s):
     err, y = _worst(s, 1.0, Y_V1)
     assert err <= BOUND, (s, y, err)
+
+
+@pytest.mark.parametrize("s", ORDERS_V1)
+def test_v_shift_pairs_polylog_with_v2_on_the_diagonals(s):
+    err, z = max(((_shift_error(unit * r, s, 1.0), unit * r)
+                  for r in Y_V1 for unit in DIAGONALS), key=lambda cell: cell[0])
+    assert err <= BOUND, (s, z, err)
 
 
 def test_v_shift_pairs_log_closed_forms():
