@@ -46,7 +46,7 @@ import sys
 from collections.abc import Callable
 
 from ._records import record
-from .errors import DomainError, InvalidInput, NonFiniteError
+from .errors import DomainError, InvalidInput, NonFiniteError, _shown
 from .measures import FiniteMeasure
 from .quadrature import (IntegrationResult, _integrate, _integrate_half_line,
                          gamma_average)
@@ -88,10 +88,10 @@ class KernelFamily:
                     "custom kernel needs exactly one of r_density or jumps")
             return self
         if self.tag not in FAMILIES:
-            raise InvalidInput(f"unknown kernel tag {self.tag!r}")
+            raise InvalidInput(f"unknown kernel tag {_shown(self.tag)}")
         lowest, k = FAMILIES[self.tag].lowest, self.k
         if isinstance(k, bool) or not isinstance(k, int) or k < lowest:
-            raise InvalidInput(f"{self.tag} needs an integer k >= {lowest}, got {k!r}")
+            raise InvalidInput(f"{self.tag} needs an integer k >= {lowest}, got {_shown(k)}")
         if k > sys.float_info.max:  # the closed forms take k as a double
             raise InvalidInput(f"{self.tag} needs k <= {sys.float_info.max!r}")
         return self

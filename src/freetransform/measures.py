@@ -24,18 +24,20 @@ Atom = tuple[float, float]  # (location, weight)
 _MIN_NORMAL = sys.float_info.min
 
 
-def _check_atoms(atoms, *, allow_zero_loc: bool, nonneg_ok: bool, what: str):
+def _check_atoms(atoms, *, jumps: bool, what: str):
+    """Finite, pairwise distinct atoms; a jump measure's at x != 0 with
+    w > 0, a finite measure's anywhere with w >= 0."""
     seen = set()
     for x, w in atoms:
         if not (math.isfinite(x) and math.isfinite(w)):
             raise InvalidInput(f"{what}: non-finite atom ({x!r}, {w!r})")
-        if not allow_zero_loc and x == 0.0:
-            raise InvalidInput(f"{what}: atom at 0 not allowed")
-        if nonneg_ok:
-            if w < 0.0:
-                raise InvalidInput(f"{what}: negative mass {w!r} at {x!r}")
-        elif w <= 0.0:
-            raise InvalidInput(f"{what}: mass must be positive, got {w!r} at {x!r}")
+        if jumps:
+            if x == 0.0:
+                raise InvalidInput(f"{what}: atom at 0 not allowed")
+            if w <= 0.0:
+                raise InvalidInput(f"{what}: mass must be positive, got {w!r} at {x!r}")
+        elif w < 0.0:
+            raise InvalidInput(f"{what}: negative mass {w!r} at {x!r}")
         if x in seen:
             raise InvalidInput(f"{what}: duplicate atom location {x!r}")
         seen.add(x)
@@ -62,8 +64,7 @@ class LevyTriple:
             raise InvalidInput(f"drift must be finite, got {self.drift!r}")
         if not (math.isfinite(self.gauss_var) and self.gauss_var >= 0.0):
             raise InvalidInput(f"gauss_var must be >= 0, got {self.gauss_var!r}")
-        _check_atoms(self.levy_atoms, allow_zero_loc=False, nonneg_ok=False,
-                     what="levy_atoms")
+        _check_atoms(self.levy_atoms, jumps=True, what="levy_atoms")
         return tuple.__new__(type(self), (self.drift, self.gauss_var,
                                           _sorted_atoms(self.levy_atoms)))
 
@@ -79,8 +80,7 @@ class FiniteMeasure:
     atoms: tuple[Atom, ...] = ()
 
     def _checked(self):
-        _check_atoms(self.atoms, allow_zero_loc=True, nonneg_ok=True,
-                     what="atoms")
+        _check_atoms(self.atoms, jumps=False, what="atoms")
         return tuple.__new__(type(self), (_sorted_atoms(self.atoms),))
 
 

@@ -22,7 +22,7 @@ import math
 import sys
 
 from ._records import record
-from .errors import DomainError, InvalidInput, StepError
+from .errors import DomainError, InvalidInput, StepError, _shown
 from .measures import LevyTriple
 from .transforms import Evaluator, transform_ubeta, voiculescu_id
 
@@ -75,7 +75,7 @@ def _lowering(a: float, V, n) -> TransformEvaluator:
     DomainError names t and n where a difference node above t overflows.
     """
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= _MAX_POWER:
-        raise InvalidInput(f"n must be an integer in [1, {_MAX_POWER}], got {n!r}")
+        raise InvalidInput(f"n must be an integer in [1, {_MAX_POWER}], got {_shown(n)}")
     fn = _as_fn(V)
 
     def lowered(t: float) -> complex:

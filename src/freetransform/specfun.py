@@ -49,22 +49,19 @@ w^2 Phi(w, s, 2) when it subtracts z.
 What does not depend on z is tabled.  A bounded lru_cache holds the
 last _SERIES_TABLES tables of (v+n)^-s, one per (s, v): v^-s, then rows
 of four terms, at most 13 rows each; the Lerch series reads them, and
-forms the rows past a table in one place.  Three fixed tables, built on
+forms the rows past a table in one place.  Two fixed tables, built on
 first use, serve every order: zeta(n) for _ZETA_LOW <= n < _ZETA_TOP,
-past which zeta(n) - 1 underflows; H_{s-1} for the orders whose
-log-series reach their log term; and the inversion formula's eta(2n)
+past which zeta(n) - 1 underflows; and the inversion formula's eta(2n)
 coefficients, one table per shift, up to the n from which the
-coefficient is a constant.  From these, bounded lru_caches of the last
-_SERIES_TABLES orders hold one plan per (s, shift) for each off-disk
-sum, flat tuples of floats built on its first call: the log-series'
-coefficient, stop weight and divisor of each of its at most
-_LOG_SERIES_TERMS terms (_log_series_plan), and the inversion
-formula's table coefficients with the divisors (j+1)(j+2) of their
-steps, at most 537 pairs, and the first _TAIL_STEPS divisors of its
-shifted tail (_inversion_plan); the steps ahead of the table, about s/2
-at high order, stay a count, so no plan grows with s.  _direct_radius
-is cached per (s, v) in the same way.  Every sum takes the same terms
-in the same order as without the tables and plans.
+coefficient is a constant.  From the zeta table, a bounded lru_cache of
+the last _SERIES_TABLES orders holds the log-series' plan per (s,
+shift), flat tuples of floats built on its first call: the coefficient,
+stop weight and divisor of each of its at most _LOG_SERIES_TERMS terms,
+and H_{s-1} for its log term (_log_series_plan).  _direct_radius is
+cached per (s, v) in the same way.  The inversion formula keeps no
+plan: its pass reads each coefficient from the eta table, or past it
+takes the constant, and forms each divisor as it steps.  Every sum
+takes the same terms in the same order as without the tables and plan.
 
 On the imaginary axis, where every argument -ix/t of the transforms
 lies, one float loop, _axis_sum, sums a power series in iy: odd powers
@@ -95,7 +92,7 @@ import cmath
 import functools
 import math
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _shown
 from .quadrature import gamma_average
 
 _SERIES_RADIUS = 0.5
@@ -139,9 +136,6 @@ _BERNOULLI_HALF = 64
 # numbers past their table; from 1075 on, every k^-n in zeta(n) - 1 underflows
 _ZETA_LOW = -2 * _BERNOULLI_HALF
 _ZETA_TOP = 1075
-# the divisors of this many steps of the inversion formula's shifted tail
-# are tabled per order, and formed as many at a time past them
-_TAIL_STEPS = 32
 # inversion coefficients past their tables: -2 eta(2n) is -2.0 once 2^(1-2n)
 # is below half an ulp of 1, and 2 - 2 eta(2n) is 0.0 once it underflows
 _ETA_TAIL = (-2.0, 0.0)
@@ -181,7 +175,7 @@ def _check_order(s) -> None:
     a double: the sums take s as one."""
     # True passes as an int >= 1; False already fails s >= 1
     if not (isinstance(s, int) and s >= 1) or s is True:
-        raise DomainError(f"s must be an integer >= 1, got {s!r}")
+        raise DomainError(f"s must be an integer >= 1, got {_shown(s)}")
     try:
         float(s)
     except OverflowError:
@@ -599,14 +593,6 @@ def log_gamma2_slope(eps: float) -> float:
 
 # polylogarithm ---------------------------------------------------------------
 
-@functools.cache
-def _harmonic_table() -> tuple:
-    """H_j = 1 + 1/2 + ... + 1/j, each an fsum, for 0 <= j < _LOG_SERIES_TERMS:
-    H_{s-1} of every order s whose log-series reaches its log term."""
-    inverses = [1.0 / j for j in range(1, _LOG_SERIES_TERMS)]
-    return tuple(math.fsum(inverses[:j]) for j in range(_LOG_SERIES_TERMS))
-
-
 @functools.lru_cache(maxsize=_SERIES_TABLES)
 def _log_series_plan(s: int, shift: int) -> tuple:
     """(log_coef, segments): _log_series' terms m = 1, 2, ... up to its
@@ -615,16 +601,17 @@ def _log_series_plan(s: int, shift: int) -> tuple:
     _SUM_EPS of the sum, then multiply the power by mu/m.  segments
     holds the terms of flat triples (coef, bound, m) before the log term
     m = s, and where the sum reaches it, after it, with log_coef =
-    H_{s-1} - shift.  The zeta pair's entry [shift] is coef, and
-    |zeta| + shift is bound; where zeta is 0, coef is -shift and bound
-    is 0.0, which marks a term that may not end the sum.
+    H_{s-1} - shift, H_{s-1} the fsum of 1/j for j < s.  The zeta
+    pair's entry [shift] is coef, and |zeta| + shift is bound; where
+    zeta is 0, coef is -shift and bound is 0.0, which marks a term that
+    may not end the sum.
     """
     top = min(s + 2 * _BERNOULLI_HALF, _LOG_SERIES_TERMS)
     segments = [[]]
     log_coef = None
     for m in range(1, top + 1):
         if m == s:
-            log_coef = _harmonic_table()[s - 1] - shift
+            log_coef = math.fsum([1.0 / j for j in range(1, s)]) - shift
             segments.append([])
             continue
         zeta, zeta_m1 = _zeta_pair(s - m + 1)
@@ -686,38 +673,6 @@ def _eta_tables() -> tuple:
     return tuple(map(tuple, tables))
 
 
-def _step_divisors(j: int) -> tuple:
-    """The divisors (i+1)(i+2) of the _TAIL_STEPS steps from L^i/i! to
-    L^(i+2)/(i+2)!, i = j, j+2, ..., each the product of the floats i+1
-    and i+2 formed from float(j): the float the division of a complex by
-    the integer takes wherever i+2 <= 2^53, and inf, not OverflowError,
-    where it passes the double range, even for a j within 2 _TAIL_STEPS
-    of the largest int that converts.  Past 2^53 the pass has reached 0j
-    and reads none of them."""
-    x = float(j)
-    return tuple((x + (i + 1)) * (x + (i + 2)) for i in range(0, 2 * _TAIL_STEPS, 2))
-
-
-@functools.lru_cache(maxsize=_SERIES_TABLES)
-def _inversion_plan(s: int, shift: int) -> tuple:
-    """(head, terms, steps) for _inversion's forward pass: head, the count
-    of its steps that take the _ETA_TAIL constant; terms, the flat pairs
-    (coef, divisor) of the eta coefficients from the table, last first,
-    each with the divisor of its step from L^j/j!; and for shift = 1 the
-    first divisors of the tail past L^s/s!, _step_divisors(s).  At most
-    537 pairs and _TAIL_STEPS divisors, whatever s; the head stays a
-    count."""
-    coefs = _eta_tables()[shift]
-    half = s // 2
-    cut = min(half, len(coefs))
-    j = s % 2 + 2 * (half - cut)
-    terms = []
-    for coef in reversed(coefs[:cut]):
-        terms += (coef, float(j + 1) * float(j + 2))
-        j += 2
-    return half - cut, tuple(terms), _step_divisors(s) if shift else ()
-
-
 def _inversion(s: int, z: complex, shift: int = 0) -> complex:
     """Li_s(z) - shift * z for |z| >= 2 through the inversion formula
 
@@ -739,51 +694,43 @@ def _inversion(s: int, z: complex, shift: int = 0) -> complex:
     L^j/j! by L^2/((j+1)(j+2)): the coefficient of L^j is the n-th, n =
     (s-j)/2, down to the -1 or +1 of L^s, after which the shifted tail
     runs on with coefficient 2 until its terms, past j = |L|, fall below
-    _SUM_EPS of the sum.  _inversion_plan(s, shift), built once per
-    order, holds the table's coefficients with their divisors; the steps
-    ahead of them, about s/2 at high order, are counted off.  Once L^j/j!
-    is exactly 0j every later term is an exact zero, and since neither
-    part of the sum is ever -0.0, adding one leaves the sum as it is:
-    the pass stops there and goes on to the series at 1/z, so its work
-    is bounded at every order.  (The power reaches 0j only past its peak
-    at j = |L|, where the shifted tail would stop at its first term.)
+    _SUM_EPS of the sum.  Each divisor (j+1)(j+2) is formed as it is
+    taken, from j held as a float: the float the integer product rounds
+    to while j+2 <= 2^53, and the pass stops long before that.
+    Once L^j/j! is exactly 0j every later term is an exact zero, and
+    since neither part of the sum is ever -0.0, adding one leaves the sum
+    as it is: the pass stops there and goes on to the series at 1/z, so
+    its work is bounded at every order.  (The power reaches 0j only past
+    its peak at j = |L|, where the shifted tail would stop at its first
+    term.)
     """
     big_l = cmath.log(-z)
     l_squared = big_l * big_l
-    head, terms, steps = _inversion_plan(s, shift)
+    coefs = _eta_tables()[shift]
+    count, tail = len(coefs), _ETA_TAIL[shift]
     odd = s % 2
     power = big_l if odd else complex(1.0)  # L^j / j!, from j = s mod 2
     acc = complex(0.0)
-    tail = _ETA_TAIL[shift]
-    for j in range(odd, odd + 2 * head, 2):
-        acc += power * tail
-        power *= l_squared / ((j + 1) * (j + 2))
+    j = float(odd)
+    for n in range(s // 2, 0, -1):
+        acc += power * (coefs[n - 1] if n <= count else tail)
+        power *= l_squared / ((j + 1.0) * (j + 2.0))
+        j += 2.0
         if not power:
             break
-    if power:
-        it = iter(terms)
-        for coef, divisor in zip(it, it):
-            acc += power * coef
-            power *= l_squared / divisor
+    else:
         if shift:
             acc += power
             # the tail's terms 2 L^j/j!, doubled once: scaling by 2 is exact,
             # so each term and stop test is that of L^j/j! times 2
             power *= 2.0
             l_abs, eps = abs(big_l), 2.0 * _SUM_EPS
-            j, divisors = s, steps
             while True:
-                for divisor in divisors:
-                    power *= l_squared / divisor
-                    j += 2
-                    acc += power
-                    if abs(power) <= eps * abs(acc) and j > l_abs:
-                        break
-                else:
-                    # past the plan's divisors, the next _TAIL_STEPS
-                    divisors = _step_divisors(j)
-                    continue
-                break
+                power *= l_squared / ((j + 1.0) * (j + 2.0))
+                j += 2.0
+                acc += power
+                if abs(power) <= eps * abs(acc) and j > l_abs:
+                    break
         else:
             acc -= power
     w = 1.0 / z

@@ -389,6 +389,16 @@ def test_family_validation():
         kernels.KernelFamily("beta", 2)
 
 
+def test_family_order_past_the_string_limit_is_invalid_input():
+    # str() refuses an int of more than 4 300 digits, so the message names
+    # the refused order, or tag, by its bit length
+    for make in (sself, ubeta, lclass):
+        with pytest.raises(InvalidInput, match="a negative int of 16610 bits"):
+            make(-10 ** 5000)
+    with pytest.raises(InvalidInput, match="an int of 16610 bits"):
+        kernels.KernelFamily(10 ** 5000, 2)
+
+
 _ORDERS = st.one_of(st.integers(-10, 600), st.integers(10 ** 6, 10 ** 12),
                     st.floats(allow_nan=True, allow_infinity=True), st.booleans())
 _UPPER_Z = st.builds(complex, st.floats(-1e3, 1e3), st.floats(1e-6, 1e3))

@@ -131,6 +131,15 @@ def test_operator_power_validation():
 
 
 @pytest.mark.parametrize("lower", [lower_shrink_class, lower_selfdec_class])
+def test_power_past_the_string_limit_is_invalid_input(lower):
+    # str() refuses an int of more than 4 300 digits, so the message names
+    # the refused power by its bit length
+    for n, shown in ((-10 ** 5000, "a negative int"), (10 ** 5000, "an int")):
+        with pytest.raises(InvalidInput, match=f"{shown} of 16610 bits"):
+            lower(lambda t: t, n)
+
+
+@pytest.mark.parametrize("lower", [lower_shrink_class, lower_selfdec_class])
 def test_lowering_at_the_ends_of_the_float_range(lower):
     # each point gives a finite value or a package error; a difference
     # node above t that overflows exp() is a DomainError naming t and n

@@ -304,6 +304,16 @@ def test_non_finite_argument_is_a_domain_error():
     assert res.returncode == 0, res.stderr
 
 
+def test_order_past_the_string_limit_is_a_domain_error():
+    # str() refuses an int of more than 4 300 digits, so the message names
+    # the refused order by its bit length
+    s = -10 ** 5000
+    with pytest.raises(DomainError, match="a negative int of 16610 bits"):
+        polylog(s, 1j)
+    with pytest.raises(DomainError, match="a negative int of 16610 bits"):
+        lerch_phi(1j, s, 1.0)
+
+
 def test_polylog_domain():
     with pytest.raises(DomainError):
         polylog(1, 1.0)
@@ -376,8 +386,9 @@ _OFF_DISK_ORDERS = (1, 2, 3, 5, 8, 12, 17, 60, 400, 1100)
 _OFF_DISK_ANGLES = tuple(math.pi * (2 * j + 1) / 8 for j in range(8)) + (
     math.pi / 2, -math.pi / 2)
 _NEAR = (0.5000001, 0.6, 0.9, 1.0, 1.3, 1.9999999)
-# at |z| = 1e30 the shifted tail runs past the divisors in its plan
-_FAR = (2.0, 3.0, 10.0, 1e3, 1e8, 1e30)
+# the shifted tail runs up to about 70 steps at |z| = 1e30, 250 at 1e150
+# and 470 at 1.7e308
+_FAR = (2.0, 3.0, 10.0, 1e3, 1e8, 1e30, 1e150, 1e300, 1.7e308)
 
 
 def _off_disk_points(radii, angles=_OFF_DISK_ANGLES):
@@ -473,15 +484,14 @@ def test_inversion_work_is_bounded_at_every_order():
 
 def test_off_disk_tables_are_bounded():
     # the order-keyed caches, the (s, v) power tables, routes and direct
-    # sum radii, and the (s, shift) plans of the log-series and the
-    # inversion formula, are bounded; every other cache is a table built
-    # once
+    # sum radii, and the (s, shift) plans of the log-series, are bounded;
+    # every other cache is a table built once
     cached = {name: fn for name, fn in vars(specfun).items()
               if hasattr(fn, "cache_info")}
     keyed = {name for name, fn in cached.items()
              if fn.cache_info().maxsize is not None}
     assert keyed == {"_series_powers", "_route", "_direct_radius",
-                     "_log_series_plan", "_inversion_plan"}
+                     "_log_series_plan"}
     polylog(30, 1.5j)
     polylog(30, 3.0j)
     lerch_phi(-1.5j, 30, 2.0)
@@ -499,21 +509,14 @@ def test_off_disk_tables_are_bounded():
             assert info.currsize == before[name] <= 1, name
     # fixed lengths, whatever the orders taken
     assert len(specfun._zeta_table()) == specfun._ZETA_TOP - specfun._ZETA_LOW == 1203
-    assert len(specfun._harmonic_table()) == specfun._LOG_SERIES_TERMS == 256
     assert tuple(map(len, specfun._eta_tables())) == (27, 537)
     # the powers come in rows of four: at most 13 rows
     assert len(specfun._series_powers(602, 1.0)[1]) <= 13
-    # a plan holds at most one triple per log-series term, and one pair
-    # per eta coefficient of the table with _TAIL_STEPS divisors, at any
-    # order; the inversion's steps past the table stay a count
+    # a plan holds at most one triple per log-series term, at any order
     for s in (2, 30, 1100, 2 * 10 ** 4, 10 ** 5, 10 ** 9):
         for shift in (0, 1):
             _, segments = specfun._log_series_plan(s, shift)
             assert sum(map(len, segments)) <= 3 * specfun._LOG_SERIES_TERMS
-            head, terms, steps = specfun._inversion_plan(s, shift)
-            assert head + len(terms) // 2 == s // 2
-            assert len(terms) <= 2 * 537
-            assert len(steps) == shift * specfun._TAIL_STEPS
 
 
 def test_linf_eval_leaves_the_zeta_table_unbuilt(tmp_path):
