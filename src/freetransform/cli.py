@@ -20,7 +20,7 @@ import math
 import sys
 
 from . import __version__
-from .errors import FreeTransformError, InvalidInput
+from .errors import FreeTransformError, InvalidInput, _real
 from .kernels import FAMILIES, LCLASS, SSELF, UBETA, KernelFamily, kernel_g, kernel_g_quad
 from .measures import FiniteMeasure, LevyTriple
 from .transforms import (
@@ -52,12 +52,9 @@ def _num(obj: dict, key: str, where: str, default=None) -> float:
             raise InvalidInput(f"missing field '{where}{key}'")
         return default
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if isinstance(val, bool):
         raise InvalidInput(f"field '{where}{key}' must be a number, got {val!r}")
-    try:
-        return float(val)
-    except OverflowError:
-        raise InvalidInput(f"field '{where}{key}' lies beyond the double range") from None
+    return _real(val, f"field '{where}{key}'")
 
 
 def _atom_list(obj: dict, where: str = ""):
@@ -113,9 +110,8 @@ def _load_json(path: str):
 # grids and output --------------------------------------------------------
 
 def geometric_grid(t_min: float, t_max: float, steps: int):
-    if not (t_min > 0.0 and math.isfinite(t_min)):
-        raise InvalidInput(f"--t-min must be positive, got {t_min!r}")
-    if not (t_max >= t_min and math.isfinite(t_max)):
+    t_min, t_max = _real(t_min, "--t-min", positive=True), _real(t_max, "--t-max")
+    if not t_max >= t_min:
         raise InvalidInput(f"--t-max must be >= --t-min, got {t_max!r}")
     if not 1 <= steps <= MAX_STEPS:
         raise InvalidInput(f"--steps must be in [1, {MAX_STEPS}], got {steps!r}")

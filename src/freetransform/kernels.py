@@ -46,7 +46,7 @@ import sys
 from collections.abc import Callable
 
 from ._records import record
-from .errors import DomainError, InvalidInput, NonFiniteError, _shown
+from .errors import DomainError, InvalidInput, NonFiniteError, _complex, _real, _shown
 from .measures import FiniteMeasure
 from .quadrature import (IntegrationResult, _integrate, _integrate_half_line,
                          gamma_average)
@@ -67,7 +67,8 @@ class KernelFamily:
     either as a density (r_density = dr/ds, signed) or as a step function
     via jumps ((location, jump size) pairs, jumps all of one sign).
     increasing declares the monotonicity of r and fixes the sign
-    convention.
+    convention.  A density's interval has a finite lo < hi, hi finite or
+    +inf; a step function's is the span of its jump locations.
     """
 
     tag: str
@@ -86,7 +87,23 @@ class KernelFamily:
             if (self.r_density is None) == (self.jumps is None):
                 raise InvalidInput(
                     "custom kernel needs exactly one of r_density or jumps")
-            return self
+            jumps = self.jumps
+            if jumps is None:
+                lo = _real(self.lo, "lo")
+                hi = self.hi if self.hi == math.inf else _real(self.hi, "hi")
+                if not lo < hi:
+                    raise InvalidInput(f"custom kernel needs lo < hi, got ({lo!r}, {hi!r})")
+            else:
+                jumps = tuple((_real(s, "jump location"), _real(j, "jump")) for s, j in jumps)
+                if not jumps:
+                    raise InvalidInput("custom step kernel needs at least one jump")
+                way, sign = (("increasing", "positive") if self.increasing
+                             else ("decreasing", "negative"))
+                for _, j in jumps:
+                    if not (j > 0.0 if self.increasing else j < 0.0):
+                        raise InvalidInput(f"{way} step function needs {sign} jumps, got {j!r}")
+                lo, hi = min(s for s, _ in jumps), max(s for s, _ in jumps)
+            return tuple.__new__(type(self), (*self[:4], jumps, lo, hi, self.increasing))
         if self.tag not in FAMILIES:
             raise InvalidInput(f"unknown kernel tag {_shown(self.tag)}")
         lowest, k = FAMILIES[self.tag].lowest, self.k
@@ -125,20 +142,7 @@ def custom_step(h, jumps, increasing: bool = True) -> KernelFamily:
     jumps: sequence of (location, jump) pairs; jumps must be > 0 for an
     increasing r and < 0 for a decreasing one.
     """
-    jumps = tuple((float(s), float(j)) for s, j in jumps)
-    if not jumps:
-        raise InvalidInput("custom step kernel needs at least one jump")
-    for s, j in jumps:
-        if not (math.isfinite(s) and math.isfinite(j)):
-            raise InvalidInput(f"non-finite jump ({s!r}, {j!r})")
-        if increasing and j <= 0.0:
-            raise InvalidInput(f"increasing step function needs positive jumps, got {j!r}")
-        if not increasing and j >= 0.0:
-            raise InvalidInput(f"decreasing step function needs negative jumps, got {j!r}")
-    lo = min(s for s, _ in jumps)
-    hi = max(s for s, _ in jumps)
-    return KernelFamily(tag=CUSTOM, h=h, jumps=jumps, lo=lo, hi=hi,
-                        increasing=increasing)
+    return KernelFamily(tag=CUSTOM, h=h, jumps=jumps, increasing=increasing)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +219,7 @@ def kernel_g(fam: KernelFamily, z: complex) -> complex:
     calls specfun._route(s, v) as map_data does: the family checked its
     order when it was built.
     """
-    z = complex(z)
+    z = _complex(z, "z")
     if fam.tag == CUSTOM:
         return kernel_g_quad(fam, z).value
     if z.imag == 0.0 and z.real <= -1.0:
@@ -310,7 +314,7 @@ def kernel_quad_grid(fam: KernelFamily, zs
     and kernel_g over a grid of z.  One function of h and the node's
     weight returns all of their integrands, each times the weight, and
     each result's evaluations count the nodes of the shared mesh."""
-    zs = [complex(z) for z in zs]
+    zs = [_complex(z, "z") for z in zs]
     sign = _g_sign(fam)
     res = _integrate_kernel(
         fam, lambda hv, w: [w, hv * w, *[1.0 / (z * hv + sign) * w for z in zs]],
@@ -335,7 +339,7 @@ def kernel_g_quad(fam: KernelFamily, z: complex) -> IntegrationResult:
     The sign in the denominator follows the declared monotonicity:
     +1 when r is non-decreasing, -1 when non-increasing.
     """
-    z, sign = complex(z), _g_sign(fam)
+    z, sign = _complex(z, "z"), _g_sign(fam)
     return _integrate_kernel(fam, lambda hv, w: (1.0 / (z * hv + sign) * w,), 1)[0]
 
 
@@ -349,6 +353,9 @@ class PickRepresentation:
     shift: float
     measure: FiniteMeasure = FiniteMeasure()
 
+    def _checked(self):
+        return tuple.__new__(type(self), (_real(self.shift, "shift"), self.measure))
+
 
 def pick_representation(h_values, r_jumps) -> PickRepresentation:
     """Representation of g for a step kernel with the + sign.
@@ -358,18 +365,12 @@ def pick_representation(h_values, r_jumps) -> PickRepresentation:
     atom sits at x = -b with mass 1/(1+b^2).  Steps mapping to the same
     atom location are combined.
     """
-    h_values = [float(h) for h in h_values]
-    r_jumps = [float(j) for j in r_jumps]
+    h_values = [_real(h, "kernel value", positive=True) for h in h_values]
+    r_jumps = [_real(j, "jump", positive=True) for j in r_jumps]
     if len(h_values) != len(r_jumps):
         raise InvalidInput("h_values and r_jumps must have equal length")
     if not h_values:
         raise InvalidInput("need at least one step")
-    for h in h_values:
-        if not (h > 0.0 and math.isfinite(h)):
-            raise InvalidInput(f"kernel values must be positive, got {h!r}")
-    for j in r_jumps:
-        if not (j > 0.0 and math.isfinite(j)):
-            raise InvalidInput(f"jumps must be positive, got {j!r}")
 
     shift = 0.0
     masses: dict[float, float] = {}
@@ -390,7 +391,7 @@ def pick_eval(rep: PickRepresentation, z: complex) -> complex:
     finite is formed again dividing before weighting, and for |x| >= 1
     as w ((1/x + z)/(z/x - 1)), so neither z x nor w (1 + z x) overflows.
     """
-    z = complex(z)
+    z = _complex(z, "z")
     acc = complex(rep.shift)
     for x, w in rep.measure.atoms:
         acc += w * (1.0 + z * x) / (z - x)

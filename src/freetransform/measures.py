@@ -18,19 +18,19 @@ import math
 import sys
 
 from ._records import record
-from .errors import InvalidInput, NonFiniteError
+from .errors import InvalidInput, NonFiniteError, _real
 
 Atom = tuple[float, float]  # (location, weight)
 _MIN_NORMAL = sys.float_info.min
 
 
-def _check_atoms(atoms, *, jumps: bool, what: str):
-    """Finite, pairwise distinct atoms; a jump measure's at x != 0 with
-    w > 0, a finite measure's anywhere with w >= 0."""
-    seen = set()
+def _check_atoms(atoms, *, jumps: bool, what: str) -> tuple[Atom, ...]:
+    """The atoms as float pairs sorted by location: finite and pairwise
+    distinct; a jump measure's at x != 0 with w > 0, a finite measure's
+    anywhere with w >= 0."""
+    out = {}
     for x, w in atoms:
-        if not (math.isfinite(x) and math.isfinite(w)):
-            raise InvalidInput(f"{what}: non-finite atom ({x!r}, {w!r})")
+        x, w = _real(x, f"{what} location"), _real(w, f"{what} mass")
         if jumps:
             if x == 0.0:
                 raise InvalidInput(f"{what}: atom at 0 not allowed")
@@ -38,13 +38,10 @@ def _check_atoms(atoms, *, jumps: bool, what: str):
                 raise InvalidInput(f"{what}: mass must be positive, got {w!r} at {x!r}")
         elif w < 0.0:
             raise InvalidInput(f"{what}: negative mass {w!r} at {x!r}")
-        if x in seen:
+        if x in out:
             raise InvalidInput(f"{what}: duplicate atom location {x!r}")
-        seen.add(x)
-
-
-def _sorted_atoms(atoms) -> tuple[Atom, ...]:
-    return tuple(sorted(((float(x), float(w)) for x, w in atoms), key=lambda a: a[0]))
+        out[x] = w
+    return tuple(sorted(out.items()))
 
 
 @record
@@ -60,13 +57,11 @@ class LevyTriple:
     levy_atoms: tuple[Atom, ...] = ()
 
     def _checked(self):
-        if not math.isfinite(self.drift):
-            raise InvalidInput(f"drift must be finite, got {self.drift!r}")
-        if not (math.isfinite(self.gauss_var) and self.gauss_var >= 0.0):
-            raise InvalidInput(f"gauss_var must be >= 0, got {self.gauss_var!r}")
-        _check_atoms(self.levy_atoms, jumps=True, what="levy_atoms")
-        return tuple.__new__(type(self), (self.drift, self.gauss_var,
-                                          _sorted_atoms(self.levy_atoms)))
+        drift, gauss_var = _real(self.drift, "drift"), _real(self.gauss_var, "gauss_var")
+        if gauss_var < 0.0:
+            raise InvalidInput(f"gauss_var must be >= 0, got {gauss_var!r}")
+        atoms = _check_atoms(self.levy_atoms, jumps=True, what="levy_atoms")
+        return tuple.__new__(type(self), (drift, gauss_var, atoms))
 
 
 @record
@@ -80,8 +75,8 @@ class FiniteMeasure:
     atoms: tuple[Atom, ...] = ()
 
     def _checked(self):
-        _check_atoms(self.atoms, jumps=False, what="atoms")
-        return tuple.__new__(type(self), (_sorted_atoms(self.atoms),))
+        atoms = _check_atoms(self.atoms, jumps=False, what="atoms")
+        return tuple.__new__(type(self), (atoms,))
 
 
 def triple_to_finite_measure(tr: LevyTriple) -> FiniteMeasure:
@@ -135,8 +130,7 @@ def scale_triple(c: float, tr: LevyTriple) -> LevyTriple:
     picks up c^2, and the drift absorbs the compensator mismatch:
         a  ->  c a + sum_x w (cx/(1+(cx)^2) - cx/(1+x^2)).
     """
-    if not (c > 0.0 and math.isfinite(c)):
-        raise InvalidInput(f"scale factor must be positive and finite, got {c!r}")
+    c = _real(c, "scale factor", positive=True)
     corr = 0.0
     atoms = []
     for x, w in tr.levy_atoms:

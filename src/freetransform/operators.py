@@ -22,7 +22,7 @@ import math
 import sys
 
 from ._records import record
-from .errors import DomainError, InvalidInput, StepError, _shown
+from .errors import DomainError, InvalidInput, StepError, _real, _shown
 from .measures import LevyTriple
 from .transforms import Evaluator, transform_ubeta, voiculescu_id
 
@@ -55,8 +55,7 @@ def derivative_t(V, t: float, h: float) -> complex:
     so every evaluation stays safely on the positive axis.
     """
     fn = _as_fn(V)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise StepError(f"step must be positive and finite, got {h!r}")
+    t, h = _real(t, "t", DomainError), _real(h, "step", StepError, True)
     if t - 2.0 * h <= 0.0:
         raise StepError(f"step {h!r} too large for evaluation point {t!r}")
     d_full = (fn(t + h) - fn(t - h)) / (2.0 * h)
@@ -79,8 +78,7 @@ def _lowering(a: float, V, n) -> TransformEvaluator:
     fn = _as_fn(V)
 
     def lowered(t: float) -> complex:
-        if not (t > 0.0 and math.isfinite(t)):
-            raise DomainError(f"lowered transforms take t > 0, got t={t!r}")
+        t = _real(t, "t", DomainError, True)
         u, v0 = math.log(t), fn(t)  # v0 is the centre of each even-order difference
 
         def node(x: float) -> complex:

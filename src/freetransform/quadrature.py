@@ -35,7 +35,7 @@ import math
 from collections.abc import Callable
 
 from ._records import record
-from .errors import DomainError, InvalidInput, MaxSubdivisionError, NonFiniteError
+from .errors import DomainError, InvalidInput, MaxSubdivisionError, NonFiniteError, _real
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1].  Positive abscissae;
 # even-index entries are Kronrod-only, odd-index entries (and 0) carry
@@ -206,10 +206,9 @@ def _integrate(f, m: int, lo: float, hi: float,
     tol, and all components share the panel budget; each result counts
     every node of the mesh.  Errors name the component only for m > 1.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise InvalidInput(f"need finite lo < hi, got ({lo!r}, {hi!r})")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise InvalidInput(f"tol must be positive and finite, got {tol!r}")
+    lo, hi, tol = _real(lo, "lo"), _real(hi, "hi"), _real(tol, "tol", positive=True)
+    if not lo < hi:
+        raise InvalidInput(f"need lo < hi, got ({lo!r}, {hi!r})")
 
     values, errs, evals = _kronrod_panel(f, lo, hi, m)
     # heap of (-largest error, insertion id, lo, hi, values, errors)
@@ -307,9 +306,6 @@ def _integrate_half_line(f, m: int, tol: float,
     0 for x below 1e-162, where a divergent integrand can drive
     bisection.
     """
-    if not (split >= 0.0 and math.isfinite(split)):
-        raise InvalidInput(f"split must be finite and >= 0, got {split!r}")
-
     def chart(x: float):
         return f(split + (1.0 - x) / x, x)
 
@@ -334,8 +330,7 @@ def laplace_transform(
     float grid is dense; the tail goes through the substitution of
     integrate_semi_infinite, where it vanishes smoothly at v = 0.
     """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise InvalidInput(f"t must be positive and finite, got {t!r}")
+    t, tol = _real(t, "t", positive=True), _real(tol, "tol", positive=True)
 
     def integrand(u: float, x: float) -> tuple:
         damp = math.exp(-t * u)

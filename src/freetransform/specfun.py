@@ -74,6 +74,10 @@ complex loop's bit for bit, signed zeros included (z = 0, real z and
 every other z take the complex loop); and the image classes' moment
 series, whose rows _moment_rows builds once per law for transforms.
 
+Every division by z that a branch makes off the disk is plain up to
+|z| = _SCALED_FROM = 2^1000 and scaled past it, where CPython's complex
+division would overflow (see _SCALED_FROM).
+
 Li_1(z) = -log(1-z) is used as it stands beyond the series radius.  The
 Lerch transcendent with integer v reduces to these: Phi(z,s,1) =
 Li_s(z)/z, Phi(z,s,2) = (Li_s(z) - z)/z^2, and Phi(z,1,k) is a logarithm
@@ -92,7 +96,7 @@ import cmath
 import functools
 import math
 
-from .errors import ConvergenceError, DomainError, _shown
+from .errors import ConvergenceError, DomainError, _complex, _real, _shown
 from .quadrature import gamma_average
 
 _SERIES_RADIUS = 0.5
@@ -142,6 +146,14 @@ _ETA_TAIL = (-2.0, 0.0)
 
 # log of the largest double, to within 0.8
 _LOG_DOUBLE_MAX = 709.0
+# CPython divides complex numbers by Smith's method, whose denominator
+# |z|^2/max(|Re z|, |Im z|) overflows off the axes for |z| near the largest
+# double.  From |z| = _SCALED_FROM on, a division by z scales z and the
+# numerator by _SCALE first (M. Baudin and R. L. Smith, arXiv:1210.4539):
+# the quotient keeps its bits wherever the plain one is finite, and the
+# numerator loses bits only below 2^-958, where the quotient underflows
+_SCALED_FROM = 2.0 ** 1000
+_SCALE = 2.0 ** -64
 
 # Euler-Mascheroni constant, double precision.
 _EULER_GAMMA = 0.5772156649015329
@@ -158,8 +170,7 @@ def gamma_fn(x: float) -> float:
     Raises DomainError for x <= 0, a non-finite x, and from x ~ 171.62
     on, where Gamma overflows double precision.
     """
-    if not (x > 0.0 and math.isfinite(x)):
-        raise DomainError(f"gamma_fn requires x > 0, got {x!r}")
+    x = _real(x, "x", DomainError, True)
     try:
         return math.gamma(x)
     except OverflowError:
@@ -346,13 +357,11 @@ def lerch_phi(z: complex, s: int, v: float) -> complex:
     form (v = 1, v = 2, or s = 1) and other v the integral
     representation.  The checks, then _route(s, v)(z).
     """
-    z = complex(z)
+    z = _complex(z, "z")
     if _on_cut(z):
         raise DomainError(f"z = {z!r} lies on the singular ray [1, inf)")
     _check_order(s)
-    if not (v > 0.0 and math.isfinite(v)):
-        raise DomainError(f"v must be positive and finite, got {v!r}")
-    return _route(s, v)(z)
+    return _route(s, _real(v, "v", DomainError, True))(z)
 
 
 @functools.lru_cache(maxsize=_SERIES_TABLES)
@@ -364,7 +373,8 @@ def _route(s: int, v: float):
     |z| <= 1/2 takes the series, and a non-finite z off that disk is a
     DomainError.  Beyond the disk, Re z <= 0 up to _direct_radius(s, v)
     takes the defining sum; else v = 1 takes polylog(s, z)/z, through
-    the module-global name, which a tracer may rebind; s = 1 _lerch_log;
+    the module-global name, which a tracer may rebind, divided by z as
+    _SCALED_FROM says; s = 1 _lerch_log;
     v = 2 _lerch_v2; and other v, or integer v past _CLOSED_FORM_MAX_V,
     the integral representation.  phi calls the branch it bound when the
     route was built, with no frame between.
@@ -393,7 +403,8 @@ def _route(s: int, v: float):
         if r <= direct and z.real <= 0.0:
             return _lerch_direct(z, s, v)
         if branch is None:
-            return polylog(s, z) / z
+            w = polylog(s, z)
+            return w / z if r < _SCALED_FROM else w * _SCALE / (z * _SCALE)
         return branch(z, arg)
 
     return phi
@@ -447,7 +458,7 @@ def _lerch_log(z: complex, k: int) -> complex:
     r = abs(z)
     if r < 1.0 and r ** k < _LOG_FORM_MIN:
         return _lerch_series(z, 1, float(k))
-    w = 1.0 / z
+    w = 1.0 / z if r < _SCALED_FROM else _SCALE / (z * _SCALE)
     acc = complex(0.0)
     power = complex(1.0)  # w^j
     for j in range(1, k):
@@ -469,18 +480,23 @@ def _lerch_v2(z: complex, s: int) -> complex:
     nothing: from |z| = 4^s on, Phi is the unshifted Li_s(z) minus z,
     divided by z twice.  (At 2^(s+2) that route still lost 8e-12 for
     s = 100.)  Below, z * z overflows for |z| above about 1.34e154, so
-    there too Phi divides by z twice.
+    there too Phi divides by z twice.  A z * z or z past _SCALED_FROM
+    takes the scaled division.
     """
     r = abs(z)
     if r < _INVERSION_RADIUS:
         return _log_series(s, z, 1) / (z * z)
     # log2 takes any s, where 4.0 ** s overflows from s = 512 on
     if math.log2(r) >= 2 * s:
-        return (_inversion(s, z) - z) / z / z
-    square = z * z
-    if not cmath.isfinite(square):
-        return _inversion(s, z, 1) / z / z
-    return _inversion(s, z, 1) / square
+        w = _inversion(s, z) - z
+    else:
+        w, square = _inversion(s, z, 1), z * z
+        if cmath.isfinite(square):
+            return w / square if r * r < _SCALED_FROM else w * _SCALE / (square * _SCALE)
+    if r >= _SCALED_FROM:
+        # (w S^2)/(z S) = (w/z) S, and that over z S is w/z^2
+        w, z = w * (_SCALE * _SCALE), z * _SCALE
+    return w / z / z
 
 
 # zeta at the integers -------------------------------------------------------
@@ -733,7 +749,7 @@ def _inversion(s: int, z: complex, shift: int = 0) -> complex:
                     break
         else:
             acc -= power
-    w = 1.0 / z
+    w = 1.0 / z if abs(z) < _SCALED_FROM else _SCALE / (z * _SCALE)
     inner = (w * w if shift else w) * _lerch_series(w, s, 1.0 + shift)
     return acc + inner if odd else acc - inner
 
@@ -748,7 +764,7 @@ def polylog(s: int, z: complex) -> complex:
     for s = 1 and is zeta(s) for s >= 2; an infinite or NaN z, and an s
     that is not an int >= 1 converting to a double, raise DomainError.
     """
-    z = complex(z)
+    z = _complex(z, "z")
     _check_order(s)
     if z == 1.0:
         if s == 1:
@@ -762,8 +778,6 @@ def polylog(s: int, z: complex) -> complex:
         raise DomainError(f"|z| passes the largest double at z={z!r}") from None
     if r <= _SERIES_RADIUS:
         return z * _lerch_series(z, s, 1.0)
-    if not cmath.isfinite(z):
-        raise DomainError(f"z must be finite, got {z!r}")
     if s == 1:
         return -cmath.log(1.0 - z)
     if z.real <= 0.0 and r <= _direct_radius(s, 1.0):

@@ -56,7 +56,7 @@ import math
 from collections.abc import Callable, Sequence
 
 from ._records import record
-from .errors import DomainError, FreeTransformError, InvalidInput, NonFiniteError
+from .errors import DomainError, FreeTransformError, InvalidInput, NonFiniteError, _real
 from .kernels import (KernelFamily, PickRepresentation, custom_density, kernel_quad_grid,
                       lclass, map_data, pick_eval, sself, ubeta)
 from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
@@ -69,12 +69,6 @@ Evaluator = Callable[[float], complex]
 _ORACLE_TOL = 1e-8
 
 
-def _check_t(t: float) -> float:
-    if not (t > 0.0 and math.isfinite(t)):
-        raise DomainError(f"transforms are evaluated at z = it with t > 0, got t={t!r}")
-    return float(t)
-
-
 def _finite(v: complex, what: str, t: float) -> complex:
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
         raise NonFiniteError(f"{what} produced a non-finite value {v!r} at t={t!r}")
@@ -83,8 +77,7 @@ def _finite(v: complex, what: str, t: float) -> complex:
 
 def logphi(tr: LevyTriple, t: float) -> complex:
     """Characteristic exponent log phi(t) of the classical law, real t."""
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
+    t = _real(t, "t", DomainError)
     acc = 1j * t * tr.drift - 0.5 * tr.gauss_var * t * t
     for x, w in tr.levy_atoms:
         acc += w * (cmath.exp(1j * t * x) - 1.0 - 1j * t * x / (1.0 + x * x))
@@ -97,7 +90,7 @@ def direct_evaluator(a: float, m: FiniteMeasure) -> Evaluator:
     rep = PickRepresentation(a, m)
 
     def V(t: float) -> complex:
-        t = _check_t(t)
+        t = _real(t, "t", DomainError, True)
         return _finite(pick_eval(rep, 1j * t), "voiculescu_id", t)
 
     return V
@@ -119,7 +112,7 @@ def voiculescu_via_laplace(tr: LevyTriple, t: float) -> complex:
     """Same value as voiculescu_id, but through the analytic route
     i t^2 * Laplace{log phi(-u)}(t).  Serves as the independent oracle
     for the finite-sum path."""
-    t = _check_t(t)
+    t = _real(t, "t", DomainError, True)
     res = laplace_transform(lambda u: logphi(tr, -u), t, _ORACLE_TOL)
     return _finite(1j * t * t * res.value, "voiculescu_via_laplace", t)
 
@@ -167,7 +160,7 @@ def _image_evaluator(c: float, d: float, g: Callable[[complex], complex],
 
     def V(t: float) -> complex:
         nonlocal series
-        t = _check_t(t)
+        t = _real(t, "t", DomainError, True)
         if t >= reach:
             if series is None:
                 # Phi(-ix/t, s, v) = Phi(iqr, s, v) with q = -x/far, r = far/t
@@ -254,14 +247,13 @@ class LInfSpec:
     measure: FiniteMeasure = FiniteMeasure()
 
     def _checked(self):
-        if not math.isfinite(self.shift):
-            raise InvalidInput(f"shift must be finite, got {self.shift!r}")
+        shift = _real(self.shift, "shift")
         for x, w in self.measure.atoms:
             if x == 0.0 or not (-2.0 < x <= 2.0):
                 raise InvalidInput(f"support must lie in (-2,0) u (0,2], got {x!r}")
             if w <= 0.0:
                 raise InvalidInput(f"masses must be positive, got {w!r} at {x!r}")
-        return self
+        return tuple.__new__(type(self), (shift, self.measure))
 
 
 def _linf_factor(x: float) -> tuple[complex, float]:
@@ -292,7 +284,7 @@ def _linf_factor(x: float) -> tuple[complex, float]:
 def linf_integrand(x: float, t: float) -> complex:
     """(Gamma(|x|+1) i e^{i pi x/2} + x) t^(1-|x|) / (1-|x|), formed as
     in _linf_factor."""
-    t = _check_t(t)
+    t, x = _real(t, "t", DomainError, True), _real(x, "x", DomainError)
     if x == 0.0 or not (-2.0 < x <= 2.0):
         raise DomainError(f"x must lie in (-2,0) u (0,2], got {x!r}")
     factor, eps = _linf_factor(x)
@@ -312,7 +304,7 @@ def linf_evaluator(spec: LInfSpec) -> Evaluator:
     atoms = [(w, *_linf_factor(x)) for x, w in spec.measure.atoms]
 
     def V(t: float) -> complex:
-        t = _check_t(t)
+        t = _real(t, "t", DomainError, True)
         acc = shift
         try:
             for w, factor, eps in atoms:
@@ -339,15 +331,13 @@ def transform_linf(spec: LInfSpec, t: float) -> complex:
 
 def scale_transform(c: float, V: Evaluator, t: float) -> complex:
     """Transform of the dilated law: (scale_c V)(it) = c V(it/c)."""
-    if not (c > 0.0 and math.isfinite(c)):
-        raise InvalidInput(f"scale factor must be positive and finite, got {c!r}")
-    t = _check_t(t)
+    c, t = _real(c, "scale factor", positive=True), _real(t, "t", DomainError, True)
     return c * complex(V(t / c))
 
 
 def add_transforms(V1: Evaluator, V2: Evaluator, t: float) -> complex:
     """Transform of the (free or classical) convolution: pointwise sum."""
-    t = _check_t(t)
+    t = _real(t, "t", DomainError, True)
     return complex(V1(t)) + complex(V2(t))
 
 
@@ -367,7 +357,7 @@ def exp_map_convolution_check(omega: LevyTriple, t_grid: Sequence[float]) -> flo
     Returns the largest deviation over the grid, NaN if any deviation
     is NaN.
     """
-    grid = tuple(_check_t(t) for t in t_grid)
+    grid = tuple(_real(t, "t", DomainError, True) for t in t_grid)
     if not grid:
         raise InvalidInput("t_grid must be non-empty")
 
@@ -387,7 +377,7 @@ def cauchy_pick_integral(t: float) -> complex:
     """int over R of (1+itx)/((it-x)(1+x^2)) dx, evaluated numerically
     as two half-line integrals with an algebraic-decay substitution.
     Equals -i pi for every t > 0."""
-    t = _check_t(t)
+    t = _real(t, "t", DomainError, True)
     it = 1j * t
 
     def f(x: float) -> complex:
@@ -400,4 +390,4 @@ def cauchy_pick_integral(t: float) -> complex:
 def voiculescu_cauchy(a: float, t: float) -> complex:
     """Transform with the standard Cauchy companion measure
     m(dx) = dx/(2(1+x^2)): a + (1/2) * cauchy_pick_integral = a - i pi/2."""
-    return a + 0.5 * cauchy_pick_integral(t)
+    return _real(a, "a") + 0.5 * cauchy_pick_integral(t)

@@ -446,6 +446,32 @@ def test_custom_density_half_line_starts_at_lo():
     assert abs(const_c_quad(fam).value - math.exp(-1.0)) < 1e-12
 
 
+# a density's interval needs a finite lo < hi, hi finite or +inf; each of
+# these was once taken as given: the half line integrated from lo + u
+
+def test_custom_interval_from_minus_inf_is_invalid():
+    # once c = 0j, where the whole line gives 2
+    with pytest.raises(InvalidInput, match="lo must be finite, got -inf"):
+        custom_density(lambda s: math.exp(-abs(s)), lambda s: 1.0, -math.inf, math.inf)
+
+
+def test_custom_interval_to_minus_inf_is_invalid():
+    # once integrated (0, inf), c = 1
+    with pytest.raises(InvalidInput, match="hi must be finite, got -inf"):
+        custom_density(lambda s: math.exp(-abs(s)), lambda s: 1.0, 0.0, -math.inf)
+
+
+def test_custom_interval_from_nan_is_invalid():
+    # once "integrand non-finite at 0.5"
+    with pytest.raises(InvalidInput, match="lo must be finite, got nan"):
+        custom_density(lambda s: math.exp(-abs(s)), lambda s: 1.0, math.nan, math.inf)
+
+
+def test_custom_interval_needs_lo_below_hi():
+    with pytest.raises(InvalidInput, match=r"needs lo < hi, got \(1.0, 1.0\)"):
+        custom_density(lambda s: s, lambda s: 1.0, 1.0, 1.0)
+
+
 def test_custom_step_finite_sum():
     h = lambda s: 1.0 / (1.0 + s)
     jumps = ((0.5, 0.7), (2.0, 0.3))

@@ -16,7 +16,7 @@ import pytest
 from freetransform import (LevyTriple, gamma_fn, kernel_g, lerch_phi,
                            linf_integrand, polylog, sself, transform_lclass,
                            transform_sself, transform_ubeta)
-from freetransform import specfun
+from freetransform import cli, specfun
 from freetransform.specfun import _zeta_pair
 
 mpmath = pytest.importorskip("mpmath")
@@ -397,3 +397,62 @@ def test_linf_integrand_against_mpmath():
                 ref = num * mpmath.mpf(t) ** (1 - ax) / (1 - ax)
                 worst = max(worst, _rel(linf_integrand(x, t), ref))
     assert worst < 1e-14, worst
+
+
+# the division band: |z| from 1e307 to the largest double, off the axes ------
+
+BAND_RADII = (1e307, 5e307, 1e308, 1.5e308, 1.7e308, 1.79e308)
+# the rays arg z = k pi/8, but the cut arg z = 0
+BAND_RAYS = tuple(cmath.rect(r, k * math.pi / 8) for k in range(1, 16) for r in BAND_RADII)
+# where z^2 is finite but past the band: Phi(z, s, 2) divides by it for
+# s > log2|z|/2, and abs(z^2) overflows from |z| = 1.34e154 on arg z = pi/8
+SQUARE_RAYS = tuple(cmath.rect(r, k * math.pi / 8) for k in range(1, 16)
+                    for r in (1.2e154, 1.45e154, 1.55e154))
+
+
+def _band_miss(value, ref):
+    """Whether value is off ref by more than 1e-13 of max(|ref|, the
+    smallest normal double)."""
+    ref = complex(ref)
+    return not abs(value - ref) <= 1e-13 * max(abs(ref), sys.float_info.min)
+
+
+def test_division_band_against_mpmath():
+    # Smith's complex division overflows out here: v = 1 once gave 0j and
+    # v = 2 nan.  s = 1 is referred to hyp2f1, as lerchphi is wrong here
+    misses = []
+    with mpmath.workdps(40):
+        for z in BAND_RAYS:
+            zm = _mpc(z)
+            for s in (2, 3, 5, 11, 50, 500):
+                li = mpmath.polylog(s, zm)
+                for v, ref in ((1.0, li / zm), (2.0, (li - zm) / zm ** 2)):
+                    if _band_miss(lerch_phi(z, s, v), ref):
+                        misses.append((z, s, v))
+            for v in (2, 3, 6, 17):
+                ref = mpmath.hyp2f1(1, v, v + 1, zm) / v
+                if _band_miss(lerch_phi(z, 1, float(v)), ref):
+                    misses.append((z, 1, v))
+        for z in SQUARE_RAYS:
+            zm = _mpc(z)
+            for s in (300, 500):
+                if _band_miss(lerch_phi(z, s, 2.0), (mpmath.polylog(s, zm) - zm) / zm ** 2):
+                    misses.append((z, s, 2.0))
+    assert not misses, (len(misses), misses[:5])
+
+
+def test_kernels_rows_in_the_division_band(capsys):
+    # each family's g at z = -1.2e308 + 1.2e308i: once 0.0, -0.0 for lclass,
+    # nan for sself and 0.0 for ubeta, with exit 0
+    z = complex(-1.2e308, 1.2e308)
+    with mpmath.workdps(40):
+        zm = _mpc(z)
+        refs = {"lclass": mpmath.polylog(3, -zm) / -zm,
+                "sself": (mpmath.polylog(2, -zm) + zm) / zm ** 2,
+                "ubeta": 2 * mpmath.hyp2f1(1, 3, 4, -zm) / 3}
+    for family, ref in refs.items():
+        argv = ["kernels", "--family", family, "--k", "2",
+                "--grid=-1.2e308:-1.2e308:1,1.2e308:1.2e308:1"]
+        assert cli.main(argv) == 0, family
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert not _band_miss(complex(float(row[2]), float(row[3])), ref), (family, row)
