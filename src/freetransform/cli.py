@@ -53,7 +53,7 @@ def _num(obj: dict, key: str, where: str, default=None) -> float:
         return default
     val = obj[key]
     if isinstance(val, bool):
-        raise InvalidInput(f"field '{where}{key}' must be a number, got {val!r}")
+        raise InvalidInput(f"field '{where}{key}' must be a finite number, got {val!r}")
     return _real(val, f"field '{where}{key}'")
 
 

@@ -5,10 +5,11 @@ Inf, so a non-finite value can never escape an operation silently.
 
 _real and _complex are the package's one definition of an acceptable
 number, and every public numeric argument passes one of them where it
-enters: what float() or complex() converts, except a str or bytes,
-which is never parsed, and finite.  Anything else raises the caller's
-package error as "<what> must be [positive and] finite, got <value>",
-the value shown by _shown.
+enters: what float() or complex() converts, except a str, bytes or
+bytearray, which is never parsed, and finite.  Anything else raises the
+caller's package error (_complex's argument is always z, and its error
+DomainError) as "<what> must be a [positive] finite number, got
+<value>", the value shown by _shown.
 """
 
 import math
@@ -56,24 +57,24 @@ def _real(value, what: str, error=InvalidInput, positive: bool = False) -> float
     x = value
     if type(x) is not float:  # a float, the common case, needs no conversion
         try:
-            x = math.nan if isinstance(value, (str, bytes)) else float(value)
+            x = math.nan if isinstance(value, (str, bytes, bytearray)) else float(value)
         except (TypeError, ValueError, OverflowError):
             x = math.nan
     # x - x is 0.0 exactly where x is finite
     if x - x == 0.0 and (x > 0.0 or not positive):
         return x
-    sign = "positive and " if positive else ""
-    raise error(f"{what} must be {sign}finite, got {_shown(value)}")
+    sign = "positive " if positive else ""
+    raise error(f"{what} must be a {sign}finite number, got {_shown(value)}")
 
 
-def _complex(value, what: str, error=DomainError) -> complex:
-    """value as a complex with finite parts."""
+def _complex(value) -> complex:
+    """The argument z as a complex with finite parts, else DomainError."""
     z = value
     if type(z) is not complex:
         try:
-            z = math.nan if isinstance(value, (str, bytes)) else complex(value)
+            z = math.nan if isinstance(value, (str, bytes, bytearray)) else complex(value)
         except (TypeError, ValueError, OverflowError):
             z = math.nan
     if z - z == 0.0:
         return z
-    raise error(f"{what} must be finite, got {_shown(value)}")
+    raise DomainError(f"z must be a finite number, got {_shown(value)}")

@@ -219,7 +219,7 @@ def kernel_g(fam: KernelFamily, z: complex) -> complex:
     calls specfun._route(s, v) as map_data does: the family checked its
     order when it was built.
     """
-    z = _complex(z, "z")
+    z = _complex(z)
     if fam.tag == CUSTOM:
         return kernel_g_quad(fam, z).value
     if z.imag == 0.0 and z.real <= -1.0:
@@ -314,7 +314,7 @@ def kernel_quad_grid(fam: KernelFamily, zs
     and kernel_g over a grid of z.  One function of h and the node's
     weight returns all of their integrands, each times the weight, and
     each result's evaluations count the nodes of the shared mesh."""
-    zs = [_complex(z, "z") for z in zs]
+    zs = [_complex(z) for z in zs]
     sign = _g_sign(fam)
     res = _integrate_kernel(
         fam, lambda hv, w: [w, hv * w, *[1.0 / (z * hv + sign) * w for z in zs]],
@@ -339,7 +339,7 @@ def kernel_g_quad(fam: KernelFamily, z: complex) -> IntegrationResult:
     The sign in the denominator follows the declared monotonicity:
     +1 when r is non-decreasing, -1 when non-increasing.
     """
-    z, sign = _complex(z, "z"), _g_sign(fam)
+    z, sign = _complex(z), _g_sign(fam)
     return _integrate_kernel(fam, lambda hv, w: (1.0 / (z * hv + sign) * w,), 1)[0]
 
 
@@ -391,7 +391,7 @@ def pick_eval(rep: PickRepresentation, z: complex) -> complex:
     finite is formed again dividing before weighting, and for |x| >= 1
     as w ((1/x + z)/(z/x - 1)), so neither z x nor w (1 + z x) overflows.
     """
-    z = _complex(z, "z")
+    z = _complex(z)
     acc = complex(rep.shift)
     for x, w in rep.measure.atoms:
         acc += w * (1.0 + z * x) / (z - x)

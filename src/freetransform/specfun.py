@@ -148,8 +148,8 @@ _ETA_TAIL = (-2.0, 0.0)
 _LOG_DOUBLE_MAX = 709.0
 # CPython divides complex numbers by Smith's method, whose denominator
 # |z|^2/max(|Re z|, |Im z|) overflows off the axes for |z| near the largest
-# double.  From |z| = _SCALED_FROM on, a division by z scales z and the
-# numerator by _SCALE first (M. Baudin and R. L. Smith, arXiv:1210.4539):
+# double.  From |z| = _SCALED_FROM on, _over scales z and the numerator
+# by _SCALE first (M. Baudin and R. L. Smith, arXiv:1210.4539):
 # the quotient keeps its bits wherever the plain one is finite, and the
 # numerator loses bits only below 2^-958, where the quotient underflows
 _SCALED_FROM = 2.0 ** 1000
@@ -179,6 +179,11 @@ def gamma_fn(x: float) -> float:
 
 def _on_cut(z: complex) -> bool:
     return z.imag == 0.0 and z.real >= 1.0
+
+
+def _over(w: complex, z: complex, r: float) -> complex:
+    """w / z for r = |z|, scaled from r = _SCALED_FROM on."""
+    return w / z if r < _SCALED_FROM else w * _SCALE / (z * _SCALE)
 
 
 def _check_order(s) -> None:
@@ -357,7 +362,7 @@ def lerch_phi(z: complex, s: int, v: float) -> complex:
     form (v = 1, v = 2, or s = 1) and other v the integral
     representation.  The checks, then _route(s, v)(z).
     """
-    z = _complex(z, "z")
+    z = _complex(z)
     if _on_cut(z):
         raise DomainError(f"z = {z!r} lies on the singular ray [1, inf)")
     _check_order(s)
@@ -373,8 +378,8 @@ def _route(s: int, v: float):
     |z| <= 1/2 takes the series, and a non-finite z off that disk is a
     DomainError.  Beyond the disk, Re z <= 0 up to _direct_radius(s, v)
     takes the defining sum; else v = 1 takes polylog(s, z)/z, through
-    the module-global name, which a tracer may rebind, divided by z as
-    _SCALED_FROM says; s = 1 _lerch_log;
+    the module-global name, which a tracer may rebind, divided by z
+    through _over; s = 1 _lerch_log;
     v = 2 _lerch_v2; and other v, or integer v past _CLOSED_FORM_MAX_V,
     the integral representation.  phi calls the branch it bound when the
     route was built, with no frame between.
@@ -403,8 +408,7 @@ def _route(s: int, v: float):
         if r <= direct and z.real <= 0.0:
             return _lerch_direct(z, s, v)
         if branch is None:
-            w = polylog(s, z)
-            return w / z if r < _SCALED_FROM else w * _SCALE / (z * _SCALE)
+            return _over(polylog(s, z), z, r)
         return branch(z, arg)
 
     return phi
@@ -458,7 +462,7 @@ def _lerch_log(z: complex, k: int) -> complex:
     r = abs(z)
     if r < 1.0 and r ** k < _LOG_FORM_MIN:
         return _lerch_series(z, 1, float(k))
-    w = 1.0 / z if r < _SCALED_FROM else _SCALE / (z * _SCALE)
+    w = _over(1.0, z, r)
     acc = complex(0.0)
     power = complex(1.0)  # w^j
     for j in range(1, k):
@@ -492,11 +496,8 @@ def _lerch_v2(z: complex, s: int) -> complex:
     else:
         w, square = _inversion(s, z, 1), z * z
         if cmath.isfinite(square):
-            return w / square if r * r < _SCALED_FROM else w * _SCALE / (square * _SCALE)
-    if r >= _SCALED_FROM:
-        # (w S^2)/(z S) = (w/z) S, and that over z S is w/z^2
-        w, z = w * (_SCALE * _SCALE), z * _SCALE
-    return w / z / z
+            return _over(w, square, r * r)
+    return _over(_over(w, z, r), z, r)
 
 
 # zeta at the integers -------------------------------------------------------
@@ -749,7 +750,7 @@ def _inversion(s: int, z: complex, shift: int = 0) -> complex:
                     break
         else:
             acc -= power
-    w = 1.0 / z if abs(z) < _SCALED_FROM else _SCALE / (z * _SCALE)
+    w = _over(1.0, z, abs(z))
     inner = (w * w if shift else w) * _lerch_series(w, s, 1.0 + shift)
     return acc + inner if odd else acc - inner
 
@@ -764,7 +765,7 @@ def polylog(s: int, z: complex) -> complex:
     for s = 1 and is zeta(s) for s >= 2; an infinite or NaN z, and an s
     that is not an int >= 1 converting to a double, raise DomainError.
     """
-    z = _complex(z, "z")
+    z = _complex(z)
     _check_order(s)
     if z == 1.0:
         if s == 1:

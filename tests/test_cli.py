@@ -138,6 +138,16 @@ def test_eval_input_errors(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("value", [True, False, "1", None, [1], {}, 1e400])
+def test_non_number_field_has_one_message(value):
+    # JSON true and false are ints to Python but not numbers to the CLI;
+    # they read as every other non-number does
+    from freetransform import InvalidInput, cli
+    with pytest.raises(InvalidInput) as info:
+        cli.parse_triple({"a": value})
+    assert str(info.value) == f"field 'a' must be a finite number, got {value!r}"
+
+
 def test_eval_grid_validation(gauss_json):
     res = run("eval", "--class", "id", "--input", gauss_json, "--t-min", "0")
     assert res.returncode == 2

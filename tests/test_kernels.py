@@ -451,19 +451,19 @@ def test_custom_density_half_line_starts_at_lo():
 
 def test_custom_interval_from_minus_inf_is_invalid():
     # once c = 0j, where the whole line gives 2
-    with pytest.raises(InvalidInput, match="lo must be finite, got -inf"):
+    with pytest.raises(InvalidInput, match="lo must be a finite number, got -inf"):
         custom_density(lambda s: math.exp(-abs(s)), lambda s: 1.0, -math.inf, math.inf)
 
 
 def test_custom_interval_to_minus_inf_is_invalid():
     # once integrated (0, inf), c = 1
-    with pytest.raises(InvalidInput, match="hi must be finite, got -inf"):
+    with pytest.raises(InvalidInput, match="hi must be a finite number, got -inf"):
         custom_density(lambda s: math.exp(-abs(s)), lambda s: 1.0, 0.0, -math.inf)
 
 
 def test_custom_interval_from_nan_is_invalid():
     # once "integrand non-finite at 0.5"
-    with pytest.raises(InvalidInput, match="lo must be finite, got nan"):
+    with pytest.raises(InvalidInput, match="lo must be a finite number, got nan"):
         custom_density(lambda s: math.exp(-abs(s)), lambda s: 1.0, math.nan, math.inf)
 
 

@@ -46,7 +46,8 @@ def _density(s):
 
 
 # what the gate refuses for every parameter; a real one refuses 1j too
-REFUSED = (10 ** 400, -10 ** 400, 10 ** 5000, math.inf, -math.inf, math.nan, None, "1")
+REFUSED = (10 ** 400, -10 ** 400, 10 ** 5000, math.inf, -math.inf, math.nan, None, "1",
+           bytearray(b"1"))
 
 # "name.parameter": (call of the value, a valid value, error class, real?,
 # refused values the site accepts); a name.parameter.part entry covers one
@@ -146,7 +147,7 @@ RESULTS = {
     "IntegrationResult.error_estimate": "a quadrature result",
 }
 
-GATE_MESSAGE = re.compile(r" must be (positive and )?finite, got ")
+GATE_MESSAGE = re.compile(r" must be a (positive )?finite number, got ")
 
 
 def _numeric_parameters() -> set:
