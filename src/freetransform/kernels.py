@@ -46,11 +46,12 @@ import sys
 from collections.abc import Callable
 
 from ._records import record
-from .errors import DomainError, InvalidInput, NonFiniteError, _complex, _real, _shown
-from .measures import FiniteMeasure
+from .errors import (DomainError, InvalidInput, NonFiniteError, _complex, _items, _real,
+                     _shown)
+from .measures import FiniteMeasure, _check_measure
 from .quadrature import (IntegrationResult, _integrate, _integrate_half_line,
                          gamma_average)
-from .specfun import _route
+from .specfun import _over, _route
 
 SSELF = "sself"
 UBETA = "ubeta"
@@ -94,7 +95,8 @@ class KernelFamily:
                 if not lo < hi:
                     raise InvalidInput(f"custom kernel needs lo < hi, got ({lo!r}, {hi!r})")
             else:
-                jumps = tuple((_real(s, "jump location"), _real(j, "jump")) for s, j in jumps)
+                jumps = tuple((_real(s, "jump location"), _real(j, "jump"))
+                              for s, j in _items(jumps, "jumps", pairs=True))
                 if not jumps:
                     raise InvalidInput("custom step kernel needs at least one jump")
                 way, sign = (("increasing", "positive") if self.increasing
@@ -354,6 +356,7 @@ class PickRepresentation:
     measure: FiniteMeasure = FiniteMeasure()
 
     def _checked(self):
+        _check_measure(self.measure)
         return tuple.__new__(type(self), (_real(self.shift, "shift"), self.measure))
 
 
@@ -365,8 +368,8 @@ def pick_representation(h_values, r_jumps) -> PickRepresentation:
     atom sits at x = -b with mass 1/(1+b^2).  Steps mapping to the same
     atom location are combined.
     """
-    h_values = [_real(h, "kernel value", positive=True) for h in h_values]
-    r_jumps = [_real(j, "jump", positive=True) for j in r_jumps]
+    h_values = [_real(h, "kernel value", positive=True) for h in _items(h_values, "h_values")]
+    r_jumps = [_real(j, "jump", positive=True) for j in _items(r_jumps, "r_jumps")]
     if len(h_values) != len(r_jumps):
         raise InvalidInput("h_values and r_jumps must have equal length")
     if not h_values:
@@ -400,7 +403,8 @@ def pick_eval(rep: PickRepresentation, z: complex) -> complex:
         for x, w in rep.measure.atoms:
             term = w * (1.0 + z * x) / (z - x)
             if not cmath.isfinite(term):
-                term = w * ((1.0 / x + z) / (z / x - 1.0) if abs(x) >= 1.0
-                            else (1.0 + z * x) / (z - x))
+                num, den = ((1.0 / x + z, z / x - 1.0) if abs(x) >= 1.0
+                            else (1.0 + z * x, z - x))
+                term = w * _over(num, den, math.hypot(den.real, den.imag))
             acc += term
     return acc

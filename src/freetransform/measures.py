@@ -18,7 +18,7 @@ import math
 import sys
 
 from ._records import record
-from .errors import InvalidInput, NonFiniteError, _real
+from .errors import InvalidInput, NonFiniteError, _items, _real, _shown
 
 Atom = tuple[float, float]  # (location, weight)
 _MIN_NORMAL = sys.float_info.min
@@ -29,7 +29,7 @@ def _check_atoms(atoms, *, jumps: bool, what: str) -> tuple[Atom, ...]:
     distinct; a jump measure's at x != 0 with w > 0, a finite measure's
     anywhere with w >= 0."""
     out = {}
-    for x, w in atoms:
+    for x, w in _items(atoms, what, pairs=True):
         x, w = _real(x, f"{what} location"), _real(w, f"{what} mass")
         if jumps:
             if x == 0.0:
@@ -77,6 +77,12 @@ class FiniteMeasure:
     def _checked(self):
         atoms = _check_atoms(self.atoms, jumps=False, what="atoms")
         return tuple.__new__(type(self), (atoms,))
+
+
+def _check_measure(measure) -> None:
+    """InvalidInput unless measure is a FiniteMeasure."""
+    if not isinstance(measure, FiniteMeasure):
+        raise InvalidInput(f"measure must be a FiniteMeasure, got {_shown(measure)}")
 
 
 def triple_to_finite_measure(tr: LevyTriple) -> FiniteMeasure:

@@ -16,7 +16,9 @@ Li_s(z) for integer s takes one of three branches by |z|:
                    the series disk, summed in one forward pass over the
                    powers L^j/j! of L = log(-z), stepping by L^2, with no
                    list of them; the pass stops where L^j/j! reaches 0j,
-                   so its work is bounded at every order.
+                   so its work is bounded at every order.  On the
+                   imaginary axis up to s = _AXIS_ORDERS the formula
+                   runs in float arithmetic instead (see below).
 
 Ahead of the last two, at the orders where it stops within four terms,
 Re z <= 0 takes the defining sum sum_n z^n (v+n)^-s (_lerch_direct):
@@ -58,10 +60,11 @@ the last _SERIES_TABLES orders holds the log-series' plan per (s,
 shift), flat tuples of floats built on its first call: the coefficient,
 stop weight and divisor of each of its at most _LOG_SERIES_TERMS terms,
 and H_{s-1} for its log term (_log_series_plan).  _direct_radius is
-cached per (s, v) in the same way.  The inversion formula keeps no
-plan: its pass reads each coefficient from the eta table, or past it
-takes the constant, and forms each divisor as it steps.  Every sum
-takes the same terms in the same order as without the tables and plan.
+cached per (s, v) in the same way.  The inversion formula's complex
+pass keeps no plan: it reads each coefficient from the eta table, or
+past it takes the constant, and forms each divisor as it steps.  Every
+sum takes the same terms in the same order as without the tables and
+plan.
 
 On the imaginary axis, where every argument -ix/t of the transforms
 lies, one float loop, _axis_sum, sums a power series in iy: odd powers
@@ -73,6 +76,19 @@ is at most the caller's stop.  Two series take it, both built on the
 complex loop's bit for bit, signed zeros included (z = 0, real z and
 every other z take the complex loop); and the image classes' moment
 series, whose rows _moment_rows builds once per law for transforms.
+
+The inversion formula at z = iy, |y| >= 2, either sign of zero real
+part, takes the float path _axis_inversion from polylog and _lerch_v2
+up to s = _AXIS_ORDERS; off the axis, and at higher orders, the complex
+pass _inversion serves.  On the axis L = l - i sgn(y) pi/2, l = log|y|,
+so the Bernoulli polynomial is two real polynomials in l: their
+coefficients, the eta table's re-expanded about l and divided by k!,
+come from a plan per (s, shift) in a bounded lru_cache of the last
+_SERIES_TABLES, built on its first call (_axis_plan), and Horner's rule
+in l^2 sums them.  The shifted form adds a real series in l, and the
+series at 1/z is _axis_sum's on the (s, 1 + shift) table.  The float
+path's values are not the complex pass's bits: the two agree within
+6e-14 relative, and each is held to the same mpmath bounds.
 
 Every division by z that a branch makes off the disk is plain up to
 |z| = _SCALED_FROM = 2^1000 and scaled past it, where CPython's complex
@@ -143,6 +159,10 @@ _ZETA_TOP = 1075
 # inversion coefficients past their tables: -2 eta(2n) is -2.0 once 2^(1-2n)
 # is below half an ulp of 1, and 2 - 2 eta(2n) is 0.0 once it underflows
 _ETA_TAIL = (-2.0, 0.0)
+# z = iy up to this order takes _axis_inversion: its plan's Horner
+# coefficients c_k/k! and its tail's 1/(s+1)! stay normal doubles, as k!
+# overflows at k = 171
+_AXIS_ORDERS = 160
 
 # log of the largest double, to within 0.8
 _LOG_DOUBLE_MAX = 709.0
@@ -485,18 +505,24 @@ def _lerch_v2(z: complex, s: int) -> complex:
     divided by z twice.  (At 2^(s+2) that route still lost 8e-12 for
     s = 100.)  Below, z * z overflows for |z| above about 1.34e154, so
     there too Phi divides by z twice.  A z * z or z past _SCALED_FROM
-    takes the scaled division.
+    takes the scaled division.  Either inversion runs in float arithmetic
+    on the imaginary axis up to s = _AXIS_ORDERS (_axis_inversion).
     """
     r = abs(z)
     if r < _INVERSION_RADIUS:
         return _log_series(s, z, 1) / (z * z)
     # log2 takes any s, where 4.0 ** s overflows from s = 512 on
-    if math.log2(r) >= 2 * s:
-        w = _inversion(s, z) - z
+    shift = 0 if math.log2(r) >= 2 * s else 1
+    if z.real == 0.0 and s <= _AXIS_ORDERS:
+        w = _axis_inversion(s, z, shift)
     else:
-        w, square = _inversion(s, z, 1), z * z
+        w = _inversion(s, z, shift)
+    if shift:
+        square = z * z
         if cmath.isfinite(square):
             return _over(w, square, r * r)
+    else:
+        w -= z
     return _over(_over(w, z, r), z, r)
 
 
@@ -755,15 +781,107 @@ def _inversion(s: int, z: complex, shift: int = 0) -> complex:
     return acc + inner if odd else acc - inner
 
 
+@functools.lru_cache(maxsize=_SERIES_TABLES)
+def _axis_plan(s: int, shift: int) -> tuple:
+    """(re_coefs, im_coefs, tail_frac, tail_exp): _inversion's polynomial
+    sum_j a_j L^j/j! at L = l + i pi/2, re-expanded in powers of l as
+    sum_k c_k l^k/k!, c_k = sum_m a_(k+m) (i pi/2)^m/m!.  a_j is nonzero
+    only for j = s mod 2, so c_k is real for k = s mod 2 and imaginary
+    otherwise; re_coefs and im_coefs hold c_k/k! (its imaginary part for
+    im_coefs) for k from the top down in steps of 2, Horner coefficients
+    in l^2.  The a_j are -1 or +1 at j = s and the _eta_tables()
+    coefficients below; for shift = 1 also 2 at every j > s, j = s mod 2,
+    whose c_k with k > s is 2 cos(pi/2) = 0 or 2i sin(pi/2) = 2i, the
+    tail _axis_inversion sums, with its first l^(s+1)/(s+1)! formed from
+    frexp(1/(s+1)!) = (tail_frac, tail_exp).  The powers (pi/2)^m/m! come
+    by recurrence up to where they underflow, and each c_k is an fsum.
+    """
+    coefs, tail = _eta_tables()[shift], _ETA_TAIL[shift]
+    powers = [1.0]  # (pi/2)^m/m!
+    while powers[-1]:
+        powers.append(powers[-1] * (0.5 * math.pi) / len(powers))
+    # times the sign of Re i^m for even m and of Im i^m for odd m
+    signed = [p if m % 4 < 2 else -p for m, p in enumerate(powers)]
+    a = [0.0] * (s + 1 + (len(powers) if shift else 0))
+    a[s] = 1.0 if shift else -1.0
+    for n in range(1, s // 2 + 1):
+        a[s - 2 * n] = coefs[n - 1] if n <= len(coefs) else tail
+    for j in range(s + 2, len(a), 2):
+        a[j] = 2.0
+    scaled = [math.fsum([c * p for c, p in zip(a[k:], signed)]) / math.factorial(k)
+              for k in range(s + 1)]
+    tail_frac, tail_exp = math.frexp(1.0 / math.factorial(s + 1))
+    return tuple(scaled[s::-2]), tuple(scaled[s - 1::-2]), tail_frac, tail_exp
+
+
+def _axis_inversion(s: int, z: complex, shift: int = 0) -> complex:
+    """_inversion(s, z, shift) for z = iy, |y| >= 2, either sign of zero
+    real part, and s <= _AXIS_ORDERS, in float arithmetic.  On the axis
+    L = log(-iy) = l - i sgn(y) pi/2 with l = log|y|, so the polynomial
+    part is two real polynomials in l, summed by Horner's rule in l^2
+    from _axis_plan(s, shift); odd powers of i pi/2 carry -sgn(y), so the
+    value is worked out for y < 0 and conjugated for y > 0.  For shift =
+    1 the tail 2 sum_{j>s} L^j/j! re-expands to 2i sum_{k>s, k-s odd}
+    l^k/k! (for y < 0), a real series whose terms are all positive: it
+    steps l^k/k! by l^2/((k+1)(k+2)) from l^(s+1)/(s+1)!, formed through
+    frexp so that no power of l overflows, until its terms pass k = l
+    and fall below _SUM_EPS of its sum.  The series at 1/z = i/|y| (for y < 0) is _axis_sum's on the
+    (s, 1 + shift) table, which stops inside the table as 1/|y| <= 1/2.
+    """
+    re_coefs, im_coefs, tail_frac, tail_exp = _axis_plan(s, shift)
+    y = z.imag
+    r = abs(y)
+    ell = math.log(r)
+    x = ell * ell
+    re = im = 0.0
+    for c in re_coefs:
+        re = re * x + c
+    for c in im_coefs:
+        im = im * x + c
+    odd = s % 2
+    if odd:
+        re *= ell
+    else:
+        im *= ell
+    if shift:
+        frac, exp = math.frexp(ell)
+        power = math.ldexp(frac ** (s + 1) * tail_frac, exp * (s + 1) + tail_exp)
+        j = float(s + 1)
+        acc = power
+        while power:
+            power *= x / ((j + 1.0) * (j + 2.0))
+            j += 2.0
+            acc += power
+            if power <= _SUM_EPS * acc and j > ell:
+                break
+        im += 2.0 * acc
+    u = 1.0 / r
+    first, rows = _series_powers(s, 1.0 + shift)
+    ser_re, ser_im = _axis_sum(rows, u, _SERIES_EPS * first, first)
+    # w Phi(w, s, 1) or w^2 Phi(w, s, 2) at w = iu
+    if shift:
+        u *= u
+        inner_re, inner_im = -u * ser_re, -u * ser_im
+    else:
+        inner_re, inner_im = -u * ser_im, u * ser_re
+    if odd:
+        re, im = re + inner_re, im + inner_im
+    else:
+        re, im = re - inner_re, im - inner_im
+    return complex(re, im if y < 0.0 else -im)
+
+
 def polylog(s: int, z: complex) -> complex:
     """Polylogarithm Li_s(z) = sum_{n>=1} z^n / n^s for integer s >= 1.
 
     Branches: the power series for |z| <= 1/2, -log(1-z) for s = 1,
     z Phi(z, s, 1) by its defining sum for Re z <= 0 at the orders where
     it stops within _DIRECT_TERMS terms, Crandall's log-series for
-    1/2 < |z| < 2, the inversion formula for |z| >= 2.  z = 1 diverges
-    for s = 1 and is zeta(s) for s >= 2; an infinite or NaN z, and an s
-    that is not an int >= 1 converting to a double, raise DomainError.
+    1/2 < |z| < 2, the inversion formula for |z| >= 2 (in float
+    arithmetic on the imaginary axis up to s = _AXIS_ORDERS).  z = 1
+    diverges for s = 1 and is zeta(s) for s >= 2; an infinite or NaN z,
+    and an s that is not an int >= 1 converting to a double, raise
+    DomainError.
     """
     z = _complex(z)
     _check_order(s)
@@ -785,5 +903,7 @@ def polylog(s: int, z: complex) -> complex:
         return z * _lerch_direct(z, s, 1.0)
     if r < _INVERSION_RADIUS:
         return _log_series(s, z)
+    if z.real == 0.0 and s <= _AXIS_ORDERS:
+        return _axis_inversion(s, z)
     return _inversion(s, z)
 

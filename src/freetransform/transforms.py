@@ -56,10 +56,11 @@ import math
 from collections.abc import Callable, Sequence
 
 from ._records import record
-from .errors import DomainError, FreeTransformError, InvalidInput, NonFiniteError, _real
+from .errors import (DomainError, FreeTransformError, InvalidInput, NonFiniteError, _items,
+                     _real)
 from .kernels import (KernelFamily, PickRepresentation, custom_density, kernel_quad_grid,
                       lclass, map_data, pick_eval, sself, ubeta)
-from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
+from .measures import FiniteMeasure, LevyTriple, _check_measure, triple_to_finite_measure
 from .quadrature import _worst, integrate_semi_infinite, laplace_transform
 from .specfun import _axis_sum, _moment_rows, log_gamma2_slope
 
@@ -248,6 +249,7 @@ class LInfSpec:
 
     def _checked(self):
         shift = _real(self.shift, "shift")
+        _check_measure(self.measure)
         for x, w in self.measure.atoms:
             if x == 0.0 or not (-2.0 < x <= 2.0):
                 raise InvalidInput(f"support must lie in (-2,0) u (0,2], got {x!r}")
@@ -357,7 +359,7 @@ def exp_map_convolution_check(omega: LevyTriple, t_grid: Sequence[float]) -> flo
     Returns the largest deviation over the grid, NaN if any deviation
     is NaN.
     """
-    grid = tuple(_real(t, "t", DomainError, True) for t in t_grid)
+    grid = tuple(_real(t, "t", DomainError, True) for t in _items(t_grid, "t_grid"))
     if not grid:
         raise InvalidInput("t_grid must be non-empty")
 

@@ -208,7 +208,8 @@ def test_parser_built_once_gives_identical_errors(argv, capsys):
 # one route per (s, v) ---------------------------------------------------------
 
 _BRANCHES = ("_lerch_series", "_lerch_direct", "_lerch_log", "_lerch_v2",
-             "_lerch_integral", "polylog", "_log_series", "_inversion")
+             "_lerch_integral", "polylog", "_log_series", "_inversion",
+             "_axis_inversion")
 
 
 def _count_branches(monkeypatch):
@@ -232,18 +233,19 @@ def _count_branches(monkeypatch):
 
 
 # (s, v, z) -> the branches one lerch_phi call runs, polylog's own branch
-# included: each (s, v) kind in each |z| band, and the large orders either
-# side of Re z = 0
+# included: each (s, v) kind in each |z| band, the large orders either
+# side of Re z = 0, then the inversion for v = 1 and 2 on the axis (either
+# sign of zero) and off it, up to and past the axis path's last order
 _DISPATCH = [
     ((3, 1.0, 0.3j), {"_lerch_series"}),
     ((3, 1.0, -1.2j), {"polylog", "_log_series"}),
-    ((3, 1.0, 40j), {"polylog", "_inversion", "_lerch_series"}),
+    ((3, 1.0, 40j), {"polylog", "_axis_inversion"}),
     ((1, 5.0, 0.4), {"_lerch_series"}),
     ((1, 5.0, -1.2j), {"_lerch_log"}),
     ((1, 5.0, 40j), {"_lerch_log"}),
     ((3, 2.0, -0.2), {"_lerch_series"}),
     ((3, 2.0, 1.2j), {"_lerch_v2", "_log_series"}),
-    ((3, 2.0, -40j), {"_lerch_v2", "_inversion", "_lerch_series"}),
+    ((3, 2.0, -40j), {"_lerch_v2", "_axis_inversion"}),
     ((2, 2.5, 0.3j), {"_lerch_series"}),
     ((2, 2.5, 1.2j), {"_lerch_integral"}),
     ((1, 100_001.0, 1.2j), {"_lerch_integral"}),
@@ -251,6 +253,14 @@ _DISPATCH = [
     ((40, 2.0, complex(-3.0, 4.0)), {"_lerch_direct"}),
     ((40, 1.0, complex(3.0, 4.0)), {"polylog", "_inversion", "_lerch_series"}),
     ((10 ** 9, 2.0, -1e300j), {"_lerch_direct"}),
+    ((3, 1.0, complex(-0.0, -40.0)), {"polylog", "_axis_inversion"}),
+    ((3, 1.0, complex(1e-300, 40.0)), {"polylog", "_inversion", "_lerch_series"}),
+    ((3, 1.0, complex(30.0, 40.0)), {"polylog", "_inversion", "_lerch_series"}),
+    ((160, 1.0, 1e30j), {"polylog", "_axis_inversion"}),
+    ((161, 1.0, 1e30j), {"polylog", "_inversion", "_lerch_series"}),
+    ((3, 2.0, -1e5j), {"_lerch_v2", "_axis_inversion"}),
+    ((3, 2.0, complex(-30.0, -40.0)), {"_lerch_v2", "_inversion", "_lerch_series"}),
+    ((161, 2.0, -1e30j), {"_lerch_v2", "_inversion", "_lerch_series"}),
 ]
 
 
@@ -307,7 +317,10 @@ def test_eval_calls_no_checked_lerch_phi(monkeypatch, tmp_path, capsys):
                          "--t-min", "1e-3", "--t-max", "1e3", "--steps", "50"]) == 0
     assert capsys.readouterr().out.count("\n") == 3 * 51
     assert calls == []
-    assert counts["_inversion"] > 0 and counts["_lerch_log"] > 0
+    # every argument -ix/t lies on the axis, where the inversion takes the
+    # float path at these orders
+    assert counts["_axis_inversion"] > 0 and counts["_lerch_log"] > 0
+    assert counts["_inversion"] == 0
 
 
 def test_verify_and_kernels_call_no_checked_lerch_phi(monkeypatch, capsys):

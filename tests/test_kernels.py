@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from freetransform import (
     DomainError,
     FreeTransformError,
+    FiniteMeasure,
     InvalidInput,
     KernelFamily,
     NonFiniteError,
@@ -554,6 +555,13 @@ def test_pick_eval_matches_direct_sum():
         for z in (0.5 + 0.5j, -1.0 + 2.0j):
             direct = sum(w * h / (z * h + 1.0) for h, w in zip(hs, ws))
             assert abs(pick_eval(rep, z) - direct) < 1e-13
+
+
+def test_pick_eval_at_a_huge_off_axis_z():
+    # Smith's denominator |z|^2/max(|Re z|, |Im z|) overflows here, and
+    # the sum came out nan+nanj; (1 + z)/(z - 1) is 1 to double precision
+    rep = PickRepresentation(0.0, FiniteMeasure(((1.0, 1.0),)))
+    assert abs(pick_eval(rep, -1.2e308 + 1.2e308j) - 1.0) <= 1e-15
 
 
 def test_pick_eval_sign():

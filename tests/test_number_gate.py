@@ -189,3 +189,34 @@ def test_every_refused_value_raises_the_site_error(site):
         assert GATE_MESSAGE.search(message), (site, value, message)
         if value == 10 ** 5000:
             assert "an int of 16610 bits" in message, (site, message)
+
+
+# sequence and measure parameters: a call whose container is malformed,
+# each of which escaped as a bare ValueError, TypeError or AttributeError
+# before the container had its own gate
+CONTAINERS = {
+    "LevyTriple.levy_atoms.short-pair": lambda: LevyTriple(0.0, 0.0, ((1.0,),)),
+    "LevyTriple.levy_atoms.none": lambda: LevyTriple(0.0, 0.0, None),
+    "FiniteMeasure.atoms": lambda: FiniteMeasure(5),
+    "custom_step.jumps": lambda: ft.custom_step(math.exp, 5),
+    "pick_representation.h_values": lambda: ft.pick_representation(None, [1.0]),
+    "exp_map_convolution_check.t_grid": lambda: ft.exp_map_convolution_check(TR, 1.0),
+    "LInfSpec.measure": lambda: LInfSpec(0.0, ((0.5, 1.0),)),
+    "PickRepresentation.measure": lambda: PickRepresentation(0.0, 5),
+    "FiniteMeasure.atoms.str": lambda: FiniteMeasure("ab"),
+}
+
+CONTAINER_MESSAGE = re.compile(r" must be a (sequence of (numbers|pairs)|FiniteMeasure), got ")
+
+
+@pytest.mark.parametrize("site", sorted(CONTAINERS))
+def test_malformed_container_is_invalid_input(site):
+    with pytest.raises(InvalidInput) as info:
+        CONTAINERS[site]()
+    assert CONTAINER_MESSAGE.search(str(info.value)), (site, str(info.value))
+
+
+def test_sequence_parameters_take_any_iterable():
+    # the gate turns an iterable into a tuple once, so a generator passes
+    assert FiniteMeasure(iter([(1.0, 0.5)])) == FiniteMeasure(((1.0, 0.5),))
+    assert ft.pick_representation(iter([2.0]), (3.0,)) == ft.pick_representation([2.0], [3.0])

@@ -482,25 +482,62 @@ def test_inversion_work_is_bounded_at_every_order():
     assert abs(phi) <= 1e-15
 
 
+# fixed before measuring: about twice the larger of the inversion's mpmath
+# bounds (tests/test_specfun_reference.py), as each pass is held to its
+# own; worst measured 8.6e-15 (shift 0) and 1.9e-14 (shift 1) on a
+# denser grid of orders and 201 moduli
+AXIS_AGREEMENT = 6e-14
+_AXIS_CHECK_ORDERS = (2, 3, 4, 5, 8, 11, 12, 16, 17, 21, 22, 30, 31, 60, 100, 159, 160)
+
+
+def test_axis_inversion_agrees_with_the_complex_pass():
+    # every order the axis plan serves, z = iy from |y| = 2 to the top of
+    # the double range, both signs of y and of the zero real part
+    ys = [2.0 * (1.7e308 / 2.0) ** (j / 60) for j in range(61)]
+    worst = 0.0
+    for s in _AXIS_CHECK_ORDERS:
+        for y in ys:
+            for z in (complex(0.0, y), complex(-0.0, y), complex(0.0, -y), complex(-0.0, -y)):
+                for shift in (0, 1):
+                    ref = specfun._inversion(s, z, shift)
+                    err = abs(specfun._axis_inversion(s, z, shift) - ref) / abs(ref)
+                    worst = max(worst, err)
+    assert worst <= AXIS_AGREEMENT, worst
+
+
+def test_axis_inversion_is_conjugate_symmetric():
+    # Li_s(-iy) - shift (-iy) is the conjugate of Li_s(iy) - shift iy, and
+    # the value does not see the sign of the zero real part
+    for s in (2, 3, 16, 160):
+        for y in (2.0, 37.0, 1e30, 1.7e308):
+            for shift in (0, 1):
+                up = specfun._axis_inversion(s, complex(0.0, y), shift)
+                assert specfun._axis_inversion(s, complex(-0.0, y), shift) == up
+                assert specfun._axis_inversion(s, complex(0.0, -y), shift) == up.conjugate()
+
+
 def test_off_disk_tables_are_bounded():
     # the order-keyed caches, the (s, v) power tables, routes and direct
-    # sum radii, and the (s, shift) plans of the log-series, are bounded;
-    # every other cache is a table built once
+    # sum radii, and the (s, shift) plans of the log-series and of the axis
+    # inversion, are bounded; every other cache is a table built once
     cached = {name: fn for name, fn in vars(specfun).items()
               if hasattr(fn, "cache_info")}
     keyed = {name for name, fn in cached.items()
              if fn.cache_info().maxsize is not None}
     assert keyed == {"_series_powers", "_route", "_direct_radius",
-                     "_log_series_plan"}
+                     "_log_series_plan", "_axis_plan"}
     polylog(30, 1.5j)
     polylog(30, 3.0j)
     lerch_phi(-1.5j, 30, 2.0)
     before = {name: fn.cache_info().currsize for name, fn in cached.items()}
+    axis_misses = specfun._axis_plan.cache_info().misses
     for s in (2 * 10 ** 4, 10 ** 5):
         polylog(s, 1.5j)
         lerch_phi(-1.5j, s, 2.0)
         polylog(s, 3.0j)
         lerch_phi(-3.0j, s, 2.0)
+    # orders past _AXIS_ORDERS take the complex pass on the axis too
+    assert specfun._axis_plan.cache_info().misses == axis_misses
     for name, fn in cached.items():
         info = fn.cache_info()
         if name in keyed:
@@ -517,6 +554,11 @@ def test_off_disk_tables_are_bounded():
         for shift in (0, 1):
             _, segments = specfun._log_series_plan(s, shift)
             assert sum(map(len, segments)) <= 3 * specfun._LOG_SERIES_TERMS
+    # an axis plan holds one coefficient per power l^k, k <= s
+    for s in (2, 3, 30, specfun._AXIS_ORDERS):
+        for shift in (0, 1):
+            re_coefs, im_coefs, _, _ = specfun._axis_plan(s, shift)
+            assert len(re_coefs) + len(im_coefs) == s + 1
 
 
 def test_linf_eval_leaves_the_zeta_table_unbuilt(tmp_path):
