@@ -11,6 +11,10 @@ caller's package error (_complex's argument is always z, and its error
 DomainError) as "<what> must be a [positive] finite number, got
 <value>", the value shown by _shown.
 
+_callable is the gate for a function parameter, and of a record's
+stored function: the value itself where callable() holds, else
+InvalidInput "<what> must be callable, got <value>".
+
 _items is the gate for a sequence parameter: its items as a tuple, each
 a pair where the caller asks for pairs, else InvalidInput "<what> must
 be a sequence of numbers" (or "of pairs").  The numbers inside then pass
@@ -83,6 +87,13 @@ def _complex(value) -> complex:
     if z - z == 0.0:
         return z
     raise DomainError(f"z must be a finite number, got {_shown(value)}")
+
+
+def _callable(value, what: str):
+    """value where it is callable, else InvalidInput naming it."""
+    if callable(value):
+        return value
+    raise InvalidInput(f"{what} must be callable, got {_shown(value)}")
 
 
 def _items(value, what: str, pairs: bool = False) -> tuple:

@@ -46,8 +46,8 @@ import sys
 from collections.abc import Callable
 
 from ._records import record
-from .errors import (DomainError, InvalidInput, NonFiniteError, _complex, _items, _real,
-                     _shown)
+from .errors import (DomainError, InvalidInput, NonFiniteError, _callable, _complex, _items,
+                     _real, _shown)
 from .measures import FiniteMeasure, _check_measure
 from .quadrature import (IntegrationResult, _integrate, _integrate_half_line,
                          gamma_average)
@@ -63,13 +63,14 @@ CUSTOM = "custom"
 class KernelFamily:
     """Descriptor of one (h, r) kernel pair.
 
-    A built-in family is fixed by its tag and order k; FAMILIES holds the
-    rest.  For CUSTOM kernels on (lo, hi) the time change is supplied
-    either as a density (r_density = dr/ds, signed) or as a step function
-    via jumps ((location, jump size) pairs, jumps all of one sign).
-    increasing declares the monotonicity of r and fixes the sign
-    convention.  A density's interval has a finite lo < hi, hi finite or
-    +inf; a step function's is the span of its jump locations.
+    A built-in family is fixed by its tag and order k, the only fields
+    it takes; FAMILIES holds the rest.  For CUSTOM kernels on (lo, hi)
+    the time change is supplied either as a density (r_density = dr/ds,
+    signed) or as a step function via jumps ((location, jump size)
+    pairs, jumps all of one sign).  increasing, a bool, declares the
+    monotonicity of r and fixes the sign convention.  A density's
+    interval has a finite lo < hi, hi finite or +inf; a step function's
+    is the span of its jump locations.
     """
 
     tag: str
@@ -82,14 +83,16 @@ class KernelFamily:
     increasing: bool = True
 
     def _checked(self):
+        if not isinstance(self.increasing, bool):
+            raise InvalidInput(f"increasing must be a bool, got {_shown(self.increasing)}")
         if self.tag == CUSTOM:
-            if self.h is None:
-                raise InvalidInput("custom kernel needs h")
+            _callable(self.h, "h")
             if (self.r_density is None) == (self.jumps is None):
                 raise InvalidInput(
                     "custom kernel needs exactly one of r_density or jumps")
             jumps = self.jumps
             if jumps is None:
+                _callable(self.r_density, "r_density")
                 lo = _real(self.lo, "lo")
                 hi = self.hi if self.hi == math.inf else _real(self.hi, "hi")
                 if not lo < hi:
@@ -108,6 +111,10 @@ class KernelFamily:
             return tuple.__new__(type(self), (*self[:4], jumps, lo, hi, self.increasing))
         if self.tag not in FAMILIES:
             raise InvalidInput(f"unknown kernel tag {_shown(self.tag)}")
+        # h, r and their direction are the tag's own
+        if self[2:] != (None, None, None, 0.0, 1.0, True):
+            raise InvalidInput(f"{self.tag} takes only tag and k: h, r_density, jumps, lo, "
+                               f"hi and increasing are a custom kernel's")
         lowest, k = FAMILIES[self.tag].lowest, self.k
         if isinstance(k, bool) or not isinstance(k, int) or k < lowest:
             raise InvalidInput(f"{self.tag} needs an integer k >= {lowest}, got {_shown(k)}")

@@ -22,7 +22,7 @@ import math
 import sys
 
 from ._records import record
-from .errors import DomainError, InvalidInput, StepError, _real, _shown
+from .errors import DomainError, InvalidInput, StepError, _callable, _real, _shown
 from .measures import LevyTriple
 from .transforms import Evaluator, transform_ubeta, voiculescu_id
 
@@ -36,16 +36,16 @@ class TransformEvaluator:
     fn: Evaluator
     label: str = ""
 
+    def _checked(self):
+        _callable(self.fn, "fn")
+        return self
+
     def __call__(self, t: float) -> complex:
         return self.fn(t)
 
 
 def _as_fn(V) -> Evaluator:
-    if isinstance(V, TransformEvaluator):
-        return V.fn
-    if callable(V):
-        return V
-    raise InvalidInput(f"expected an evaluator, got {V!r}")
+    return V.fn if isinstance(V, TransformEvaluator) else _callable(V, "V")
 
 
 def derivative_t(V, t: float, h: float) -> complex:

@@ -35,7 +35,8 @@ import math
 from collections.abc import Callable
 
 from ._records import record
-from .errors import DomainError, InvalidInput, MaxSubdivisionError, NonFiniteError, _real
+from .errors import (DomainError, InvalidInput, MaxSubdivisionError, NonFiniteError, _callable,
+                     _real)
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1].  Positive abscissae;
 # even-index entries are Kronrod-only, odd-index entries (and 0) carry
@@ -271,6 +272,7 @@ def integrate_finite(
     NaN/Inf anywhere it is sampled (or raises OverflowError or
     ZeroDivisionError there), or if the panel sums overflow.
     """
+    f = _callable(f, "f")
     return _integrate(lambda s: (f(s),), 1, lo, hi, tol)[0]
 
 
@@ -285,6 +287,7 @@ def integrate_semi_infinite(
     1/u^2, becomes an integrand that vanishes smoothly or stays bounded
     at v = 0.
     """
+    f = _callable(f, "f")
     return _integrate_half_line(lambda u, x: (f(u) / x / x,), 1, tol)[0]
 
 
@@ -330,6 +333,7 @@ def laplace_transform(
     float grid is dense; the tail goes through the substitution of
     integrate_semi_infinite, where it vanishes smoothly at v = 0.
     """
+    g = _callable(g, "g")
     t, tol = _real(t, "t", positive=True), _real(tol, "tol", positive=True)
 
     def integrand(u: float, x: float) -> tuple:

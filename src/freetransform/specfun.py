@@ -20,6 +20,9 @@ Li_s(z) for integer s takes one of three branches by |z|:
                    imaginary axis up to s = _AXIS_ORDERS the formula
                    runs in float arithmetic instead (see below).
 
+The last two, and the same two for Li_s(z) - z, are chosen in one
+place, _li(s, z, r, shift), which polylog and _lerch_v2 both call.
+
 Ahead of the last two, at the orders where it stops within four terms,
 Re z <= 0 takes the defining sum sum_n z^n (v+n)^-s (_lerch_direct):
 there the integral representation bounds its tail past n by |z|^n
@@ -78,8 +81,8 @@ every other z take the complex loop); and the image classes' moment
 series, whose rows _moment_rows builds once per law for transforms.
 
 The inversion formula at z = iy, |y| >= 2, either sign of zero real
-part, takes the float path _axis_inversion from polylog and _lerch_v2
-up to s = _AXIS_ORDERS; off the axis, and at higher orders, the complex
+part, takes the float path _axis_inversion from _li up to s =
+_AXIS_ORDERS; off the axis, and at higher orders, the complex
 pass _inversion serves.  On the axis L = l - i sgn(y) pi/2, l = log|y|,
 so the Bernoulli polynomial is two real polynomials in l: their
 coefficients, the eta table's re-expanded about l and divided by k!,
@@ -92,7 +95,8 @@ path's values are not the complex pass's bits: the two agree within
 
 Every division by z that a branch makes off the disk is plain up to
 |z| = _SCALED_FROM = 2^1000 and scaled past it, where CPython's complex
-division would overflow (see _SCALED_FROM).
+division would overflow (see _SCALED_FROM).  Phi(z, s, 2) divides by z
+twice at every |z|, never by z * z.
 
 Li_1(z) = -log(1-z) is used as it stands beyond the series radius.  The
 Lerch transcendent with integer v reduces to these: Phi(z,s,1) =
@@ -492,36 +496,27 @@ def _lerch_log(z: complex, k: int) -> complex:
 
 
 def _lerch_v2(z: complex, s: int) -> complex:
-    """Phi(z, s, 2) = (Li_s(z) - z)/z^2 for |z| > 1/2.
+    """Phi(z, s, 2) = (Li_s(z) - z)/z^2 for |z| > 1/2, divided by z twice.
 
-    Inside |z| < 2 the log-series sums Li_s(z) - z term by term, with
-    zeta(n) - 1 in place of zeta(n); beyond, the inversion formula
-    subtracts z in closed form.  Neither route forms Li_s(z) and z
-    separately, which would lose about 2^s/|z| relative to Phi.  But the
-    shifted inversion rebuilds -z as a sum of about |log z|/2 terms in
-    log(-z) and loses about |log z| eps, 8e-14 at |z| = 1e300, while far
-    enough out Li_s(z) is small beside z and the difference loses
-    nothing: from |z| = 4^s on, Phi is the unshifted Li_s(z) minus z,
-    divided by z twice.  (At 2^(s+2) that route still lost 8e-12 for
-    s = 100.)  Below, z * z overflows for |z| above about 1.34e154, so
-    there too Phi divides by z twice.  A z * z or z past _SCALED_FROM
-    takes the scaled division.  Either inversion runs in float arithmetic
-    on the imaginary axis up to s = _AXIS_ORDERS (_axis_inversion).
+    _li(s, z, r, 1) sums Li_s(z) - z with z subtracted term by term:
+    inside |z| < 2 the log-series, with zeta(n) - 1 in place of zeta(n),
+    and beyond the inversion formula in closed form.  Neither forms
+    Li_s(z) and z separately, which would lose about 2^s/|z| relative to
+    Phi.  But the shifted inversion rebuilds -z as a sum of about
+    |log z|/2 terms in log(-z) and loses about |log z| eps, 8e-14 at
+    |z| = 1e300, while far enough out Li_s(z) is small beside z and the
+    difference loses nothing: from |z| = 4^s on, Phi is the unshifted
+    Li_s(z) minus z.  (At 2^(s+2) that route still lost 8e-12 for
+    s = 100.)  Dividing by z twice, never by z * z, leaves no square to
+    overflow past |z| of about 1.34e154 or to underflow, and each
+    division is _over's.
     """
     r = abs(z)
-    if r < _INVERSION_RADIUS:
-        return _log_series(s, z, 1) / (z * z)
-    # log2 takes any s, where 4.0 ** s overflows from s = 512 on
+    # log2 takes any s, where 4.0 ** s overflows from s = 512 on; below
+    # |z| = 2 the shift is always 1
     shift = 0 if math.log2(r) >= 2 * s else 1
-    if z.real == 0.0 and s <= _AXIS_ORDERS:
-        w = _axis_inversion(s, z, shift)
-    else:
-        w = _inversion(s, z, shift)
-    if shift:
-        square = z * z
-        if cmath.isfinite(square):
-            return _over(w, square, r * r)
-    else:
+    w = _li(s, z, r, shift)
+    if not shift:
         w -= z
     return _over(_over(w, z, r), z, r)
 
@@ -665,7 +660,7 @@ def _log_series_plan(s: int, shift: int) -> tuple:
     return log_coef, tuple(map(tuple, segments))
 
 
-def _log_series(s: int, z: complex, shift: int = 0) -> complex:
+def _log_series(s: int, z: complex, shift: int) -> complex:
     """Li_s(z) - shift * z by Crandall's expansion in mu = log z:
 
         Li_s(z) = sum_{m>=0, m != s-1} zeta(s-m) mu^m/m!
@@ -716,7 +711,7 @@ def _eta_tables() -> tuple:
     return tuple(map(tuple, tables))
 
 
-def _inversion(s: int, z: complex, shift: int = 0) -> complex:
+def _inversion(s: int, z: complex, shift: int) -> complex:
     """Li_s(z) - shift * z for |z| >= 2 through the inversion formula
 
         Li_s(z) + (-1)^s Li_s(1/z) = -(2 pi i)^s/s! B_s(1/2 + L/(2 pi i))
@@ -814,7 +809,7 @@ def _axis_plan(s: int, shift: int) -> tuple:
     return tuple(scaled[s::-2]), tuple(scaled[s - 1::-2]), tail_frac, tail_exp
 
 
-def _axis_inversion(s: int, z: complex, shift: int = 0) -> complex:
+def _axis_inversion(s: int, z: complex, shift: int) -> complex:
     """_inversion(s, z, shift) for z = iy, |y| >= 2, either sign of zero
     real part, and s <= _AXIS_ORDERS, in float arithmetic.  On the axis
     L = log(-iy) = l - i sgn(y) pi/2 with l = log|y|, so the polynomial
@@ -871,6 +866,19 @@ def _axis_inversion(s: int, z: complex, shift: int = 0) -> complex:
     return complex(re, im if y < 0.0 else -im)
 
 
+def _li(s: int, z: complex, r: float, shift: int = 0) -> complex:
+    """Li_s(z) - shift * z off the series disk, r = |z| > 1/2: the one
+    choice among its sums.  _log_series below |z| = _INVERSION_RADIUS;
+    beyond, _axis_inversion at z = iy, either sign of zero real part, up
+    to s = _AXIS_ORDERS, and _inversion off the axis and past that order.
+    """
+    if r < _INVERSION_RADIUS:
+        return _log_series(s, z, shift)
+    if z.real == 0.0 and s <= _AXIS_ORDERS:
+        return _axis_inversion(s, z, shift)
+    return _inversion(s, z, shift)
+
+
 def polylog(s: int, z: complex) -> complex:
     """Polylogarithm Li_s(z) = sum_{n>=1} z^n / n^s for integer s >= 1.
 
@@ -878,7 +886,8 @@ def polylog(s: int, z: complex) -> complex:
     z Phi(z, s, 1) by its defining sum for Re z <= 0 at the orders where
     it stops within _DIRECT_TERMS terms, Crandall's log-series for
     1/2 < |z| < 2, the inversion formula for |z| >= 2 (in float
-    arithmetic on the imaginary axis up to s = _AXIS_ORDERS).  z = 1
+    arithmetic on the imaginary axis up to s = _AXIS_ORDERS); _li
+    chooses between the last two.  z = 1
     diverges for s = 1 and is zeta(s) for s >= 2; an infinite or NaN z,
     and an s that is not an int >= 1 converting to a double, raise
     DomainError.
@@ -901,9 +910,5 @@ def polylog(s: int, z: complex) -> complex:
         return -cmath.log(1.0 - z)
     if z.real <= 0.0 and r <= _direct_radius(s, 1.0):
         return z * _lerch_direct(z, s, 1.0)
-    if r < _INVERSION_RADIUS:
-        return _log_series(s, z)
-    if z.real == 0.0 and s <= _AXIS_ORDERS:
-        return _axis_inversion(s, z)
-    return _inversion(s, z)
+    return _li(s, z, r)
 

@@ -56,8 +56,8 @@ import math
 from collections.abc import Callable, Sequence
 
 from ._records import record
-from .errors import (DomainError, FreeTransformError, InvalidInput, NonFiniteError, _items,
-                     _real)
+from .errors import (DomainError, FreeTransformError, InvalidInput, NonFiniteError, _callable,
+                     _items, _real)
 from .kernels import (KernelFamily, PickRepresentation, custom_density, kernel_quad_grid,
                       lclass, map_data, pick_eval, sself, ubeta)
 from .measures import FiniteMeasure, LevyTriple, _check_measure, triple_to_finite_measure
@@ -333,12 +333,14 @@ def transform_linf(spec: LInfSpec, t: float) -> complex:
 
 def scale_transform(c: float, V: Evaluator, t: float) -> complex:
     """Transform of the dilated law: (scale_c V)(it) = c V(it/c)."""
+    V = _callable(V, "V")
     c, t = _real(c, "scale factor", positive=True), _real(t, "t", DomainError, True)
     return c * complex(V(t / c))
 
 
 def add_transforms(V1: Evaluator, V2: Evaluator, t: float) -> complex:
     """Transform of the (free or classical) convolution: pointwise sum."""
+    V1, V2 = _callable(V1, "V1"), _callable(V2, "V2")
     t = _real(t, "t", DomainError, True)
     return complex(V1(t)) + complex(V2(t))
 

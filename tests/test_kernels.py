@@ -390,6 +390,33 @@ def test_family_validation():
         kernels.KernelFamily("beta", 2)
 
 
+# a built-in tag with a custom kernel's fields, each of which was taken
+# and ignored, but for increasing, which flipped the image's signs while
+# kernel_g kept the + sign; and an increasing that is not a bool, which
+# was taken by its truth
+CONTRADICTORY = {
+    "sself.increasing": lambda: KernelFamily("sself", 2, increasing=False),
+    "ubeta.increasing": lambda: KernelFamily("ubeta", 2, increasing=False),
+    "sself.increasing.replace": lambda: sself(2)._replace(increasing=False),
+    "lclass.h": lambda: KernelFamily("lclass", 1, h=math.exp),
+    "sself.r_density": lambda: KernelFamily("sself", 1, r_density=lambda s: 1.0),
+    "ubeta.jumps": lambda: KernelFamily("ubeta", 1, jumps=((0.5, 1.0),)),
+    "lclass.lo": lambda: KernelFamily("lclass", 0, lo=0.5),
+    "sself.hi": lambda: KernelFamily("sself", 1, hi=math.inf),
+    "ubeta.increasing.int": lambda: KernelFamily("ubeta", 2, increasing=1),
+    "custom_density.increasing": lambda: custom_density(
+        lambda s: s, lambda s: 1.0, 0.0, 1.0, increasing="no"),
+    "custom_step.increasing": lambda: custom_step(lambda s: s, ((0.5, 1.0),),
+                                                  increasing=1.0),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CONTRADICTORY))
+def test_contradictory_family_is_invalid_input(site):
+    with pytest.raises(InvalidInput, match=r"takes only tag and k|increasing must be a bool"):
+        CONTRADICTORY[site]()
+
+
 def test_family_order_past_the_string_limit_is_invalid_input():
     # str() refuses an int of more than 4 300 digits, so the message names
     # the refused order, or tag, by its bit length

@@ -216,6 +216,35 @@ def test_malformed_container_is_invalid_input(site):
     assert CONTAINER_MESSAGE.search(str(info.value)), (site, str(info.value))
 
 
+# function parameters, and a record's stored function: a call whose
+# function is not callable, each of which was accepted and escaped as a
+# bare TypeError at its first call (lower_shrink_class's evaluator was
+# refused with a message of its own)
+CALLABLES = {
+    "custom_density.h": lambda: ft.custom_density(5, _density, 0.0, 1.0),
+    "custom_density.h.none": lambda: ft.custom_density(None, _density, 0.0, 1.0),
+    "custom_density.r_density": lambda: ft.custom_density(_h, 5, 0.0, 1.0),
+    "custom_step.h": lambda: ft.custom_step(5, ((0.5, 1.0),)),
+    "TransformEvaluator.fn": lambda: ft.TransformEvaluator(5),
+    "lower_shrink_class.V": lambda: ft.lower_shrink_class(5),
+    "add_transforms.V1": lambda: ft.add_transforms(5, V, 1.0),
+    "add_transforms.V2": lambda: ft.add_transforms(V, 5, 1.0),
+    "scale_transform.V": lambda: ft.scale_transform(2.0, 5, 1.0),
+    "integrate_finite.f": lambda: ft.integrate_finite(5, 0.0, 1.0),
+    "integrate_semi_infinite.f": lambda: ft.integrate_semi_infinite(5),
+    "laplace_transform.g": lambda: ft.laplace_transform(5, 1.0),
+}
+
+CALLABLE_MESSAGE = re.compile(r"^\w+ must be callable, got (5|None)$")
+
+
+@pytest.mark.parametrize("site", sorted(CALLABLES))
+def test_uncallable_function_is_invalid_input(site):
+    with pytest.raises(InvalidInput) as info:
+        CALLABLES[site]()
+    assert CALLABLE_MESSAGE.search(str(info.value)), (site, str(info.value))
+
+
 def test_sequence_parameters_take_any_iterable():
     # the gate turns an iterable into a tuple once, so a generator passes
     assert FiniteMeasure(iter([(1.0, 0.5)])) == FiniteMeasure(((1.0, 0.5),))

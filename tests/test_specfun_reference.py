@@ -422,8 +422,8 @@ def test_linf_integrand_against_mpmath():
 BAND_RADII = (1e307, 5e307, 1e308, 1.5e308, 1.7e308, 1.79e308)
 # the rays arg z = k pi/8, but the cut arg z = 0
 BAND_RAYS = tuple(cmath.rect(r, k * math.pi / 8) for k in range(1, 16) for r in BAND_RADII)
-# where z^2 is finite but past the band: Phi(z, s, 2) divides by it for
-# s > log2|z|/2, and abs(z^2) overflows from |z| = 1.34e154 on arg z = pi/8
+# where z^2 is finite but past the band: Phi(z, s, 2) once divided by it
+# for s > log2|z|/2, and abs(z^2) overflows from |z| = 1.34e154 on arg z = pi/8
 SQUARE_RAYS = tuple(cmath.rect(r, k * math.pi / 8) for k in range(1, 16)
                     for r in (1.2e154, 1.45e154, 1.55e154))
 

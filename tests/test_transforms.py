@@ -19,10 +19,13 @@ from freetransform import (
     TransformEvaluator,
     add_transforms,
     cauchy_pick_integral,
+    const_c,
+    const_d,
     custom_density,
     custom_step,
     euler_gamma,
     exp_map_convolution_check,
+    kernel_g,
     lclass,
     linf_integrand,
     logphi,
@@ -288,6 +291,86 @@ def test_lclass_requires_valid_k():
         transform_ubeta(0, GAUSS, 1.0)
     with pytest.raises(InvalidInput):
         transform_sself(-2, GAUSS, 1.0)
+
+
+# custom kernels against the built-in families ------------------------------------------
+
+# two laws, each on a t grid from 0.01 to 300 that passes 2 max|x|: the
+# series band of the built-ins on one side, g atom by atom on the other
+LAWS = (LevyTriple(0.4, 1.1, ((-1.5, 0.4), (0.7, 1.2))),
+        LevyTriple(-0.7, 0.3, ((0.05, 2.0), (-0.6, 0.5), (3.0, 0.3))))
+WIDE_T = (0.01, 0.07, 0.3, 1.0, 2.5, 5.9, 6.1, 20.0, 300.0)
+# fixed before measuring, in units of 1 + |built-in value|; each CUSTOM
+# value is a quadrature to 1e-10 whose rule is exact far below that
+REPLICA_BOUND = 1e-14
+
+
+def _replica_dev(custom, builtin) -> float:
+    return abs(custom - builtin) / (1.0 + abs(builtin))
+
+
+def test_custom_kernels_replicate_built_in_families():
+    # h = s, dr = ds on (0, 1] is ubeta(1) and sself(1); h = e^-s, dr = ds
+    # on (0, inf) is lclass(0): const_c, const_d and kernel_g take their
+    # CUSTOM branches, and the image its per-atom quadrature of g
+    pairs = ((custom_density(lambda s: s, lambda s: 1.0, 0.0, 1.0), (ubeta(1), sself(1))),
+             (custom_density(lambda s: math.exp(-s), lambda s: 1.0, 0.0, math.inf),
+              (lclass(0),)))
+    zs = (0.0, 0.3j, -0.4 + 0.2j, 1.5 + 1.0j, 7.0j)
+    worst = 0.0
+    for custom, builtins in pairs:
+        for fam in builtins:
+            devs = [_replica_dev(const_c(custom), const_c(fam)),
+                    _replica_dev(const_d(custom), const_d(fam))]
+            devs += [_replica_dev(kernel_g(custom, z), kernel_g(fam, z)) for z in zs]
+            for tr in LAWS:
+                V, W = (random_integral_evaluator(f, tr) for f in (custom, fam))
+                devs += [_replica_dev(V(t), W(t)) for t in WIDE_T]
+            worst = max(worst, *devs)
+    assert worst <= REPLICA_BOUND, worst
+
+
+# Jurek's decomposition: cut the kernel's interval at c.  The piece below c
+# is the whole kernel with h scaled by c and r by p, whose image is
+# p c V(t/c); the piece above it is the cut-off kernel, a CUSTOM density,
+# whose image is V_c.  Fixed before measuring, in units of |V(t)| +
+# |p c V(t/c)| + 1
+DECOMPOSITION_BOUND = 1e-13
+
+
+def _cut_kernels(c):
+    """(built-in, p, cut-off kernel) for each kernel and cut c."""
+    for k in (1, 2, 5):
+        yield ubeta(k), c ** k, custom_density(lambda s, k=k: s, lambda s, k=k: k * s ** (k - 1),
+                                               c, 1.0)
+    yield lclass(0), 1.0, custom_density(lambda s: math.exp(-s), lambda s: 1.0,
+                                         0.0, math.log(1.0 / c))
+
+
+def _decomposition_worst(power_shift=0):
+    """The largest deviation from V(t) - p c V(t/c) = V_c(t), with p
+    divided by c^power_shift for ubeta(k), k >= 2."""
+    worst = 0.0
+    for c in (0.1, 0.5, 0.9):
+        for fam, p, cut in _cut_kernels(c):
+            if power_shift and fam.tag == "ubeta" and fam.k >= 2:
+                p /= c ** power_shift
+            for tr in LAWS:
+                V, V_c = random_integral_evaluator(fam, tr), random_integral_evaluator(cut, tr)
+                for t in (0.01, 0.3, 1.0, 2.5, 10.0, 300.0):
+                    whole, lower = V(t), p * c * V(t / c)
+                    dev = abs(whole - lower - V_c(t)) / (abs(whole) + abs(lower) + 1.0)
+                    worst = max(worst, dev)
+    return worst
+
+
+def test_jurek_decomposition_through_the_custom_image():
+    assert _decomposition_worst() <= DECOMPOSITION_BOUND
+
+
+def test_jurek_decomposition_sees_a_wrong_weight():
+    # p = c^(k-1) in place of c^k
+    assert _decomposition_worst(power_shift=1) > 1e-3
 
 
 # dilation and convolution algebra ----------------------------------------------------
