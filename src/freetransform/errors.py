@@ -15,6 +15,10 @@ _callable is the gate for a function parameter, and of a record's
 stored function: the value itself where callable() holds, else
 InvalidInput "<what> must be callable, got <value>".
 
+_instance is the gate for a record parameter, and of a record's stored
+record: the value itself where it is an instance of the record's class,
+else InvalidInput "<what> must be a <class>, got <value>".
+
 _items is the gate for a sequence parameter: its items as a tuple, each
 a pair where the caller asks for pairs, else InvalidInput "<what> must
 be a sequence of numbers" (or "of pairs").  The numbers inside then pass
@@ -94,6 +98,13 @@ def _callable(value, what: str):
     if callable(value):
         return value
     raise InvalidInput(f"{what} must be callable, got {_shown(value)}")
+
+
+def _instance(value, cls: type, what: str):
+    """value where it is an instance of cls, else InvalidInput naming it."""
+    if isinstance(value, cls):
+        return value
+    raise InvalidInput(f"{what} must be a {cls.__name__}, got {_shown(value)}")
 
 
 def _items(value, what: str, pairs: bool = False) -> tuple:

@@ -46,9 +46,9 @@ import sys
 from collections.abc import Callable
 
 from ._records import record
-from .errors import (DomainError, InvalidInput, NonFiniteError, _callable, _complex, _items,
-                     _real, _shown)
-from .measures import FiniteMeasure, _check_measure
+from .errors import (DomainError, InvalidInput, NonFiniteError, _callable, _complex,
+                     _instance, _items, _real, _shown)
+from .measures import FiniteMeasure
 from .quadrature import (IntegrationResult, _integrate, _integrate_half_line,
                          gamma_average)
 from .specfun import _over, _route
@@ -83,6 +83,8 @@ class KernelFamily:
     increasing: bool = True
 
     def _checked(self):
+        # before the tag is looked up: an unhashable one would raise TypeError
+        _instance(self.tag, str, "tag")
         if not isinstance(self.increasing, bool):
             raise InvalidInput(f"increasing must be a bool, got {_shown(self.increasing)}")
         if self.tag == CUSTOM:
@@ -187,14 +189,14 @@ FAMILIES = {
 
 def const_c(fam: KernelFamily) -> float:
     """First kernel moment c = int h dr (closed form for built-ins)."""
-    if fam.tag == CUSTOM:
+    if _instance(fam, KernelFamily, "fam").tag == CUSTOM:
         return const_c_quad(fam).value.real
     return FAMILIES[fam.tag].closed_form(fam.k)[0]
 
 
 def const_d(fam: KernelFamily) -> float:
     """Second kernel moment d = int h^2 dr (closed form for built-ins)."""
-    if fam.tag == CUSTOM:
+    if _instance(fam, KernelFamily, "fam").tag == CUSTOM:
         return const_d_quad(fam).value.real
     return FAMILIES[fam.tag].closed_form(fam.k)[1]
 
@@ -208,7 +210,7 @@ def map_data(fam: KernelFamily) -> tuple[float, float, Callable[[complex], compl
     the singular ray; lerch is their (scale, s, v).  CUSTOM kernels
     integrate c, d and each value of g to 1e-10, and lerch is None.
     """
-    if fam.tag == CUSTOM:
+    if _instance(fam, KernelFamily, "fam").tag == CUSTOM:
         return (const_c_quad(fam).value.real,
                 const_d_quad(fam).value.real,
                 lambda z: kernel_g_quad(fam, z).value,
@@ -229,7 +231,7 @@ def kernel_g(fam: KernelFamily, z: complex) -> complex:
     order when it was built.
     """
     z = _complex(z)
-    if fam.tag == CUSTOM:
+    if _instance(fam, KernelFamily, "fam").tag == CUSTOM:
         return kernel_g_quad(fam, z).value
     if z.imag == 0.0 and z.real <= -1.0:
         raise DomainError(f"z = {z!r} lies on the singular ray (-inf, -1]")
@@ -324,7 +326,7 @@ def kernel_quad_grid(fam: KernelFamily, zs
     weight returns all of their integrands, each times the weight, and
     each result's evaluations count the nodes of the shared mesh."""
     zs = [_complex(z) for z in zs]
-    sign = _g_sign(fam)
+    sign = _g_sign(_instance(fam, KernelFamily, "fam"))
     res = _integrate_kernel(
         fam, lambda hv, w: [w, hv * w, *[1.0 / (z * hv + sign) * w for z in zs]],
         len(zs) + 2)
@@ -334,12 +336,12 @@ def kernel_quad_grid(fam: KernelFamily, zs
 def const_c_quad(fam: KernelFamily) -> IntegrationResult:
     """c = int h dr by direct integration to 1e-10 (finite sum for step
     kernels)."""
-    return _integrate_kernel(fam, lambda hv, w: (w,), 1)[0]
+    return _integrate_kernel(_instance(fam, KernelFamily, "fam"), lambda hv, w: (w,), 1)[0]
 
 
 def const_d_quad(fam: KernelFamily) -> IntegrationResult:
     """d = int h^2 dr by direct integration to 1e-10."""
-    return _integrate_kernel(fam, lambda hv, w: (hv * w,), 1)[0]
+    return _integrate_kernel(_instance(fam, KernelFamily, "fam"), lambda hv, w: (hv * w,), 1)[0]
 
 
 def kernel_g_quad(fam: KernelFamily, z: complex) -> IntegrationResult:
@@ -348,7 +350,7 @@ def kernel_g_quad(fam: KernelFamily, z: complex) -> IntegrationResult:
     The sign in the denominator follows the declared monotonicity:
     +1 when r is non-decreasing, -1 when non-increasing.
     """
-    z, sign = _complex(z), _g_sign(fam)
+    z, sign = _complex(z), _g_sign(_instance(fam, KernelFamily, "fam"))
     return _integrate_kernel(fam, lambda hv, w: (1.0 / (z * hv + sign) * w,), 1)[0]
 
 
@@ -363,7 +365,7 @@ class PickRepresentation:
     measure: FiniteMeasure = FiniteMeasure()
 
     def _checked(self):
-        _check_measure(self.measure)
+        _instance(self.measure, FiniteMeasure, "measure")
         return tuple.__new__(type(self), (_real(self.shift, "shift"), self.measure))
 
 
@@ -402,7 +404,7 @@ def pick_eval(rep: PickRepresentation, z: complex) -> complex:
     as w ((1/x + z)/(z/x - 1)), so neither z x nor w (1 + z x) overflows.
     """
     z = _complex(z)
-    acc = complex(rep.shift)
+    acc = complex(_instance(rep, PickRepresentation, "rep").shift)
     for x, w in rep.measure.atoms:
         acc += w * (1.0 + z * x) / (z - x)
     if not cmath.isfinite(acc):

@@ -18,7 +18,7 @@ import math
 import sys
 
 from ._records import record
-from .errors import InvalidInput, NonFiniteError, _items, _real, _shown
+from .errors import InvalidInput, NonFiniteError, _instance, _items, _real
 
 Atom = tuple[float, float]  # (location, weight)
 _MIN_NORMAL = sys.float_info.min
@@ -79,12 +79,6 @@ class FiniteMeasure:
         return tuple.__new__(type(self), (atoms,))
 
 
-def _check_measure(measure) -> None:
-    """InvalidInput unless measure is a FiniteMeasure."""
-    if not isinstance(measure, FiniteMeasure):
-        raise InvalidInput(f"measure must be a FiniteMeasure, got {_shown(measure)}")
-
-
 def triple_to_finite_measure(tr: LevyTriple) -> FiniteMeasure:
     """Companion measure of a triple: jump atoms reweighted by
     x^2/(1+x^2), plus an atom of mass gauss_var at the origin.  Where x*x
@@ -92,7 +86,7 @@ def triple_to_finite_measure(tr: LevyTriple) -> FiniteMeasure:
     where it is below the smallest normal double the mass is formed as
     (w x) x/(1+x^2), which keeps a w x^2 that x*x alone would lose."""
     atoms = []
-    for x, w in tr.levy_atoms:
+    for x, w in _instance(tr, LevyTriple, "tr").levy_atoms:
         xx = x * x
         if xx < _MIN_NORMAL:
             atoms.append((x, w * x * x / (1.0 + xx)))
@@ -113,7 +107,7 @@ def finite_measure_to_triple(a: float, m: FiniteMeasure) -> LevyTriple:
     """
     gauss_var = 0.0
     jump = []
-    for x, w in m.atoms:
+    for x, w in _instance(m, FiniteMeasure, "m").atoms:
         if x == 0.0:
             gauss_var = w
         elif w > 0.0:
@@ -137,6 +131,7 @@ def scale_triple(c: float, tr: LevyTriple) -> LevyTriple:
         a  ->  c a + sum_x w (cx/(1+(cx)^2) - cx/(1+x^2)).
     """
     c = _real(c, "scale factor", positive=True)
+    _instance(tr, LevyTriple, "tr")
     corr = 0.0
     atoms = []
     for x, w in tr.levy_atoms:

@@ -16,9 +16,9 @@ Li_s(z) for integer s takes one of three branches by |z|:
                    the series disk, summed in one forward pass over the
                    powers L^j/j! of L = log(-z), stepping by L^2, with no
                    list of them; the pass stops where L^j/j! reaches 0j,
-                   so its work is bounded at every order.  On the
-                   imaginary axis up to s = _AXIS_ORDERS the formula
-                   runs in float arithmetic instead (see below).
+                   so its work is bounded at every order.
+On the imaginary axis up to s = _AXIS_ORDERS the last two run in float
+arithmetic instead (see below).
 
 The last two, and the same two for Li_s(z) - z, are chosen in one
 place, _li(s, z, r, shift), which polylog and _lerch_v2 both call.
@@ -80,18 +80,23 @@ complex loop's bit for bit, signed zeros included (z = 0, real z and
 every other z take the complex loop); and the image classes' moment
 series, whose rows _moment_rows builds once per law for transforms.
 
-The inversion formula at z = iy, |y| >= 2, either sign of zero real
-part, takes the float path _axis_inversion from _li up to s =
-_AXIS_ORDERS; off the axis, and at higher orders, the complex
-pass _inversion serves.  On the axis L = l - i sgn(y) pi/2, l = log|y|,
-so the Bernoulli polynomial is two real polynomials in l: their
-coefficients, the eta table's re-expanded about l and divided by k!,
-come from a plan per (s, shift) in a bounded lru_cache of the last
-_SERIES_TABLES, built on its first call (_axis_plan), and Horner's rule
-in l^2 sums them.  The shifted form adds a real series in l, and the
-series at 1/z is _axis_sum's on the (s, 1 + shift) table.  The float
-path's values are not the complex pass's bits: the two agree within
-6e-14 relative, and each is held to the same mpmath bounds.
+Off the disk at z = iy, either sign of zero real part, _li takes two
+float paths up to s = _AXIS_ORDERS: _axis_log_series for 1/2 < |y| < 2
+and _axis_inversion for |y| >= 2.  Off the axis, and at higher orders,
+the complex _log_series and _inversion serve.  On the axis both log z
+and log(-z) are l +- i pi/2, l = log|y|, so each sum's polynomial part,
+re-expanded about i pi/2 in powers of l by one routine
+(_about_half_pi), is two real polynomials in l, summed by Horner's
+rule.  Their coefficients c_k/k! come from a plan per (s, shift), each
+in a bounded lru_cache of the last _SERIES_TABLES, built on its first
+call.  The log-series' plan (_axis_log_plan) re-expands its
+coefficients up to l^_AXIS_LOG_DEGREE, a degree its convergence radius
+3 pi/2 about i pi/2 fixes, and its log term is formed once per call.
+The inversion's (_axis_plan) re-expands the eta table's in full, summed
+in l^2; the shifted form adds a real series in l, and the series at 1/z
+is _axis_sum's on the (s, 1 + shift) table.  The float paths' values
+are not the complex passes' bits: each agrees with its complex pass
+within 6e-14 relative, and each is held to mpmath bounds of its own.
 
 Every division by z that a branch makes off the disk is plain up to
 |z| = _SCALED_FROM = 2^1000 and scaled past it, where CPython's complex
@@ -167,6 +172,11 @@ _ETA_TAIL = (-2.0, 0.0)
 # coefficients c_k/k! and its tail's 1/(s+1)! stay normal doubles, as k!
 # overflows at k = 171
 _AXIS_ORDERS = 160
+# the log-series' regular part is analytic within 3 pi/2 of mu = i pi/2, its
+# nearest singularity mu = 2 pi i, and on the axis |mu - i pi/2| = |log|y||
+# < log 2 for 1/2 < |y| < 2: its terms in l = log|y| fall like (log 2 /
+# (3 pi/2))^k, and this is the first degree k at which that reaches _SUM_EPS
+_AXIS_LOG_DEGREE = math.ceil(math.log(_SUM_EPS) / math.log(math.log(2.0) / (1.5 * math.pi)))
 
 # log of the largest double, to within 0.8
 _LOG_DOUBLE_MAX = 709.0
@@ -694,6 +704,48 @@ def _log_series(s: int, z: complex, shift: int) -> complex:
     raise ConvergenceError(f"polylog log-series stalled at z={z!r}, s={s}")
 
 
+@functools.lru_cache(maxsize=_SERIES_TABLES)
+def _axis_log_plan(s: int, shift: int) -> tuple:
+    """(re_coefs, im_coefs, log_scale): the log-series' regular part
+    sum_m a_m mu^m/m!, re-expanded about mu = i pi/2 by _about_half_pi up
+    to l^_AXIS_LOG_DEGREE.  a_m is the coefficient of _log_series_plan(s,
+    shift), and H_{s-1} - shift at m = s-1; the plan's terms reach past
+    m = s + 90 for s <= _AXIS_ORDERS, where a_m (pi/2)^m/m! falls like
+    4^-(m-s).  re_coefs and im_coefs hold the parts of c_k/k! from the
+    top down, Horner coefficients in l, and log_scale is 1/(s-1)!.
+    """
+    log_coef, segments = _log_series_plan(s, shift)
+    a = list(segments[0][::3])
+    for terms in segments[1:]:
+        a += (log_coef, *terms[::3])
+    re, im = _about_half_pi(a, _AXIS_LOG_DEGREE)
+    return tuple(reversed(re)), tuple(reversed(im)), 1.0 / math.factorial(s - 1)
+
+
+def _axis_log_series(s: int, z: complex, shift: int) -> complex:
+    """_log_series(s, z, shift) for z = iy, 1/2 < |y| < 2, either sign of
+    zero real part, and s <= _AXIS_ORDERS, in float arithmetic.  On the
+    axis mu = log(iy) = l + i sgn(y) pi/2 with l = log|y|, so the regular
+    part is two real polynomials in l, summed by Horner's rule from
+    _axis_log_plan(s, shift), and the log term -mu^(s-1)/(s-1)! log(-mu)
+    is formed once in complex arithmetic.  The value is worked out for
+    y > 0 and conjugated for y < 0.
+    """
+    re_coefs, im_coefs, log_scale = _axis_log_plan(s, shift)
+    y = z.imag
+    ell = math.log(abs(y))
+    re = im = 0.0
+    for c in re_coefs:
+        re = re * ell + c
+    for c in im_coefs:
+        im = im * ell + c
+    mu = complex(ell, 0.5 * math.pi)
+    log_term = mu ** (s - 1) * log_scale * cmath.log(-mu)
+    re -= log_term.real
+    im -= log_term.imag
+    return complex(re, im if y > 0.0 else -im)
+
+
 @functools.cache
 def _eta_tables() -> tuple:
     """The inversion formula's coefficients of L^(s-2n)/(s-2n)! at index
@@ -776,37 +828,54 @@ def _inversion(s: int, z: complex, shift: int) -> complex:
     return acc + inner if odd else acc - inner
 
 
+@functools.cache
+def _half_pi_powers() -> tuple:
+    """(pi/2)^m/m! for m = 0, 1, ... up to where it underflows, times the
+    sign of Re i^m for even m and of Im i^m for odd m; built on first use."""
+    powers = [1.0]
+    while powers[-1]:
+        powers.append(powers[-1] * (0.5 * math.pi) / len(powers))
+    return tuple(p if m % 4 < 2 else -p for m, p in enumerate(powers))
+
+
+def _about_half_pi(a: list, top: int) -> tuple:
+    """(re, im): sum_j a_j mu^j/j! for real a_j, re-expanded about mu =
+    i pi/2 as sum_k c_k l^k/k! in l = mu - i pi/2, with c_k = sum_m
+    a_(k+m) (i pi/2)^m/m!; re and im hold Re c_k/k! and Im c_k/k! for k =
+    0 to top.  Even m give the real part and odd m the imaginary one, each
+    an fsum over the a_j given."""
+    signed = _half_pi_powers()
+    re, im = [], []
+    for k in range(top + 1):
+        scale = math.factorial(k)
+        re.append(math.fsum([c * p for c, p in zip(a[k::2], signed[::2])]) / scale)
+        im.append(math.fsum([c * p for c, p in zip(a[k + 1::2], signed[1::2])]) / scale)
+    return re, im
+
+
 @functools.lru_cache(maxsize=_SERIES_TABLES)
 def _axis_plan(s: int, shift: int) -> tuple:
     """(re_coefs, im_coefs, tail_frac, tail_exp): _inversion's polynomial
-    sum_j a_j L^j/j! at L = l + i pi/2, re-expanded in powers of l as
-    sum_k c_k l^k/k!, c_k = sum_m a_(k+m) (i pi/2)^m/m!.  a_j is nonzero
-    only for j = s mod 2, so c_k is real for k = s mod 2 and imaginary
-    otherwise; re_coefs and im_coefs hold c_k/k! (its imaginary part for
-    im_coefs) for k from the top down in steps of 2, Horner coefficients
-    in l^2.  The a_j are -1 or +1 at j = s and the _eta_tables()
-    coefficients below; for shift = 1 also 2 at every j > s, j = s mod 2,
+    sum_j a_j L^j/j! at L = l + i pi/2, re-expanded in powers of l by
+    _about_half_pi.  a_j is nonzero only for j = s mod 2, so c_k is real
+    for k = s mod 2 and imaginary otherwise; re_coefs and im_coefs hold
+    c_k/k! (its imaginary part for im_coefs) for k from the top down in
+    steps of 2, Horner coefficients in l^2.  The a_j are -1 or +1 at j =
+    s and the _eta_tables() coefficients below; for shift = 1 also 2 at
+    every j > s, j = s mod 2, up to where (pi/2)^(j-s)/(j-s)! underflows,
     whose c_k with k > s is 2 cos(pi/2) = 0 or 2i sin(pi/2) = 2i, the
     tail _axis_inversion sums, with its first l^(s+1)/(s+1)! formed from
-    frexp(1/(s+1)!) = (tail_frac, tail_exp).  The powers (pi/2)^m/m! come
-    by recurrence up to where they underflow, and each c_k is an fsum.
+    frexp(1/(s+1)!) = (tail_frac, tail_exp).
     """
     coefs, tail = _eta_tables()[shift], _ETA_TAIL[shift]
-    powers = [1.0]  # (pi/2)^m/m!
-    while powers[-1]:
-        powers.append(powers[-1] * (0.5 * math.pi) / len(powers))
-    # times the sign of Re i^m for even m and of Im i^m for odd m
-    signed = [p if m % 4 < 2 else -p for m, p in enumerate(powers)]
-    a = [0.0] * (s + 1 + (len(powers) if shift else 0))
+    a = [0.0] * (s + 1 + (len(_half_pi_powers()) if shift else 0))
     a[s] = 1.0 if shift else -1.0
     for n in range(1, s // 2 + 1):
         a[s - 2 * n] = coefs[n - 1] if n <= len(coefs) else tail
     for j in range(s + 2, len(a), 2):
         a[j] = 2.0
-    scaled = [math.fsum([c * p for c, p in zip(a[k:], signed)]) / math.factorial(k)
-              for k in range(s + 1)]
-    tail_frac, tail_exp = math.frexp(1.0 / math.factorial(s + 1))
-    return tuple(scaled[s::-2]), tuple(scaled[s - 1::-2]), tail_frac, tail_exp
+    re, im = _about_half_pi(a, s)
+    return tuple(re[s::-2]), tuple(im[s - 1::-2]), *math.frexp(1.0 / math.factorial(s + 1))
 
 
 def _axis_inversion(s: int, z: complex, shift: int) -> complex:
@@ -868,14 +937,17 @@ def _axis_inversion(s: int, z: complex, shift: int) -> complex:
 
 def _li(s: int, z: complex, r: float, shift: int = 0) -> complex:
     """Li_s(z) - shift * z off the series disk, r = |z| > 1/2: the one
-    choice among its sums.  _log_series below |z| = _INVERSION_RADIUS;
-    beyond, _axis_inversion at z = iy, either sign of zero real part, up
-    to s = _AXIS_ORDERS, and _inversion off the axis and past that order.
+    choice among its sums.  At z = iy, either sign of zero real part, up
+    to s = _AXIS_ORDERS, the float paths: _axis_log_series below |z| =
+    _INVERSION_RADIUS and _axis_inversion from there on.  Off the axis,
+    and past that order, the complex _log_series and _inversion.
     """
+    if z.real == 0.0 and s <= _AXIS_ORDERS:
+        if r < _INVERSION_RADIUS:
+            return _axis_log_series(s, z, shift)
+        return _axis_inversion(s, z, shift)
     if r < _INVERSION_RADIUS:
         return _log_series(s, z, shift)
-    if z.real == 0.0 and s <= _AXIS_ORDERS:
-        return _axis_inversion(s, z, shift)
     return _inversion(s, z, shift)
 
 
@@ -885,9 +957,9 @@ def polylog(s: int, z: complex) -> complex:
     Branches: the power series for |z| <= 1/2, -log(1-z) for s = 1,
     z Phi(z, s, 1) by its defining sum for Re z <= 0 at the orders where
     it stops within _DIRECT_TERMS terms, Crandall's log-series for
-    1/2 < |z| < 2, the inversion formula for |z| >= 2 (in float
-    arithmetic on the imaginary axis up to s = _AXIS_ORDERS); _li
-    chooses between the last two.  z = 1
+    1/2 < |z| < 2, the inversion formula for |z| >= 2, each of the last
+    two in float arithmetic on the imaginary axis up to s =
+    _AXIS_ORDERS; _li chooses among the last two's sums.  z = 1
     diverges for s = 1 and is zeta(s) for s >= 2; an infinite or NaN z,
     and an s that is not an int >= 1 converting to a double, raise
     DomainError.

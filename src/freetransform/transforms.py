@@ -57,10 +57,10 @@ from collections.abc import Callable, Sequence
 
 from ._records import record
 from .errors import (DomainError, FreeTransformError, InvalidInput, NonFiniteError, _callable,
-                     _items, _real)
+                     _instance, _items, _real)
 from .kernels import (KernelFamily, PickRepresentation, custom_density, kernel_quad_grid,
                       lclass, map_data, pick_eval, sself, ubeta)
-from .measures import FiniteMeasure, LevyTriple, _check_measure, triple_to_finite_measure
+from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
 from .quadrature import _worst, integrate_semi_infinite, laplace_transform
 from .specfun import _axis_sum, _moment_rows, log_gamma2_slope
 
@@ -78,6 +78,7 @@ def _finite(v: complex, what: str, t: float) -> complex:
 
 def logphi(tr: LevyTriple, t: float) -> complex:
     """Characteristic exponent log phi(t) of the classical law, real t."""
+    _instance(tr, LevyTriple, "tr")
     t = _real(t, "t", DomainError)
     acc = 1j * t * tr.drift - 0.5 * tr.gauss_var * t * t
     for x, w in tr.levy_atoms:
@@ -100,7 +101,8 @@ def direct_evaluator(a: float, m: FiniteMeasure) -> Evaluator:
 def id_evaluator(tr: LevyTriple) -> Evaluator:
     """t -> voiculescu_id(tr, t): direct_evaluator on the companion
     measure, built once."""
-    return direct_evaluator(tr.drift, triple_to_finite_measure(tr))
+    m = triple_to_finite_measure(tr)  # which checks tr, before tr.drift is read
+    return direct_evaluator(tr.drift, m)
 
 
 def voiculescu_id(tr: LevyTriple, t: float) -> complex:
@@ -131,6 +133,7 @@ def random_integral_evaluator(fam: KernelFamily, tr: LevyTriple) -> Evaluator:
     The sign pattern follows the declared monotonicity of the time change.
     """
     c, d, g, lerch = map_data(fam)
+    _instance(tr, LevyTriple, "tr")
     return _image_evaluator(c, d, g, 1.0 if fam.increasing else -1.0, tr, lerch)
 
 
@@ -249,7 +252,7 @@ class LInfSpec:
 
     def _checked(self):
         shift = _real(self.shift, "shift")
-        _check_measure(self.measure)
+        _instance(self.measure, FiniteMeasure, "measure")
         for x, w in self.measure.atoms:
             if x == 0.0 or not (-2.0 < x <= 2.0):
                 raise InvalidInput(f"support must lie in (-2,0) u (0,2], got {x!r}")
@@ -302,7 +305,7 @@ def linf_evaluator(spec: LInfSpec) -> Evaluator:
     Takes each atom's t-free factor once; each call then costs one power
     of t per atom.
     """
-    shift = complex(spec.shift)
+    shift = complex(_instance(spec, LInfSpec, "spec").shift)
     atoms = [(w, *_linf_factor(x)) for x, w in spec.measure.atoms]
 
     def V(t: float) -> complex:
@@ -361,6 +364,7 @@ def exp_map_convolution_check(omega: LevyTriple, t_grid: Sequence[float]) -> flo
     Returns the largest deviation over the grid, NaN if any deviation
     is NaN.
     """
+    _instance(omega, LevyTriple, "omega")
     grid = tuple(_real(t, "t", DomainError, True) for t in _items(t_grid, "t_grid"))
     if not grid:
         raise InvalidInput("t_grid must be non-empty")

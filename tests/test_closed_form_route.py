@@ -209,7 +209,7 @@ def test_parser_built_once_gives_identical_errors(argv, capsys):
 
 _BRANCHES = ("_lerch_series", "_lerch_direct", "_lerch_log", "_lerch_v2",
              "_lerch_integral", "polylog", "_log_series", "_inversion",
-             "_axis_inversion")
+             "_axis_log_series", "_axis_inversion")
 
 
 def _count_branches(monkeypatch):
@@ -234,17 +234,18 @@ def _count_branches(monkeypatch):
 
 # (s, v, z) -> the branches one lerch_phi call runs, polylog's own branch
 # included: each (s, v) kind in each |z| band, the large orders either
-# side of Re z = 0, then the inversion for v = 1 and 2 on the axis (either
-# sign of zero) and off it, up to and past the axis path's last order
+# side of Re z = 0, then the log-series and the inversion for v = 1 and 2
+# on the axis (either sign of zero) and off it, up to and past the axis
+# paths' last order
 _DISPATCH = [
     ((3, 1.0, 0.3j), {"_lerch_series"}),
-    ((3, 1.0, -1.2j), {"polylog", "_log_series"}),
+    ((3, 1.0, -1.2j), {"polylog", "_axis_log_series"}),
     ((3, 1.0, 40j), {"polylog", "_axis_inversion"}),
     ((1, 5.0, 0.4), {"_lerch_series"}),
     ((1, 5.0, -1.2j), {"_lerch_log"}),
     ((1, 5.0, 40j), {"_lerch_log"}),
     ((3, 2.0, -0.2), {"_lerch_series"}),
-    ((3, 2.0, 1.2j), {"_lerch_v2", "_log_series"}),
+    ((3, 2.0, 1.2j), {"_lerch_v2", "_axis_log_series"}),
     ((3, 2.0, -40j), {"_lerch_v2", "_axis_inversion"}),
     ((2, 2.5, 0.3j), {"_lerch_series"}),
     ((2, 2.5, 1.2j), {"_lerch_integral"}),
@@ -254,6 +255,9 @@ _DISPATCH = [
     ((40, 1.0, complex(3.0, 4.0)), {"polylog", "_inversion", "_lerch_series"}),
     ((10 ** 9, 2.0, -1e300j), {"_lerch_direct"}),
     ((3, 1.0, complex(-0.0, -40.0)), {"polylog", "_axis_inversion"}),
+    ((3, 1.0, complex(-0.0, 1.2)), {"polylog", "_axis_log_series"}),
+    ((3, 1.0, complex(0.3, 1.2)), {"polylog", "_log_series"}),
+    ((3, 2.0, complex(-0.3, -1.2)), {"_lerch_v2", "_log_series"}),
     ((3, 1.0, complex(1e-300, 40.0)), {"polylog", "_inversion", "_lerch_series"}),
     ((3, 1.0, complex(30.0, 40.0)), {"polylog", "_inversion", "_lerch_series"}),
     ((160, 1.0, 1e30j), {"polylog", "_axis_inversion"}),
@@ -272,6 +276,23 @@ def test_each_kind_and_band_takes_its_branch(monkeypatch, args, branches):
     assert {name for name, n in counts.items() if n} == branches
     # once each: no branch falls back on another
     assert all(counts[name] == 1 for name in branches), counts
+
+
+def test_li_takes_the_axis_paths_up_to_their_last_order(monkeypatch):
+    # lerch_phi and polylog give z = iy in the log-series band to the
+    # defining sum from s = 25 (v = 1) and 36 (v = 2) on, so the orders
+    # either side of _AXIS_ORDERS are asked of _li itself
+    counts = _count_branches(monkeypatch)
+    top = specfun._AXIS_ORDERS
+    for s, z, branch in ((top, 1.2j, "_axis_log_series"), (top + 1, 1.2j, "_log_series"),
+                         (top, -40j, "_axis_inversion"), (top + 1, -40j, "_inversion")):
+        for zr in (0.0, -0.0):
+            for w in (complex(zr, z.imag), complex(zr, -z.imag)):
+                for shift in (0, 1):
+                    before = dict(counts)
+                    specfun._li(s, w, abs(w), shift)
+                    moved = {name for name in counts if counts[name] != before[name]}
+                    assert moved <= {branch, "_lerch_series"} and branch in moved, (s, w)
 
 
 def test_polylog_takes_the_direct_sum_from_its_lowest_order(monkeypatch):
@@ -317,10 +338,11 @@ def test_eval_calls_no_checked_lerch_phi(monkeypatch, tmp_path, capsys):
                          "--t-min", "1e-3", "--t-max", "1e3", "--steps", "50"]) == 0
     assert capsys.readouterr().out.count("\n") == 3 * 51
     assert calls == []
-    # every argument -ix/t lies on the axis, where the inversion takes the
-    # float path at these orders
+    # every argument -ix/t lies on the axis, where the log-series and the
+    # inversion take the float paths at these orders
     assert counts["_axis_inversion"] > 0 and counts["_lerch_log"] > 0
-    assert counts["_inversion"] == 0
+    assert counts["_axis_log_series"] > 0
+    assert counts["_inversion"] == 0 and counts["_log_series"] == 0
 
 
 def test_verify_and_kernels_call_no_checked_lerch_phi(monkeypatch, capsys):

@@ -408,12 +408,15 @@ CONTRADICTORY = {
         lambda s: s, lambda s: 1.0, 0.0, 1.0, increasing="no"),
     "custom_step.increasing": lambda: custom_step(lambda s: s, ((0.5, 1.0),),
                                                   increasing=1.0),
+    # an unhashable tag escaped as a bare TypeError from the FAMILIES lookup
+    "tag.unhashable": lambda: KernelFamily([1], 2),
 }
 
 
 @pytest.mark.parametrize("site", sorted(CONTRADICTORY))
 def test_contradictory_family_is_invalid_input(site):
-    with pytest.raises(InvalidInput, match=r"takes only tag and k|increasing must be a bool"):
+    with pytest.raises(InvalidInput, match=r"takes only tag and k|increasing must be a bool|"
+                                           r"tag must be a str"):
         CONTRADICTORY[site]()
 
 

@@ -249,3 +249,41 @@ def test_sequence_parameters_take_any_iterable():
     # the gate turns an iterable into a tuple once, so a generator passes
     assert FiniteMeasure(iter([(1.0, 0.5)])) == FiniteMeasure(((1.0, 0.5),))
     assert ft.pick_representation(iter([2.0]), (3.0,)) == ft.pick_representation([2.0], [3.0])
+
+
+# record parameters: a call with None where a record is expected, each of
+# which escaped as a bare AttributeError from the first field it read
+RECORDS = {
+    "voiculescu_id.tr": lambda: ft.voiculescu_id(None, 1.0),
+    "voiculescu_via_laplace.tr": lambda: ft.voiculescu_via_laplace(None, 1.0),
+    "logphi.tr": lambda: ft.logphi(None, 1.0),
+    "transform_sself.tr": lambda: ft.transform_sself(2, None, 1.0),
+    "transform_ubeta.tr": lambda: ft.transform_ubeta(2, None, 1.0),
+    "transform_lclass.tr": lambda: ft.transform_lclass(2, None, 1.0),
+    "transform_linf.spec": lambda: ft.transform_linf(None, 1.0),
+    "random_integral_transform.fam": lambda: ft.random_integral_transform(None, TR, 1.0),
+    "random_integral_transform.tr": lambda: ft.random_integral_transform(sself(2), None, 1.0),
+    "scale_triple.tr": lambda: ft.scale_triple(2.0, None),
+    "triple_to_finite_measure.tr": lambda: ft.triple_to_finite_measure(None),
+    "finite_measure_to_triple.m": lambda: ft.finite_measure_to_triple(0.0, None),
+    "kernel_g.fam": lambda: ft.kernel_g(None, 1j),
+    "kernel_g_quad.fam": lambda: ft.kernel_g_quad(None, 1j),
+    "const_c.fam": lambda: ft.const_c(None),
+    "const_d.fam": lambda: ft.const_d(None),
+    "const_c_quad.fam": lambda: ft.const_c_quad(None),
+    "const_d_quad.fam": lambda: ft.const_d_quad(None),
+    "kernel_quad_grid.fam": lambda: ft.kernel_quad_grid(None, [1j]),
+    "pick_eval.rep": lambda: ft.pick_eval(None, 1j),
+    "filtration_limit_check.tr": lambda: ft.filtration_limit_check(None, 1.0),
+    "exp_map_convolution_check.omega": lambda: ft.exp_map_convolution_check(None, [1.0]),
+}
+
+RECORD_MESSAGE = re.compile(r"^(\w+) must be a \w+, got None$")
+
+
+@pytest.mark.parametrize("site", sorted(RECORDS))
+def test_non_record_is_invalid_input(site):
+    with pytest.raises(InvalidInput) as info:
+        RECORDS[site]()
+    match = RECORD_MESSAGE.search(str(info.value))
+    assert match and match.group(1) == site.split(".")[1], (site, str(info.value))

@@ -516,28 +516,64 @@ def test_axis_inversion_is_conjugate_symmetric():
                 assert specfun._axis_inversion(s, complex(0.0, -y), shift) == up.conjugate()
 
 
+def test_axis_log_series_agrees_with_the_complex_pass():
+    # every order the axis plan serves, z = iy on 1/2 < |y| < 2 up to the
+    # doubles next to both band edges, both signs of y and of the zero
+    # real part; held to the axis inversion's bound, fixed before
+    # measuring.  Worst measured: 2.2e-14 (shift 1, s = 6, |y| = 0.54)
+    ys = [0.5 * 4.0 ** (j / 40) for j in range(1, 40)]
+    ys += [math.nextafter(0.5, 1.0), 0.5000001, 1.9999999, math.nextafter(2.0, 0.0)]
+    worst = 0.0
+    for s in range(2, specfun._AXIS_ORDERS + 1):
+        for y in ys:
+            for z in (complex(0.0, y), complex(-0.0, y), complex(0.0, -y), complex(-0.0, -y)):
+                for shift in (0, 1):
+                    ref = specfun._log_series(s, z, shift)
+                    err = abs(specfun._axis_log_series(s, z, shift) - ref) / abs(ref)
+                    worst = max(worst, err)
+    assert worst <= AXIS_AGREEMENT, worst
+
+
+def test_axis_log_series_is_conjugate_symmetric():
+    # as the axis inversion: Li_s(-iy) - shift (-iy) is the conjugate of
+    # Li_s(iy) - shift iy, and the value does not see the sign of the zero
+    # real part
+    for s in (2, 3, 16, 160):
+        for y in (0.5000001, 0.7, 1.0, 1.9999999):
+            for shift in (0, 1):
+                up = specfun._axis_log_series(s, complex(0.0, y), shift)
+                assert specfun._axis_log_series(s, complex(-0.0, y), shift) == up
+                assert specfun._axis_log_series(s, complex(0.0, -y), shift) == up.conjugate()
+
+
 def test_off_disk_tables_are_bounded():
     # the order-keyed caches, the (s, v) power tables, routes and direct
-    # sum radii, and the (s, shift) plans of the log-series and of the axis
-    # inversion, are bounded; every other cache is a table built once
+    # sum radii, and the (s, shift) plans of the log-series and of the two
+    # axis paths, are bounded; every other cache is a table built once
     cached = {name: fn for name, fn in vars(specfun).items()
               if hasattr(fn, "cache_info")}
     keyed = {name for name, fn in cached.items()
              if fn.cache_info().maxsize is not None}
     assert keyed == {"_series_powers", "_route", "_direct_radius",
-                     "_log_series_plan", "_axis_plan"}
+                     "_log_series_plan", "_axis_plan", "_axis_log_plan"}
     polylog(30, 1.5j)
     polylog(30, 3.0j)
     lerch_phi(-1.5j, 30, 2.0)
+    specfun._li(30, 1.5j, 1.5)
     before = {name: fn.cache_info().currsize for name, fn in cached.items()}
-    axis_misses = specfun._axis_plan.cache_info().misses
+    axis_misses = [fn.cache_info().misses
+                   for fn in (specfun._axis_plan, specfun._axis_log_plan)]
     for s in (2 * 10 ** 4, 10 ** 5):
         polylog(s, 1.5j)
         lerch_phi(-1.5j, s, 2.0)
         polylog(s, 3.0j)
         lerch_phi(-3.0j, s, 2.0)
-    # orders past _AXIS_ORDERS take the complex pass on the axis too
-    assert specfun._axis_plan.cache_info().misses == axis_misses
+        for z in (1.5j, 3.0j):
+            for shift in (0, 1):
+                specfun._li(s, z, abs(z), shift)
+    # orders past _AXIS_ORDERS take the complex passes on the axis too
+    assert [fn.cache_info().misses for fn in (specfun._axis_plan, specfun._axis_log_plan)
+            ] == axis_misses
     for name, fn in cached.items():
         info = fn.cache_info()
         if name in keyed:
@@ -554,11 +590,16 @@ def test_off_disk_tables_are_bounded():
         for shift in (0, 1):
             _, segments = specfun._log_series_plan(s, shift)
             assert sum(map(len, segments)) <= 3 * specfun._LOG_SERIES_TERMS
-    # an axis plan holds one coefficient per power l^k, k <= s
+    # an axis inversion plan holds one coefficient per power l^k, k <= s,
+    # and an axis log-series plan a real and an imaginary part per power
+    # up to the degree its convergence radius fixes, whatever the order
+    assert specfun._AXIS_LOG_DEGREE == 20
     for s in (2, 3, 30, specfun._AXIS_ORDERS):
         for shift in (0, 1):
             re_coefs, im_coefs, _, _ = specfun._axis_plan(s, shift)
             assert len(re_coefs) + len(im_coefs) == s + 1
+            re_coefs, im_coefs, _ = specfun._axis_log_plan(s, shift)
+            assert len(re_coefs) == len(im_coefs) == specfun._AXIS_LOG_DEGREE + 1
 
 
 def test_linf_eval_leaves_the_zeta_table_unbuilt(tmp_path):

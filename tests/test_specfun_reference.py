@@ -272,6 +272,41 @@ def test_axis_inversion_against_mpmath(s):
     assert worst[0] <= INVERSION_BOUND[0] and worst[1] <= INVERSION_BOUND[1], worst
 
 
+# the log-series band on the axis, 1/2 < |y| < 2 ------------------------------
+
+AXIS_LOG_ORDERS = tuple(range(2, 22)) + (30, 31, 45, 60, 100, 159, 160)
+# both band edges, the doubles next to them, and points between
+AXIS_LOG_YS = (math.nextafter(0.5, 1.0), 0.5000001, 0.51, 0.55, 0.7, 0.9, 1.0,
+               1.1, 1.3, 1.6, 1.9, 1.99, 1.9999999, math.nextafter(2.0, 0.0))
+# fixed before measuring, for the float path and for Phi(iy, s, 2) through
+# it alike.  Worst measured: 1.2e-15 (shift 0) and 2.1e-14 (shift 1, and
+# Phi), against 1.1e-15 and 1.4e-14 for the complex pass on these cells
+AXIS_LOG_BOUND = 5e-14
+
+
+def _li_refs(s, y):
+    """(Li_s(iy), Li_s(iy) - iy, Phi(iy, s, 2)) from mpmath: Li_s(iy) - iy
+    cancels about 2^-s, so s log10(2) + 30 digits."""
+    with mpmath.workdps(30 + int(s * math.log10(2.0)) + 1):
+        w = mpmath.mpc(0.0, y)
+        li = mpmath.polylog(s, w)
+        return complex(li), complex(li - w), complex((li - w) / w ** 2)
+
+
+@pytest.mark.parametrize("s", AXIS_LOG_ORDERS)
+def test_axis_log_series_against_mpmath(s):
+    worst = [0.0, 0.0, 0.0]
+    for y in AXIS_LOG_YS:
+        for sign in (1.0, -1.0):
+            refs = _li_refs(s, sign * y)
+            for z in (complex(0.0, sign * y), complex(-0.0, sign * y)):
+                for shift in (0, 1):
+                    worst[shift] = max(worst[shift],
+                                       _rel(specfun._axis_log_series(s, z, shift), refs[shift]))
+                worst[2] = max(worst[2], _rel(lerch_phi(z, s, 2.0), refs[2]))
+    assert max(worst) <= AXIS_LOG_BOUND, worst
+
+
 # the defining sum at large orders, Re z <= 0 ---------------------------------
 
 def _phi_direct(z, s, v):
