@@ -403,8 +403,13 @@ def pick_eval(rep: PickRepresentation, z: complex) -> complex:
     finite is formed again dividing before weighting, and for |x| >= 1
     as w ((1/x + z)/(z/x - 1)), so neither z x nor w (1 + z x) overflows.
     """
-    z = _complex(z)
-    acc = complex(_instance(rep, PickRepresentation, "rep").shift)
+    return _pick_sum(_instance(rep, PickRepresentation, "rep"), _complex(z))
+
+
+def _pick_sum(rep: PickRepresentation, z: complex) -> complex:
+    """pick_eval without its checks, for a caller that formed rep and z
+    itself: transforms.direct_evaluator, once per point."""
+    acc = complex(rep.shift)
     for x, w in rep.measure.atoms:
         acc += w * (1.0 + z * x) / (z - x)
     if not cmath.isfinite(acc):

@@ -43,8 +43,9 @@ Every class is evaluated from the triple by one of three evaluators,
 random_integral_evaluator, direct_evaluator (id_evaluator, on the
 triple's companion measure) and linf_evaluator; each transform_*
 function is one point of one of them and returns the complex V(it).
-direct_evaluator's finite sum is the Pick sum kernels.pick_eval at
-z = it.
+direct_evaluator's finite sum is the Pick sum of kernels.pick_eval at
+z = it, without its argument checks (kernels._pick_sum): the
+representation is built once and each t is checked.
 exp_map_convolution_check returns the largest deviation of the
 selfdecomposable split, which verify holds to its tolerance.
 """
@@ -58,8 +59,8 @@ from collections.abc import Callable, Sequence
 from ._records import record
 from .errors import (DomainError, FreeTransformError, InvalidInput, NonFiniteError, _callable,
                      _instance, _items, _real)
-from .kernels import (KernelFamily, PickRepresentation, custom_density, kernel_quad_grid,
-                      lclass, map_data, pick_eval, sself, ubeta)
+from .kernels import (KernelFamily, PickRepresentation, _pick_sum, custom_density,
+                      kernel_quad_grid, lclass, map_data, sself, ubeta)
 from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
 from .quadrature import _worst, integrate_semi_infinite, laplace_transform
 from .specfun import _axis_sum, _moment_rows, log_gamma2_slope
@@ -93,7 +94,7 @@ def direct_evaluator(a: float, m: FiniteMeasure) -> Evaluator:
 
     def V(t: float) -> complex:
         t = _real(t, "t", DomainError, True)
-        return _finite(pick_eval(rep, 1j * t), "voiculescu_id", t)
+        return _finite(_pick_sum(rep, 1j * t), "voiculescu_id", t)
 
     return V
 
