@@ -374,8 +374,10 @@ def pick_representation(h_values, r_jumps) -> PickRepresentation:
 
     Each step contributes 1/(z + 1/h) = u_b + (1 + z x)/(z - x) weighted
     by its jump, where b = 1/h, u_b = b/(1+b^2), and the representing
-    atom sits at x = -b with mass 1/(1+b^2).  Steps mapping to the same
-    atom location are combined.
+    atom sits at x = -b with mass 1/(1+b^2).  Where b^2 overflows, u_b
+    and the mass are h and h^2 to double precision; where b itself is
+    inf, the mass has underflowed to 0 and the atom is left out.  Steps
+    mapping to the same atom location are combined.
     """
     h_values = [_real(h, "kernel value", positive=True) for h in _items(h_values, "h_values")]
     r_jumps = [_real(j, "jump", positive=True) for j in _items(r_jumps, "r_jumps")]
@@ -389,6 +391,11 @@ def pick_representation(h_values, r_jumps) -> PickRepresentation:
     for h, j in zip(h_values, r_jumps):
         b = 1.0 / h
         denom = 1.0 + b * b
+        if denom == math.inf:
+            shift += j * h
+            if b != math.inf:
+                masses[-b] = masses.get(-b, 0.0) + j * h * h
+            continue
         shift += j * b / denom
         loc = -b
         masses[loc] = masses.get(loc, 0.0) + j / denom

@@ -60,9 +60,9 @@ past which zeta(n) - 1 underflows; and the inversion formula's eta(2n)
 coefficients, one table per shift, up to the n from which the
 coefficient is a constant.  From the zeta table, a bounded lru_cache of
 the last _SERIES_TABLES orders holds the log-series' plan per (s,
-shift), flat tuples of floats built on its first call: the coefficient,
-stop weight and divisor of each of its at most _LOG_SERIES_TERMS terms,
-and H_{s-1} for its log term (_log_series_plan).  _direct_radius is
+shift), built on its first call: two flat tuples over its at most
+_LOG_SERIES_TERMS terms, the coefficients, H_{s-1} - shift at the log
+term, and the stop weights (_log_series_plan).  _direct_radius is
 cached per (s, v) in the same way.  The inversion formula's complex
 pass keeps no plan: it reads each coefficient from the eta table, or
 past it takes the constant, and forms each divisor as it steps.  Every
@@ -89,9 +89,10 @@ re-expanded about i pi/2 in powers of l by one routine
 (_about_half_pi), is two real polynomials in l, summed by Horner's
 rule.  Their coefficients c_k/k! come from a plan per (s, shift), each
 in a bounded lru_cache of the last _SERIES_TABLES, built on its first
-call.  The log-series' plan (_axis_log_plan) re-expands its
-coefficients up to l^_AXIS_LOG_DEGREE, a degree its convergence radius
-3 pi/2 about i pi/2 fixes, and its log term is formed once per call.
+call.  The log-series' (_axis_log_plan) re-expands the coefficients of
+_log_series_plan as they stand up to l^_AXIS_LOG_DEGREE, a degree its
+convergence radius 3 pi/2 about i pi/2 fixes, and its log term is
+formed once per call.
 The inversion's (_axis_plan) re-expands the eta table's in full, summed
 in l^2; the shifted form adds a real series in l, and the series at 1/z
 is _axis_sum's on the (s, 1 + shift) table.  The float paths' values
@@ -643,31 +644,24 @@ def log_gamma2_slope(eps: float) -> float:
 
 @functools.lru_cache(maxsize=_SERIES_TABLES)
 def _log_series_plan(s: int, shift: int) -> tuple:
-    """(log_coef, segments): _log_series' terms m = 1, 2, ... up to its
-    last, min(s + 2 _BERNOULLI_HALF, _LOG_SERIES_TERMS), which add
-    coef mu^(m-1)/(m-1)!, stop where bound |mu^(m-1)/(m-1)!| is at most
-    _SUM_EPS of the sum, then multiply the power by mu/m.  segments
-    holds the terms of flat triples (coef, bound, m) before the log term
-    m = s, and where the sum reaches it, after it, with log_coef =
-    H_{s-1} - shift, H_{s-1} the fsum of 1/j for j < s.  The zeta
-    pair's entry [shift] is coef, and |zeta| + shift is bound; where
-    zeta is 0, coef is -shift and bound is 0.0, which marks a term that
-    may not end the sum.
+    """(coefs, bounds): the coefficients and stop weights of _log_series'
+    terms mu^m/m! for m = 0 to top - 1, top = min(s + 2 _BERNOULLI_HALF,
+    _LOG_SERIES_TERMS).  coefs holds the zeta pair's entry [shift] of
+    zeta(s - m), and H_{s-1} - shift at the log term m = s - 1, H_{s-1}
+    the fsum of 1/j for j < s; bounds holds |zeta| + shift, and 0.0
+    where zeta is 0 and at the log term, which marks a term that may not
+    end the sum.
     """
-    top = min(s + 2 * _BERNOULLI_HALF, _LOG_SERIES_TERMS)
-    segments = [[]]
-    log_coef = None
-    for m in range(1, top + 1):
-        if m == s:
-            log_coef = math.fsum([1.0 / j for j in range(1, s)]) - shift
-            segments.append([])
+    coefs, bounds = [], []
+    for m in range(min(s + 2 * _BERNOULLI_HALF, _LOG_SERIES_TERMS)):
+        if m == s - 1:
+            coefs.append(math.fsum([1.0 / j for j in range(1, s)]) - shift)
+            bounds.append(0.0)
             continue
-        zeta, zeta_m1 = _zeta_pair(s - m + 1)
-        if zeta:
-            segments[-1] += ((zeta_m1 if shift else zeta), abs(zeta) + shift, float(m))
-        else:
-            segments[-1] += (float(-shift), 0.0, float(m))
-    return log_coef, tuple(map(tuple, segments))
+        zeta = _zeta_pair(s - m)
+        coefs.append(zeta[shift])
+        bounds.append(abs(zeta[0]) + shift if zeta[0] else 0.0)
+    return tuple(coefs), tuple(bounds)
 
 
 def _log_series(s: int, z: complex, shift: int) -> complex:
@@ -679,28 +673,27 @@ def _log_series(s: int, z: complex, shift: int) -> complex:
     convergent for |mu| < 2 pi (|mu| < 3.3 on 1/2 < |z| < 2).  shift = 1
     subtracts z = exp(mu) term by term.  zeta vanishes at the negative
     even integers, so only a term with nonzero zeta may end the sum, and
-    only once both its zeta part and its shift part are negligible.  The
-    coefficients, zeta(s-m) or zeta(s-m) - 1 by shift, their stop
-    weights and their divisors come from _log_series_plan(s, shift),
-    built once per order; at zeta = 0, shift = 1 adds -1.0 times the
-    power, which is subtracting it, and shift = 0 adds 0.0 times it,
-    which leaves the sum as it is: neither part of the sum is ever -0.0.
+    only once both its zeta part and its shift part are negligible: the
+    sum stops at the first term whose stop weight times |mu^m/m!| is at
+    most _SUM_EPS of it.  The coefficients and stop weights come from
+    _log_series_plan(s, shift), built once per order; at zeta = 0, shift
+    = 1 adds -1.0 times the power, which is subtracting it, and shift = 0
+    adds 0.0 times it, which leaves the sum as it is: neither part of the
+    sum is ever -0.0.
     """
-    log_coef, segments = _log_series_plan(s, shift)
+    coefs, bounds = _log_series_plan(s, shift)
     mu = cmath.log(z)
     acc = complex(0.0)
-    power = complex(1.0)  # mu^m / m!
+    power = complex(1.0)  # mu^(m-1) / (m-1)!
     eps = _SUM_EPS
-    for n, terms in enumerate(segments):
-        if n:
-            acc += (log_coef - cmath.log(-mu)) * power
-            power *= mu / s
-        it = iter(terms)
-        for coef, bound, m in zip(it, it, it):
+    for m, coef, bound in zip(range(1, len(coefs) + 1), coefs, bounds):
+        if m == s:
+            acc += (coef - cmath.log(-mu)) * power
+        else:
             acc += power * coef
             if bound and bound * abs(power) <= eps * abs(acc):
                 return acc
-            power *= mu / m
+        power *= mu / m
     raise ConvergenceError(f"polylog log-series stalled at z={z!r}, s={s}")
 
 
@@ -708,17 +701,13 @@ def _log_series(s: int, z: complex, shift: int) -> complex:
 def _axis_log_plan(s: int, shift: int) -> tuple:
     """(re_coefs, im_coefs, log_scale): the log-series' regular part
     sum_m a_m mu^m/m!, re-expanded about mu = i pi/2 by _about_half_pi up
-    to l^_AXIS_LOG_DEGREE.  a_m is the coefficient of _log_series_plan(s,
-    shift), and H_{s-1} - shift at m = s-1; the plan's terms reach past
-    m = s + 90 for s <= _AXIS_ORDERS, where a_m (pi/2)^m/m! falls like
-    4^-(m-s).  re_coefs and im_coefs hold the parts of c_k/k! from the
-    top down, Horner coefficients in l, and log_scale is 1/(s-1)!.
+    to l^_AXIS_LOG_DEGREE, with a_m the coefs of _log_series_plan(s,
+    shift) as they stand; they reach past m = s + 90 for s <=
+    _AXIS_ORDERS, where a_m (pi/2)^m/m! falls like 4^-(m-s).  re_coefs
+    and im_coefs hold the parts of c_k/k! from the top down, Horner
+    coefficients in l, and log_scale is 1/(s-1)!.
     """
-    log_coef, segments = _log_series_plan(s, shift)
-    a = list(segments[0][::3])
-    for terms in segments[1:]:
-        a += (log_coef, *terms[::3])
-    re, im = _about_half_pi(a, _AXIS_LOG_DEGREE)
+    re, im = _about_half_pi(_log_series_plan(s, shift)[0], _AXIS_LOG_DEGREE)
     return tuple(reversed(re)), tuple(reversed(im)), 1.0 / math.factorial(s - 1)
 
 

@@ -587,6 +587,17 @@ def test_pick_eval_matches_direct_sum():
             assert abs(pick_eval(rep, z) - direct) < 1e-13
 
 
+@pytest.mark.parametrize("hs, ws", [([1e-160], [0.7]), ([1e-200], [0.7]), ([1e-300], [0.7]),
+                                    ([1e-320], [0.7]), ([5e-324, 1.0], [0.7, 1.3])])
+def test_pick_eval_at_tiny_kernel_values(hs, ws):
+    # where b = 1/h squares past the largest double the step's share was
+    # lost, and where b itself is inf the atom at -b was refused
+    rep = pick_representation(hs, ws)
+    for z in (0.3 + 1.0j, -2.0 + 0.5j, 1.0j, 0.1 - 3.0j):
+        direct = sum(w * h / (z * h + 1.0) for h, w in zip(hs, ws))
+        assert abs(pick_eval(rep, z) - direct) <= 1e-15 * abs(direct), (hs, z)
+
+
 def test_pick_eval_at_a_huge_off_axis_z():
     # Smith's denominator |z|^2/max(|Re z|, |Im z|) overflows here, and
     # the sum came out nan+nanj; (1 + z)/(z - 1) is 1 to double precision

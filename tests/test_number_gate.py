@@ -9,23 +9,30 @@ when a float- or complex-annotated parameter of a function or record in
 __all__ is missing from the table, as test_api does for names.
 """
 
+import cmath
 import inspect
 import math
 import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freetransform as ft
 from freetransform import (
     DomainError,
     FiniteMeasure,
+    FreeTransformError,
     InvalidInput,
     KernelFamily,
     LevyTriple,
     LInfSpec,
     PickRepresentation,
     StepError,
+    lclass,
     sself,
+    ubeta,
 )
 
 TR = LevyTriple(0.3, 0.5, ((1.0, 0.5), (-2.0, 0.25)))
@@ -287,3 +294,58 @@ def test_non_record_is_invalid_input(site):
         RECORDS[site]()
     match = RECORD_MESSAGE.search(str(info.value))
     assert match and match.group(1) == site.split(".")[1], (site, str(info.value))
+
+
+# every accepted extreme gives a finite value or a package error ----------------
+
+_EXTREMES = (0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e-300, 1.0, -1.0,
+             sys.float_info.max, -sys.float_info.max, 1e308, -1e308)
+REALS = st.one_of(st.sampled_from(_EXTREMES), st.floats(allow_nan=False, allow_infinity=False),
+                  st.floats(-1e3, 1e3))
+ZS = st.builds(complex, REALS, REALS)
+ORDERS = st.one_of(st.integers(1, 200), st.integers(1, 10 ** 9),
+                   st.sampled_from((160, 161, 2 ** 62, 10 ** 400)))
+# a family as (builder, order) and a law as (drift, gauss_var, atoms),
+# built inside the call, where a refused order or law is a package error
+FAMILIES = st.one_of(st.tuples(st.sampled_from((sself, lclass)), ORDERS),
+                     st.tuples(st.sampled_from((ubeta, lclass)), st.integers(0, 16)))
+SIZES = REALS.map(abs)
+LAWS = st.tuples(REALS, SIZES, st.lists(st.tuples(REALS, SIZES), max_size=3))
+FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def _finite_or_package_error(call):
+    try:
+        value = call()
+    except FreeTransformError:
+        return
+    assert cmath.isfinite(value), value
+
+
+@FUZZ
+@given(ORDERS, ZS)
+def test_polylog_at_extremes(s, z):
+    _finite_or_package_error(lambda: ft.polylog(s, z))
+
+
+@FUZZ
+@given(ZS, st.one_of(st.tuples(ORDERS, st.sampled_from((1.0, 2.0))),
+                     st.tuples(st.just(1), st.integers(1, 17).map(float))))
+def test_lerch_phi_at_extremes(z, order):
+    _finite_or_package_error(lambda: ft.lerch_phi(z, *order))
+
+
+@FUZZ
+@given(FAMILIES, ZS)
+def test_kernel_g_at_extremes(fam, z):
+    build, k = fam
+    _finite_or_package_error(lambda: ft.kernel_g(build(k), z))
+
+
+@FUZZ
+@given(LAWS, FAMILIES, SIZES)
+def test_transforms_at_extremes(law, fam, t):
+    build, k = fam
+    _finite_or_package_error(lambda: ft.voiculescu_id(LevyTriple(*law), t))
+    _finite_or_package_error(
+        lambda: ft.random_integral_transform(build(k), LevyTriple(*law), t))

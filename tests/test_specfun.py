@@ -585,11 +585,12 @@ def test_off_disk_tables_are_bounded():
     assert tuple(map(len, specfun._eta_tables())) == (27, 537)
     # the powers come in rows of four: at most 13 rows
     assert len(specfun._series_powers(602, 1.0)[1]) <= 13
-    # a plan holds at most one triple per log-series term, at any order
+    # a plan holds one coefficient and one stop weight per log-series
+    # term, at most _LOG_SERIES_TERMS of each, at any order
     for s in (2, 30, 1100, 2 * 10 ** 4, 10 ** 5, 10 ** 9):
         for shift in (0, 1):
-            _, segments = specfun._log_series_plan(s, shift)
-            assert sum(map(len, segments)) <= 3 * specfun._LOG_SERIES_TERMS
+            coefs, bounds = specfun._log_series_plan(s, shift)
+            assert len(coefs) == len(bounds) <= specfun._LOG_SERIES_TERMS
     # an axis inversion plan holds one coefficient per power l^k, k <= s,
     # and an axis log-series plan a real and an imaginary part per power
     # up to the degree its convergence radius fixes, whatever the order

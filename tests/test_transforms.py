@@ -332,19 +332,36 @@ def test_custom_kernels_replicate_built_in_families():
 
 # Jurek's decomposition: cut the kernel's interval at c.  The piece below c
 # is the whole kernel with h scaled by c and r by p, whose image is
-# p c V(t/c); the piece above it is the cut-off kernel, a CUSTOM density,
-# whose image is V_c.  Fixed before measuring, in units of |V(t)| +
-# |p c V(t/c)| + 1
+# p c V(t/c); the rest, mu_c, is a signed sum of CUSTOM densities, each
+# smooth on its interval, whose images add to V_c.  Fixed before measuring,
+# in units of |V(t)| + |p c V(t/c)| + 1
 DECOMPOSITION_BOUND = 1e-13
 
 
+def _sself_density(k, c=1.0):
+    """rho(u/c) = (-log(u/c))^(k-1)/(k-1)! on (0, c]: sself(k)'s density
+    dilated by c."""
+    scale = 1.0 / math.factorial(k - 1)
+    return custom_density(lambda u: u, lambda u: (-math.log(u / c)) ** (k - 1) * scale, 0.0, c)
+
+
 def _cut_kernels(c):
-    """(built-in, p, cut-off kernel) for each kernel and cut c."""
+    """(built-in, p, [(sign, CUSTOM kernel), ...]) for each kernel and cut
+    c, the signed kernels summing to mu_c."""
     for k in (1, 2, 5):
-        yield ubeta(k), c ** k, custom_density(lambda s, k=k: s, lambda s, k=k: k * s ** (k - 1),
-                                               c, 1.0)
-    yield lclass(0), 1.0, custom_density(lambda s: math.exp(-s), lambda s: 1.0,
-                                         0.0, math.log(1.0 / c))
+        yield ubeta(k), c ** k, [(1.0, custom_density(lambda s, k=k: s,
+                                                      lambda s, k=k: k * s ** (k - 1), c, 1.0))]
+    for k in (2, 3):
+        yield sself(k), c, [(1.0, _sself_density(k)), (-1.0, _sself_density(k, c))]
+    a = math.log(1.0 / c)
+    yield lclass(0), 1.0, [(1.0, custom_density(lambda s: math.exp(-s), lambda s: 1.0, 0.0, a))]
+    for k in (1, 2):
+        yield lclass(k), 1.0, [
+            (1.0, custom_density(lambda s: math.exp(-s),
+                                 lambda s, k=k: s ** k / math.factorial(k), 0.0, a)),
+            (1.0, custom_density(lambda s: math.exp(-s),
+                                 lambda s, k=k: (s ** k - (s - a) ** k) / math.factorial(k),
+                                 a, math.inf))]
 
 
 def _decomposition_worst(power_shift=0):
@@ -356,10 +373,12 @@ def _decomposition_worst(power_shift=0):
             if power_shift and fam.tag == "ubeta" and fam.k >= 2:
                 p /= c ** power_shift
             for tr in LAWS:
-                V, V_c = random_integral_evaluator(fam, tr), random_integral_evaluator(cut, tr)
+                V = random_integral_evaluator(fam, tr)
+                parts = [(sign, random_integral_evaluator(kern, tr)) for sign, kern in cut]
                 for t in (0.01, 0.3, 1.0, 2.5, 10.0, 300.0):
                     whole, lower = V(t), p * c * V(t / c)
-                    dev = abs(whole - lower - V_c(t)) / (abs(whole) + abs(lower) + 1.0)
+                    V_c = sum(sign * part(t) for sign, part in parts)
+                    dev = abs(whole - lower - V_c) / (abs(whole) + abs(lower) + 1.0)
                     worst = max(worst, dev)
     return worst
 
@@ -384,6 +403,30 @@ def test_scaling_identity(c, t):
     lhs = scale_transform(c, lambda u: voiculescu_id(MIXED, u), t)
     rhs = voiculescu_id(scaled, t)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
+
+
+# the image of the law of cX is the dilate of the image of the law of X,
+# for every class: fixed before measuring, in units of 1 + |lhs| + |rhs|
+DILATION_BOUND = 1e-14
+# ubeta(16) takes Phi(-z, 1, 17), whose _lerch_log band 1/2 < |z| < 2 the
+# grid crosses (3.4e-13 at law 2's atom 3.0, c = 7.5, t = 10^1.5)
+_LERCH_LOG_BAND = "FOUND: the _lerch_log band, 1/2 < y <= 1 for v from 9 to 99 999"
+
+
+@pytest.mark.parametrize("fam", [
+    *(sself(k) for k in (1, 2, 5, 11)), ubeta(1), ubeta(3),
+    pytest.param(ubeta(16), marks=pytest.mark.xfail(strict=True, reason=_LERCH_LOG_BAND)),
+    *(lclass(k) for k in (0, 1, 4, 7))], ids=lambda fam: f"{fam.tag}{fam.k}")
+def test_dilation_covariance_of_every_image_class(fam):
+    ts = [10.0 ** (j / 2) for j in range(-6, 9)]
+    worst = 0.0
+    for tr, c in itertools.product(LAWS, (0.1, 0.3, 2.0, 7.5, 100.0)):
+        scaled = random_integral_evaluator(fam, scale_triple(c, tr))
+        V = random_integral_evaluator(fam, tr)
+        for t in ts:
+            lhs, rhs = scaled(t), c * V(t / c)
+            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
+    assert worst <= DILATION_BOUND, worst
 
 
 def test_additivity_under_convolution():
