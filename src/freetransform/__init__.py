@@ -74,7 +74,6 @@ from .transforms import (
     transform_linf,
     transform_sself,
     transform_ubeta,
-    voiculescu_cauchy,
     voiculescu_id,
     voiculescu_via_laplace,
 )
@@ -135,7 +134,6 @@ __all__ = [
     "transform_ubeta",
     "triple_to_finite_measure",
     "ubeta",
-    "voiculescu_cauchy",
     "voiculescu_id",
     "voiculescu_via_laplace",
 ]

@@ -70,15 +70,19 @@ def _atom_list(obj: dict, where: str = ""):
     return tuple(out)
 
 
+def _check_object(obj, known: tuple[str, ...], what: str):
+    """Refuse obj unless it is a JSON object holding only the fields known."""
+    if not isinstance(obj, dict):
+        raise InvalidInput("input JSON must be an object")
+    for key in obj:
+        if key not in known:
+            raise InvalidInput(f"unknown field '{key}' in {what} input")
+
+
 def parse_triple(obj) -> LevyTriple:
     """{"a": real, "sigma2": real, "atoms": [{"x", "w"}, ...]}; a and
     sigma2 default to 0, atoms to none."""
-    if not isinstance(obj, dict):
-        raise InvalidInput("input JSON must be an object")
-    known = {"a", "sigma2", "atoms"}
-    for key in obj:
-        if key not in known:
-            raise InvalidInput(f"unknown field '{key}' in triple input")
+    _check_object(obj, ("a", "sigma2", "atoms"), "triple")
     return LevyTriple(_num(obj, "a", "", default=0.0),
                       _num(obj, "sigma2", "", default=0.0),
                       _atom_list(obj))
@@ -86,12 +90,7 @@ def parse_triple(obj) -> LevyTriple:
 
 def parse_linf_spec(obj) -> LInfSpec:
     """{"c": real, "atoms": [{"x": real in (-2,2], "w": real > 0}, ...]}."""
-    if not isinstance(obj, dict):
-        raise InvalidInput("input JSON must be an object")
-    known = {"c", "atoms"}
-    for key in obj:
-        if key not in known:
-            raise InvalidInput(f"unknown field '{key}' in linf input")
+    _check_object(obj, ("c", "atoms"), "linf")
     return LInfSpec(_num(obj, "c", "", default=0.0),
                     FiniteMeasure(_atom_list(obj)))
 

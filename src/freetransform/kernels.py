@@ -415,7 +415,7 @@ def pick_eval(rep: PickRepresentation, z: complex) -> complex:
 
 def _pick_sum(rep: PickRepresentation, z: complex) -> complex:
     """pick_eval without its checks, for a caller that formed rep and z
-    itself: transforms.direct_evaluator, once per point."""
+    itself: transforms.id_evaluator, once per point."""
     acc = complex(rep.shift)
     for x, w in rep.measure.atoms:
         acc += w * (1.0 + z * x) / (z - x)

@@ -878,8 +878,9 @@ def _axis_inversion(s: int, z: complex, shift: int) -> complex:
     l^k/k! (for y < 0), a real series whose terms are all positive: it
     steps l^k/k! by l^2/((k+1)(k+2)) from l^(s+1)/(s+1)!, formed through
     frexp so that no power of l overflows, until its terms pass k = l
-    and fall below _SUM_EPS of its sum.  The series at 1/z = i/|y| (for y < 0) is _axis_sum's on the
-    (s, 1 + shift) table, which stops inside the table as 1/|y| <= 1/2.
+    and fall below _SUM_EPS of its sum.  The series at 1/z = i/|y| (for
+    y < 0) is _axis_sum's on the (s, 1 + shift) table, which stops
+    inside the table as 1/|y| <= 1/2.
     """
     re_coefs, im_coefs, tail_frac, tail_exp = _axis_plan(s, shift)
     y = z.imag

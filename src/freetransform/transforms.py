@@ -40,12 +40,12 @@ CUSTOM families and exp_map_convolution_check's oracle image keep the
 per-atom sum at every t.
 
 Every class is evaluated from the triple by one of three evaluators,
-random_integral_evaluator, direct_evaluator (id_evaluator, on the
-triple's companion measure) and linf_evaluator; each transform_*
-function is one point of one of them and returns the complex V(it).
-direct_evaluator's finite sum is the Pick sum of kernels.pick_eval at
-z = it, without its argument checks (kernels._pick_sum): the
-representation is built once and each t is checked.
+random_integral_evaluator, id_evaluator and linf_evaluator; each
+transform_* function is one point of one of them and returns the
+complex V(it).  id_evaluator's finite sum is the Pick sum of
+kernels.pick_eval at z = it on the triple's companion measure, without
+its argument checks (kernels._pick_sum): the representation is built
+once and each t is checked.
 exp_map_convolution_check returns the largest deviation of the
 selfdecomposable split, which verify holds to its tolerance.
 """
@@ -59,11 +59,11 @@ from collections.abc import Callable, Sequence
 from ._records import record
 from .errors import (DomainError, FreeTransformError, InvalidInput, NonFiniteError, _callable,
                      _instance, _items, _real)
-from .kernels import (KernelFamily, PickRepresentation, _pick_sum, custom_density,
+from .kernels import (KernelFamily, PickRepresentation, _g_sign, _pick_sum, custom_density,
                       kernel_quad_grid, lclass, map_data, sself, ubeta)
 from .measures import FiniteMeasure, LevyTriple, triple_to_finite_measure
 from .quadrature import _worst, integrate_semi_infinite, laplace_transform
-from .specfun import _axis_sum, _moment_rows, log_gamma2_slope
+from .specfun import _SERIES_RADIUS, _axis_sum, _moment_rows, log_gamma2_slope
 
 Evaluator = Callable[[float], complex]
 
@@ -87,23 +87,18 @@ def logphi(tr: LevyTriple, t: float) -> complex:
     return acc
 
 
-def direct_evaluator(a: float, m: FiniteMeasure) -> Evaluator:
-    """t -> V(it) = a + sum (1+itx)/(it-x) m({x}), pick_eval at z = it;
-    an atom at 0 contributes m({0})/(it)."""
-    rep = PickRepresentation(a, m)
+def id_evaluator(tr: LevyTriple) -> Evaluator:
+    """t -> voiculescu_id(tr, t) = a + sum (1+itx)/(it-x) m({x}) over the
+    companion measure m, built once: pick_eval at z = it.  An atom at 0
+    contributes m({0})/(it)."""
+    m = triple_to_finite_measure(tr)  # which checks tr, before tr.drift is read
+    rep = PickRepresentation(tr.drift, m)
 
     def V(t: float) -> complex:
         t = _real(t, "t", DomainError, True)
         return _finite(_pick_sum(rep, 1j * t), "voiculescu_id", t)
 
     return V
-
-
-def id_evaluator(tr: LevyTriple) -> Evaluator:
-    """t -> voiculescu_id(tr, t): direct_evaluator on the companion
-    measure, built once."""
-    m = triple_to_finite_measure(tr)  # which checks tr, before tr.drift is read
-    return direct_evaluator(tr.drift, m)
 
 
 def voiculescu_id(tr: LevyTriple, t: float) -> complex:
@@ -135,7 +130,7 @@ def random_integral_evaluator(fam: KernelFamily, tr: LevyTriple) -> Evaluator:
     """
     c, d, g, lerch = map_data(fam)
     _instance(tr, LevyTriple, "tr")
-    return _image_evaluator(c, d, g, 1.0 if fam.increasing else -1.0, tr, lerch)
+    return _image_evaluator(c, d, g, _g_sign(fam), tr, lerch)
 
 
 def _image_evaluator(c: float, d: float, g: Callable[[complex], complex],
@@ -160,7 +155,7 @@ def _image_evaluator(c: float, d: float, g: Callable[[complex], complex],
     atoms = [(w * sign * x, x, sign * c / (1.0 + x * x)) for x, w in tr.levy_atoms]
     far = max((abs(x) for x, _ in tr.levy_atoms), default=0.0)
     # with no atom there is nothing to sum; LevyTriple puts none at 0
-    reach = 2.0 * far if lerch is not None and far else math.inf
+    reach = far / _SERIES_RADIUS if lerch is not None and far else math.inf
     series = None
 
     def V(t: float) -> complex:
@@ -395,8 +390,3 @@ def cauchy_pick_integral(t: float) -> complex:
     res = integrate_semi_infinite(lambda u: f(u) + f(-u), _ORACLE_TOL)
     return res.value
 
-
-def voiculescu_cauchy(a: float, t: float) -> complex:
-    """Transform with the standard Cauchy companion measure
-    m(dx) = dx/(2(1+x^2)): a + (1/2) * cauchy_pick_integral = a - i pi/2."""
-    return _real(a, "a") + 0.5 * cauchy_pick_integral(t)

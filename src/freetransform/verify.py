@@ -358,6 +358,4 @@ def run_suite(name: str) -> list[CheckResult]:
         for fn in SUITES.values():
             out.extend(fn())
         return out
-    if name not in SUITES:
-        raise KeyError(name)
     return SUITES[name]()

@@ -605,6 +605,22 @@ def test_pick_eval_at_a_huge_off_axis_z():
     assert abs(pick_eval(rep, -1.2e308 + 1.2e308j) - 1.0) <= 1e-15
 
 
+_PICK_LARGE_Z = "FOUND: pick_eval loses relative accuracy at large |z| where g falls like 1/z"
+
+
+@pytest.mark.parametrize("z", [
+    0.3 + 1.0j, 5.0 - 2.0j,
+    pytest.param(1e6 - 3e5j, marks=pytest.mark.xfail(strict=True, reason=_PICK_LARGE_Z)),
+    pytest.param(1e10 - 3e9j, marks=pytest.mark.xfail(strict=True, reason=_PICK_LARGE_Z)),
+])
+def test_pick_eval_is_relative_at_large_z(z):
+    # shift 0.65 and the atom at -1 of mass 0.65 tend to constants that
+    # cancel; measured 1.4e-16, 2.7e-16, 2.5e-11 and 1.5e-7 relative
+    direct = 1.3 / (z + 1.0)
+    value = pick_eval(pick_representation([1.0], [1.3]), z)
+    assert abs(value - direct) <= 1e-13 * abs(direct)
+
+
 def test_pick_eval_sign():
     rep = pick_representation([0.5, 1.0, 2.0], [1.0, 1.0, 1.0])
     for z in (1.0j, -2.0 + 0.1j, 3.0 + 2.0j):

@@ -140,10 +140,6 @@ TABLE = {
     "exp_map_convolution_check.t_grid": (lambda x: ft.exp_map_convolution_check(TR, [x]),
                                          1.0, DomainError, True, ()),
     "cauchy_pick_integral.t": (ft.cauchy_pick_integral, 1.0, DomainError, True, ()),
-    "voiculescu_cauchy.a": (lambda x: ft.voiculescu_cauchy(x, 1.0), 0.3, InvalidInput,
-                            True, ()),
-    "voiculescu_cauchy.t": (lambda x: ft.voiculescu_cauchy(0.3, x), 1.0, DomainError,
-                            True, ()),
 }
 
 # numeric fields of a result record, which the package fills and does not

@@ -307,6 +307,36 @@ def test_axis_log_series_against_mpmath(s):
     assert max(worst) <= AXIS_LOG_BOUND, worst
 
 
+# Phi(z, s, 2) where eval lies: z = +-iy past the series disk ---------------
+
+# the log-series band in steps of 0.01, then ten points a decade to 1e4
+EVAL_AXIS_YS = (tuple(0.5000001 + 0.01 * j for j in range(150))
+                + (2.0,) + tuple(10.0 ** (j / 10) for j in range(4, 41)))
+# fixed before measuring; worst measured 2.3e-14 (s = 4, y = 0.58)
+EVAL_AXIS_BOUND = 1e-13
+_LERCH_V2_NEGATIVE_AXIS = ("FOUND: _lerch_v2's shifted log-series on the negative "
+                           "real axis, 1/2 < |z| < 2")
+
+
+@pytest.mark.parametrize("s", range(1, 17))
+def test_lerch_v2_where_eval_lies(s):
+    worst = 0.0
+    for y in EVAL_AXIS_YS:
+        ref = _li_refs(s, y)[2]
+        # Phi(conj z, s, 2) = conj Phi(z, s, 2), which halves the mpmath calls
+        for im, value in ((y, ref), (-y, ref.conjugate())):
+            for re in (0.0, -0.0):
+                worst = max(worst, _rel(lerch_phi(complex(re, im), s, 2.0), value))
+    assert worst < EVAL_AXIS_BOUND, worst
+
+
+@pytest.mark.xfail(strict=True, reason=_LERCH_V2_NEGATIVE_AXIS)
+def test_lerch_v2_off_the_axis_where_the_log_series_cancels():
+    # measured 3.7e-13, off the axis at the same bound
+    z = -0.5100001
+    assert _rel(lerch_phi(z, 9, 2.0), _phi_v2(z, 9)) < EVAL_AXIS_BOUND
+
+
 # the defining sum at large orders, Re z <= 0 ---------------------------------
 
 def _phi_direct(z, s, v):

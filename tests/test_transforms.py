@@ -25,6 +25,7 @@ from freetransform import (
     custom_step,
     euler_gamma,
     exp_map_convolution_check,
+    finite_measure_to_triple,
     kernel_g,
     lclass,
     linf_integrand,
@@ -38,14 +39,14 @@ from freetransform import (
     transform_linf,
     transform_sself,
     transform_ubeta,
+    triple_to_finite_measure,
     ubeta,
-    voiculescu_cauchy,
     voiculescu_id,
     voiculescu_via_laplace,
 )
 from freetransform.kernels import map_data
 from freetransform.specfun import log_gamma2_slope
-from freetransform.transforms import (direct_evaluator, linf_evaluator,
+from freetransform.transforms import (id_evaluator, linf_evaluator,
                                       random_integral_evaluator)
 
 GAUSS = LevyTriple(1.0, 2.0, ())
@@ -70,29 +71,36 @@ def test_logphi_compound_poisson():
 # direct evaluation ------------------------------------------------------------
 
 def test_direct_single_atom():
-    val = direct_evaluator(0.0, FiniteMeasure(((1.0, 1.0),)))(1.0)
+    # a jump of weight 2 at x = 1 has the companion atom of mass 1 there
+    tr = LevyTriple(0.0, 0.0, ((1.0, 2.0),))
+    assert triple_to_finite_measure(tr) == FiniteMeasure(((1.0, 1.0),))
+    val = id_evaluator(tr)(1.0)
     assert type(val) is complex
     assert abs(val - (-1.0j)) < 1e-15  # (1+i)/(i-1) = -i
 
 
 def test_direct_origin_atom_is_gaussian_term():
-    val = direct_evaluator(0.0, FiniteMeasure(((0.0, 2.0),)))(1.0)
+    # the Gaussian variance is the companion atom at the origin
+    val = id_evaluator(LevyTriple(0.0, 2.0, ()))(1.0)
     assert abs(val - 2.0 / 1.0j) < 1e-15
 
 
 def test_direct_far_atoms_divide_before_weighting():
-    # t x or w (1 + itx) overflows; the value is about -it and -w i
+    # t x or w (1 + itx) overflows; the value is about -it and -w i.  Each
+    # law's companion mass is its jump weight, x^2/(1+x^2) rounding to 1
     for x in (1e308, -1e308):
-        V = direct_evaluator(0.0, FiniteMeasure(((x, 1.0),)))
+        V = id_evaluator(LevyTriple(0.0, 0.0, ((x, 1.0),)))
         for t in (10.0, 100.0):
             assert abs(V(t) + 1j * t) <= 1e-15 * t, (x, t)
-    val = direct_evaluator(0.0, FiniteMeasure(((1e10, 1e300),)))(1.0)
+    val = id_evaluator(LevyTriple(0.0, 0.0, ((1e10, 1e300),)))(1.0)
     assert abs(val + 1e300j) <= 1e-15 * 1e300
 
 
 def test_direct_evaluator_equals_the_formula():
-    m = FiniteMeasure(((-2.5, 0.3), (-0.2, 1.1), (0.0, 0.7), (0.9, 0.4), (40.0, 0.01)))
-    V = direct_evaluator(-0.3, m)
+    tr = finite_measure_to_triple(-0.3, FiniteMeasure(
+        ((-2.5, 0.3), (-0.2, 1.1), (0.0, 0.7), (0.9, 0.4), (40.0, 0.01))))
+    m = triple_to_finite_measure(tr)
+    V = id_evaluator(tr)
     for i in range(200):
         t = 10.0 ** (-8.0 + 20.0 * i / 199)
         it = 1j * t
@@ -115,7 +123,7 @@ def test_one_point_transforms_return_complex():
                   transform_sself(0, MIXED, 1.0), transform_sself(2, MIXED, 1.0),
                   transform_ubeta(2, MIXED, 1.0), transform_lclass(1, MIXED, 1.0),
                   transform_linf(spec, 1.0), scale_transform(2.0, V, 1.0),
-                  add_transforms(V, V, 1.0), voiculescu_cauchy(0.3, 1.0)):
+                  add_transforms(V, V, 1.0)):
         assert type(value) is complex, value
 
 
@@ -636,6 +644,7 @@ def test_cauchy_integral_value():
 
 
 def test_cauchy_transform_is_shift_minus_half_pi():
+    # the Cauchy companion measure dx/(2(1+x^2)) with shift a has the
+    # transform a + cauchy_pick_integral/2 = a - i pi/2
     for t in (0.5, 1.0):
-        val = voiculescu_cauchy(0.3, t)
-        assert abs(val - complex(0.3, -math.pi / 2.0)) < 1e-6
+        assert abs(cauchy_pick_integral(t) - complex(0.0, -math.pi)) < 2e-6
